@@ -140,18 +140,24 @@ def cmd_converge(cfg: ExperimentConfig, args) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_observe(cfg: ExperimentConfig, args) -> int:
+def _observe(cfg: ExperimentConfig, args) -> StudyReport:
     report = run_observability_study(
         cfg, progress=(lambda m: _log(args, m)) if args.verbose else None)
     persist_report(report, cfg.out_dir)
     fam = report.summary["family_max_ratios"]
     _write_plot(os.path.join(cfg.out_dir, "plot_family_max.csv"),
                 ["key", "max_ratio"], sorted(fam.items()))
-    return 0 if report.passed else 1
+    return report
 
 
-def cmd_ucp(cfg: ExperimentConfig, args) -> int:
-    report = run_ucp_check(cfg)
+def cmd_observe(cfg: ExperimentConfig, args) -> int:
+    return 0 if _observe(cfg, args).passed else 1
+
+
+def cmd_ucp(cfg: ExperimentConfig, args,
+            observability: StudyReport | None = None) -> int:
+    """UCP chain checks; the observability study runs here unless given."""
+    report = run_ucp_check(cfg, observability)
     persist_report(report, cfg.out_dir)
     return 0 if report.passed else 1
 
@@ -173,12 +179,22 @@ def cmd_carleman(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_all(cfg: ExperimentConfig, args) -> int:
+    studies = {}
+
+    def observe(cfg, args):
+        studies["observability"] = _observe(cfg, args)
+        return 0 if studies["observability"].passed else 1
+
+    def ucp(cfg, args):
+        # the chain checks read the study observe just ran
+        return cmd_ucp(cfg, args, studies["observability"])
+
     rc = 0
     for name, fn in (("verify-weights", cmd_verify_weights),
                      ("solve", cmd_solve),
                      ("converge", cmd_converge),
-                     ("observe", cmd_observe),
-                     ("ucp", cmd_ucp),
+                     ("observe", observe),
+                     ("ucp", ucp),
                      ("carleman", cmd_carleman)):
         t0 = time.time()
         step = fn(cfg, args)
@@ -233,9 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="random seed (default 0)")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker cap; studies currently run samples "
-                            "serially for bitwise determinism")
         p.add_argument("--verbose", action="store_true",
                        help="progress logging to stdout")
     return parser

@@ -105,6 +105,8 @@ class Mesh:
         self.h = float(h)
         self._finalize()
         self._quad_cache: dict = {}
+        # factored theta-scheme steps, filled by solver.step_operator
+        self._step_cache: dict = {}
 
     def _finalize(self):
         p = self.vertices[self.cells]

@@ -249,55 +249,62 @@ def data_bump_a2r7r(rng: np.random.Generator, cfg: ExperimentConfig):
 # approximation study
 # ---------------------------------------------------------------------------
 
+def _approximation_row(config: ExperimentConfig, k: int, fn) -> dict:
+    """Gaps between the eps = 1/k regularized solve and the limit solve.
+
+    The level's mesh and trajectories are freed when this returns, before the
+    next level is built.
+    """
+    h = config.mesh_levels[-1]
+    M = config.steps_for(h)
+    eps = 1.0 / k
+    local_h = min(h / 2.0, 1.0 / (4.0 * k))
+    mesh = build_disk_mesh(config.geometry, h, local_h=local_h)
+    reg = RegularizedWeight(epsilon=eps, alpha=config.alpha)
+    under_resolved = bool(np.allclose(
+        cell_weight_integrals(mesh, reg),
+        cell_weight_integrals(mesh, config.alpha), rtol=0.0, atol=1e-15))
+    data = _nodal(mesh, fn)
+    sol_k = solve(ParabolicProblem(weight=reg, T=config.T, data=data),
+                  mesh, M, theta=config.theta)
+    sol_0 = solve(ParabolicProblem(weight=config.alpha, T=config.T,
+                                   data=data), mesh, M, theta=config.theta)
+    diff = sol_k.fields - sol_0.fields
+    ref = np.sqrt(integrate_spacetime(
+        mesh, sol_k.times, fields=sol_0.fields ** 2))
+    l2q = np.sqrt(integrate_spacetime(mesh, sol_k.times, fields=diff ** 2))
+    terminal = np.sqrt(integrate_space(mesh, diff[-1] ** 2))
+    region_k = Region.complement(2.0 * config.R)
+    gdiff = np.einsum("nci,cid->ncd", diff[:, mesh.cells], mesh.grads)
+    g2 = np.einsum("ncd,ncd->nc", gdiff, gdiff)
+    mask = mesh.cell_mask(region_k)
+    g_slices = g2[:, mask] @ mesh.areas[mask]
+    grad_k = np.sqrt(np.trapezoid(g_slices, sol_k.times))
+    fdiff = boundary_flux(sol_k) - boundary_flux(sol_0)
+    bidx = np.flatnonzero(mesh.boundary_mask)
+    e = mesh.boundary_edges
+    lengths = np.linalg.norm(mesh.vertices[e[:, 1]] - mesh.vertices[e[:, 0]],
+                             axis=1)
+    pos = {v: i for i, v in enumerate(bidx)}
+    fe = 0.5 * (fdiff[:, [pos[v] for v in e[:, 0]]]
+                + fdiff[:, [pos[v] for v in e[:, 1]]])
+    flux_l2 = np.sqrt(np.trapezoid((fe * fe) @ lengths, sol_k.times))
+    return {
+        "k": int(k), "h_local": float(local_h),
+        "vertices": mesh.num_vertices,
+        "under_resolved": under_resolved,
+        "l2_Q": float(l2q), "l2_Q_relative": float(l2q / ref),
+        "terminal": float(terminal), "gradient_K": float(grad_k),
+        "flux": float(flux_l2),
+    }
+
+
 def run_approximation_study(config: ExperimentConfig) -> StudyReport:
     """Solve the regularized and limit problems per k and record the gaps."""
     rng = np.random.default_rng(config.seed + 1)
     fn, desc = data_bump_a2r7r(rng, config)
     report = StudyReport(name="approximation", config=config)
-    h = config.mesh_levels[-1]
-    M = config.steps_for(h)
-    rows = []
-    for k in config.k_levels:
-        eps = 1.0 / k
-        local_h = min(h / 2.0, 1.0 / (4.0 * k))
-        mesh = build_disk_mesh(config.geometry, h, local_h=local_h)
-        reg = RegularizedWeight(epsilon=eps, alpha=config.alpha)
-        under_resolved = bool(np.allclose(
-            cell_weight_integrals(mesh, reg),
-            cell_weight_integrals(mesh, config.alpha), rtol=0.0, atol=1e-15))
-        data = _nodal(mesh, fn)
-        sol_k = solve(ParabolicProblem(weight=reg, T=config.T, data=data),
-                      mesh, M, theta=config.theta)
-        sol_0 = solve(ParabolicProblem(weight=config.alpha, T=config.T,
-                                       data=data), mesh, M, theta=config.theta)
-        diff = sol_k.fields - sol_0.fields
-        ref = np.sqrt(integrate_spacetime(
-            mesh, sol_k.times, fields=sol_0.fields ** 2))
-        l2q = np.sqrt(integrate_spacetime(mesh, sol_k.times, fields=diff ** 2))
-        terminal = np.sqrt(integrate_space(mesh, diff[-1] ** 2))
-        region_k = Region.complement(2.0 * config.R)
-        gdiff = np.einsum("nci,cid->ncd", diff[:, mesh.cells], mesh.grads)
-        g2 = np.einsum("ncd,ncd->nc", gdiff, gdiff)
-        mask = mesh.cell_mask(region_k)
-        g_slices = g2[:, mask] @ mesh.areas[mask]
-        grad_k = np.sqrt(np.trapezoid(g_slices, sol_k.times))
-        fdiff = boundary_flux(sol_k) - boundary_flux(sol_0)
-        bidx = np.flatnonzero(mesh.boundary_mask)
-        e = mesh.boundary_edges
-        lengths = np.linalg.norm(mesh.vertices[e[:, 1]] - mesh.vertices[e[:, 0]],
-                                 axis=1)
-        pos = {v: i for i, v in enumerate(bidx)}
-        fe = 0.5 * (fdiff[:, [pos[v] for v in e[:, 0]]]
-                    + fdiff[:, [pos[v] for v in e[:, 1]]])
-        flux_l2 = np.sqrt(np.trapezoid((fe * fe) @ lengths, sol_k.times))
-        rows.append({
-            "k": int(k), "h_local": float(local_h),
-            "vertices": mesh.num_vertices,
-            "under_resolved": under_resolved,
-            "l2_Q": float(l2q), "l2_Q_relative": float(l2q / ref),
-            "terminal": float(terminal), "gradient_K": float(grad_k),
-            "flux": float(flux_l2),
-        })
+    rows = [_approximation_row(config, k, fn) for k in config.k_levels]
     report.tables["convergence"] = rows
     resolved = [r for r in rows if not r["under_resolved"]]
     norms = ["l2_Q", "terminal", "gradient_K", "flux"]
@@ -375,34 +382,46 @@ def _observability_record(sol: DiscreteSolution, cfg: ExperimentConfig) -> dict:
     }
 
 
+def _observability_level(config: ExperimentConfig, li: int, h: float,
+                         progress=None) -> list:
+    """Records of every sample on mesh level ``li``.
+
+    The level's mesh, its factored step and the trajectories are freed when
+    this returns, before the next level is built.
+    """
+    mesh = build_disk_mesh(config.geometry, h)
+    M = config.steps_for(h)
+    rng = np.random.default_rng(config.seed + 2)
+    rows = []
+    for family in config.sampler_families:
+        for si in range(config.sample_count):
+            fn, desc = sample_field(family, rng, config)
+            data = _nodal(mesh, fn)
+            sol = solve(ParabolicProblem(weight=config.alpha, T=config.T,
+                                         data=data, direction="backward"),
+                        mesh, M, theta=config.theta)
+            rec = _observability_record(sol, config)
+            # quadratic homogeneity: the ratio must be scale invariant
+            scaled = dataclasses.replace(sol, fields=3.0 * sol.fields)
+            rec_s = _observability_record(scaled, config)
+            scale_dev = (abs(rec_s["ratio"] - rec["ratio"])
+                         / max(rec["ratio"], 1e-300))
+            rec.update({"level": li, "h": float(h), "family": family,
+                        "sample": si, "scale_invariance_dev": float(scale_dev)})
+            rec.update(desc)
+            rows.append(rec)
+            if progress:
+                progress(f"observe level={li} {family} sample={si}")
+    return rows
+
+
 def run_observability_study(config: ExperimentConfig,
                             progress=None) -> StudyReport:
     """Backward solves over the sampler families; ratio LHS/RHS per sample."""
     report = StudyReport(name="observability", config=config)
     rows = []
     for li, h in enumerate(config.mesh_levels):
-        mesh = build_disk_mesh(config.geometry, h)
-        M = config.steps_for(h)
-        rng = np.random.default_rng(config.seed + 2)
-        for family in config.sampler_families:
-            for si in range(config.sample_count):
-                fn, desc = sample_field(family, rng, config)
-                data = _nodal(mesh, fn)
-                sol = solve(ParabolicProblem(weight=config.alpha, T=config.T,
-                                             data=data, direction="backward"),
-                            mesh, M, theta=config.theta)
-                rec = _observability_record(sol, config)
-                # quadratic homogeneity: the ratio must be scale invariant
-                scaled = dataclasses.replace(sol, fields=3.0 * sol.fields)
-                rec_s = _observability_record(scaled, config)
-                scale_dev = (abs(rec_s["ratio"] - rec["ratio"])
-                             / max(rec["ratio"], 1e-300))
-                rec.update({"level": li, "h": float(h), "family": family,
-                            "sample": si, "scale_invariance_dev": float(scale_dev)})
-                rec.update(desc)
-                rows.append(rec)
-                if progress:
-                    progress(f"observe level={li} {family} sample={si}")
+        rows += _observability_level(config, li, h, progress)
     report.tables["samples"] = rows
     fam_max = {}
     for li in range(len(config.mesh_levels)):

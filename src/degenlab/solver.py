@@ -2,8 +2,10 @@
 
 Forward problems are d_t(phi) - div(w grad phi) = f with homogeneous Dirichlet
 data; backward problems are solved exclusively through the substitution
-u(t) = phi(T - t), never by integrating the ill-posed direction.  Each implicit
-step solves an SPD system by Jacobi-preconditioned conjugate gradients.
+u(t) = phi(T - t), never by integrating the ill-posed direction.  With a
+constant step the implicit matrix M + theta dt A is the same at every step, so
+it is factored once per (mesh, weight, dt, theta) by sparse LU and each step is
+one pair of triangular solves.
 """
 
 from __future__ import annotations
@@ -18,15 +20,13 @@ from .domain import Mesh
 from .spaces import WeightedNormSpec
 from .weights import RegularizedWeight, exact_weight
 
-CG_RTOL = 1e-10
-
 _MASS_LOCAL = np.array([[2.0, 1.0, 1.0],
                         [1.0, 2.0, 1.0],
                         [1.0, 1.0, 2.0]]) / 12.0
 
 
 class SolverError(RuntimeError):
-    """Raised on CG non-convergence or non-finite iterates."""
+    """Raised when a time step produces non-finite values."""
 
 
 def _weight_spec(weight) -> WeightedNormSpec:
@@ -148,19 +148,52 @@ class DiscreteSolution:
         return self.fields
 
 
-def _cg_solve(op, b, x0, ill_hint=""):
-    n = len(b)
-    diag = op.diagonal()
-    pre = sp.diags(1.0 / diag)
-    x, info = spla.cg(op, b, x0=x0, rtol=CG_RTOL, atol=0.0,
-                      maxiter=10 * n, M=pre)
-    if info != 0:
-        raise SolverError(f"conjugate gradients failed to reach rtol {CG_RTOL} "
-                          f"in {10 * n} iterations (info={info}); the system "
-                          f"may be ill-conditioned{ill_hint}")
-    if not np.all(np.isfinite(x)):
-        raise SolverError("non-finite values in the time step solution")
-    return x
+def _factor_spd(mat: sp.spmatrix) -> spla.SuperLU:
+    """Sparse LU of an SPD matrix with a symmetric fill-reducing ordering.
+
+    An SPD matrix needs no pivoting, so the factor keeps the diagonal pivots
+    of the minimum-degree ordering of A^T + A, which fills less than the
+    default column ordering.
+    """
+    return spla.splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+
+
+@dataclass(frozen=True, eq=False)
+class StepOperator:
+    """The theta-scheme step on the interior unknowns, factored once.
+
+    One step solves (M + theta dt A) u_{n+1} = explicit @ u_n + dt f_theta
+    with explicit = M - (1 - theta) dt A.  ``mass`` and ``stiffness`` are the
+    full-vertex matrices the step was built from.
+    """
+
+    mass: sp.csr_matrix
+    stiffness: sp.csr_matrix
+    explicit: sp.csr_matrix
+    lu: spla.SuperLU
+
+
+def step_operator(mesh: Mesh, weight, dt: float, theta: float) -> StepOperator:
+    """The step operator for (weight, dt, theta) on ``mesh``.
+
+    It is cached on the mesh, so it is built once for every solve that shares
+    these values and is freed with the mesh.  Its matrices are shared by every
+    solution built from it and must not be modified.
+    """
+    key = (_weight_spec(weight), float(dt), float(theta))
+    op = mesh._step_cache.get(key)
+    if op is None:
+        mass = assemble_mass(mesh)
+        stiff = assemble_stiffness(mesh, weight)
+        inter = mesh.interior
+        Mi = mass[inter][:, inter]
+        Ai = stiff[inter][:, inter]
+        op = StepOperator(mass=mass, stiffness=stiff,
+                          explicit=(Mi - (1.0 - theta) * dt * Ai).tocsr(),
+                          lu=_factor_spd(Mi + theta * dt * Ai))
+        mesh._step_cache[key] = op
+    return op
 
 
 def solve(problem: ParabolicProblem, mesh: Mesh, M: int,
@@ -174,15 +207,10 @@ def solve(problem: ParabolicProblem, mesh: Mesh, M: int,
     if data.shape != (mesh.num_vertices,):
         raise ValueError("data must be a nodal field on the mesh")
 
-    mass = assemble_mass(mesh)
-    stiff = assemble_stiffness(mesh, problem.weight)
     dt = problem.T / M
+    op = step_operator(mesh, problem.weight, dt, theta)
     times = np.linspace(0.0, problem.T, M + 1)
     inter = mesh.interior
-    Mi = mass[inter][:, inter].tocsr()
-    Ai = stiff[inter][:, inter].tocsr()
-    lhs = (Mi + theta * dt * Ai).tocsr()
-    rhs_op = (Mi - (1.0 - theta) * dt * Ai).tocsr()
 
     backward = problem.direction == "backward"
 
@@ -202,17 +230,20 @@ def solve(problem: ParabolicProblem, mesh: Mesh, M: int,
     ui = u[0, inter]
     f_prev = load(0.0) if (problem.source is not None or problem.div_sources) else None
     for n in range(M):
-        b = rhs_op @ ui
+        b = op.explicit @ ui
         if f_prev is not None:
             f_next = load(times[n + 1])
             b = b + dt * (theta * f_next + (1.0 - theta) * f_prev)
             f_prev = f_next
-        ui = _cg_solve(lhs, b, x0=ui)
+        ui = op.lu.solve(b)
+        if not np.all(np.isfinite(ui)):
+            raise SolverError(f"non-finite values at time step {n + 1} of {M}")
         u[n + 1, inter] = ui
     if backward:
         u = u[::-1].copy()
     return DiscreteSolution(mesh=mesh, problem=problem, times=times,
-                            fields=u, theta=theta, mass=mass, stiffness=stiff)
+                            fields=u, theta=theta, mass=op.mass,
+                            stiffness=op.stiffness)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +379,7 @@ def boundary_flux(sol: DiscreteSolution) -> np.ndarray:
     u = sol.forward_fields()
     dt = sol.dt
     bidx = np.flatnonzero(mesh.boundary_mask)
-    B = boundary_mass_matrix(mesh)[bidx][:, bidx].tocsr()
+    B_lu = _factor_spd(boundary_mass_matrix(mesh)[bidx][:, bidx])
     spec = _weight_spec(prob.weight)
     wb = spec.evaluate(mesh.vertices[bidx])
     if np.any(wb <= 0.0):
@@ -377,8 +408,7 @@ def boundary_flux(sol: DiscreteSolution) -> np.ndarray:
             f_next = load(n)
             r = r - (th * f_next + (1.0 - th) * f_cache)
             f_cache = f_next
-        q = spla.spsolve(B.tocsc(), r[bidx])
-        flux[n] = q / wb
+        flux[n] = B_lu.solve(r[bidx]) / wb
     flux[0] = flux[1]
     if backward:
         flux = flux[::-1].copy()

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from degenlab.domain import GeometrySpec, build_annulus_mesh, build_disk_mesh
-from degenlab.solver import (ManufacturedField, ParabolicProblem,
+from degenlab.solver import (ManufacturedField, ParabolicProblem, SolverError,
                              assemble_mass, assemble_stiffness, boundary_flux,
                              boundary_mass_matrix, cell_weight_integrals,
-                             energy_report, manufactured_source, solve)
+                             energy_report, manufactured_source, solve,
+                             step_operator)
 from degenlab.weights import RegularizedWeight
 
 
@@ -124,6 +126,65 @@ class TestTimeStepping:
                              direction="sideways")
         with pytest.raises(ValueError):
             ParabolicProblem(weight=1.0, T=-1.0, data=np.zeros(3))
+
+
+class TestStepOperator:
+    @staticmethod
+    def _data(mesh, seed):
+        data = np.random.default_rng(seed).normal(size=mesh.num_vertices)
+        data[mesh.boundary_mask] = 0.0
+        return data
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    def test_matches_spsolve_per_step(self, small_mesh, theta):
+        weight = RegularizedWeight(epsilon=0.05, alpha=1.0)
+        data = self._data(small_mesh, 4)
+        T, M = 0.5, 10
+        sol = solve(ParabolicProblem(weight=weight, T=T, data=data,
+                                     direction="backward"),
+                    small_mesh, M, theta=theta)
+        # reference: a fresh direct solve of the assembled system every step
+        inter = small_mesh.interior
+        Mi = assemble_mass(small_mesh)[inter][:, inter]
+        Ai = assemble_stiffness(small_mesh, weight)[inter][:, inter]
+        dt = T / M
+        lhs = (Mi + theta * dt * Ai).tocsc()
+        rhs = Mi - (1.0 - theta) * dt * Ai
+        ref = np.zeros((M + 1, small_mesh.num_vertices))
+        ref[0] = data
+        for n in range(M):
+            ref[n + 1, inter] = spla.spsolve(lhs, rhs @ ref[n, inter])
+        ref = ref[::-1]
+        assert np.max(np.abs(sol.fields - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    def test_same_key_reuses_one_operator(self):
+        mesh = build_disk_mesh(GeometrySpec(R=0.12, L=1.0), 0.1)
+        prob = ParabolicProblem(weight=1.0, T=0.5, data=self._data(mesh, 5),
+                                direction="backward")
+        first = solve(prob, mesh, 8)
+        second = solve(prob, mesh, 8)
+        assert len(mesh._step_cache) == 1
+        assert step_operator(mesh, 1.0, 0.5 / 8, 1.0) is next(
+            iter(mesh._step_cache.values()))
+        assert np.array_equal(first.fields, second.fields)
+        assert first.mass is second.mass
+
+    def test_new_weight_dt_or_theta_gets_new_operator(self, small_mesh):
+        base = step_operator(small_mesh, 1.0, 0.1, 1.0)
+        reg = RegularizedWeight(epsilon=0.05, alpha=1.0)
+        others = [step_operator(small_mesh, 0.5, 0.1, 1.0),
+                  step_operator(small_mesh, reg, 0.1, 1.0),
+                  step_operator(small_mesh, 1.0, 0.05, 1.0),
+                  step_operator(small_mesh, 1.0, 0.1, 0.5)]
+        assert len({id(op) for op in [base] + others}) == 5
+        assert step_operator(small_mesh, reg, 0.1, 1.0) is others[1]
+
+    def test_nan_data_raises(self, small_mesh):
+        data = self._data(small_mesh, 6)
+        data[small_mesh.interior[0]] = np.nan
+        with pytest.raises(SolverError, match="non-finite"):
+            solve(ParabolicProblem(weight=1.0, T=0.5, data=data,
+                                   direction="backward"), small_mesh, 8)
 
 
 class TestManufactured:
