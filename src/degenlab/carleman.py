@@ -238,10 +238,11 @@ def _exp_shifted(E, shift, active, space_mask=None):
 class BalanceContext:
     """Quadrature data shared by every balance evaluation of one trajectory.
 
-    Building the space-time samples of u and grad u is the dominant cost of a
-    balance, so sweeps construct the context once per solved trajectory and
-    pass it to :func:`carleman_balance` for every parameter point (only the
-    horizon T must match; s, gamma, lambda may vary freely).
+    Building the space-time samples of u, grad u and |grad u|^2 is the
+    dominant cost of a balance, so sweeps construct the context once per
+    solved trajectory and pass it to :func:`carleman_balance` for every
+    parameter point (only the horizon T must match; s, gamma, lambda may
+    vary freely).
     """
 
     def __init__(self, sol: DiscreteSolution, params: CarlemanParams):
@@ -258,22 +259,32 @@ class BalanceContext:
         self.theta_t = np.where(self.active, th_full, 0.0)
         # nodal fields at quadrature points, all time levels: (nt, nq)
         f = sol.fields
-        self.u = np.einsum("qi,nqi->nq", self.qp.shape, f[:, self.qp.nodes])
-        g = np.einsum("nci,cid->ncd", f[:, self.mesh.cells], self.mesh.grads)
-        self.grad = g[:, self.qp.cell, :]        # (nt, nq, 2)
+        self.u = self._at_points(f)
+        self.cell_grad = self._cell_gradients(f)  # (nt, n_cells, 2)
+        self.grad_sq = _sq_norm(self.cell_grad)[:, self.qp.cell]
         self._cutoff_cache: dict = {}
         self._mask_cache: dict = {}
 
     def cutoff_fields(self, cutoff: CutoffFunction):
-        """Space-time samples of the nodal product cutoff * u (cached)."""
+        """Space-time samples of the nodal product v = cutoff * u and of
+        |grad v|^2 (cached)."""
         key = (cutoff.inner_radius, cutoff.outer_radius, cutoff.orientation)
         if key not in self._cutoff_cache:
             zeta_nodal = cutoff.value(self.mesh.vertices)
             fz = self.sol.fields * zeta_nodal[None, :]
-            u = np.einsum("qi,nqi->nq", self.qp.shape, fz[:, self.qp.nodes])
-            g = np.einsum("nci,cid->ncd", fz[:, self.mesh.cells], self.mesh.grads)
-            self._cutoff_cache[key] = (u, g[:, self.qp.cell, :])
+            g2 = _sq_norm(self._cell_gradients(fz))[:, self.qp.cell]
+            self._cutoff_cache[key] = (self._at_points(fz), g2)
         return self._cutoff_cache[key]
+
+    def _cell_gradients(self, fields):
+        """(nt, n_cells, 2) P1 gradients of (nt, nv) nodal fields."""
+        return np.einsum("nci,cid->ncd", fields[:, self.mesh.cells], self.mesh.grads)
+
+    def _at_points(self, fields):
+        """(nt, nq) samples of (nt, nv) nodal fields, C-contiguous: every
+        balance term runs row-wise over quadrature points, which the
+        transposed (F-ordered) product would make strided."""
+        return np.ascontiguousarray((self.mesh.interpolation() @ fields.T).T)
 
     def cellmask(self, region: Region | None):
         if region is None:
@@ -299,12 +310,8 @@ class BalanceContext:
         return self.integrate(slices, window)
 
 
-def _grad_sq(ctx, extra_nodal=None):
-    if extra_nodal is None:
-        g = ctx.grad
-    else:
-        g = extra_nodal
-    return np.einsum("nqd,nqd->nq", g, g)
+def _sq_norm(g):
+    return np.einsum("nkd,nkd->nk", g, g)
 
 
 def _ratio(lhs, rhs):
@@ -337,7 +344,6 @@ def carleman_balance(sol: DiscreteSolution, params: CarlemanParams,
             raise ValueError("context was built for a different trajectory "
                              "or horizon")
         ctx = context
-        ctx.params = params
     p = params
     al, s = p.alpha, p.s
     R = p.R
@@ -348,19 +354,18 @@ def carleman_balance(sol: DiscreteSolution, params: CarlemanParams,
             raise ValueError("thm41 needs the regularized weight")
         if flux is None:
             flux = boundary_flux(sol)
-        return _balance_thm41(ctx, weight, flux, remainder_prefactor)
+        return _balance_thm41(ctx, p, weight, flux, remainder_prefactor)
     if variant == "thm42":
         if flux is None:
             flux = boundary_flux(sol)
-        return _balance_thm42(ctx, flux)
+        return _balance_thm42(ctx, p, flux)
 
     r, th = ctx.r, ctx.theta_t
     if variant in ("prop1", "thm43"):
         zeta = cutoff_zeta(R)
-        u, grad = ctx.cutoff_fields(zeta)
+        u, g2 = ctx.cutoff_fields(zeta)
     else:
-        u, grad = ctx.u, ctx.grad
-    g2 = np.einsum("nqd,nqd->nq", grad, grad)
+        u, g2 = ctx.u, ctx.grad_sq
     u2 = u * u
     band = ctx.cellmask(Region.annulus(3.0 * R, 6.0 * R))
 
@@ -410,7 +415,7 @@ def carleman_balance(sol: DiscreteSolution, params: CarlemanParams,
             eta_bar = fursikov_eta_bar(R, float(
                 np.max(np.linalg.norm(ctx.mesh.vertices, axis=1))))
         kappa = cutoff_kappa(R)
-        uk, gk = ctx.cutoff_fields(kappa)
+        uk, gk2 = ctx.cutoff_fields(kappa)
         ebar = eta_bar.value(ctx.qp.points)
         lam = p.lam
         xi_space = np.exp(lam * (8.0 + ebar))           # xi_bar / Theta
@@ -422,7 +427,7 @@ def carleman_balance(sol: DiscreteSolution, params: CarlemanParams,
         xib = xi_space[None, :] * th[:, None]
         lhs_terms = {
             "grad": s * lam ** 2 * ctx.spacetime(
-                xib * np.einsum("nqd,nqd->nq", gk, gk) * Ew * outerR),
+                xib * gk2 * Ew * outerR),
             "func": s ** 3 * lam ** 4 * ctx.spacetime(
                 xib ** 3 * uk * uk * Ew * outerR),
         }
@@ -433,7 +438,8 @@ def carleman_balance(sol: DiscreteSolution, params: CarlemanParams,
         w_q = r ** al
         wgrad = (al * r_safe ** (al - 2.0))[:, None] * ctx.qp.points
         div_wk = np.einsum("qd,qd->q", wgrad, kg) + w_q * lap_kappa
-        gsrc = (2.0 * w_q[None, :] * np.einsum("qd,nqd->nq", kg, ctx.grad)
+        grad_u = ctx.cell_grad[:, ctx.qp.cell, :]
+        gsrc = (2.0 * w_q[None, :] * np.einsum("qd,nqd->nq", kg, grad_u)
                 + ctx.u * div_wk[None, :])
         rhs_terms = {
             "g_band": ctx.spacetime(gsrc * gsrc * Ew * outerR),
@@ -468,8 +474,8 @@ def _flux_at_edges(ctx, flux):
     return 0.5 * (flux[:, i0] + flux[:, i1])       # (nt, n_edges)
 
 
-def _balance_thm41(ctx, weight: RegularizedWeight, flux, remainder_prefactor):
-    p = ctx.params
+def _balance_thm41(ctx, p: CarlemanParams, weight: RegularizedWeight, flux,
+                   remainder_prefactor):
     s, al, eps = p.s, p.alpha, weight.epsilon
     r, th = ctx.r, ctx.theta_t
     psi = weight.psi(r)
@@ -478,7 +484,7 @@ def _balance_thm41(ctx, weight: RegularizedWeight, flux, remainder_prefactor):
     E = 2.0 * s * eta[None, :] * th[:, None]
     shift = float(np.max(E[ctx.active]))
     Ew = _exp_shifted(E, shift, ctx.active)
-    g2 = _grad_sq(ctx)
+    g2 = ctx.grad_sq
     u2 = ctx.u * ctx.u
     in_eps = ctx.cellmask(Region.ball(eps))
     lhs_terms = {
@@ -508,8 +514,7 @@ def _balance_thm41(ctx, weight: RegularizedWeight, flux, remainder_prefactor):
             "excluded_time_nodes": int(np.sum(~ctx.active))}
 
 
-def _balance_thm42(ctx, flux):
-    p = ctx.params
+def _balance_thm42(ctx, p: CarlemanParams, flux):
     s, al = p.s, p.alpha
     r, th = ctx.r, ctx.theta_t
     eta0 = p.gamma * (-2.0 * p.m ** (2.0 - al) + r ** (2.0 - al))
@@ -517,7 +522,7 @@ def _balance_thm42(ctx, flux):
     shift = float(np.max(E[ctx.active]))
     Ew = _exp_shifted(E, shift, ctx.active)
     outer = ctx.cellmask(Region.complement(p.R))
-    g2 = _grad_sq(ctx)
+    g2 = ctx.grad_sq
     u2 = ctx.u * ctx.u
     lhs_terms = {
         "grad_outer": s * ctx.spacetime(th[:, None] * r ** al * g2 * Ew * outer),

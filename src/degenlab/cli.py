@@ -1,6 +1,7 @@
 """Command-line entry point: config ingestion, study dispatch, plot data.
 
-Exit codes: 0 success, 1 failed invariant/record, 2 configuration error.
+Exit codes: 0 success, 1 failed invariant/record or solver error (one line
+on stderr), 2 configuration error.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .experiments import (ExperimentConfig, StudyReport, persist_report,
                           run_approximation_study, run_carleman_sweep,
                           run_observability_study, run_ucp_check,
                           sample_field, _nodal)
-from .solver import ParabolicProblem, energy_report, solve
+from .solver import ParabolicProblem, SolverError, energy_report, solve
 from .weights import (RegularizedWeight, cutoff_kappa, cutoff_rho, cutoff_zeta,
                       identity_residuals)
 
@@ -262,7 +263,11 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"degenlab: config error: {exc}", file=sys.stderr)
         return 2
-    return _COMMANDS[args.command](cfg, args)
+    try:
+        return _COMMANDS[args.command](cfg, args)
+    except SolverError as exc:
+        print(f"degenlab: {args.command}: solver error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ import io
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 _MIDPOINT_BARY = np.array([
     [0.5, 0.5, 0.0],
@@ -105,6 +106,7 @@ class Mesh:
         self.h = float(h)
         self._finalize()
         self._quad_cache: dict = {}
+        self._interp_cache: dict = {}
         # factored theta-scheme steps, filled by solver.step_operator
         self._step_cache: dict = {}
 
@@ -167,12 +169,34 @@ class Mesh:
     # -- quadrature ------------------------------------------------------------
 
     def quadrature(self, subdivide_radius: float = 0.0, levels: int = 2) -> SpaceQuadrature:
-        key = (round(float(subdivide_radius), 12), int(levels))
+        key = _quadrature_key(subdivide_radius, levels)
         if key in self._quad_cache:
             return self._quad_cache[key]
         qp = self._build_quadrature(subdivide_radius, levels)
         self._quad_cache[key] = qp
         return qp
+
+    def interpolation(self, subdivide_radius: float = 0.0,
+                      levels: int = 2) -> sp.csr_matrix:
+        """Sparse (nq, n_vertices) P1 interpolation onto ``quadrature(...)``.
+
+        Row q holds the shape values of point q at the vertices of its cell, so
+        ``P @ u`` samples a nodal field u at the quadrature points, and
+        ``P.T @ w`` turns quadrature weights w into nodal weights.  Cached per
+        quadrature key, like the quadrature itself.
+        """
+        key = _quadrature_key(subdivide_radius, levels)
+        if key not in self._interp_cache:
+            qp = self.quadrature(subdivide_radius, levels)
+            nq = len(qp.weights)
+            # copy: eliminate_zeros compacts in place, and without it the
+            # matrix would share its data with qp.shape
+            P = sp.csr_matrix(
+                (qp.shape.ravel(), qp.nodes.ravel(), np.arange(0, 3 * nq + 1, 3)),
+                shape=(nq, self.num_vertices), copy=True)
+            P.eliminate_zeros()   # edge midpoints carry one zero shape value
+            self._interp_cache[key] = P
+        return self._interp_cache[key]
 
     def _build_quadrature(self, subdivide_radius, levels):
         p = self.vertices[self.cells]
@@ -247,6 +271,10 @@ class Mesh:
             marks.append(Mesh.INNER if m == "inner" else Mesh.OUTER)
         h = float(lines[pos].split()[2])
         return Mesh(verts, cells, np.array(edges), np.array(marks), h)
+
+
+def _quadrature_key(subdivide_radius, levels):
+    return (round(float(subdivide_radius), 12), int(levels))
 
 
 def _refine_bary(bary):
@@ -393,11 +421,6 @@ def build_annulus_mesh(r_in: float, r_out: float, h: float) -> Mesh:
 # integration
 # ---------------------------------------------------------------------------
 
-def region_mask(mesh: Mesh, region: Region) -> np.ndarray:
-    """Cell mask by centroid membership (no cut cells)."""
-    return mesh.cell_mask(region)
-
-
 def integrate_space(mesh: Mesh, integrand, region: Region | None = None,
                     weight=None, subdivide_radius: float = 0.0) -> float:
     """Integral of integrand * weight over the region.
@@ -408,14 +431,18 @@ def integrate_space(mesh: Mesh, integrand, region: Region | None = None,
     refinement of the midpoint rule.
     """
     qp = mesh.quadrature(subdivide_radius)
-    vals = qp.values(integrand)
+    return float(np.dot(_point_weights(mesh, qp, region, weight),
+                        qp.values(integrand)))
+
+
+def _point_weights(mesh: Mesh, qp: SpaceQuadrature, region, weight) -> np.ndarray:
+    """Quadrature weights times the spatial weight, zero outside the region."""
     w = qp.weights
     if weight is not None:
-        vals = vals * np.asarray(weight(qp.points), dtype=float)
+        w = w * np.asarray(weight(qp.points), dtype=float)
     if region is not None:
-        mask = mesh.cell_mask(region)[qp.cell]
-        w = w * mask
-    return float(np.dot(w, vals))
+        w = w * mesh.cell_mask(region)[qp.cell]
+    return w
 
 
 def snap_window(times: np.ndarray, window) -> tuple[int, int]:
@@ -435,15 +462,17 @@ def integrate_spacetime(mesh: Mesh, times, slice_integrals=None, fields=None,
     """Trapezoid-in-time composite of per-slice space integrals.
 
     Either pass precomputed per-slice integrals, or nodal ``fields`` with
-    shape (len(times), n_vertices) to be integrated slice by slice.
+    shape (len(times), n_vertices).  The space integral is linear in the
+    nodal field, so the point weights are folded once into nodal weights
+    c = P^T w and every slice in the window integrates as ``fields @ c``.
     """
     times = np.asarray(times, dtype=float)
-    if slice_integrals is None:
-        slice_integrals = np.array([
-            integrate_space(mesh, fields[n], region, weight, subdivide_radius)
-            for n in range(len(times))])
-    else:
-        slice_integrals = np.asarray(slice_integrals, dtype=float)
     i0, i1 = (0, len(times) - 1) if window is None else snap_window(times, window)
-    tw = times[i0:i1 + 1]
-    return float(np.trapezoid(slice_integrals[i0:i1 + 1], tw))
+    if slice_integrals is None:
+        qp = mesh.quadrature(subdivide_radius)
+        c = mesh.interpolation(subdivide_radius).T @ _point_weights(
+            mesh, qp, region, weight)
+        slices = np.asarray(fields, dtype=float)[i0:i1 + 1] @ c
+    else:
+        slices = np.asarray(slice_integrals, dtype=float)[i0:i1 + 1]
+    return float(np.trapezoid(slices, times[i0:i1 + 1]))

@@ -63,14 +63,29 @@ class ExperimentConfig:
             raise ValueError("need L > 8R")
         if self.T <= 0:
             raise ValueError("T must be positive")
+        if not 0.5 <= self.theta <= 1.0:
+            raise ValueError(f"theta must lie in [1/2, 1], got {self.theta}")
+        if not self.k_levels:
+            raise ValueError("k_levels must not be empty")
         if list(self.k_levels) != sorted(set(self.k_levels)):
             raise ValueError("k_levels must be strictly increasing")
         hs = list(self.mesh_levels)
+        if not hs:
+            raise ValueError("mesh_levels must not be empty")
         if hs != sorted(set(hs), reverse=True):
             raise ValueError("mesh_levels must be strictly decreasing in h")
+        if not self.sampler_families:
+            raise ValueError("sampler_families must not be empty")
         for fam in self.sampler_families:
             if fam not in ("interior", "adversarial", "noise"):
                 raise ValueError(f"unknown sampler family {fam!r}")
+        for key, least in (("sample_count", 1), ("carleman_family_count", 1),
+                           ("carleman_sweep_samples", 0)):
+            val = getattr(self, key)
+            if (not isinstance(val, (int, np.integer)) or isinstance(val, bool)
+                    or val < least):
+                raise ValueError(f"{key} must be an integer >= {least}, "
+                                 f"got {val!r}")
 
     # -- dict round trip ----------------------------------------------------
 

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-import scipy.sparse as sp
-
 from .domain import Mesh
 from .weights import RegularizedWeight, exact_weight
 
@@ -38,15 +36,11 @@ class WeightedNormSpec:
         return exact_weight(float(self.weight), points)
 
 
-def _weight_at(spec: WeightedNormSpec, points):
-    return spec.evaluate(points)
-
-
 def weighted_l2_norm(mesh: Mesh, field, spec: WeightedNormSpec) -> float:
     """sqrt of the quadrature of u^2 * w over the mesh."""
     qp = mesh.quadrature(spec.subdivide_radius)
     u = qp.values(field)
-    w = _weight_at(spec, qp.points)
+    w = spec.evaluate(qp.points)
     return float(np.sqrt(max(0.0, np.dot(qp.weights, u * u * w))))
 
 
@@ -55,7 +49,7 @@ def weighted_h1_seminorm(mesh: Mesh, field, spec: WeightedNormSpec) -> float:
     qp = mesh.quadrature(spec.subdivide_radius)
     g = mesh.p1_gradient(field)
     g2 = np.einsum("cd,cd->c", g, g)[qp.cell]
-    w = _weight_at(spec, qp.points)
+    w = spec.evaluate(qp.points)
     return float(np.sqrt(max(0.0, np.dot(qp.weights, g2 * w))))
 
 
@@ -158,15 +152,8 @@ def inequality_ratio_table(mesh: Mesh, fields, alpha: float, eps: float,
     we2 = w_exact * qp2.weights
     wr2 = w_reg * qp2.weights
     ww2 = qp2.weights
-
-    def interp_matrix(qp):
-        nq = len(qp.points)
-        rows = np.repeat(np.arange(nq), qp.nodes.shape[1])
-        return sp.csr_matrix((qp.shape.ravel(), (rows, qp.nodes.ravel())),
-                             shape=(nq, mesh.num_vertices))
-
-    P3 = interp_matrix(qp3)
-    P2 = interp_matrix(qp2)
+    P3 = mesh.interpolation(sub, levels=3)
+    P2 = mesh.interpolation(sub)
 
     out = {k: np.zeros(len(F)) for k in ("hardy", "r_22", "r_23", "r_36", "r_37")}
     for lo in range(0, len(F), chunk):
@@ -208,7 +195,7 @@ def sobolev_embedding_ratio(mesh: Mesh, field, k: float, p: float,
         return 0.0
     qp = mesh.quadrature(spec.subdivide_radius)
     uq = np.abs(qp.values(u))
-    w = _weight_at(spec, qp.points)
+    w = spec.evaluate(qp.points)
     kp = k * p
     num = float(np.dot(qp.weights, uq ** kp * w)) ** (1.0 / kp)
     g = mesh.p1_gradient(u)

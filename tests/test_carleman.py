@@ -11,8 +11,8 @@ from degenlab.carleman import (BalanceContext, CarlemanParams,
                                theta, theta_bound_check, weight_window_bounds,
                                xi_sigma_bar)
 from degenlab.domain import GeometrySpec, build_disk_mesh
-from degenlab.solver import ParabolicProblem, solve
-from degenlab.weights import RegularizedWeight
+from degenlab.solver import ParabolicProblem, boundary_flux, solve
+from degenlab.weights import RegularizedWeight, cutoff_zeta
 
 
 @pytest.fixture(scope="module")
@@ -182,6 +182,35 @@ class TestBalances:
                                       context=ctx)
             assert direct["lhs"] == cached["lhs"]
             assert direct["rhs"] == cached["rhs"]
+
+    def test_context_samples_match_einsum(self, sample_solution):
+        # the sparse interpolation operator against the per-point shape sum
+        ctx = BalanceContext(sample_solution, CarlemanParams())
+        qp, mesh = ctx.qp, sample_solution.mesh
+        zeta = cutoff_zeta(1.0)
+        f = sample_solution.fields
+        fz = f * zeta.value(mesh.vertices)[None, :]
+        for got, nodal in ((ctx.u, f), (ctx.cutoff_fields(zeta)[0], fz)):
+            ref = np.einsum("qi,nqi->nq", qp.shape, nodal[:, qp.nodes])
+            assert got.flags.c_contiguous
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_balances_leave_context_params(self, sample_solution):
+        params = CarlemanParams()
+        ctx = BalanceContext(sample_solution, params)
+        other = dataclasses.replace(params, s=8.0)
+        reg = RegularizedWeight(epsilon=0.25, alpha=1.0)
+        flux = boundary_flux(sample_solution)
+        eb = fursikov_eta_bar(1.0, 9.0)
+        for variant in VARIANTS:
+            shared = carleman_balance(sample_solution, other, variant,
+                                      weight=reg, flux=flux, eta_bar=eb,
+                                      context=ctx)
+            assert ctx.params is params and ctx.params.s == 4.0
+            direct = carleman_balance(sample_solution, other, variant,
+                                      weight=reg, flux=flux, eta_bar=eb)
+            assert shared["lhs"] == direct["lhs"]
+            assert shared["rhs"] == direct["rhs"]
 
     def test_context_horizon_mismatch_rejected(self, sample_solution):
         ctx = BalanceContext(sample_solution, CarlemanParams())

@@ -5,7 +5,9 @@ import os
 
 import pytest
 
+from degenlab import cli
 from degenlab.cli import build_parser, main
+from degenlab.solver import SolverError
 
 
 class TestParsing:
@@ -36,6 +38,17 @@ class TestParsing:
         rc = main(["converge", "--set", "warp_factor=9"])
         assert rc == 2
         assert "warp_factor" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", [
+        "sample_count=0", "sample_count=1.5", "sample_count=true",
+        "sampler_families=[]", "theta=0.3", "theta=1.5",
+        "carleman_family_count=0", "carleman_sweep_samples=-1",
+        "k_levels=[]", "mesh_levels=[]"])
+    def test_out_of_range_value_is_config_error(self, override, capsys):
+        rc = main(["observe", "--set", override])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and override.split("=")[0] in err
 
     def test_config_file_missing(self, capsys):
         rc = main(["converge", "--config", "/no/such/file.json"])
@@ -68,3 +81,16 @@ class TestVerifyWeights:
         assert rc == 0
         rep = json.load(open(os.path.join(out, "verify_weights.json")))
         assert rep["config"]["seed"] == 42
+
+
+class TestSolverError:
+    def test_one_line_and_exit_1(self, monkeypatch, capsys):
+        def fail(config):
+            raise SolverError("non-finite values at time step 3 of 12")
+
+        monkeypatch.setattr(cli, "run_approximation_study", fail)
+        rc = main(["converge"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == ("degenlab: converge: solver error: non-finite values "
+                       "at time step 3 of 12\n")

@@ -1,5 +1,7 @@
 """Mesh, region and quadrature oracles: areas, exactness, round trips."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,29 @@ class TestQuadrature:
         assert np.allclose(vals, expected)
 
 
+class TestInterpolation:
+    KEYS = [(0.0, 2), (1.2, 2), (1.2, 3)]
+
+    @pytest.mark.parametrize("sub, levels", KEYS)
+    def test_rows_are_shape_values(self, coarse_mesh, sub, levels):
+        qp = coarse_mesh.quadrature(sub, levels)
+        P = coarse_mesh.interpolation(sub, levels)
+        assert P.shape == (len(qp.weights), coarse_mesh.num_vertices)
+        assert np.allclose(np.asarray(P.sum(axis=1)).ravel(), 1.0,
+                           rtol=0.0, atol=1e-14)
+        u = np.random.default_rng(0).standard_normal(coarse_mesh.num_vertices)
+        ref = qp.values(u)
+        assert np.max(np.abs(P @ u - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_cached_per_key(self, coarse_mesh):
+        P = coarse_mesh.interpolation()
+        assert coarse_mesh.interpolation(0.0, 2) is P
+        Q = coarse_mesh.interpolation(1.2, 3)
+        assert Q is not P
+        assert coarse_mesh.interpolation(1.2 + 1e-14, 3) is Q
+        assert coarse_mesh.interpolation(1.2) is not Q
+
+
 class TestGradients:
     def test_p1_gradient_of_linear_field(self, coarse_mesh):
         u = coarse_mesh.vertices @ np.array([3.0, -2.0])
@@ -168,3 +193,24 @@ class TestTimeIntegration:
         vals = times**2
         got = integrate_spacetime(None, times, slice_integrals=vals)
         assert abs(got - float(np.trapezoid(vals, times))) < 1e-15
+
+    @pytest.mark.parametrize("region, sub", itertools.product(
+        [None, Region.ball(4.0), Region.annulus(3.0, 6.0),
+         Region.complement(5.0)],
+        [0.0, 1.2]))
+    def test_spacetime_matches_slice_loop(self, coarse_mesh, region, sub):
+        # one nodal-weight product against the per-slice space integrals
+        times = np.linspace(0.0, 1.0, 9)
+        rng = np.random.default_rng(1)
+        fields = rng.standard_normal((9, coarse_mesh.num_vertices)) ** 2
+        for weight, window in itertools.product(
+                [None, lambda p: np.linalg.norm(p, axis=1)],
+                [None, (0.25, 0.75)]):
+            i0, i1 = (0, 8) if window is None else snap_window(times, window)
+            ref = float(np.trapezoid(
+                [integrate_space(coarse_mesh, fields[n], region, weight, sub)
+                 for n in range(i0, i1 + 1)], times[i0:i1 + 1]))
+            got = integrate_spacetime(coarse_mesh, times, fields=fields,
+                                      region=region, weight=weight,
+                                      window=window, subdivide_radius=sub)
+            assert abs(got - ref) <= 1e-13 * abs(ref)
