@@ -5,10 +5,13 @@ eta/xi (regularized and exact-weight variants), the positive annular weight
 eta_bar with its exponential lifts xi_bar/sigma_bar, and evaluators that
 integrate both sides of each weighted inequality for a discrete solution.
 
-The exponential factors span thousands of orders of magnitude, so every
-balance subtracts a single per-balance exponent shift before exponentiating;
-the shift multiplies both sides identically and leaves the implied constant
-unchanged, while raw inf/sup certificates are reported in log scale.
+A BalanceContext caches the parameter-free factors of each balance term on
+its support, so a parameter point costs one exp per support region and one
+multiply-reduce per term.  The exponential factors span thousands of orders
+of magnitude, so every balance subtracts a single exponent shift before
+exponentiating; the shift multiplies both sides identically and leaves the
+implied constant unchanged, while raw inf/sup certificates are reported in
+log scale.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .domain import Mesh, Region
 from .solver import DiscreteSolution, boundary_flux
@@ -88,8 +92,7 @@ def eta_xi(x, t, params: CarlemanParams,
     x = np.atleast_2d(np.asarray(x, dtype=float))
     r = np.linalg.norm(x, axis=1)
     psi = weight.psi(r) if weight is not None else r
-    p = 2.0 - params.alpha
-    eta = params.gamma * (-2.0 * params.m ** p + psi ** p)
+    eta = _eta0(params, psi ** (2.0 - params.alpha))
     return {"eta": eta, "xi": theta(t, params.T) * eta}
 
 
@@ -200,8 +203,7 @@ def weight_window_bounds(params: CarlemanParams, L: float,
     """
     T = params.T
     r = np.linspace(0.0, L, n_space)
-    eta = params.gamma * (-2.0 * params.m ** (2.0 - params.alpha)
-                          + r ** (2.0 - params.alpha))
+    eta = _eta0(params, r ** (2.0 - params.alpha))
     t = np.linspace(T / n_time, T * (1.0 - 1.0 / n_time), n_time)
     th = theta(t, T)
     logv = 3.0 * np.log(th)[None, :] + 2.0 * params.s * eta[:, None] * th[None, :]
@@ -220,29 +222,22 @@ def weight_window_bounds(params: CarlemanParams, L: float,
 
 VARIANTS = ("thm41", "thm42", "thm43", "prop1", "thm51", "thm61", "caccioppoli")
 
-
-def _exp_shifted(E, shift, active, space_mask=None):
-    """exp(E - shift) with excluded time levels forced to exactly zero.
-
-    Sending excluded rows to -inf before exponentiating avoids spurious
-    overflow at the blow-up times, where E itself is astronomically large.
-    ``space_mask`` likewise zeroes quadrature points outside the union of the
-    integration regions, where E may exceed the (support-restricted) shift.
-    """
-    keep = active[:, None]
-    if space_mask is not None:
-        keep = keep & space_mask[None, :]
-    return np.exp(np.where(keep, E - shift, -np.inf))
+# the large parameters each variant's balance reads (its context fixes T,
+# alpha, R and m); a sweep evaluates one balance per distinct tuple of them
+PARAMS_READ = {"thm41": ("s", "gamma"), "thm42": ("s", "gamma"),
+               "thm43": (), "prop1": ("s", "gamma"), "thm51": (),
+               "thm61": ("s", "lam"), "caccioppoli": ("s", "gamma")}
 
 
 class BalanceContext:
-    """Quadrature data shared by every balance evaluation of one trajectory.
+    """Parameter-free factors shared by every balance of one trajectory.
 
-    Building the space-time samples of u, grad u and |grad u|^2 is the
-    dominant cost of a balance, so sweeps construct the context once per
-    solved trajectory and pass it to :func:`carleman_balance` for every
-    parameter point (only the horizon T must match; s, gamma, lambda may
-    vary freely).
+    A balance term is coef * sum_t tau_t a_t sum_q G_tq c_q exp(Theta_t e_q
+    - shift) over the active time rows (0 < Theta <= THETA_CAP) and the
+    term's support columns (the quadrature points of its region's cells):
+    trapezoid weights tau (window folded in), a time factor a, a field G with
+    the quadrature weights folded in, a column factor c and the exponent
+    profile e, the only factor that reads s, gamma or lambda.
     """
 
     def __init__(self, sol: DiscreteSolution, params: CarlemanParams):
@@ -250,68 +245,105 @@ class BalanceContext:
         self.params = params
         self.mesh: Mesh = sol.mesh
         self.qp = self.mesh.quadrature()
-        self.r = np.linalg.norm(self.qp.points, axis=1)
-        self.times = sol.times
-        th_full = np.zeros(len(self.times))
-        inner = slice(1, len(self.times) - 1)
-        th_full[inner] = theta(self.times[inner], params.T)
-        self.active = (th_full > 0.0) & (th_full <= THETA_CAP)
-        self.theta_t = np.where(self.active, th_full, 0.0)
-        # nodal fields at quadrature points, all time levels: (nt, nq)
-        f = sol.fields
-        self.u = self._at_points(f)
-        self.cell_grad = self._cell_gradients(f)  # (nt, n_cells, 2)
-        self.grad_sq = _sq_norm(self.cell_grad)[:, self.qp.cell]
-        self._cutoff_cache: dict = {}
-        self._mask_cache: dict = {}
+        t = sol.times
+        th = np.zeros(len(t))
+        th[1:-1] = theta(t[1:-1], params.T)
+        active = (th > 0.0) & (th <= THETA_CAP)
+        self.excluded = int(np.sum(~active))
+        self.rows = np.flatnonzero(active)
+        self.theta_t = th[active]
+        # trapezoid weights: the rule applied to each unit vector
+        window = ((t >= params.T / 4.0 - 1e-12)
+                  & (t <= 3.0 * params.T / 4.0 + 1e-12))
+        tau_window = np.zeros(len(t))
+        tau_window[window] = np.trapezoid(np.eye(np.sum(window)), t[window])
+        self.tau = np.trapezoid(np.eye(len(t)), t)[active]
+        self.tau_window = tau_window[active]
+        self._cache: dict = {}
 
-    def cutoff_fields(self, cutoff: CutoffFunction):
-        """Space-time samples of the nodal product v = cutoff * u and of
-        |grad v|^2 (cached)."""
-        key = (cutoff.inner_radius, cutoff.outer_radius, cutoff.orientation)
-        if key not in self._cutoff_cache:
-            zeta_nodal = cutoff.value(self.mesh.vertices)
-            fz = self.sol.fields * zeta_nodal[None, :]
-            g2 = _sq_norm(self._cell_gradients(fz))[:, self.qp.cell]
-            self._cutoff_cache[key] = (self._at_points(fz), g2)
-        return self._cutoff_cache[key]
+    def cached(self, key, build):
+        """``build()``, once per key; the key names what it reads beyond T, alpha, R, m."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
-    def _cell_gradients(self, fields):
-        """(nt, n_cells, 2) P1 gradients of (nt, nv) nodal fields."""
-        return np.einsum("nci,cid->ncd", fields[:, self.mesh.cells], self.mesh.grads)
+    def columns(self, region: Region):
+        """Indices of the quadrature points whose cell lies in ``region``."""
+        return self.cached(("columns", region), lambda: np.flatnonzero(
+            self.mesh.cell_mask(region)[self.qp.cell]))
 
-    def _at_points(self, fields):
-        """(nt, nq) samples of (nt, nv) nodal fields, C-contiguous: every
-        balance term runs row-wise over quadrature points, which the
-        transposed (F-ordered) product would make strided."""
-        return np.ascontiguousarray((self.mesh.interpolation() @ fields.T).T)
+    def radius(self, region: Region, power: float = 1.0):
+        """|x|^power on the columns of ``region``."""
+        return self.cached(("radius", region, power), lambda: np.linalg.norm(
+            self.qp.points[self.columns(region)], axis=1) ** power)
 
-    def cellmask(self, region: Region | None):
-        if region is None:
-            return np.ones(len(self.r))
-        key = (region.kind, region.r_inner, region.r_outer)
-        if key not in self._mask_cache:
-            self._mask_cache[key] = (
-                self.mesh.cell_mask(region)[self.qp.cell].astype(float))
-        return self._mask_cache[key]
+    def field(self, kind: str, region: Region,
+              cutoff: CutoffFunction | None = None):
+        """G on (active rows, columns of ``region``), C-contiguous, cached.
 
-    def integrate(self, slice_values, window=None):
-        """Trapezoid-in-time of per-node space sums; excluded nodes count 0."""
-        vals = np.where(self.active, slice_values, 0.0)
-        t = self.times
-        if window is not None:
-            sel = (t >= window[0] - 1e-12) & (t <= window[1] + 1e-12)
-            return float(np.trapezoid(np.where(sel, vals, 0.0)[sel], t[sel]))
-        return float(np.trapezoid(vals, t))
+        "u2" and "grad2" are v^2 and |grad v|^2 for v = cutoff * u (v = u
+        without a cutoff); "gsrc2" is g^2 for the commutator source
+        g = 2 w grad(cutoff).grad(u) + u div(w grad cutoff), w = |x|^alpha.
+        """
+        key = ("field", kind, region, cutoff)
+        if key in self._cache:
+            return self._cache[key]
+        cols = self.columns(region)
+        f = self.sol.fields[self.rows].T                  # (nv, active rows)
+        if cutoff is not None and kind != "gsrc2":
+            f = cutoff.value(self.mesh.vertices)[:, None] * f
+        if kind != "grad2":
+            u = (self.mesh.interpolation()[cols] @ f).T
+        if kind != "u2":
+            # the P1 gradient at each point, from the vertices of its cell
+            ptr = np.arange(0, 3 * len(cols) + 1, 3)
+            gx, gy = ((sp.csr_matrix(
+                (self.mesh.grads[self.qp.cell[cols], :, d].ravel(),
+                 self.qp.nodes[cols].ravel(), ptr),
+                shape=(len(cols), self.mesh.num_vertices)) @ f).T for d in (0, 1))
+        if kind == "u2":
+            g = u * u
+        elif kind == "grad2":
+            g = gx * gx + gy * gy
+        else:
+            x, al = self.qp.points[cols], self.params.alpha
+            r = np.linalg.norm(x, axis=1)
+            r_safe = np.maximum(r, 1e-300)
+            kg = cutoff.gradient(x)
+            lap = cutoff.d2_radial(r) + cutoff.d1_radial(r) / r_safe
+            w = r ** al
+            div_wk = (np.einsum("qd,qd->q", (al * r_safe ** (al - 2.0))[:, None] * x, kg)
+                      + w * lap)
+            g = (2.0 * w * (kg[:, 0] * gx + kg[:, 1] * gy) + u * div_wk) ** 2
+        G = self._cache[key] = np.ascontiguousarray(g * self.qp.weights[cols])
+        return G
 
-    def spacetime(self, qdensity, window=None):
-        """qdensity: (nt, nq) integrand values; returns the full integral."""
-        slices = qdensity @ self.qp.weights
-        return self.integrate(slices, window)
+    def growth(self, e, shift):
+        """exp(Theta_t e_q - shift) on the active rows."""
+        X = np.multiply.outer(self.theta_t, e)
+        X -= shift
+        return np.exp(X, out=X)
+
+    def integral(self, field, col=None, time=None, growth=None, window=False):
+        """sum_t tau_t time_t sum_q field_tq growth_tq col_q; a factor left
+        out counts 1."""
+        y = field if growth is None else field * growth
+        y = y.sum(axis=1) if col is None else y @ col
+        tau = self.tau_window if window else self.tau
+        return float((tau if time is None else tau * time) @ y)
 
 
-def _sq_norm(g):
-    return np.einsum("nkd,nkd->nk", g, g)
+def _shift(theta_t, *profiles):
+    """max of Theta_t e_q over the active rows and the profiles' columns:
+    rounding is monotone and Theta_t > 0, so the maximum of the products
+    sits at the largest e_q times the smallest or largest Theta_t."""
+    top = max(float(np.max(e)) for e in profiles)
+    return float(max(theta_t.min() * top, theta_t.max() * top))
+
+
+def _eta0(p: CarlemanParams, radial):
+    """gamma (-2 m^(2-alpha) + radial), radial = |x|^(2-alpha) or psi^(2-alpha)."""
+    return p.gamma * (-2.0 * p.m ** (2.0 - p.alpha) + radial)
 
 
 def _ratio(lhs, rhs):
@@ -332,212 +364,180 @@ def carleman_balance(sol: DiscreteSolution, params: CarlemanParams,
 
     Returns per-term values (constant-free right-hand side), totals, the
     implied constant lhs/rhs, and the exponent shift applied to both sides.
-    ``context`` lets parameter sweeps reuse the space-time samples of one
-    trajectory; it must have been built from the same solution and horizon.
+    ``context`` lets parameter sweeps reuse the cached factors of one
+    trajectory; it must have been built from the same solution with the same
+    T, alpha, R and m.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; choose from {VARIANTS}")
-    if context is None:
-        ctx = BalanceContext(sol, params)
-    else:
-        if context.sol is not sol or context.params.T != params.T:
-            raise ValueError("context was built for a different trajectory "
-                             "or horizon")
-        ctx = context
-    p = params
-    al, s = p.alpha, p.s
-    R = p.R
-    window = (p.T / 4.0, 3.0 * p.T / 4.0)
-
+    ctx = BalanceContext(sol, params) if context is None else context
+    c = ctx.params
+    if ctx.sol is not sol or (c.T, c.alpha, c.R, c.m) != (
+            params.T, params.alpha, params.R, params.m):
+        raise ValueError("context was built for a different trajectory "
+                         "or horizon, alpha, R or m")
+    if variant == "thm41" and weight is None:
+        raise ValueError("thm41 needs the regularized weight")
+    if variant in ("thm41", "thm42") and flux is None:
+        flux = boundary_flux(sol)
     if variant == "thm41":
-        if weight is None:
-            raise ValueError("thm41 needs the regularized weight")
-        if flux is None:
-            flux = boundary_flux(sol)
-        return _balance_thm41(ctx, p, weight, flux, remainder_prefactor)
-    if variant == "thm42":
-        if flux is None:
-            flux = boundary_flux(sol)
-        return _balance_thm42(ctx, p, flux)
-
-    r, th = ctx.r, ctx.theta_t
-    if variant in ("prop1", "thm43"):
-        zeta = cutoff_zeta(R)
-        u, g2 = ctx.cutoff_fields(zeta)
-    else:
-        u, g2 = ctx.u, ctx.grad_sq
-    u2 = u * u
-    band = ctx.cellmask(Region.annulus(3.0 * R, 6.0 * R))
-
-    if variant == "thm43":
-        in4 = ctx.cellmask(Region.ball(4.0 * R))
-        ring = ctx.cellmask(Region.annulus(R, 4.0 * R))
-        lhs_terms = {
-            "grad_B4R_band": ctx.spacetime(r ** al * g2 * ring, window),
-            "func_B4R": ctx.spacetime(r ** (2.0 - al) * u2 * in4, window),
-        }
-        rhs_terms = {"band_mass": ctx.spacetime(u2 * band)}
-        shift = 0.0
-    elif variant == "thm51":
-        outer = ctx.cellmask(Region.complement(5.0 * R))
-        lhs_terms = {
-            "grad_outer": ctx.spacetime(r ** al * g2 * outer, window),
-            "func_outer": ctx.spacetime(r ** (2.0 - al) * u2 * outer, window),
-        }
-        rhs_terms = {"band_mass": ctx.spacetime(u2 * band)}
-        shift = 0.0
+        terms = _balance_thm41(ctx, params, weight, flux, remainder_prefactor)
+    elif variant == "thm42":
+        terms = _balance_thm42(ctx, params, flux)
+    elif variant == "thm61":
+        terms = _balance_thm61(ctx, params, eta_bar)
     elif variant in ("prop1", "caccioppoli"):
-        eta0 = p.gamma * (-2.0 * p.m ** (2.0 - al) + r ** (2.0 - al))
-        E = 2.0 * s * eta0[None, :] * th[:, None]
-        if variant == "prop1":
-            in4 = ctx.cellmask(Region.ball(4.0 * R))
-            ring = ctx.cellmask(Region.annulus(R, 4.0 * R))
-            support = (in4 + band) > 0.0
-        else:
-            ring45 = ctx.cellmask(Region.annulus(4.0 * R, 5.0 * R))
-            support = (ring45 + band) > 0.0
-        # shift on the union of both sides' regions; a global max would sit
-        # near the outer boundary and flush every integrand to zero
-        shift = float(np.max(E[np.ix_(ctx.active, support)]))
-        Ew = _exp_shifted(E, shift, ctx.active, space_mask=support)
-        if variant == "prop1":
-            lhs_terms = {
-                "grad_B4R_band": ctx.spacetime(th[:, None] * r ** al * g2 * Ew * ring),
-                "func_B4R": ctx.spacetime(
-                    th[:, None] ** 3 * r ** (2.0 - al) * u2 * Ew * in4),
-            }
-        else:
-            lhs_terms = {"grad_band45": ctx.spacetime(g2 * Ew * ring45)}
-        rhs_terms = {"band_mass": ctx.spacetime(
-            (1.0 + th[:, None] ** 1.25) * u2 * Ew * band)}
-    else:  # thm61
-        if eta_bar is None:
-            eta_bar = fursikov_eta_bar(R, float(
-                np.max(np.linalg.norm(ctx.mesh.vertices, axis=1))))
-        kappa = cutoff_kappa(R)
-        uk, gk2 = ctx.cutoff_fields(kappa)
-        ebar = eta_bar.value(ctx.qp.points)
-        lam = p.lam
-        xi_space = np.exp(lam * (8.0 + ebar))           # xi_bar / Theta
-        sig_space = np.exp(10.0 * lam) - xi_space       # sigma_bar / Theta
-        E = -2.0 * s * sig_space[None, :] * th[:, None]
-        outerR = ctx.cellmask(Region.complement(R))
-        shift = float(np.max(E[ctx.active][:, :][:, outerR > 0]))
-        Ew = _exp_shifted(E, shift, ctx.active)
-        xib = xi_space[None, :] * th[:, None]
-        lhs_terms = {
-            "grad": s * lam ** 2 * ctx.spacetime(
-                xib * gk2 * Ew * outerR),
-            "func": s ** 3 * lam ** 4 * ctx.spacetime(
-                xib ** 3 * uk * uk * Ew * outerR),
-        }
-        # g = 2 w grad(kappa).grad(u) + u div(w grad kappa), w = |x|^alpha
-        kg = kappa.gradient(ctx.qp.points)
-        r_safe = np.maximum(r, 1e-300)
-        lap_kappa = kappa.d2_radial(r) + kappa.d1_radial(r) / r_safe
-        w_q = r ** al
-        wgrad = (al * r_safe ** (al - 2.0))[:, None] * ctx.qp.points
-        div_wk = np.einsum("qd,qd->q", wgrad, kg) + w_q * lap_kappa
-        grad_u = ctx.cell_grad[:, ctx.qp.cell, :]
-        gsrc = (2.0 * w_q[None, :] * np.einsum("qd,nqd->nq", kg, grad_u)
-                + ctx.u * div_wk[None, :])
-        rhs_terms = {
-            "g_band": ctx.spacetime(gsrc * gsrc * Ew * outerR),
-            "band_mass": s ** 3 * lam ** 4 * ctx.spacetime(
-                xib ** 3 * ctx.u * ctx.u * Ew * band),
-        }
-
+        terms = _balance_ball(ctx, params, variant)
+    else:
+        terms = _balance_unweighted(ctx, params, variant)
+    lhs_terms, rhs_terms, shift = terms
     lhs = float(sum(lhs_terms.values()))
     rhs = float(sum(rhs_terms.values()))
     return {"variant": variant, "lhs_terms": lhs_terms, "rhs_terms": rhs_terms,
             "lhs": lhs, "rhs": rhs, "implied_C": _ratio(lhs, rhs),
-            "exponent_shift": shift,
-            "excluded_time_nodes": int(np.sum(~ctx.active))}
+            "exponent_shift": shift, "excluded_time_nodes": ctx.excluded}
 
 
-def _boundary_quadrature(ctx):
-    mesh = ctx.mesh
-    e = mesh.boundary_edges
-    mids = 0.5 * (mesh.vertices[e[:, 0]] + mesh.vertices[e[:, 1]])
-    lengths = np.linalg.norm(mesh.vertices[e[:, 1]] - mesh.vertices[e[:, 0]], axis=1)
-    normals = mesh.boundary_edge_normals()
-    xnu = np.einsum("ed,ed->e", mids, normals)
-    return e, mids, lengths, xnu
+def _balance_unweighted(ctx, p: CarlemanParams, variant):
+    """thm43 (zeta u on B_4R) and thm51 (u outside B_5R); LHS over (T/4, 3T/4)."""
+    R, al = p.R, p.alpha
+    if variant == "thm43":
+        cut, names = cutoff_zeta(R), ("grad_B4R_band", "func_B4R")
+        grad_reg, func_reg = Region.annulus(R, 4.0 * R), Region.ball(4.0 * R)
+    else:
+        cut, names = None, ("grad_outer", "func_outer")
+        grad_reg = func_reg = Region.complement(5.0 * R)
+    lhs_terms = {
+        names[0]: ctx.integral(ctx.field("grad2", grad_reg, cut),
+                               ctx.radius(grad_reg, al), window=True),
+        names[1]: ctx.integral(ctx.field("u2", func_reg, cut),
+                               ctx.radius(func_reg, 2.0 - al), window=True),
+    }
+    band = Region.annulus(3.0 * R, 6.0 * R)
+    return lhs_terms, {"band_mass": ctx.integral(ctx.field("u2", band, cut))}, 0.0
 
 
-def _flux_at_edges(ctx, flux):
-    bidx = np.flatnonzero(ctx.mesh.boundary_mask)
-    pos = {v: i for i, v in enumerate(bidx)}
-    e = ctx.mesh.boundary_edges
-    i0 = np.array([pos[v] for v in e[:, 0]])
-    i1 = np.array([pos[v] for v in e[:, 1]])
-    return 0.5 * (flux[:, i0] + flux[:, i1])       # (nt, n_edges)
+def _balance_ball(ctx, p: CarlemanParams, variant):
+    """prop1 (zeta u) and caccioppoli (u) under e^(2 s xi_0), xi_0 = Theta eta_0."""
+    R, al, th = p.R, p.alpha, ctx.theta_t
+    band, ring45 = Region.annulus(3.0 * R, 6.0 * R), Region.annulus(4.0 * R, 5.0 * R)
+    ring, ball = Region.annulus(R, 4.0 * R), Region.ball(4.0 * R)
+    cut = cutoff_zeta(R) if variant == "prop1" else None
+    regions = (ring, ball, band) if variant == "prop1" else (ring45, band)
+    e = [2.0 * p.s * _eta0(p, ctx.radius(reg, 2.0 - al)) for reg in regions]
+    # one shift on the union of both sides' regions; a global max would sit
+    # near the outer boundary and flush every integrand to zero
+    shift = _shift(th, *e)
+    X = [ctx.growth(ei, shift) for ei in e]
+    if variant == "prop1":
+        lhs_terms = {
+            "grad_B4R_band": ctx.integral(ctx.field("grad2", ring, cut),
+                                          ctx.radius(ring, al), th, X[0]),
+            "func_B4R": ctx.integral(ctx.field("u2", ball, cut),
+                                     ctx.radius(ball, 2.0 - al), th ** 3, X[1]),
+        }
+    else:
+        lhs_terms = {"grad_band45": ctx.integral(ctx.field("grad2", ring45),
+                                                 growth=X[0])}
+    rhs_terms = {"band_mass": ctx.integral(ctx.field("u2", band, cut),
+                                           time=1.0 + th ** 1.25, growth=X[-1])}
+    return lhs_terms, rhs_terms, shift
+
+
+def _balance_thm61(ctx, p: CarlemanParams, eta_bar: EtaBar | None):
+    """kappa u on the annulus under e^(-2 s sigma_bar), xi_bar weights."""
+    s, lam, R, th = p.s, p.lam, p.R, ctx.theta_t
+    if eta_bar is None:
+        eta_bar = fursikov_eta_bar(R, float(
+            np.max(np.linalg.norm(ctx.mesh.vertices, axis=1))))
+    kappa = cutoff_kappa(R)
+    outer, band = Region.complement(R), Region.annulus(3.0 * R, 6.0 * R)
+    xi, e = {}, {}
+    for reg in (outer, band):
+        ebar = ctx.cached(("eta_bar", eta_bar, reg),
+                          lambda: eta_bar.value_radial(ctx.radius(reg)))
+        xi[reg] = np.exp(lam * (8.0 + ebar))                # xi_bar / Theta
+        e[reg] = -2.0 * s * (np.exp(10.0 * lam) - xi[reg])  # sigma_bar / Theta
+    shift = _shift(th, e[outer])
+    Xo, Xb = ctx.growth(e[outer], shift), ctx.growth(e[band], shift)
+    c3 = s ** 3 * lam ** 4
+    lhs_terms = {
+        "grad": s * lam ** 2 * ctx.integral(ctx.field("grad2", outer, kappa),
+                                            xi[outer], th, Xo),
+        "func": c3 * ctx.integral(ctx.field("u2", outer, kappa),
+                                  xi[outer] ** 3, th ** 3, Xo),
+    }
+    rhs_terms = {
+        "g_band": ctx.integral(ctx.field("gsrc2", outer, kappa), growth=Xo),
+        "band_mass": c3 * ctx.integral(ctx.field("u2", band), xi[band] ** 3,
+                                       th ** 3, Xb),
+    }
+    return lhs_terms, rhs_terms, shift
+
+
+def _boundary_term(ctx, p: CarlemanParams, flux, shift):
+    """s int Theta |x|^alpha (d_nu u)^2 (x . nu) e^(2 s xi_0 - shift) on the
+    outer circle (psi = |x| there), the flux averaged onto each edge."""
+    def edges():
+        mesh = ctx.mesh
+        e = mesh.boundary_edges
+        a, b = mesh.vertices[e[:, 0]], mesh.vertices[e[:, 1]]
+        mids = 0.5 * (a + b)
+        rb = np.linalg.norm(mids, axis=1)
+        xnu = np.einsum("ed,ed->e", mids, mesh.boundary_edge_normals())
+        ends = np.searchsorted(np.flatnonzero(mesh.boundary_mask), e)
+        return (ends, rb ** (2.0 - p.alpha),
+                rb ** p.alpha * xnu * np.linalg.norm(b - a, axis=1))
+
+    ends, radial, col = ctx.cached(("boundary",), edges)
+    fl = flux[ctx.rows]
+    fl = 0.5 * (fl[:, ends[:, 0]] + fl[:, ends[:, 1]])   # flux columns
+    e = 2.0 * p.s * _eta0(p, radial)
+    return p.s * ctx.integral(fl * fl, col, ctx.theta_t, ctx.growth(e, shift))
 
 
 def _balance_thm41(ctx, p: CarlemanParams, weight: RegularizedWeight, flux,
                    remainder_prefactor):
-    s, al, eps = p.s, p.alpha, weight.epsilon
-    r, th = ctx.r, ctx.theta_t
-    psi = weight.psi(r)
-    dpsi = np.abs(weight.psi_prime(r))
-    eta = p.gamma * (-2.0 * p.m ** (2.0 - al) + psi ** (2.0 - al))
-    E = 2.0 * s * eta[None, :] * th[:, None]
-    shift = float(np.max(E[ctx.active]))
-    Ew = _exp_shifted(E, shift, ctx.active)
-    g2 = ctx.grad_sq
-    u2 = ctx.u * ctx.u
-    in_eps = ctx.cellmask(Region.ball(eps))
+    s, al, eps, th = p.s, p.alpha, weight.epsilon, ctx.theta_t
+    whole, in_eps = Region.whole(), Region.ball(eps)
+
+    def psi_factors():
+        r = ctx.radius(whole)
+        psi, dpsi = weight.psi(r), np.abs(weight.psi_prime(r))
+        return (psi ** (2.0 - al), psi ** al * dpsi ** 2,
+                psi ** (2.0 - al) * dpsi ** 4)
+
+    radial, grad_col, func_col = ctx.cached(("psi", weight), psi_factors)
+    e = 2.0 * s * _eta0(p, radial)
+    shift = _shift(th, e)
+    X = ctx.growth(e, shift)
     lhs_terms = {
-        "grad": s * ctx.spacetime(th[:, None] * psi ** al * g2 * dpsi[None, :] ** 2 * Ew),
-        "func": s ** 3 * ctx.spacetime(
-            th[:, None] ** 3 * psi ** (2.0 - al) * u2 * dpsi[None, :] ** 4 * Ew),
+        "grad": s * ctx.integral(ctx.field("grad2", whole), grad_col, th, X),
+        "func": s ** 3 * ctx.integral(ctx.field("u2", whole), func_col,
+                                      th ** 3, X),
     }
-    # boundary term: psi = |x| there, (x . nu) = L on the outer circle
-    e, mids, lengths, xnu = _boundary_quadrature(ctx)
-    fl = _flux_at_edges(ctx, flux)
-    rb = np.linalg.norm(mids, axis=1)
-    eta_b = p.gamma * (-2.0 * p.m ** (2.0 - al) + rb ** (2.0 - al))
-    Eb = _exp_shifted(2.0 * s * eta_b[None, :] * th[:, None], shift, ctx.active)
-    bnd = (th[:, None] * rb ** al * fl * fl * xnu[None, :] * Eb) @ lengths
-    sp = s ** 2 if remainder_prefactor == "s2" else s
+    # the columns of the whole domain are 0..nq-1, so X indexes by point
+    Xe = X[:, ctx.columns(in_eps)]
+    u2 = ctx.field("u2", in_eps)
+    pre = s ** 2 if remainder_prefactor == "s2" else s
     rhs_terms = {
-        "boundary": s * ctx.integrate(bnd),
-        "remainder_theta3": sp * ctx.spacetime(th[:, None] ** 3 * u2 * Ew * in_eps),
-        "remainder_eps": eps ** (al - 2.0) * sp * ctx.spacetime(
-            th[:, None] * u2 * Ew * in_eps),
+        "boundary": _boundary_term(ctx, p, flux, shift),
+        "remainder_theta3": pre * ctx.integral(u2, time=th ** 3, growth=Xe),
+        "remainder_eps": eps ** (al - 2.0) * pre * ctx.integral(u2, time=th, growth=Xe),
     }
-    lhs = float(sum(lhs_terms.values()))
-    rhs = float(sum(rhs_terms.values()))
-    return {"variant": "thm41", "lhs_terms": lhs_terms, "rhs_terms": rhs_terms,
-            "lhs": lhs, "rhs": rhs, "implied_C": _ratio(lhs, rhs),
-            "exponent_shift": shift,
-            "excluded_time_nodes": int(np.sum(~ctx.active))}
+    return lhs_terms, rhs_terms, shift
 
 
 def _balance_thm42(ctx, p: CarlemanParams, flux):
-    s, al = p.s, p.alpha
-    r, th = ctx.r, ctx.theta_t
-    eta0 = p.gamma * (-2.0 * p.m ** (2.0 - al) + r ** (2.0 - al))
-    E = 2.0 * s * eta0[None, :] * th[:, None]
-    shift = float(np.max(E[ctx.active]))
-    Ew = _exp_shifted(E, shift, ctx.active)
-    outer = ctx.cellmask(Region.complement(p.R))
-    g2 = ctx.grad_sq
-    u2 = ctx.u * ctx.u
-    lhs_terms = {
-        "grad_outer": s * ctx.spacetime(th[:, None] * r ** al * g2 * Ew * outer),
-        "func": s ** 3 * ctx.spacetime(th[:, None] ** 3 * r ** (2.0 - al) * u2 * Ew),
+    s, al, th = p.s, p.alpha, ctx.theta_t
+    whole, outer = Region.whole(), Region.complement(p.R)
+    e = 2.0 * s * _eta0(p, ctx.radius(whole, 2.0 - al))
+    shift = _shift(th, e)
+    X = ctx.growth(e, shift)
+    lhs_terms = {   # X indexes by point, as in thm41
+        "grad_outer": s * ctx.integral(ctx.field("grad2", outer), ctx.radius(outer, al),
+                                       th, X[:, ctx.columns(outer)]),
+        "func": s ** 3 * ctx.integral(ctx.field("u2", whole),
+                                      ctx.radius(whole, 2.0 - al), th ** 3, X),
     }
-    e, mids, lengths, xnu = _boundary_quadrature(ctx)
-    fl = _flux_at_edges(ctx, flux)
-    rb = np.linalg.norm(mids, axis=1)
-    eta_b = p.gamma * (-2.0 * p.m ** (2.0 - al) + rb ** (2.0 - al))
-    Eb = _exp_shifted(2.0 * s * eta_b[None, :] * th[:, None], shift, ctx.active)
-    bnd = (th[:, None] * rb ** al * fl * fl * xnu[None, :] * Eb) @ lengths
-    rhs_terms = {"boundary": s * ctx.integrate(bnd)}
-    lhs = float(sum(lhs_terms.values()))
-    rhs = float(sum(rhs_terms.values()))
-    return {"variant": "thm42", "lhs_terms": lhs_terms, "rhs_terms": rhs_terms,
-            "lhs": lhs, "rhs": rhs, "implied_C": _ratio(lhs, rhs),
-            "exponent_shift": shift,
-            "excluded_time_nodes": int(np.sum(~ctx.active))}
+    return lhs_terms, {"boundary": _boundary_term(ctx, p, flux, shift)}, shift

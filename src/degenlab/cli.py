@@ -268,6 +268,10 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"degenlab: {args.command}: solver error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        print(f"degenlab: {args.command}: cannot write report: {exc}",
+              file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

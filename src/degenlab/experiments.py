@@ -59,6 +59,18 @@ class ExperimentConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha < 2.0:
             raise ValueError(f"alpha must lie in (0, 2), got {self.alpha}")
+        if self.dim != 2:
+            raise ValueError(f"dim must be 2, got {self.dim}")
+        for key in ("R", "dt_factor", "carleman_epsilon"):
+            if not getattr(self, key) > 0.0:
+                raise ValueError(f"{key} must be positive, got {getattr(self, key)!r}")
+        for key in ("carleman_s", "carleman_gamma", "carleman_lambda"):
+            values = getattr(self, key)
+            if not values or any(not v >= 1.0 for v in values):
+                raise ValueError(f"{key} must be a non-empty list of values >= 1")
+        for key in ("s_default", "gamma_default", "lambda_default"):
+            if not getattr(self, key) >= 1.0:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)!r}")
         if self.L <= 8.0 * self.R:
             raise ValueError("need L > 8R")
         if self.T <= 0:
@@ -547,6 +559,9 @@ def run_carleman_sweep(config: ExperimentConfig, progress=None) -> StudyReport:
             base_params = cl.CarlemanParams(**defaults)
             ctx0 = cl.BalanceContext(sol0, base_params)
             ctxr = cl.BalanceContext(solr, base_params)
+            # a balance depends only on the parameters its variant reads, so
+            # each (variant, read tuple) is evaluated once per trajectory
+            results = {}
             for s, g, lam in param_points:
                 if (s, g, lam) in seen:
                     continue
@@ -555,7 +570,11 @@ def run_carleman_sweep(config: ExperimentConfig, progress=None) -> StudyReport:
                                            m=cfgm, alpha=config.alpha,
                                            R=config.R)
                 for variant in cl.VARIANTS:
-                    if variant == "thm41":
+                    key = (variant, tuple(getattr(params, name)
+                                          for name in cl.PARAMS_READ[variant]))
+                    if key in results:
+                        res = results[key]
+                    elif variant == "thm41":
                         res = cl.carleman_balance(solr, params, variant,
                                                   weight=reg, flux=fluxr,
                                                   context=ctxr)
@@ -569,6 +588,7 @@ def run_carleman_sweep(config: ExperimentConfig, progress=None) -> StudyReport:
                     else:
                         res = cl.carleman_balance(sol0, params, variant,
                                                   context=ctx0)
+                    results[key] = res
                     rows.append({
                         "level": li, "h": float(h), "sample": di,
                         "variant": variant, "s": s, "gamma": g, "lambda": lam,

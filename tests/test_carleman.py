@@ -5,14 +5,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from degenlab.carleman import (BalanceContext, CarlemanParams,
+from degenlab import experiments
+from degenlab.carleman import (THETA_CAP, BalanceContext, CarlemanParams,
                                CarlemanWeightSet, EtaBar, VARIANTS,
                                carleman_balance, eta_xi, fursikov_eta_bar,
                                theta, theta_bound_check, weight_window_bounds,
                                xi_sigma_bar)
-from degenlab.domain import GeometrySpec, build_disk_mesh
+from degenlab.domain import GeometrySpec, Region, build_disk_mesh
+from degenlab.experiments import ExperimentConfig, run_carleman_sweep
 from degenlab.solver import ParabolicProblem, boundary_flux, solve
-from degenlab.weights import RegularizedWeight, cutoff_zeta
+from degenlab.weights import RegularizedWeight, cutoff_kappa, cutoff_zeta
 
 
 @pytest.fixture(scope="module")
@@ -184,16 +186,26 @@ class TestBalances:
             assert direct["rhs"] == cached["rhs"]
 
     def test_context_samples_match_einsum(self, sample_solution):
-        # the sparse interpolation operator against the per-point shape sum
+        # the cached support arrays (active rows, region columns, quadrature
+        # weights folded in) against the per-point shape sum and the per-cell
+        # gradient einsum
         ctx = BalanceContext(sample_solution, CarlemanParams())
         qp, mesh = ctx.qp, sample_solution.mesh
         zeta = cutoff_zeta(1.0)
         f = sample_solution.fields
         fz = f * zeta.value(mesh.vertices)[None, :]
-        for got, nodal in ((ctx.u, f), (ctx.cutoff_fields(zeta)[0], fz)):
-            ref = np.einsum("qi,nqi->nq", qp.shape, nodal[:, qp.nodes])
-            assert got.flags.c_contiguous
-            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        band = Region.annulus(3.0, 6.0)
+        cols = ctx.columns(band)
+        assert len(cols) < len(qp.weights)
+        for cutoff, nodal in ((None, f), (zeta, fz)):
+            u = np.einsum("qi,nqi->nq", qp.shape, nodal[:, qp.nodes])
+            g = np.einsum("nci,cid->ncd", nodal[:, mesh.cells], mesh.grads)
+            g2 = np.einsum("ncd,ncd->nc", g, g)[:, qp.cell]
+            for kind, ref in (("u2", u * u), ("grad2", g2)):
+                ref = ref[ctx.rows][:, cols] * qp.weights[cols]
+                got = ctx.field(kind, band, cutoff)
+                assert got.flags.c_contiguous and got.shape == ref.shape
+                assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_balances_leave_context_params(self, sample_solution):
         params = CarlemanParams()
@@ -213,10 +225,100 @@ class TestBalances:
             assert shared["rhs"] == direct["rhs"]
 
     def test_context_horizon_mismatch_rejected(self, sample_solution):
-        ctx = BalanceContext(sample_solution, CarlemanParams())
-        with pytest.raises(ValueError):
-            carleman_balance(sample_solution, CarlemanParams(T=2.0), "thm43",
-                             context=ctx)
+        # the cached factors read T, alpha, R and m, so each must match
+        params = CarlemanParams()
+        ctx = BalanceContext(sample_solution, params)
+        for change in ({"T": 2.0}, {"alpha": 0.5}, {"R": 0.5}, {"m": 12.0}):
+            with pytest.raises(ValueError, match="different trajectory"):
+                carleman_balance(sample_solution,
+                                 dataclasses.replace(params, **change),
+                                 "thm43", context=ctx)
+
+    def test_context_keys_cover_weight_and_eta_bar(self, sample_solution):
+        # one context serves balances with different regularized weights and
+        # annular weights, each term equal to a balance on a fresh context;
+        # alpha near 2 keeps the remainder terms on B_eps from underflowing
+        params = CarlemanParams(s=1.0, gamma=1.0, lam=1.0, alpha=1.9)
+        ctx = BalanceContext(sample_solution, params)
+        flux = boundary_flux(sample_solution)
+        for eps in (0.25, 0.5):
+            reg = RegularizedWeight(epsilon=eps, alpha=1.0)
+            shared = carleman_balance(sample_solution, params, "thm41",
+                                      weight=reg, flux=flux, context=ctx)
+            fresh = carleman_balance(sample_solution, params, "thm41",
+                                     weight=reg, flux=flux)
+            for side in ("lhs_terms", "rhs_terms"):
+                assert shared[side] == fresh[side]
+        for exponent in (8, 12):
+            eb = fursikov_eta_bar(1.0, 9.0, exponent=exponent)
+            shared = carleman_balance(sample_solution, params, "thm61",
+                                      eta_bar=eb, context=ctx)
+            fresh = carleman_balance(sample_solution, params, "thm61", eta_bar=eb)
+            for side in ("lhs_terms", "rhs_terms"):
+                assert shared[side] == fresh[side]
+
+    @pytest.mark.parametrize("variant", ["prop1", "thm61", "thm41", "thm51"])
+    def test_matches_dense_reference(self, sample_solution, variant):
+        reg = RegularizedWeight(epsilon=0.25, alpha=1.0)
+        eb = fursikov_eta_bar(1.0, 9.0)
+        flux = boundary_flux(sample_solution)
+        # alpha near 2 flattens |x|^(2-alpha), so prop1 does not underflow
+        for s, g, lam, al in ((1.0, 1.0, 1.0, 1.9), (2.0, 1.0, 4.0, 1.5)):
+            params = CarlemanParams(s=s, gamma=g, lam=lam, alpha=al)
+            got = carleman_balance(sample_solution, params, variant, weight=reg,
+                                   flux=flux, eta_bar=eb)
+            lhs, rhs, shift = _dense_reference(sample_solution, params, variant,
+                                               reg, flux, eb)
+            assert got["exponent_shift"] == shift
+            compared = 0
+            for side, ref in (("lhs_terms", lhs), ("rhs_terms", rhs)):
+                assert list(got[side]) == list(ref)
+                for name, want in ref.items():
+                    value = got[side][name]
+                    if want == 0.0 or not np.isfinite(want):
+                        assert value == want, (variant, name)
+                    else:
+                        assert abs(value - want) <= 1e-13 * abs(want), (variant, name)
+                        compared += 1
+            assert compared >= 3
+
+    def test_sweep_rows_match_fresh_balances(self, monkeypatch):
+        # deduplicated sweep rows against an undeduplicated balance per row,
+        # each on a new context
+        cfg = ExperimentConfig(mesh_levels=(0.6,), carleman_family_count=2,
+                               carleman_sweep_samples=1,
+                               carleman_s=(1.0, 4.0), carleman_gamma=(1.0, 4.0),
+                               carleman_lambda=(1.0, 8.0), seed=3)
+        solutions, balances = [], []
+
+        def recording_solve(*args, **kwargs):
+            solutions.append(solve(*args, **kwargs))
+            return solutions[-1]
+
+        def counting_balance(*args, **kwargs):
+            balances.append(args[2])
+            return carleman_balance(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "solve", recording_solve)
+        monkeypatch.setattr(experiments.cl, "carleman_balance", counting_balance)
+        rows = run_carleman_sweep(cfg).tables["sweep"]
+        assert len(rows) == (8 + 1) * len(VARIANTS)
+        # swept sample: thm43 and thm51 once, four (s, gamma) pairs for the
+        # ball-side variants, six (s, lambda) pairs for thm61; the other
+        # sample once per variant; two scale-check calls per sample
+        assert len(balances) == 2 + 4 * 4 + 6 + len(VARIANTS) + 2 * 2
+        reg = RegularizedWeight(epsilon=cfg.carleman_epsilon, alpha=cfg.alpha)
+        eb = fursikov_eta_bar(cfg.R, cfg.L)
+        for row in rows:
+            sol0, solr = solutions[2 * row["sample"]: 2 * row["sample"] + 2]
+            params = CarlemanParams(s=row["s"], gamma=row["gamma"],
+                                    lam=row["lambda"], T=cfg.T, m=cfg.m,
+                                    alpha=cfg.alpha, R=cfg.R)
+            fresh = carleman_balance(solr if row["variant"] == "thm41" else sol0,
+                                     params, row["variant"], weight=reg,
+                                     eta_bar=eb)
+            for key in ("implied_C", "lhs", "rhs", "exponent_shift"):
+                assert row[key] == fresh[key], (row, key)
 
     def test_window_localization(self, sample_solution):
         # the unweighted variants integrate their LHS over (T/4, 3T/4) only;
@@ -225,3 +327,107 @@ class TestBalances:
         out = carleman_balance(sample_solution, params, "thm51")
         full_energy = np.max(sample_solution.l2_norms) ** 2
         assert out["rhs"] <= full_energy * 1.001 * len(sample_solution.times)
+
+
+def _dense_reference(sol, p, variant, weight, flux, eta_bar):
+    """prop1, thm61, thm41 and thm51 by the dense formula: (nt, nq) arrays over all
+    time levels, regions as 0/1 factors, one exponent shift, and a trapezoid
+    of per-slice quadrature sums.  Returns (lhs_terms, rhs_terms, shift)."""
+    mesh = sol.mesh
+    qp = mesh.quadrature()
+    r = np.linalg.norm(qp.points, axis=1)
+    t = sol.times
+    th = np.zeros(len(t))
+    th[1:-1] = theta(t[1:-1], p.T)
+    active = (th > 0.0) & (th <= THETA_CAP)
+    th = np.where(active, th, 0.0)[:, None]
+    s, al, R = p.s, p.alpha, p.R
+
+    def mask(region):
+        return mesh.cell_mask(region)[qp.cell].astype(float)
+
+    def sample(nodal):
+        u = np.einsum("qi,nqi->nq", qp.shape, nodal[:, qp.nodes])
+        g = np.einsum("nci,cid->ncd", nodal[:, mesh.cells], mesh.grads)
+        return u, g[:, qp.cell]
+
+    def spacetime(density):
+        return float(np.trapezoid(np.where(active, density @ qp.weights, 0.0), t))
+
+    def exp_shifted(E, support):
+        shift = float(np.max(E[np.ix_(active, support)]))
+        keep = active[:, None] & support[None, :]
+        return np.exp(np.where(keep, E - shift, -np.inf)), shift
+
+    def eta0(radial):
+        return p.gamma * (-2.0 * p.m ** (2.0 - al) + radial)
+
+    band = mask(Region.annulus(3.0 * R, 6.0 * R))
+    if variant == "prop1":
+        u, g = sample(sol.fields * cutoff_zeta(R).value(mesh.vertices))
+        g2 = np.sum(g * g, axis=2)
+        in4, ring = mask(Region.ball(4.0 * R)), mask(Region.annulus(R, 4.0 * R))
+        Ew, shift = exp_shifted(2.0 * s * eta0(r ** (2.0 - al)) * th,
+                                (in4 + band) > 0.0)
+        lhs = {"grad_B4R_band": spacetime(th * r ** al * g2 * Ew * ring),
+               "func_B4R": spacetime(th ** 3 * r ** (2.0 - al) * u * u * Ew * in4)}
+        rhs = {"band_mass": spacetime((1.0 + th ** 1.25) * u * u * Ew * band)}
+    elif variant == "thm61":
+        kappa = cutoff_kappa(R)
+        uk, gk = sample(sol.fields * kappa.value(mesh.vertices))
+        u, g = sample(sol.fields)
+        xi = np.exp(p.lam * (8.0 + eta_bar.value(qp.points)))
+        outer = mask(Region.complement(R))
+        # shift over the outer region, exponentials on every column
+        E = -2.0 * s * (np.exp(10.0 * p.lam) - xi) * th
+        shift = float(np.max(E[np.ix_(active, outer > 0.0)]))
+        Ew = np.exp(np.where(active[:, None], E - shift, -np.inf))
+        xib = xi * th
+        kg = kappa.gradient(qp.points)
+        lap = kappa.d2_radial(r) + kappa.d1_radial(r) / r
+        div_wk = al * r ** (al - 2.0) * np.sum(qp.points * kg, axis=1) + r ** al * lap
+        gsrc = 2.0 * r ** al * np.einsum("qd,nqd->nq", kg, g) + u * div_wk
+        lhs = {"grad": s * p.lam ** 2 * spacetime(xib * np.sum(gk * gk, axis=2)
+                                                  * Ew * outer),
+               "func": s ** 3 * p.lam ** 4 * spacetime(xib ** 3 * uk * uk * Ew * outer)}
+        rhs = {"g_band": spacetime(gsrc * gsrc * Ew * outer),
+               "band_mass": s ** 3 * p.lam ** 4 * spacetime(xib ** 3 * u * u * Ew * band)}
+    elif variant == "thm51":
+        u, g = sample(sol.fields)
+        outer = mask(Region.complement(5.0 * R))
+        window = (t >= p.T / 4.0 - 1e-12) & (t <= 3.0 * p.T / 4.0 + 1e-12)
+
+        def windowed(density):
+            slices = np.where(active, density @ qp.weights, 0.0)
+            return float(np.trapezoid(slices[window], t[window]))
+
+        lhs = {"grad_outer": windowed(r ** al * np.sum(g * g, axis=2) * outer),
+               "func_outer": windowed(r ** (2.0 - al) * u * u * outer)}
+        rhs, shift = {"band_mass": spacetime(u * u * band)}, 0.0
+    else:
+        u, g = sample(sol.fields)
+        psi, dpsi = weight.psi(r), np.abs(weight.psi_prime(r))
+        Ew, shift = exp_shifted(2.0 * s * eta0(psi ** (2.0 - al)) * th,
+                                np.ones(len(r), dtype=bool))
+        lhs = {"grad": s * spacetime(th * psi ** al * np.sum(g * g, axis=2)
+                                     * dpsi ** 2 * Ew),
+               "func": s ** 3 * spacetime(th ** 3 * psi ** (2.0 - al) * u * u
+                                          * dpsi ** 4 * Ew)}
+        e = mesh.boundary_edges
+        a, b = mesh.vertices[e[:, 0]], mesh.vertices[e[:, 1]]
+        mids = 0.5 * (a + b)
+        rb = np.linalg.norm(mids, axis=1)
+        xnu = np.sum(mids * mesh.boundary_edge_normals(), axis=1)
+        pos = {v: i for i, v in enumerate(np.flatnonzero(mesh.boundary_mask))}
+        fl = 0.5 * (flux[:, [pos[v] for v in e[:, 0]]]
+                    + flux[:, [pos[v] for v in e[:, 1]]])
+        Eb = np.exp(np.where(active[:, None], 2.0 * s * eta0(rb ** (2.0 - al)) * th
+                             - shift, -np.inf))
+        bnd = (th * rb ** al * fl * fl * xnu * Eb) @ np.linalg.norm(b - a, axis=1)
+        in_eps = mask(Region.ball(weight.epsilon))
+        pre = s ** 2
+        rhs = {"boundary": s * float(np.trapezoid(np.where(active, bnd, 0.0), t)),
+               "remainder_theta3": pre * spacetime(th ** 3 * u * u * Ew * in_eps),
+               "remainder_eps": weight.epsilon ** (al - 2.0) * pre * spacetime(
+                   th * u * u * Ew * in_eps)}
+    return lhs, rhs, shift

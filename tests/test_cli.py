@@ -43,7 +43,12 @@ class TestParsing:
         "sample_count=0", "sample_count=1.5", "sample_count=true",
         "sampler_families=[]", "theta=0.3", "theta=1.5",
         "carleman_family_count=0", "carleman_sweep_samples=-1",
-        "k_levels=[]", "mesh_levels=[]"])
+        "k_levels=[]", "mesh_levels=[]",
+        "carleman_s=[0.5,4]", "carleman_gamma=[0]", "carleman_lambda=[4,-1]",
+        "carleman_s=[]",
+        "s_default=0.5", "gamma_default=0", "lambda_default=0.9",
+        "carleman_epsilon=0", "carleman_epsilon=-0.1", "dt_factor=0",
+        "R=0", "R=-1", "dim=3"])
     def test_out_of_range_value_is_config_error(self, override, capsys):
         rc = main(["observe", "--set", override])
         assert rc == 2
@@ -94,3 +99,14 @@ class TestSolverError:
         err = capsys.readouterr().err
         assert err == ("degenlab: converge: solver error: non-finite values "
                        "at time step 3 of 12\n")
+
+
+class TestWriteError:
+    def test_unwritable_out_is_one_line_and_exit_1(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory\n")
+        rc = main(["verify-weights", "--out", str(blocker / "res")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("degenlab: verify-weights: cannot write report: ")
+        assert err.count("\n") == 1
