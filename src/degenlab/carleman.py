@@ -223,7 +223,7 @@ def weight_window_bounds(params: CarlemanParams, L: float,
 VARIANTS = ("thm41", "thm42", "thm43", "prop1", "thm51", "thm61", "caccioppoli")
 
 # the large parameters each variant's balance reads (its context fixes T,
-# alpha, R and m); a sweep evaluates one balance per distinct tuple of them
+# alpha, R and m); a context evaluates one balance per distinct tuple of them
 PARAMS_READ = {"thm41": ("s", "gamma"), "thm42": ("s", "gamma"),
                "thm43": (), "prop1": ("s", "gamma"), "thm51": (),
                "thm61": ("s", "lam"), "caccioppoli": ("s", "gamma")}
@@ -252,12 +252,11 @@ class BalanceContext:
         self.excluded = int(np.sum(~active))
         self.rows = np.flatnonzero(active)
         self.theta_t = th[active]
-        # trapezoid weights: the rule applied to each unit vector
         window = ((t >= params.T / 4.0 - 1e-12)
                   & (t <= 3.0 * params.T / 4.0 + 1e-12))
         tau_window = np.zeros(len(t))
-        tau_window[window] = np.trapezoid(np.eye(np.sum(window)), t[window])
-        self.tau = np.trapezoid(np.eye(len(t)), t)[active]
+        tau_window[window] = _trapezoid_weights(t[window])
+        self.tau = _trapezoid_weights(t)[active]
         self.tau_window = tau_window[active]
         self._cache: dict = {}
 
@@ -295,18 +294,15 @@ class BalanceContext:
         if kind != "grad2":
             u = (self.mesh.interpolation()[cols] @ f).T
         if kind != "u2":
-            # the P1 gradient at each point, from the vertices of its cell
-            ptr = np.arange(0, 3 * len(cols) + 1, 3)
-            gx, gy = ((sp.csr_matrix(
-                (self.mesh.grads[self.qp.cell[cols], :, d].ravel(),
-                 self.qp.nodes[cols].ravel(), ptr),
-                shape=(len(cols), self.mesh.num_vertices)) @ f).T for d in (0, 1))
+            gx = (_gradient_rows(self.mesh, self.qp, cols, 0) @ f).T
+            gy = (_gradient_rows(self.mesh, self.qp, cols, 1) @ f).T
         if kind == "u2":
             g = u * u
         elif kind == "grad2":
             g = gx * gx + gy * gy
         else:
-            x, al = self.qp.points[cols], self.params.alpha
+            x = self.qp.points[cols]
+            al = self.params.alpha
             r = np.linalg.norm(x, axis=1)
             r_safe = np.maximum(r, 1e-300)
             kg = cutoff.gradient(x)
@@ -331,6 +327,25 @@ class BalanceContext:
         y = y.sum(axis=1) if col is None else y @ col
         tau = self.tau_window if window else self.tau
         return float((tau if time is None else tau * time) @ y)
+
+
+def _trapezoid_weights(t):
+    """tau with tau @ y equal to the trapezoid rule of y over the nodes t."""
+    half = np.diff(t) / 2.0
+    tau = np.zeros(len(t))
+    tau[:-1] += half
+    tau[1:] += half
+    return tau
+
+
+def _gradient_rows(mesh: Mesh, qp, cols, d: int) -> sp.csr_matrix:
+    """Sparse (len(cols), nv) map from a nodal field to the d-th component of
+    its P1 gradient at the quadrature points ``cols``, one cell each."""
+    cells = qp.cell[cols]
+    return sp.csr_matrix(
+        (mesh.grads[cells, :, d].ravel(), qp.nodes[cols].ravel(),
+         np.arange(0, 3 * len(cols) + 1, 3)),
+        shape=(len(cols), mesh.num_vertices))
 
 
 def _shift(theta_t, *profiles):
@@ -364,9 +379,10 @@ def carleman_balance(sol: DiscreteSolution, params: CarlemanParams,
 
     Returns per-term values (constant-free right-hand side), totals, the
     implied constant lhs/rhs, and the exponent shift applied to both sides.
-    ``context`` lets parameter sweeps reuse the cached factors of one
-    trajectory; it must have been built from the same solution with the same
-    T, alpha, R and m.
+    ``context`` lets parameter sweeps reuse the cached factors and balances
+    of one trajectory; it must have been built from the same solution with
+    the same T, alpha, R and m, and neither the solution nor ``flux`` may be
+    changed in place while it is in use.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; choose from {VARIANTS}")
@@ -378,8 +394,21 @@ def carleman_balance(sol: DiscreteSolution, params: CarlemanParams,
                          "or horizon, alpha, R or m")
     if variant == "thm41" and weight is None:
         raise ValueError("thm41 needs the regularized weight")
+    # a balance reads only its variant's parameters, so the rows of a sweep
+    # that agree on them share one evaluation; a flux array is keyed by
+    # identity, and the entry holds it so that the id stays unique
+    reads = tuple(getattr(params, name) for name in PARAMS_READ[variant])
+    key = ("balance", variant, reads, weight, eta_bar, remainder_prefactor,
+           None if flux is None else id(flux))
+    _, res = ctx.cached(key, lambda: (flux, _evaluate(
+        ctx, params, variant, weight, flux, eta_bar, remainder_prefactor)))
+    return {**res, "lhs_terms": dict(res["lhs_terms"]),
+            "rhs_terms": dict(res["rhs_terms"])}
+
+
+def _evaluate(ctx, params, variant, weight, flux, eta_bar, remainder_prefactor):
     if variant in ("thm41", "thm42") and flux is None:
-        flux = boundary_flux(sol)
+        flux = boundary_flux(ctx.sol)
     if variant == "thm41":
         terms = _balance_thm41(ctx, params, weight, flux, remainder_prefactor)
     elif variant == "thm42":

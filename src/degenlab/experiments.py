@@ -559,9 +559,6 @@ def run_carleman_sweep(config: ExperimentConfig, progress=None) -> StudyReport:
             base_params = cl.CarlemanParams(**defaults)
             ctx0 = cl.BalanceContext(sol0, base_params)
             ctxr = cl.BalanceContext(solr, base_params)
-            # a balance depends only on the parameters its variant reads, so
-            # each (variant, read tuple) is evaluated once per trajectory
-            results = {}
             for s, g, lam in param_points:
                 if (s, g, lam) in seen:
                     continue
@@ -570,11 +567,7 @@ def run_carleman_sweep(config: ExperimentConfig, progress=None) -> StudyReport:
                                            m=cfgm, alpha=config.alpha,
                                            R=config.R)
                 for variant in cl.VARIANTS:
-                    key = (variant, tuple(getattr(params, name)
-                                          for name in cl.PARAMS_READ[variant]))
-                    if key in results:
-                        res = results[key]
-                    elif variant == "thm41":
+                    if variant == "thm41":
                         res = cl.carleman_balance(solr, params, variant,
                                                   weight=reg, flux=fluxr,
                                                   context=ctxr)
@@ -588,7 +581,6 @@ def run_carleman_sweep(config: ExperimentConfig, progress=None) -> StudyReport:
                     else:
                         res = cl.carleman_balance(sol0, params, variant,
                                                   context=ctx0)
-                    results[key] = res
                     rows.append({
                         "level": li, "h": float(h), "sample": di,
                         "variant": variant, "s": s, "gamma": g, "lambda": lam,

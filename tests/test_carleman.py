@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from degenlab import experiments
+from degenlab import carleman as carleman_module, experiments
 from degenlab.carleman import (THETA_CAP, BalanceContext, CarlemanParams,
                                CarlemanWeightSet, EtaBar, VARIANTS,
                                carleman_balance, eta_xi, fursikov_eta_bar,
@@ -257,6 +257,37 @@ class TestBalances:
             for side in ("lhs_terms", "rhs_terms"):
                 assert shared[side] == fresh[side]
 
+    def test_repeated_balance_is_one_evaluation(self, sample_solution,
+                                                monkeypatch):
+        params = CarlemanParams(s=1.0, gamma=1.0, lam=1.0, alpha=1.9)
+        ctx = BalanceContext(sample_solution, params)
+        flux = boundary_flux(sample_solution)
+        evaluations = []
+        evaluate = carleman_module._evaluate
+
+        def counting_evaluate(*args):
+            evaluations.append(args[2])
+            return evaluate(*args)
+
+        monkeypatch.setattr(carleman_module, "_evaluate", counting_evaluate)
+        first = carleman_balance(sample_solution, params, "thm42", flux=flux,
+                                 context=ctx)
+        expected = first["lhs_terms"]["func"]
+        first["lhs_terms"]["func"] = -1.0   # the caller's copy, not the cache's
+        # thm42 does not read lambda
+        again = carleman_balance(sample_solution,
+                                 dataclasses.replace(params, lam=8.0), "thm42",
+                                 flux=flux, context=ctx)
+        assert evaluations == ["thm42"]
+        assert again["lhs_terms"]["func"] == expected
+        # another flux array is another evaluation; the boundary term is
+        # quadratic in the flux, and doubling is exact in floating point
+        doubled = carleman_balance(sample_solution, params, "thm42",
+                                   flux=2.0 * flux, context=ctx)
+        assert evaluations == ["thm42", "thm42"]
+        assert again["rhs_terms"]["boundary"] > 0.0
+        assert doubled["rhs_terms"]["boundary"] == 4.0 * again["rhs_terms"]["boundary"]
+
     @pytest.mark.parametrize("variant", ["prop1", "thm61", "thm41", "thm51"])
     def test_matches_dense_reference(self, sample_solution, variant):
         reg = RegularizedWeight(epsilon=0.25, alpha=1.0)
@@ -283,13 +314,13 @@ class TestBalances:
             assert compared >= 3
 
     def test_sweep_rows_match_fresh_balances(self, monkeypatch):
-        # deduplicated sweep rows against an undeduplicated balance per row,
-        # each on a new context
+        # sweep rows that share evaluations against one balance per row on a
+        # new context
         cfg = ExperimentConfig(mesh_levels=(0.6,), carleman_family_count=2,
                                carleman_sweep_samples=1,
                                carleman_s=(1.0, 4.0), carleman_gamma=(1.0, 4.0),
                                carleman_lambda=(1.0, 8.0), seed=3)
-        solutions, balances = [], []
+        solutions, balances, evaluations = [], [], []
 
         def recording_solve(*args, **kwargs):
             solutions.append(solve(*args, **kwargs))
@@ -299,14 +330,22 @@ class TestBalances:
             balances.append(args[2])
             return carleman_balance(*args, **kwargs)
 
+        def counting_evaluate(ctx, params, variant, *args):
+            evaluations.append(variant)
+            return evaluate(ctx, params, variant, *args)
+
+        evaluate = carleman_module._evaluate
         monkeypatch.setattr(experiments, "solve", recording_solve)
         monkeypatch.setattr(experiments.cl, "carleman_balance", counting_balance)
+        monkeypatch.setattr(carleman_module, "_evaluate", counting_evaluate)
         rows = run_carleman_sweep(cfg).tables["sweep"]
         assert len(rows) == (8 + 1) * len(VARIANTS)
+        # one call per row and two scale-check calls per sample
+        assert len(balances) == len(rows) + 2 * 2
         # swept sample: thm43 and thm51 once, four (s, gamma) pairs for the
         # ball-side variants, six (s, lambda) pairs for thm61; the other
-        # sample once per variant; two scale-check calls per sample
-        assert len(balances) == 2 + 4 * 4 + 6 + len(VARIANTS) + 2 * 2
+        # sample once per variant; the scaled trajectory once per sample
+        assert len(evaluations) == 2 + 4 * 4 + 6 + len(VARIANTS) + 2
         reg = RegularizedWeight(epsilon=cfg.carleman_epsilon, alpha=cfg.alpha)
         eb = fursikov_eta_bar(cfg.R, cfg.L)
         for row in rows:
