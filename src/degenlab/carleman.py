@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .domain import Mesh, Region
 from .solver import DiscreteSolution, boundary_flux
@@ -294,8 +293,10 @@ class BalanceContext:
         if kind != "grad2":
             u = (self.mesh.interpolation()[cols] @ f).T
         if kind != "u2":
-            gx = (_gradient_rows(self.mesh, self.qp, cols, 0) @ f).T
-            gy = (_gradient_rows(self.mesh, self.qp, cols, 1) @ f).T
+            grad = self.mesh.gradient_operator()
+            cells = self.qp.cell[cols]
+            gx = (grad[cells] @ f).T
+            gy = (grad[cells + self.mesh.num_cells] @ f).T
         if kind == "u2":
             g = u * u
         elif kind == "grad2":
@@ -336,16 +337,6 @@ def _trapezoid_weights(t):
     tau[:-1] += half
     tau[1:] += half
     return tau
-
-
-def _gradient_rows(mesh: Mesh, qp, cols, d: int) -> sp.csr_matrix:
-    """Sparse (len(cols), nv) map from a nodal field to the d-th component of
-    its P1 gradient at the quadrature points ``cols``, one cell each."""
-    cells = qp.cell[cols]
-    return sp.csr_matrix(
-        (mesh.grads[cells, :, d].ravel(), qp.nodes[cols].ravel(),
-         np.arange(0, 3 * len(cols) + 1, 3)),
-        shape=(len(cols), mesh.num_vertices))
 
 
 def _shift(theta_t, *profiles):
@@ -507,20 +498,18 @@ def _balance_thm61(ctx, p: CarlemanParams, eta_bar: EtaBar | None):
 def _boundary_term(ctx, p: CarlemanParams, flux, shift):
     """s int Theta |x|^alpha (d_nu u)^2 (x . nu) e^(2 s xi_0 - shift) on the
     outer circle (psi = |x| there), the flux averaged onto each edge."""
+    E, lengths = ctx.mesh.boundary_edge_average()
+
     def edges():
         mesh = ctx.mesh
         e = mesh.boundary_edges
-        a, b = mesh.vertices[e[:, 0]], mesh.vertices[e[:, 1]]
-        mids = 0.5 * (a + b)
+        mids = 0.5 * (mesh.vertices[e[:, 0]] + mesh.vertices[e[:, 1]])
         rb = np.linalg.norm(mids, axis=1)
         xnu = np.einsum("ed,ed->e", mids, mesh.boundary_edge_normals())
-        ends = np.searchsorted(np.flatnonzero(mesh.boundary_mask), e)
-        return (ends, rb ** (2.0 - p.alpha),
-                rb ** p.alpha * xnu * np.linalg.norm(b - a, axis=1))
+        return rb ** (2.0 - p.alpha), rb ** p.alpha * xnu * lengths
 
-    ends, radial, col = ctx.cached(("boundary",), edges)
-    fl = flux[ctx.rows]
-    fl = 0.5 * (fl[:, ends[:, 0]] + fl[:, ends[:, 1]])   # flux columns
+    radial, col = ctx.cached(("boundary",), edges)
+    fl = (E @ flux[ctx.rows].T).T   # flux on the edges
     e = 2.0 * p.s * _eta0(p, radial)
     return p.s * ctx.integral(fl * fl, col, ctx.theta_t, ctx.growth(e, shift))
 

@@ -107,6 +107,8 @@ class Mesh:
         self._finalize()
         self._quad_cache: dict = {}
         self._interp_cache: dict = {}
+        self._gradient_op = None
+        self._edge_op = None
         # factored theta-scheme steps, filled by solver.step_operator
         self._step_cache: dict = {}
 
@@ -149,13 +151,44 @@ class Mesh:
     def cell_mask(self, region: Region) -> np.ndarray:
         return region.contains_radius(np.linalg.norm(self.centroids, axis=1))
 
-    def vertex_mask(self, region: Region) -> np.ndarray:
-        return region.contains_radius(np.linalg.norm(self.vertices, axis=1))
-
     def p1_gradient(self, u) -> np.ndarray:
         """Piecewise-constant gradient of a nodal field, one row per cell."""
         u = np.asarray(u, dtype=float)
         return np.einsum("ci,cid->cd", u[self.cells], self.grads)
+
+    def gradient_operator(self) -> sp.csr_matrix:
+        """Sparse (2 n_cells, n_vertices) P1 gradient G, cached.
+
+        Row c holds the x-derivative and row n_cells + c the y-derivative of
+        cell c, with the entries in local-vertex order, so ``G @ u`` stacks
+        the two columns of ``p1_gradient(u)``.
+        """
+        if self._gradient_op is None:
+            nc = self.num_cells
+            self._gradient_op = sp.csr_matrix(
+                (self.grads.transpose(2, 0, 1).ravel(),
+                 np.tile(self.cells.ravel(), 2), np.arange(0, 6 * nc + 1, 3)),
+                shape=(2 * nc, self.num_vertices))
+        return self._gradient_op
+
+    def boundary_edge_average(self) -> tuple[sp.csr_matrix, np.ndarray]:
+        """``(E, lengths)`` of the boundary edges, cached.
+
+        E is the sparse (n_edges, n_boundary_vertices) matrix with 0.5 at the
+        two ends of each edge; its columns are the boundary vertices in id
+        order, so ``E @ f`` averages a boundary-vertex field onto the edges.
+        """
+        if self._edge_op is None:
+            e = self.boundary_edges
+            ends = np.searchsorted(np.flatnonzero(self.boundary_mask), e)
+            E = sp.csr_matrix(
+                (np.full(e.size, 0.5), ends.ravel(),
+                 np.arange(0, e.size + 1, 2)),
+                shape=(len(e), int(np.count_nonzero(self.boundary_mask))))
+            lengths = np.linalg.norm(self.vertices[e[:, 1]]
+                                     - self.vertices[e[:, 0]], axis=1)
+            self._edge_op = (E, lengths)
+        return self._edge_op
 
     def boundary_edge_normals(self) -> np.ndarray:
         """Unit outward normals per boundary edge (radial on circles)."""
@@ -456,23 +489,20 @@ def snap_window(times: np.ndarray, window) -> tuple[int, int]:
     return i0, i1
 
 
-def integrate_spacetime(mesh: Mesh, times, slice_integrals=None, fields=None,
-                        region: Region | None = None, weight=None,
-                        window=None, subdivide_radius: float = 0.0) -> float:
+def integrate_spacetime(mesh: Mesh, times, fields, region: Region | None = None,
+                        weight=None, window=None,
+                        subdivide_radius: float = 0.0) -> float:
     """Trapezoid-in-time composite of per-slice space integrals.
 
-    Either pass precomputed per-slice integrals, or nodal ``fields`` with
-    shape (len(times), n_vertices).  The space integral is linear in the
-    nodal field, so the point weights are folded once into nodal weights
-    c = P^T w and every slice in the window integrates as ``fields @ c``.
+    ``fields`` are nodal, with shape (len(times), n_vertices).  The space
+    integral is linear in the nodal field, so the point weights are folded
+    once into nodal weights c = P^T w and every slice in the window
+    integrates as ``fields @ c``.
     """
     times = np.asarray(times, dtype=float)
     i0, i1 = (0, len(times) - 1) if window is None else snap_window(times, window)
-    if slice_integrals is None:
-        qp = mesh.quadrature(subdivide_radius)
-        c = mesh.interpolation(subdivide_radius).T @ _point_weights(
-            mesh, qp, region, weight)
-        slices = np.asarray(fields, dtype=float)[i0:i1 + 1] @ c
-    else:
-        slices = np.asarray(slice_integrals, dtype=float)[i0:i1 + 1]
+    qp = mesh.quadrature(subdivide_radius)
+    c = mesh.interpolation(subdivide_radius).T @ _point_weights(
+        mesh, qp, region, weight)
+    slices = np.asarray(fields, dtype=float)[i0:i1 + 1] @ c
     return float(np.trapezoid(slices, times[i0:i1 + 1]))

@@ -57,6 +57,11 @@ class ExperimentConfig:
     out_dir: str = "results"
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            val = getattr(self, f.name)
+            for v in val if isinstance(val, tuple) else (val,):
+                if isinstance(v, (float, np.floating)) and not np.isfinite(v):
+                    raise ValueError(f"{f.name} must be finite, got {val!r}")
         if not 0.0 < self.alpha < 2.0:
             raise ValueError(f"alpha must lie in (0, 2), got {self.alpha}")
         if self.dim != 2:
@@ -81,11 +86,17 @@ class ExperimentConfig:
             raise ValueError("k_levels must not be empty")
         if list(self.k_levels) != sorted(set(self.k_levels)):
             raise ValueError("k_levels must be strictly increasing")
+        if any(not k >= 1 for k in self.k_levels):
+            raise ValueError(f"k_levels must be >= 1 (eps = 1/k), got "
+                             f"{list(self.k_levels)}")
         hs = list(self.mesh_levels)
         if not hs:
             raise ValueError("mesh_levels must not be empty")
         if hs != sorted(set(hs), reverse=True):
             raise ValueError("mesh_levels must be strictly decreasing in h")
+        if any(not 0.0 < h < self.R for h in hs):
+            raise ValueError(f"mesh_levels must lie in (0, R) = (0, {self.R}), "
+                             f"got {hs}")
         if not self.sampler_families:
             raise ValueError("sampler_families must not be empty")
         for fam in self.sampler_families:
@@ -206,11 +217,6 @@ def persist_report(report: StudyReport, out_dir: str) -> list:
         raise OSError(f"failed to persist report under {out_dir!r}: {exc}") from exc
 
 
-def load_report(path: str) -> dict:
-    with open(path) as f:
-        return json.load(f)
-
-
 # ---------------------------------------------------------------------------
 # terminal-data samplers (mesh-independent closed forms)
 # ---------------------------------------------------------------------------
@@ -302,19 +308,15 @@ def _approximation_row(config: ExperimentConfig, k: int, fn) -> dict:
     l2q = np.sqrt(integrate_spacetime(mesh, sol_k.times, fields=diff ** 2))
     terminal = np.sqrt(integrate_space(mesh, diff[-1] ** 2))
     region_k = Region.complement(2.0 * config.R)
-    gdiff = np.einsum("nci,cid->ncd", diff[:, mesh.cells], mesh.grads)
-    g2 = np.einsum("ncd,ncd->nc", gdiff, gdiff)
+    nc = mesh.num_cells
+    gdiff = mesh.gradient_operator() @ diff.T        # (2 n_cells, n_times)
+    g2 = (gdiff[:nc] ** 2 + gdiff[nc:] ** 2).T
     mask = mesh.cell_mask(region_k)
     g_slices = g2[:, mask] @ mesh.areas[mask]
     grad_k = np.sqrt(np.trapezoid(g_slices, sol_k.times))
     fdiff = boundary_flux(sol_k) - boundary_flux(sol_0)
-    bidx = np.flatnonzero(mesh.boundary_mask)
-    e = mesh.boundary_edges
-    lengths = np.linalg.norm(mesh.vertices[e[:, 1]] - mesh.vertices[e[:, 0]],
-                             axis=1)
-    pos = {v: i for i, v in enumerate(bidx)}
-    fe = 0.5 * (fdiff[:, [pos[v] for v in e[:, 0]]]
-                + fdiff[:, [pos[v] for v in e[:, 1]]])
+    E, lengths = mesh.boundary_edge_average()
+    fe = (E @ fdiff.T).T                               # flux gap on the edges
     flux_l2 = np.sqrt(np.trapezoid((fe * fe) @ lengths, sol_k.times))
     return {
         "k": int(k), "h_local": float(local_h),
@@ -383,11 +385,6 @@ def _observability_record(sol: DiscreteSolution, cfg: ExperimentConfig) -> dict:
                                     weight=_abs_power_weight(2.0 - al),
                                     window=window)
 
-    def ratio(a, b):
-        if a == 0.0 and b == 0.0:
-            return 0.0
-        return float("inf") if b == 0.0 else a / b
-
     # (5.2) chain in the discrete mass-matrix norms where it holds exactly
     l2sq = sol.l2_norms ** 2
     i0 = int(np.argmin(np.abs(times - window[0])))
@@ -400,9 +397,9 @@ def _observability_record(sol: DiscreteSolution, cfg: ExperimentConfig) -> dict:
     violation = bool(rhs < 1e-30 and lhs > 1e-10)
     return {
         "lhs": float(lhs), "rhs": float(rhs),
-        "ratio": ratio(lhs, rhs),
-        "ratio_b4r": ratio(lhs_b4r, rhs),
-        "ratio_outer5r": ratio(lhs_out5r, rhs),
+        "ratio": cl._ratio(lhs, rhs),
+        "ratio_b4r": cl._ratio(lhs_b4r, rhs),
+        "ratio_outer5r": cl._ratio(lhs_out5r, rhs),
         "chain_lhs": chain_lhs, "chain_rhs": chain_rhs,
         "chain_slack": float(chain_slack),
         "ucp_violation": violation,

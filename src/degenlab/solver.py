@@ -84,26 +84,13 @@ def load_vector(mesh: Mesh, fn, t: float) -> np.ndarray:
     return out
 
 
-def divergence_load_vector(mesh: Mesh, components, t: float) -> np.ndarray:
-    """Weak load for S = sum_j d(f_j)/dx_j, entering as -sum_j (f_j, d(phi_i)/dx_j)."""
-    qp = mesh.quadrature()
-    out = np.zeros(mesh.num_vertices)
-    for j, fj in enumerate(components):
-        fv = np.asarray(fj(qp.points, t), dtype=float)
-        cellint = np.zeros(mesh.num_cells)
-        np.add.at(cellint, qp.cell, qp.weights * fv)
-        np.add.at(out, mesh.cells, -cellint[:, None] * mesh.grads[:, :, j])
-    return out
-
-
 @dataclass
 class ParabolicProblem:
-    """Forward or backward weighted heat problem with optional sources.
+    """Forward or backward weighted heat problem with an optional source.
 
     ``weight`` is a float alpha (exact weight |x|^alpha) or a
     RegularizedWeight; ``data`` is the nodal initial datum (forward) or
-    terminal datum (backward); ``source`` is f(points, t); ``div_sources``
-    are the components f_j of a divergence-form source.
+    terminal datum (backward); ``source`` is f(points, t).
     """
 
     weight: object
@@ -111,7 +98,6 @@ class ParabolicProblem:
     data: np.ndarray
     direction: str = "forward"
     source: object = None
-    div_sources: tuple = ()
 
     def __post_init__(self):
         if self.direction not in ("forward", "backward"):
@@ -217,18 +203,13 @@ def solve(problem: ParabolicProblem, mesh: Mesh, M: int,
     def load(t):
         # backward problems are integrated in the reversed time variable
         phys_t = problem.T - t if backward else t
-        out = np.zeros(mesh.num_vertices)
-        if problem.source is not None:
-            out += load_vector(mesh, problem.source, phys_t)
-        if problem.div_sources:
-            out += divergence_load_vector(mesh, problem.div_sources, phys_t)
-        return out[inter]
+        return load_vector(mesh, problem.source, phys_t)[inter]
 
     u = np.zeros((M + 1, mesh.num_vertices))
     u[0] = data
     u[0, mesh.boundary_mask] = 0.0
     ui = u[0, inter]
-    f_prev = load(0.0) if (problem.source is not None or problem.div_sources) else None
+    f_prev = load(0.0) if problem.source is not None else None
     for n in range(M):
         b = op.explicit @ ui
         if f_prev is not None:
@@ -336,29 +317,26 @@ def energy_report(sol: DiscreteSolution) -> dict:
 
 
 def _source_data_norms(sol: DiscreteSolution) -> float:
-    """||g||^2_{L2(Q; w^-1)} + sum_j ||f_j||^2_{L2(Q; w^-1)} by quadrature."""
+    """||f||^2_{L2(Q; w^-1)} of the source by quadrature."""
     prob = sol.problem
-    if prob.source is None and not prob.div_sources:
+    if prob.source is None:
         return 0.0
     spec = _weight_spec(prob.weight)
     sub = max(spec.subdivide_radius, 4.0 * sol.mesh.h)
     qp = sol.mesh.quadrature(sub, levels=3)
     winv = 1.0 / spec.evaluate(qp.points)
-    total = 0.0
-    fns = ([prob.source] if prob.source is not None else []) + list(prob.div_sources)
-    for fn in fns:
-        slices = np.array([
-            float(np.dot(qp.weights,
-                         np.asarray(fn(qp.points, t), dtype=float) ** 2 * winv))
-            for t in sol.times])
-        total += float(np.trapezoid(slices, sol.times))
-    return total
+    slices = np.array([
+        float(np.dot(qp.weights,
+                     np.asarray(prob.source(qp.points, t), dtype=float) ** 2
+                     * winv))
+        for t in sol.times])
+    return float(np.trapezoid(slices, sol.times))
 
 
 def boundary_mass_matrix(mesh: Mesh) -> sp.csr_matrix:
     """1D consistent mass on the boundary edge loops (full vertex indexing)."""
     e = mesh.boundary_edges
-    lengths = np.linalg.norm(mesh.vertices[e[:, 1]] - mesh.vertices[e[:, 0]], axis=1)
+    _, lengths = mesh.boundary_edge_average()
     local = lengths[:, None, None] * np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
     rows = np.repeat(e, 2, axis=1).reshape(-1, 2, 2)
     cols = np.tile(e, 2).reshape(-1, 2, 2)
@@ -385,30 +363,17 @@ def boundary_flux(sol: DiscreteSolution) -> np.ndarray:
     if np.any(wb <= 0.0):
         raise ValueError("weight degenerates on the boundary; flux undefined")
 
-    backward = prob.direction == "backward"
-
-    def load(n):
-        phys_t = prob.T - sol.times[n] if backward else sol.times[n]
-        out = np.zeros(mesh.num_vertices)
-        if prob.source is not None:
-            out += load_vector(mesh, prob.source, phys_t)
-        if prob.div_sources:
-            out += divergence_load_vector(mesh, prob.div_sources, phys_t)
-        return out
-
+    # the weak-form residual of every step at once: one column per step
     th = sol.theta
-    flux = np.zeros((len(sol.times), len(bidx)))
-    have_src = prob.source is not None or prob.div_sources
-    f_cache = load(0) if have_src else None
-    for n in range(1, len(sol.times)):
-        du = (u[n] - u[n - 1]) / dt
-        uth = th * u[n] + (1.0 - th) * u[n - 1]
-        r = sol.mass @ du + sol.stiffness @ uth
-        if have_src:
-            f_next = load(n)
-            r = r - (th * f_next + (1.0 - th) * f_cache)
-            f_cache = f_next
-        flux[n] = B_lu.solve(r[bidx]) / wb
+    r = (sol.mass @ ((u[1:] - u[:-1]) / dt).T
+         + sol.stiffness @ (th * u[1:] + (1.0 - th) * u[:-1]).T)
+    backward = prob.direction == "backward"
+    if prob.source is not None:
+        phys_t = prob.T - sol.times if backward else sol.times
+        f = np.array([load_vector(mesh, prob.source, t) for t in phys_t])
+        r = r - (th * f[1:] + (1.0 - th) * f[:-1]).T
+    flux = np.empty((len(sol.times), len(bidx)))
+    flux[1:] = (B_lu.solve(r[bidx]) / wb[:, None]).T
     flux[0] = flux[1]
     if backward:
         flux = flux[::-1].copy()

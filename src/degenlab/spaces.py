@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .domain import Mesh
 from .weights import RegularizedWeight, exact_weight
@@ -53,9 +54,11 @@ def weighted_h1_seminorm(mesh: Mesh, field, spec: WeightedNormSpec) -> float:
     return float(np.sqrt(max(0.0, np.dot(qp.weights, g2 * w))))
 
 
-def _require_h10(mesh: Mesh, field):
-    u = np.asarray(field, dtype=float)
-    if np.max(np.abs(u[mesh.boundary_mask])) > 1e-13 * max(1.0, np.max(np.abs(u))):
+def _require_h10(mesh: Mesh, fields):
+    """The nodal field (or each row of a stack) must vanish on the boundary."""
+    u = np.asarray(fields, dtype=float)
+    trace = np.max(np.abs(u[..., mesh.boundary_mask]), axis=-1)
+    if np.any(trace > 1e-13 * np.maximum(1.0, np.max(np.abs(u), axis=-1))):
         raise ValueError("field has a nonzero boundary trace; the inequality "
                          "is stated for fields vanishing on the boundary")
     return u
@@ -125,19 +128,22 @@ def poincare_ratios(mesh: Mesh, field, alpha: float, eps: float,
 
 
 def inequality_ratio_table(mesh: Mesh, fields, alpha: float, eps: float,
-                           m: float | None = None, chunk: int = 20) -> dict:
+                           m: float | None = None) -> dict:
     """Hardy and Poincare ratios for a stack of nodal fields at once.
 
     ``fields`` has shape (n_fields, n_vertices).  Returns arrays keyed
     "hardy", "r_22", "r_23", "r_36", "r_37" that match the single-field
-    functions exactly; the shared quadrature data is built once, which is what
-    makes scanning hundreds of sample fields affordable.
+    functions to round-off.  Each squared norm is a quadratic form u^T A u
+    with A assembled once: B^T diag(w) B for the interpolation B = P (masses)
+    or the gradient B = G (stiffnesses, w the per-cell sum of the weighted
+    quadrature weights), so the stack costs one sparse product per form.
     """
     if not 0.0 < alpha < 2.0:
         raise ValueError("alpha must lie in (0, 2)")
     F = np.asarray(fields, dtype=float)
     if F.ndim != 2 or F.shape[1] != mesh.num_vertices:
         raise ValueError("fields must be (n_fields, n_vertices)")
+    _require_h10(mesh, F)
     if m is None:
         m = float(np.max(np.linalg.norm(mesh.vertices, axis=1))) + 1.0
     N = 2
@@ -147,58 +153,32 @@ def inequality_ratio_table(mesh: Mesh, fields, alpha: float, eps: float,
     qp2 = mesh.quadrature(sub)               # norm quadrature
     r2_3 = np.einsum("qd,qd->q", qp3.points, qp3.points)
     sing3 = np.power(r2_3, 0.5 * alpha - 1.0) * qp3.weights
-    w_exact = exact_weight(alpha, qp2.points)
-    w_reg = RegularizedWeight(epsilon=eps, alpha=alpha).value(qp2.points)
-    we2 = w_exact * qp2.weights
-    wr2 = w_reg * qp2.weights
-    ww2 = qp2.weights
+    we2 = exact_weight(alpha, qp2.points) * qp2.weights
+    wr2 = (RegularizedWeight(epsilon=eps, alpha=alpha).value(qp2.points)
+           * qp2.weights)
     P3 = mesh.interpolation(sub, levels=3)
     P2 = mesh.interpolation(sub)
+    G = mesh.gradient_operator()
+    Ft = np.ascontiguousarray(F.T)           # one column per field
 
-    out = {k: np.zeros(len(F)) for k in ("hardy", "r_22", "r_23", "r_36", "r_37")}
-    for lo in range(0, len(F), chunk):
-        B = F[lo:lo + chunk]
-        for u in B:
-            _require_h10(mesh, u)
-        u3 = (P3 @ B.T).T
-        u2 = (P2 @ B.T).T
-        g = np.einsum("fci,cid->fcd", B[:, mesh.cells], mesh.grads)
-        g2 = np.einsum("fcd,fcd->fc", g, g)[:, qp2.cell]
-        hardy_num = np.sqrt(np.maximum(0.0, (u3 * u3) @ sing3))
-        l2_w = np.sqrt(np.maximum(0.0, (u2 * u2) @ we2))
-        l2_we = np.sqrt(np.maximum(0.0, (u2 * u2) @ wr2))
-        l2 = np.sqrt(np.maximum(0.0, (u2 * u2) @ ww2))
-        h1_w = np.sqrt(np.maximum(0.0, g2 @ we2))
-        h1_we = np.sqrt(np.maximum(0.0, g2 @ wr2))
-        nz = np.any(B != 0.0, axis=1)
-        sl = slice(lo, lo + len(B))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out["hardy"][sl] = np.where(nz, c * hardy_num / (2.0 * h1_w), 0.0)
-            out["r_22"][sl] = np.where(nz, c / (2.0 * m) * l2_w / h1_w, 0.0)
-            out["r_23"][sl] = np.where(
-                nz, c / (2.0 * m ** (1.0 - 0.5 * alpha)) * l2 / h1_w, 0.0)
-            out["r_36"][sl] = np.where(nz, c / (2.0 * m) * l2_we / h1_we, 0.0)
-            out["r_37"][sl] = np.where(
-                nz, c / (2.0 * m ** (1.0 - 0.5 * alpha)) * l2 / h1_we, 0.0)
-    return out
+    def norm(B, w):
+        """sqrt(u^T B^T diag(w) B u) for every row u of F."""
+        A = B.T @ sp.diags(w) @ B
+        return np.sqrt(np.maximum(0.0, np.einsum("vf,vf->f", Ft, A @ Ft)))
 
+    def stiffness_norm(wq):
+        cell_w = np.bincount(qp2.cell, weights=wq, minlength=mesh.num_cells)
+        return norm(G, np.concatenate([cell_w, cell_w]))
 
-def sobolev_embedding_ratio(mesh: Mesh, field, k: float, p: float,
-                            spec: WeightedNormSpec) -> float:
-    """||u||_{L^{kp};w} / ||grad u||_{L^p;w} for the supported (k, p) pairs."""
-    N = 2
-    if p != 2 or not any(np.isclose(k, v) for v in (1.0, N / (N - 1))):
-        raise ValueError(f"unsupported (k, p) = ({k}, {p}); only p = 2 with "
-                         f"k in {{1, {N / (N - 1)}}} is exercised")
-    u = _require_h10(mesh, field)
-    if not np.any(u):
-        return 0.0
-    qp = mesh.quadrature(spec.subdivide_radius)
-    uq = np.abs(qp.values(u))
-    w = spec.evaluate(qp.points)
-    kp = k * p
-    num = float(np.dot(qp.weights, uq ** kp * w)) ** (1.0 / kp)
-    g = mesh.p1_gradient(u)
-    gq = np.sqrt(np.einsum("cd,cd->c", g, g))[qp.cell]
-    den = float(np.dot(qp.weights, gq ** p * w)) ** (1.0 / p)
-    return num / den
+    hardy_num = norm(P3, sing3)
+    l2_w, l2_we, l2 = norm(P2, we2), norm(P2, wr2), norm(P2, qp2.weights)
+    h1_w, h1_we = stiffness_norm(we2), stiffness_norm(wr2)
+    k_w = c / (2.0 * m)                        # r_22, r_36
+    k_1 = c / (2.0 * m ** (1.0 - 0.5 * alpha))  # r_23, r_37
+    nz = np.any(F != 0.0, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return {"hardy": np.where(nz, c * hardy_num / (2.0 * h1_w), 0.0),
+                "r_22": np.where(nz, k_w * l2_w / h1_w, 0.0),
+                "r_23": np.where(nz, k_1 * l2 / h1_w, 0.0),
+                "r_36": np.where(nz, k_w * l2_we / h1_we, 0.0),
+                "r_37": np.where(nz, k_1 * l2 / h1_we, 0.0)}

@@ -125,17 +125,6 @@ def exact_weight(alpha: float, x) -> np.ndarray:
     return r**alpha
 
 
-def exact_weight_gradient(alpha: float, x) -> np.ndarray:
-    """grad |x|^alpha = alpha |x|^(alpha-2) x; singular at 0 for alpha < 1."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    r = np.linalg.norm(x, axis=-1)
-    if alpha < 1.0 and np.any(r == 0.0):
-        raise ValueError("gradient of |x|^alpha is singular at the origin for alpha < 1")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.where(r > 0, alpha * np.where(r > 0, r, 1.0) ** (alpha - 2.0), 0.0)
-    return scale[..., None] * x
-
-
 def identity_residuals(weight: RegularizedWeight, x):
     """Residuals of the three closed-form identities of the quartic profile on B_eps.
 
@@ -319,18 +308,6 @@ class CutoffFunction:
         r = np.linalg.norm(x, axis=-1)
         safe = np.where(r > 0, r, 1.0)
         return (self.d1_radial(r) / safe)[..., None] * x
-
-    def hessian(self, x):
-        """Hessian at a single point (zero at the origin by symmetry)."""
-        x = np.asarray(x, dtype=float)
-        r = float(np.linalg.norm(x))
-        n = x.shape[-1]
-        if r == 0.0:
-            return np.zeros((n, n))
-        u = x / r
-        d1 = float(self.d1_radial(r))
-        d2 = float(self.d2_radial(r))
-        return d2 * np.outer(u, u) + d1 / r * (np.eye(n) - np.outer(u, u))
 
     def measured_constants(self, samples: int = 4000) -> dict:
         """Dense radial sampling of sup|grad| and sup|hess entry| on the band,

@@ -55,6 +55,20 @@ class TestParsing:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and override.split("=")[0] in err
 
+    @pytest.mark.parametrize("override", [
+        "mesh_levels=[1.5]", "mesh_levels=[-0.2]", "k_levels=[0,8]",
+        "k_levels=[-4,8]", "L=Infinity", "T=NaN", "carleman_epsilon=Infinity"])
+    def test_degenerate_value_exits_before_any_study(self, override, tmp_path,
+                                                     monkeypatch, capsys):
+        def study(config, *args, **kwargs):
+            raise AssertionError(f"a study ran with {override}")
+
+        monkeypatch.setattr(cli, "run_approximation_study", study)
+        rc = main(["converge", "--set", override, "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and override.split("=")[0] in err
+
     def test_config_file_missing(self, capsys):
         rc = main(["converge", "--config", "/no/such/file.json"])
         assert rc == 2

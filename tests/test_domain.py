@@ -149,6 +149,29 @@ class TestGradients:
         u = coarse_mesh.vertices @ np.array([3.0, -2.0])
         g = coarse_mesh.p1_gradient(u)
         assert np.allclose(g, [3.0, -2.0])
+        # G stacks the two columns of p1_gradient, on this field and any other
+        G = coarse_mesh.gradient_operator()
+        assert G is coarse_mesh.gradient_operator()
+        assert G.shape == (2 * coarse_mesh.num_cells, coarse_mesh.num_vertices)
+        v = np.random.default_rng(2).standard_normal(coarse_mesh.num_vertices)
+        for w in (u, v):
+            ref = coarse_mesh.p1_gradient(w)
+            got = (G @ w).reshape(2, -1).T
+            assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("annulus", [False, True])
+    def test_boundary_edge_average_of_linear_field(self, coarse_mesh, annulus):
+        mesh = build_annulus_mesh(4.0, 9.0, 0.4) if annulus else coarse_mesh
+        E, lengths = mesh.boundary_edge_average()
+        e = mesh.boundary_edges
+        bidx = np.flatnonzero(mesh.boundary_mask)
+        assert E.shape == (len(e), len(bidx))
+        a, b = mesh.vertices[e[:, 0]], mesh.vertices[e[:, 1]]
+        assert np.array_equal(lengths, np.linalg.norm(b - a, axis=1))
+        coef = np.array([1.5, -0.5])
+        got = E @ (mesh.vertices[bidx] @ coef + 2.0)
+        expected = 0.5 * (a + b) @ coef + 2.0
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
     def test_boundary_normals_radial(self, coarse_mesh):
         normals = coarse_mesh.boundary_edge_normals()
@@ -187,12 +210,6 @@ class TestTimeIntegration:
         half = integrate_spacetime(coarse_mesh, times, fields=fields,
                                    window=(0.25, 0.75))
         assert abs(half - 0.5 * area) < 1e-10 * area
-
-    def test_precomputed_slices(self):
-        times = np.linspace(0.0, 2.0, 5)
-        vals = times**2
-        got = integrate_spacetime(None, times, slice_integrals=vals)
-        assert abs(got - float(np.trapezoid(vals, times))) < 1e-15
 
     @pytest.mark.parametrize("region, sub", itertools.product(
         [None, Region.ball(4.0), Region.annulus(3.0, 6.0),

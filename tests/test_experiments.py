@@ -1,12 +1,17 @@
-"""Config round-trips, samplers, and report persistence."""
+"""Config round-trips, samplers, report persistence and study rows."""
+
+import json
 
 import numpy as np
 import pytest
 
-from degenlab.domain import GeometrySpec, build_disk_mesh
-from degenlab.experiments import (ExperimentConfig, StudyReport, bump,
-                                  load_report, persist_report, sample_field,
-                                  _nodal)
+from degenlab.domain import GeometrySpec, Region, build_disk_mesh
+from degenlab.experiments import (ExperimentConfig, StudyReport,
+                                  _approximation_row, _nodal, bump,
+                                  data_bump_a2r7r, persist_report,
+                                  sample_field)
+from degenlab.solver import ParabolicProblem, boundary_flux, solve
+from degenlab.weights import RegularizedWeight
 
 
 class TestConfig:
@@ -39,6 +44,19 @@ class TestConfig:
             ExperimentConfig(mesh_levels=(0.18, 0.24))
         with pytest.raises(ValueError):
             ExperimentConfig(sampler_families=("interior", "bogus"))
+
+    @pytest.mark.parametrize("values", [
+        {"mesh_levels": (1.5,)}, {"mesh_levels": (-0.2,)},
+        {"mesh_levels": (1.0,)}, {"mesh_levels": (0.5, 0.0)},
+        {"k_levels": (0, 8)}, {"k_levels": (-4, 8)}, {"k_levels": (0.5, 8)},
+        {"L": float("inf")}, {"T": float("nan")}, {"dt_factor": float("inf")},
+        {"k_levels": (8, float("inf"))}, {"carleman_s": (4.0, float("inf"))}])
+    def test_degenerate_values_rejected(self, values):
+        # each of these would otherwise fail inside a study: a traceback from
+        # the mesh builder, a division by zero, or a ring loop that never ends
+        key = next(iter(values))
+        with pytest.raises(ValueError, match=key):
+            ExperimentConfig(**values)
 
     def test_steps_floor_and_granularity(self):
         cfg = ExperimentConfig()
@@ -92,7 +110,8 @@ class TestReports:
         paths = persist_report(rep, str(tmp_path))
         assert sorted(p.split("/")[-1] for p in paths) == ["demo.json",
                                                            "demo_t.csv"]
-        loaded = load_report(paths[0])
+        with open(paths[0]) as f:
+            loaded = json.load(f)
         assert loaded["config_hash"] == cfg.config_hash()
         assert loaded["summary"] == {"score": 1.5, "flag": True}
         assert loaded["tables"]["t"] == [{"a": 1, "b": 2.0}]
@@ -120,3 +139,32 @@ class TestReports:
         rep = StudyReport(name="x", config=ExperimentConfig())
         with pytest.raises(OSError):
             persist_report(rep, "/proc/no-such-dir/out")
+
+
+class TestApproximationRow:
+    def test_gradient_and_flux_gaps_match_loops(self):
+        # the mesh operators against per-slice cell gradients and a per-edge
+        # flux average written out by hand, on the row's own trajectories
+        cfg = ExperimentConfig(mesh_levels=(0.5,), k_levels=(8,))
+        fn, _ = data_bump_a2r7r(np.random.default_rng(1), cfg)
+        row = _approximation_row(cfg, 8, fn)
+        mesh = build_disk_mesh(cfg.geometry, 0.5, local_h=1.0 / 32.0)
+        data = _nodal(mesh, fn)
+        sols = [solve(ParabolicProblem(weight=w, T=cfg.T, data=data), mesh,
+                      cfg.steps_for(0.5))
+                for w in (RegularizedWeight(epsilon=1.0 / 8.0, alpha=cfg.alpha),
+                          cfg.alpha)]
+        times = sols[0].times
+        outer = mesh.cell_mask(Region.complement(2.0 * cfg.R))
+        g2 = [np.sum(mesh.p1_gradient(d) ** 2, axis=1)[outer] @ mesh.areas[outer]
+              for d in sols[0].fields - sols[1].fields]
+        assert np.isclose(row["gradient_K"], np.sqrt(np.trapezoid(g2, times)),
+                          rtol=1e-12, atol=0.0)
+        fdiff = boundary_flux(sols[0]) - boundary_flux(sols[1])
+        col = {v: i for i, v in enumerate(np.flatnonzero(mesh.boundary_mask))}
+        f2 = [sum((0.5 * (f[col[a]] + f[col[b]])) ** 2
+                  * np.linalg.norm(mesh.vertices[b] - mesh.vertices[a])
+                  for a, b in mesh.boundary_edges) for f in fdiff]
+        assert row["flux"] > 0.0
+        assert np.isclose(row["flux"], np.sqrt(np.trapezoid(f2, times)),
+                          rtol=1e-12, atol=0.0)

@@ -6,10 +6,11 @@ import scipy.sparse.linalg as spla
 
 from degenlab.domain import GeometrySpec, build_annulus_mesh, build_disk_mesh
 from degenlab.solver import (ManufacturedField, ParabolicProblem, SolverError,
-                             assemble_mass, assemble_stiffness, boundary_flux,
+                             _factor_spd, _weight_spec, assemble_mass,
+                             assemble_stiffness, boundary_flux,
                              boundary_mass_matrix, cell_weight_integrals,
-                             energy_report, manufactured_source, solve,
-                             step_operator)
+                             energy_report, load_vector, manufactured_source,
+                             solve, step_operator)
 from degenlab.weights import RegularizedWeight
 
 
@@ -257,3 +258,52 @@ class TestBoundaryFlux:
         flux = boundary_flux(sol)
         assert flux.shape == (7, int(np.sum(small_mesh.boundary_mask)))
         assert np.all(np.isfinite(flux))
+
+    @pytest.mark.parametrize("weight, direction, theta, sourced", [
+        (w, d, th, src)
+        for w in (1.0, RegularizedWeight(epsilon=0.125, alpha=1.0))
+        for d in ("forward", "backward") for th in (1.0, 0.5)
+        for src in (False, True)])
+    def test_matches_per_step_loop(self, coarse_mesh, weight, direction, theta,
+                                   sourced):
+        # the residual of all steps in one block and one multi-column solve
+        # give bitwise the flux of one residual and one solve per step
+        def source(x, t):
+            return np.cos(3.0 * t) * np.exp(-np.einsum("nd,nd->n", x, x) / 8.0)
+
+        rng = np.random.default_rng(5)
+        data = rng.normal(size=coarse_mesh.num_vertices)
+        data[coarse_mesh.boundary_mask] = 0.0
+        sol = solve(ParabolicProblem(weight=weight, T=0.5, data=data,
+                                     direction=direction,
+                                     source=source if sourced else None),
+                    coarse_mesh, 8, theta=theta)
+        assert np.array_equal(boundary_flux(sol), _flux_step_loop(sol))
+
+
+def _flux_step_loop(sol):
+    """Flux recovery with one residual and one boundary solve per step."""
+    mesh, prob, dt, th = sol.mesh, sol.problem, sol.dt, sol.theta
+    u = sol.forward_fields()
+    bidx = np.flatnonzero(mesh.boundary_mask)
+    B_lu = _factor_spd(boundary_mass_matrix(mesh)[bidx][:, bidx])
+    wb = _weight_spec(prob.weight).evaluate(mesh.vertices[bidx])
+    backward = prob.direction == "backward"
+
+    def load(n):
+        phys_t = prob.T - sol.times[n] if backward else sol.times[n]
+        return load_vector(mesh, prob.source, phys_t)
+
+    flux = np.zeros((len(sol.times), len(bidx)))
+    f_prev = load(0) if prob.source is not None else None
+    for n in range(1, len(sol.times)):
+        du = (u[n] - u[n - 1]) / dt
+        uth = th * u[n] + (1.0 - th) * u[n - 1]
+        r = sol.mass @ du + sol.stiffness @ uth
+        if f_prev is not None:
+            f_next = load(n)
+            r = r - (th * f_next + (1.0 - th) * f_prev)
+            f_prev = f_next
+        flux[n] = B_lu.solve(r[bidx]) / wb
+    flux[0] = flux[1]
+    return flux[::-1].copy() if backward else flux

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from degenlab.domain import GeometrySpec, build_disk_mesh
 from degenlab.spaces import (WeightedNormSpec, hardy_ratio,
                              inequality_ratio_table, poincare_ratios,
-                             sobolev_embedding_ratio, weighted_h1_seminorm,
-                             weighted_l2_norm)
+                             weighted_h1_seminorm, weighted_l2_norm)
 from degenlab.weights import RegularizedWeight
 
 
@@ -99,29 +98,22 @@ class TestHardyPoincare:
             u = rng.normal(size=unit_disk_mesh.num_vertices)
             u[boundary] = 0.0
             fields.append(u)
+        fields.append(np.zeros(unit_disk_mesh.num_vertices))
         fields = np.array(fields)
         tab = inequality_ratio_table(unit_disk_mesh, fields, 1.0, eps=0.1)
-        for i in range(5):
+        for i in range(6):
             h = hardy_ratio(unit_disk_mesh, fields[i], 1.0)
             p = poincare_ratios(unit_disk_mesh, fields[i], 1.0, eps=0.1)
             assert np.isclose(tab["hardy"][i], h, rtol=1e-12)
             for k, v in p.items():
                 assert np.isclose(tab[k][i], v, rtol=1e-12)
+        assert all(tab[k][5] == 0.0 for k in tab)
+        # one row with a boundary trace rejects the whole stack
+        fields[2, np.flatnonzero(boundary)[0]] = 1e-3
+        with pytest.raises(ValueError, match="boundary trace"):
+            inequality_ratio_table(unit_disk_mesh, fields, 1.0, eps=0.1)
 
     def test_batch_shape_validation(self, unit_disk_mesh):
         with pytest.raises(ValueError):
             inequality_ratio_table(unit_disk_mesh, np.ones(3), 1.0, eps=0.1)
 
-
-class TestEmbedding:
-    def test_supported_pair_runs(self, unit_disk_mesh):
-        u = _bump_field(unit_disk_mesh)
-        val = sobolev_embedding_ratio(unit_disk_mesh, u, 2.0, 2.0,
-                                      WeightedNormSpec(weight=1.0))
-        assert np.isfinite(val) and val > 0.0
-
-    def test_unsupported_pair_rejected(self, unit_disk_mesh):
-        u = _bump_field(unit_disk_mesh)
-        with pytest.raises(ValueError):
-            sobolev_embedding_ratio(unit_disk_mesh, u, 3.0, 4.0,
-                                    WeightedNormSpec())

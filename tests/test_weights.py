@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from degenlab.weights import (CubeFamily, CutoffFunction, RegularizedWeight,
                               ap_constant_estimate, build_cutoff, cutoff_kappa,
                               cutoff_rho, cutoff_zeta, exact_weight,
-                              exact_weight_gradient, identity_residuals)
+                              identity_residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -149,14 +149,6 @@ class TestExactWeight:
         x = np.array([[3.0, 4.0], [1.0, 0.0]])
         assert np.allclose(exact_weight(1.0, x), [5.0, 1.0])
         assert np.allclose(exact_weight(0.5, x), [np.sqrt(5.0), 1.0])
-
-    def test_origin_gradient_rejected_for_small_alpha(self):
-        with pytest.raises(ValueError):
-            exact_weight_gradient(0.5, np.zeros((1, 2)))
-
-    def test_gradient_alpha_one(self):
-        g = exact_weight_gradient(1.0, np.array([[3.0, 4.0]]))
-        assert np.allclose(g, [[0.6, 0.8]])
 
 
 # ---------------------------------------------------------------------------
