@@ -1,16 +1,19 @@
 """Computational geometry: graded disk/annulus triangulations and quadrature.
 
-Meshes are built from concentric rings of vertices joined by a two-pointer
-merge, so boundary vertices sit exactly on their circle and the radial grading
-near the degeneracy at the origin is explicit.  All integrals use a per-cell
-midpoint rule (exact for quadratic integrands), with optional dyadic cell
-subdivision near the origin where singular weights live.
+Meshes are built from concentric rings of vertices; the band between two
+rings is triangulated by a stable merge of their angles, with array
+operations only, so boundary vertices sit exactly on their circle and the
+radial grading near the degeneracy at the origin is explicit.  All integrals
+use a per-cell midpoint rule (exact for quadratic integrands), with optional
+dyadic cell subdivision near the origin where singular weights live.
+Everything that depends on the mesh alone (quadratures, operators, weighted
+quadrature weights, the mass matrix) is built once and cached on the Mesh.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -105,10 +108,8 @@ class Mesh:
         self.boundary_markers = np.asarray(boundary_markers, dtype=np.int64)
         self.h = float(h)
         self._finalize()
-        self._quad_cache: dict = {}
-        self._interp_cache: dict = {}
-        self._gradient_op = None
-        self._edge_op = None
+        # mesh-only data: quadratures, operators, weights, the mass matrix
+        self._cache: dict = {}
         # factored theta-scheme steps, filled by solver.step_operator
         self._step_cache: dict = {}
 
@@ -151,6 +152,16 @@ class Mesh:
     def cell_mask(self, region: Region) -> np.ndarray:
         return region.contains_radius(np.linalg.norm(self.centroids, axis=1))
 
+    def cached(self, key, build):
+        """``build()``, once per key for the life of the mesh.
+
+        Arrays in the value (alone, in a tuple, or a sparse matrix's buffers)
+        are made read-only, since every caller shares them.
+        """
+        if key not in self._cache:
+            self._cache[key] = _read_only(build())
+        return self._cache[key]
+
     def p1_gradient(self, u) -> np.ndarray:
         """Piecewise-constant gradient of a nodal field, one row per cell."""
         u = np.asarray(u, dtype=float)
@@ -163,13 +174,11 @@ class Mesh:
         cell c, with the entries in local-vertex order, so ``G @ u`` stacks
         the two columns of ``p1_gradient(u)``.
         """
-        if self._gradient_op is None:
-            nc = self.num_cells
-            self._gradient_op = sp.csr_matrix(
-                (self.grads.transpose(2, 0, 1).ravel(),
-                 np.tile(self.cells.ravel(), 2), np.arange(0, 6 * nc + 1, 3)),
-                shape=(2 * nc, self.num_vertices))
-        return self._gradient_op
+        nc = self.num_cells
+        return self.cached("gradient", lambda: sp.csr_matrix(
+            (self.grads.transpose(2, 0, 1).ravel(),
+             np.tile(self.cells.ravel(), 2), np.arange(0, 6 * nc + 1, 3)),
+            shape=(2 * nc, self.num_vertices)))
 
     def boundary_edge_average(self) -> tuple[sp.csr_matrix, np.ndarray]:
         """``(E, lengths)`` of the boundary edges, cached.
@@ -178,7 +187,7 @@ class Mesh:
         two ends of each edge; its columns are the boundary vertices in id
         order, so ``E @ f`` averages a boundary-vertex field onto the edges.
         """
-        if self._edge_op is None:
+        def build():
             e = self.boundary_edges
             ends = np.searchsorted(np.flatnonzero(self.boundary_mask), e)
             E = sp.csr_matrix(
@@ -187,8 +196,8 @@ class Mesh:
                 shape=(len(e), int(np.count_nonzero(self.boundary_mask))))
             lengths = np.linalg.norm(self.vertices[e[:, 1]]
                                      - self.vertices[e[:, 0]], axis=1)
-            self._edge_op = (E, lengths)
-        return self._edge_op
+            return E, lengths
+        return self.cached("edge_average", build)
 
     def boundary_edge_normals(self) -> np.ndarray:
         """Unit outward normals per boundary edge (radial on circles)."""
@@ -202,12 +211,9 @@ class Mesh:
     # -- quadrature ------------------------------------------------------------
 
     def quadrature(self, subdivide_radius: float = 0.0, levels: int = 2) -> SpaceQuadrature:
-        key = _quadrature_key(subdivide_radius, levels)
-        if key in self._quad_cache:
-            return self._quad_cache[key]
-        qp = self._build_quadrature(subdivide_radius, levels)
-        self._quad_cache[key] = qp
-        return qp
+        return self.cached(
+            ("quadrature", _quadrature_key(subdivide_radius, levels)),
+            lambda: self._build_quadrature(subdivide_radius, levels))
 
     def interpolation(self, subdivide_radius: float = 0.0,
                       levels: int = 2) -> sp.csr_matrix:
@@ -218,8 +224,7 @@ class Mesh:
         ``P.T @ w`` turns quadrature weights w into nodal weights.  Cached per
         quadrature key, like the quadrature itself.
         """
-        key = _quadrature_key(subdivide_radius, levels)
-        if key not in self._interp_cache:
+        def build():
             qp = self.quadrature(subdivide_radius, levels)
             nq = len(qp.weights)
             # copy: eliminate_zeros compacts in place, and without it the
@@ -228,8 +233,38 @@ class Mesh:
                 (qp.shape.ravel(), qp.nodes.ravel(), np.arange(0, 3 * nq + 1, 3)),
                 shape=(nq, self.num_vertices), copy=True)
             P.eliminate_zeros()   # edge midpoints carry one zero shape value
-            self._interp_cache[key] = P
-        return self._interp_cache[key]
+            return P
+        return self.cached(
+            ("interpolation", _quadrature_key(subdivide_radius, levels)), build)
+
+    def quadrature_weights(self, subdivide_radius: float = 0.0,
+                           region: Region | None = None,
+                           weight=None) -> tuple[np.ndarray, np.ndarray]:
+        """``(w, c)`` on ``quadrature(subdivide_radius)``, cached.
+
+        w holds the quadrature weights times ``weight`` at the points, zero
+        outside ``region``; c = P^T w are the nodal weights, so the integral of
+        a nodal field u is ``c @ u``.  ``weight`` is None or a value object (a
+        frozen dataclass called on point arrays, such as
+        :class:`~degenlab.weights.AbsPowerWeight`): the cache key holds it, so
+        equal parameters share one entry.
+        """
+        params = getattr(type(weight), "__dataclass_params__", None)
+        if weight is not None and not (params and params.frozen and params.eq):
+            raise TypeError(f"weight must be None or a frozen dataclass "
+                            f"called on point arrays, got {weight!r}")
+        key = _quadrature_key(subdivide_radius, 2)
+
+        def build():
+            qp = self.quadrature(subdivide_radius)
+            w = qp.weights
+            if weight is not None:
+                w = w * np.asarray(weight(qp.points), dtype=float)
+            if region is not None:
+                w = w * self.cell_mask(region)[qp.cell]
+            w = np.array(w)   # never the quadrature's own array
+            return w, self.interpolation(subdivide_radius).T @ w
+        return self.cached(("weights", key, region, weight), build)
 
     def _build_quadrature(self, subdivide_radius, levels):
         p = self.vertices[self.cells]
@@ -310,6 +345,19 @@ def _quadrature_key(subdivide_radius, levels):
     return (round(float(subdivide_radius), 12), int(levels))
 
 
+def _read_only(value):
+    """``value``, with the arrays it holds marked read-only."""
+    if isinstance(value, tuple):
+        for v in value:
+            _read_only(v)
+    elif sp.issparse(value):
+        for a in (value.data, value.indices, value.indptr):
+            a.flags.writeable = False
+    elif isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    return value
+
+
 def _refine_bary(bary):
     """Replace each barycentric point set by its image on the 4 subtriangles."""
     corners = np.array([
@@ -349,65 +397,76 @@ def _ring_points(radius, count, stagger):
 
 
 def _merge_rings(theta_a, theta_b, idx_a, idx_b):
-    """Triangulate the band between two vertex rings by angular two-pointer merge."""
+    """Triangulate the band between two vertex rings by an angular merge.
+
+    Walking round the band, each step advances ring a or ring b to its next
+    vertex, whichever comes first in angle (a on ties); the order of the
+    steps is the stable sort of both rings' next angles, a's listed first.
+    A step takes the current vertex of each ring and the next one of the
+    ring it advances.
+    """
     na, nb = len(theta_a), len(theta_b)
-    tri = []
-    i = j = 0
     two_pi = 2.0 * np.pi
-
-    def ang(th, k, n):
-        return th[k % n] + two_pi * (k // n)
-
-    while i < na or j < nb:
-        adv_a = ang(theta_a, i + 1, na) <= ang(theta_b, j + 1, nb)
-        if i >= na:
-            adv_a = False
-        if j >= nb:
-            adv_a = True
-        if adv_a:
-            tri.append((idx_a[i % na], idx_b[j % nb], idx_a[(i + 1) % na]))
-            i += 1
-        else:
-            tri.append((idx_a[i % na], idx_b[j % nb], idx_b[(j + 1) % nb]))
-            j += 1
-    return tri
+    nxt = np.concatenate([theta_a[1:], theta_a[:1] + two_pi,
+                          theta_b[1:], theta_b[:1] + two_pi])
+    step_a = np.argsort(nxt, kind="stable") < na
+    i = np.cumsum(step_a) - step_a           # a-steps before each step
+    j = np.arange(na + nb) - i               # b-steps before each step
+    third = np.where(step_a, idx_a[(i + 1) % na], idx_b[(j + 1) % nb])
+    return np.column_stack([idx_a[i % na], idx_b[j % nb], third])
 
 
-def _build_rings(radii, spacing_fn, index_start, include_center):
-    """Vertex rings plus triangles between consecutive rings."""
-    verts = []
-    cells = []
-    ring_idx = []
-    ring_theta = []
-    nxt = index_start
+def _build_rings(radii, spacing_fn, include_center):
+    """Vertices, the triangles between consecutive rings, and each ring's ids."""
     if include_center:
-        verts.append(np.zeros((1, 2)))
-        center = nxt
-        nxt += 1
         radii = radii[1:]  # drop the r = 0 entry
-    for k, r in enumerate(radii):
-        s = spacing_fn(r)
-        count = max(8, int(np.ceil(2.0 * np.pi * r / s)))
-        pts, theta = _ring_points(r, count, stagger=(k % 2 == 1))
-        verts.append(pts)
-        ring_idx.append(np.arange(nxt, nxt + count))
-        ring_theta.append(theta)
-        nxt += count
+    counts = [max(8, int(np.ceil(2.0 * np.pi * r / spacing_fn(r)))) for r in radii]
+    rings = [_ring_points(r, n, stagger=(k % 2 == 1))
+             for k, (r, n) in enumerate(zip(radii, counts))]
+    first = 1 if include_center else 0
+    ends = first + np.cumsum(counts)
+    ring_idx = [np.arange(e - n, e) for n, e in zip(counts, ends)]
+    cells = [_merge_rings(rings[k][1], rings[k + 1][1],
+                          ring_idx[k], ring_idx[k + 1])
+             for k in range(len(rings) - 1)]
+    verts = [pts for pts, _ in rings]
     if include_center:
-        first = ring_idx[0]
-        n0 = len(first)
-        for i in range(n0):
-            cells.append((center, first[i], first[(i + 1) % n0]))
-    for k in range(len(ring_idx) - 1):
-        cells.extend(_merge_rings(ring_theta[k], ring_theta[k + 1],
-                                  ring_idx[k], ring_idx[k + 1]))
-    return np.concatenate(verts), cells, ring_idx
+        ids = ring_idx[0]
+        cells.insert(0, np.column_stack([np.zeros_like(ids), ids,
+                                         np.roll(ids, -1)]))
+        verts.insert(0, np.zeros((1, 2)))
+    return np.concatenate(verts), np.concatenate(cells), ring_idx
 
 
-def _boundary_from_ring(ring, marker):
-    n = len(ring)
-    edges = [(ring[i], ring[(i + 1) % n]) for i in range(n)]
-    return edges, [marker] * n
+def _boundary_loop(ring):
+    """The edges (ring[i], ring[i + 1]) closing the ring into a loop."""
+    return np.column_stack([ring, np.roll(ring, -1)])
+
+
+# Measured peak memory of the heaviest per-mesh paths (the inequality table,
+# one observability level) is 2.9-3.7 KB per vertex at h = 1/8 and 1/16, so
+# the cap keeps one mesh's studies near 1.5 GB. It admits h = 1/32 on the
+# default disk (about 300k vertices).
+MAX_VERTICES = 400_000
+
+
+def disk_vertex_bound(spec: GeometrySpec, h: float,
+                      local_h: float | None = None) -> int:
+    """Upper bound on the vertex count of ``build_disk_mesh(spec, h, local_h)``.
+
+    Rings at spacing h/2 in B_{2R} and h outside hold about
+    pi (L^2 + 12 R^2) / h^2 vertices; rounding each ring up and squeezing the
+    last one onto r = L add O((L + 2R) / h), and the graded core round a
+    finer ``local_h`` adds about 11 vertices per ring on rings growing by a
+    factor 1.6.  Closed form: no mesh is built.
+    """
+    R, L = spec.R, spec.L
+    lh = h / 2.0 if local_h is None else min(local_h, h / 2.0)
+    if not lh > 0.0:
+        raise ValueError(f"local_h must be positive, got {local_h}")
+    core = 3.0 + np.log(h / (2.0 * lh)) / np.log(1.6)
+    return int(np.ceil(np.pi * (L * L + 12.0 * R * R) / (h * h)
+                       + 8.0 * np.pi * (L + 2.0 * R) / h + 11.0 * core))
 
 
 def build_disk_mesh(spec: GeometrySpec, h: float, local_h: float | None = None) -> Mesh:
@@ -421,6 +480,10 @@ def build_disk_mesh(spec: GeometrySpec, h: float, local_h: float | None = None) 
         raise ValueError(
             f"h={h} too coarse: need h < R = {spec.R} so the 3R-wide "
             "observation annulus is crossed by at least 3 element layers")
+    bound = disk_vertex_bound(spec, h, local_h)
+    if bound > MAX_VERTICES:
+        raise ValueError(f"h={h} too fine: up to {bound} vertices, above the "
+                         f"cap of {MAX_VERTICES}")
     R = spec.R
     fine = h / 2.0
     lh = fine if local_h is None else min(local_h, fine)
@@ -430,9 +493,9 @@ def build_disk_mesh(spec: GeometrySpec, h: float, local_h: float | None = None) 
         return min(base, max(lh, 0.6 * r))
 
     radii = _ring_radii(0.0, spec.L, spacing, s_first=lh)
-    verts, cells, rings = _build_rings(radii, spacing, 0, include_center=True)
-    edges, marks = _boundary_from_ring(rings[-1], Mesh.OUTER)
-    return Mesh(verts, np.array(cells), np.array(edges), np.array(marks), h)
+    verts, cells, rings = _build_rings(radii, spacing, include_center=True)
+    return Mesh(verts, cells, _boundary_loop(rings[-1]),
+                np.full(len(rings[-1]), Mesh.OUTER), h)
 
 
 def build_annulus_mesh(r_in: float, r_out: float, h: float) -> Mesh:
@@ -443,11 +506,12 @@ def build_annulus_mesh(r_in: float, r_out: float, h: float) -> Mesh:
         raise ValueError("h too coarse: fewer than 3 element layers across the annulus")
 
     radii = _ring_radii(r_in, r_out, lambda r: h)
-    verts, cells, rings = _build_rings(radii, lambda r: h, 0, include_center=False)
-    e_in, m_in = _boundary_from_ring(rings[0], Mesh.INNER)
-    e_out, m_out = _boundary_from_ring(rings[-1], Mesh.OUTER)
-    return Mesh(verts, np.array(cells), np.array(e_in + e_out),
-                np.array(m_in + m_out), h)
+    verts, cells, rings = _build_rings(radii, lambda r: h, include_center=False)
+    return Mesh(verts, cells,
+                np.concatenate([_boundary_loop(rings[0]),
+                                _boundary_loop(rings[-1])]),
+                np.repeat([Mesh.INNER, Mesh.OUTER], [len(rings[0]), len(rings[-1])]),
+                h)
 
 
 # ---------------------------------------------------------------------------
@@ -459,23 +523,13 @@ def integrate_space(mesh: Mesh, integrand, region: Region | None = None,
     """Integral of integrand * weight over the region.
 
     ``integrand`` is either a nodal array (P1-interpolated) or a callable on
-    point arrays; same for ``weight``.  Cells whose vertices come within
+    point arrays; ``weight`` is None or a value object, as in
+    :meth:`Mesh.quadrature_weights`.  Cells whose vertices come within
     ``subdivide_radius`` of the origin are integrated on a 2-level dyadic
     refinement of the midpoint rule.
     """
-    qp = mesh.quadrature(subdivide_radius)
-    return float(np.dot(_point_weights(mesh, qp, region, weight),
-                        qp.values(integrand)))
-
-
-def _point_weights(mesh: Mesh, qp: SpaceQuadrature, region, weight) -> np.ndarray:
-    """Quadrature weights times the spatial weight, zero outside the region."""
-    w = qp.weights
-    if weight is not None:
-        w = w * np.asarray(weight(qp.points), dtype=float)
-    if region is not None:
-        w = w * mesh.cell_mask(region)[qp.cell]
-    return w
+    w, _ = mesh.quadrature_weights(subdivide_radius, region, weight)
+    return float(np.dot(w, mesh.quadrature(subdivide_radius).values(integrand)))
 
 
 def snap_window(times: np.ndarray, window) -> tuple[int, int]:
@@ -495,14 +549,12 @@ def integrate_spacetime(mesh: Mesh, times, fields, region: Region | None = None,
     """Trapezoid-in-time composite of per-slice space integrals.
 
     ``fields`` are nodal, with shape (len(times), n_vertices).  The space
-    integral is linear in the nodal field, so the point weights are folded
-    once into nodal weights c = P^T w and every slice in the window
-    integrates as ``fields @ c``.
+    integral is linear in the nodal field, so every slice in the window
+    integrates as ``fields @ c`` with the mesh's cached nodal weights c of
+    :meth:`Mesh.quadrature_weights`.
     """
     times = np.asarray(times, dtype=float)
     i0, i1 = (0, len(times) - 1) if window is None else snap_window(times, window)
-    qp = mesh.quadrature(subdivide_radius)
-    c = mesh.interpolation(subdivide_radius).T @ _point_weights(
-        mesh, qp, region, weight)
+    _, c = mesh.quadrature_weights(subdivide_radius, region, weight)
     slices = np.asarray(fields, dtype=float)[i0:i1 + 1] @ c
     return float(np.trapezoid(slices, times[i0:i1 + 1]))

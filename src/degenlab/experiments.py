@@ -18,11 +18,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import carleman as cl
-from .domain import (GeometrySpec, Mesh, Region, build_disk_mesh,
-                     integrate_space, integrate_spacetime)
+from .domain import (MAX_VERTICES, GeometrySpec, Mesh, Region,
+                     build_disk_mesh, disk_vertex_bound, integrate_space,
+                     integrate_spacetime)
 from .solver import (DiscreteSolution, ParabolicProblem, boundary_flux,
                      cell_weight_integrals, solve)
-from .weights import RegularizedWeight
+from .weights import AbsPowerWeight, RegularizedWeight
 
 
 # ---------------------------------------------------------------------------
@@ -86,9 +87,10 @@ class ExperimentConfig:
             raise ValueError("k_levels must not be empty")
         if list(self.k_levels) != sorted(set(self.k_levels)):
             raise ValueError("k_levels must be strictly increasing")
-        if any(not k >= 1 for k in self.k_levels):
-            raise ValueError(f"k_levels must be >= 1 (eps = 1/k), got "
-                             f"{list(self.k_levels)}")
+        if any(not isinstance(k, (int, np.integer)) or isinstance(k, bool)
+               or k < 1 for k in self.k_levels):
+            raise ValueError(f"k_levels must be integers >= 1 (eps = 1/k), "
+                             f"got {list(self.k_levels)}")
         hs = list(self.mesh_levels)
         if not hs:
             raise ValueError("mesh_levels must not be empty")
@@ -97,6 +99,13 @@ class ExperimentConfig:
         if any(not 0.0 < h < self.R for h in hs):
             raise ValueError(f"mesh_levels must lie in (0, R) = (0, {self.R}), "
                              f"got {hs}")
+        # the finest mesh any study builds, with the finest graded core
+        local_h = min(hs[-1] / 2.0, 0.25 / self.k_levels[-1],
+                      self.carleman_epsilon / 4.0)
+        bound = disk_vertex_bound(self.geometry, hs[-1], local_h)
+        if bound > MAX_VERTICES:
+            raise ValueError(f"mesh_levels: h={hs[-1]} builds up to {bound} "
+                             f"vertices, above the cap of {MAX_VERTICES}")
         if not self.sampler_families:
             raise ValueError("sampler_families must not be empty")
         for fam in self.sampler_families:
@@ -359,31 +368,22 @@ def run_approximation_study(config: ExperimentConfig) -> StudyReport:
 # observability study
 # ---------------------------------------------------------------------------
 
-def _abs_power_weight(p: float):
-    def w(points):
-        r2 = np.einsum("nd,nd->n", np.asarray(points, dtype=float),
-                       np.asarray(points, dtype=float))
-        return np.power(r2, 0.5 * p)
-    return w
-
-
 def _observability_record(sol: DiscreteSolution, cfg: ExperimentConfig) -> dict:
     mesh, times = sol.mesh, sol.times
     T, al, R = cfg.T, cfg.alpha, cfg.R
     window = (T / 4.0, 3.0 * T / 4.0)
     u2 = sol.fields ** 2
-    lhs = integrate_spacetime(mesh, times, fields=u2,
-                              weight=_abs_power_weight(2.0 - al), window=window)
+    weight = AbsPowerWeight(2.0 - al)
+    lhs = integrate_spacetime(mesh, times, fields=u2, weight=weight,
+                              window=window)
     rhs = integrate_spacetime(mesh, times, fields=u2,
                               region=Region.annulus(3.0 * R, 6.0 * R))
     lhs_b4r = integrate_spacetime(mesh, times, fields=u2,
                                   region=Region.ball(4.0 * R),
-                                  weight=_abs_power_weight(2.0 - al),
-                                  window=window)
+                                  weight=weight, window=window)
     lhs_out5r = integrate_spacetime(mesh, times, fields=u2,
                                     region=Region.complement(5.0 * R),
-                                    weight=_abs_power_weight(2.0 - al),
-                                    window=window)
+                                    weight=weight, window=window)
 
     # (5.2) chain in the discrete mass-matrix norms where it holds exactly
     l2sq = sol.l2_norms ** 2

@@ -50,16 +50,22 @@ def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
 
 
 def cell_weight_integrals(mesh: Mesh, weight) -> np.ndarray:
-    """Per-cell quadrature of the spatial weight (1 for unweighted)."""
+    """Per-cell quadrature of the spatial weight (1 for unweighted).
+
+    Cached on the mesh per weight spec and read-only.
+    """
     spec = _weight_spec(weight)
-    qp = mesh.quadrature(spec.subdivide_radius)
-    wq = spec.evaluate(qp.points)
-    if np.any(wq < 0.0) or not np.all(np.isfinite(wq)):
-        raise ValueError("weight must be nonnegative and finite at every "
-                         "quadrature point")
-    out = np.zeros(mesh.num_cells)
-    np.add.at(out, qp.cell, qp.weights * wq)
-    return out
+
+    def build():
+        qp = mesh.quadrature(spec.subdivide_radius)
+        wq = spec.evaluate(qp.points)
+        if np.any(wq < 0.0) or not np.all(np.isfinite(wq)):
+            raise ValueError("weight must be nonnegative and finite at every "
+                             "quadrature point")
+        out = np.zeros(mesh.num_cells)
+        np.add.at(out, qp.cell, qp.weights * wq)
+        return out
+    return mesh.cached(("cell_weights", spec), build)
 
 
 def assemble_stiffness(mesh: Mesh, weight) -> sp.csr_matrix:
@@ -165,12 +171,13 @@ def step_operator(mesh: Mesh, weight, dt: float, theta: float) -> StepOperator:
 
     It is cached on the mesh, so it is built once for every solve that shares
     these values and is freed with the mesh.  Its matrices are shared by every
-    solution built from it and must not be modified.
+    solution built from it, and the mass matrix by every step operator of the
+    mesh; they are read-only.
     """
     key = (_weight_spec(weight), float(dt), float(theta))
     op = mesh._step_cache.get(key)
     if op is None:
-        mass = assemble_mass(mesh)
+        mass = mesh.cached("mass", lambda: assemble_mass(mesh))
         stiff = assemble_stiffness(mesh, weight)
         inter = mesh.interior
         Mi = mass[inter][:, inter]
@@ -357,7 +364,8 @@ def boundary_flux(sol: DiscreteSolution) -> np.ndarray:
     u = sol.forward_fields()
     dt = sol.dt
     bidx = np.flatnonzero(mesh.boundary_mask)
-    B_lu = _factor_spd(boundary_mass_matrix(mesh)[bidx][:, bidx])
+    B_lu = mesh.cached("boundary_mass_lu", lambda: _factor_spd(
+        boundary_mass_matrix(mesh)[bidx][:, bidx]))
     spec = _weight_spec(prob.weight)
     wb = spec.evaluate(mesh.vertices[bidx])
     if np.any(wb <= 0.0):

@@ -118,6 +118,21 @@ class RegularizedWeight:
         return scale[..., None] * x
 
 
+@dataclass(frozen=True)
+class AbsPowerWeight:
+    """The weight |x|^p on point arrays, as a value: equal p, equal weights.
+
+    Being a value, it can key the mesh's cached quadrature weights
+    (:meth:`degenlab.domain.Mesh.quadrature_weights`).
+    """
+
+    p: float
+
+    def __call__(self, points) -> np.ndarray:
+        x = np.asarray(points, dtype=float)
+        return np.power(np.einsum("nd,nd->n", x, x), 0.5 * self.p)
+
+
 def exact_weight(alpha: float, x) -> np.ndarray:
     """The unregularized weight |x|^alpha."""
     x = np.asarray(x, dtype=float)

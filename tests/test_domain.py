@@ -5,9 +5,12 @@ import itertools
 import numpy as np
 import pytest
 
-from degenlab.domain import (GeometrySpec, Mesh, Region, build_annulus_mesh,
-                             build_disk_mesh, integrate_space,
+from degenlab import domain
+from degenlab.domain import (MAX_VERTICES, GeometrySpec, Mesh, Region,
+                             build_annulus_mesh, build_disk_mesh,
+                             disk_vertex_bound, integrate_space,
                              integrate_spacetime, snap_window)
+from degenlab.weights import AbsPowerWeight
 
 
 class TestGeometry:
@@ -76,6 +79,148 @@ class TestDiskMesh:
         assert min(orders) >= 1.8
 
 
+# Reference ring mesher: the loop-based two-pointer merge, centre fan and
+# boundary loops that the array-built meshes must reproduce bit for bit.
+
+def _two_pointer_merge(theta_a, theta_b, idx_a, idx_b):
+    na, nb = len(theta_a), len(theta_b)
+    tri = []
+    i = j = 0
+    two_pi = 2.0 * np.pi
+
+    def ang(th, k, n):
+        return th[k % n] + two_pi * (k // n)
+
+    while i < na or j < nb:
+        adv_a = ang(theta_a, i + 1, na) <= ang(theta_b, j + 1, nb)
+        if i >= na:
+            adv_a = False
+        if j >= nb:
+            adv_a = True
+        if adv_a:
+            tri.append((idx_a[i % na], idx_b[j % nb], idx_a[(i + 1) % na]))
+            i += 1
+        else:
+            tri.append((idx_a[i % na], idx_b[j % nb], idx_b[(j + 1) % nb]))
+            j += 1
+    return tri
+
+
+def _reference_rings(radii, spacing_fn, include_center):
+    verts, cells, ring_idx, ring_theta = [], [], [], []
+    nxt = 0
+    if include_center:
+        verts.append(np.zeros((1, 2)))
+        center = nxt
+        nxt += 1
+        radii = radii[1:]
+    for k, r in enumerate(radii):
+        count = max(8, int(np.ceil(2.0 * np.pi * r / spacing_fn(r))))
+        pts, theta = domain._ring_points(r, count, stagger=(k % 2 == 1))
+        verts.append(pts)
+        ring_idx.append(np.arange(nxt, nxt + count))
+        ring_theta.append(theta)
+        nxt += count
+    if include_center:
+        first = ring_idx[0]
+        for i in range(len(first)):
+            cells.append((center, first[i], first[(i + 1) % len(first)]))
+    for k in range(len(ring_idx) - 1):
+        cells.extend(_two_pointer_merge(ring_theta[k], ring_theta[k + 1],
+                                        ring_idx[k], ring_idx[k + 1]))
+    return np.concatenate(verts), cells, ring_idx
+
+
+def _reference_loop(ring, marker):
+    n = len(ring)
+    return [(ring[i], ring[(i + 1) % n]) for i in range(n)], [marker] * n
+
+
+def _reference_disk(spec, h, local_h=None):
+    fine = h / 2.0
+    lh = fine if local_h is None else min(local_h, fine)
+
+    def spacing(r):
+        return min(fine if r < 2.0 * spec.R else h, max(lh, 0.6 * r))
+
+    radii = domain._ring_radii(0.0, spec.L, spacing, s_first=lh)
+    verts, cells, rings = _reference_rings(radii, spacing, True)
+    edges, marks = _reference_loop(rings[-1], Mesh.OUTER)
+    return Mesh(verts, np.array(cells), np.array(edges), np.array(marks), h)
+
+
+def _reference_annulus(r_in, r_out, h):
+    radii = domain._ring_radii(r_in, r_out, lambda r: h)
+    verts, cells, rings = _reference_rings(radii, lambda r: h, False)
+    e_in, m_in = _reference_loop(rings[0], Mesh.INNER)
+    e_out, m_out = _reference_loop(rings[-1], Mesh.OUTER)
+    return Mesh(verts, np.array(cells), np.array(e_in + e_out),
+                np.array(m_in + m_out), h)
+
+
+def _assert_same_mesh(got, ref):
+    for name in ("vertices", "cells", "boundary_edges", "boundary_markers"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+
+
+class TestArrayBuiltRings:
+    def test_merge_matches_two_pointer(self):
+        # equal stagger and a common factor give exactly tied angles
+        for na, nb, sa, sb in itertools.product((8, 9, 12, 16, 24, 40),
+                                                (8, 9, 12, 16, 24, 40),
+                                                (False, True), (False, True)):
+            _, ta = domain._ring_points(1.0, na, sa)
+            _, tb = domain._ring_points(2.0, nb, sb)
+            ia, ib = np.arange(na), np.arange(na, na + nb)
+            got = domain._merge_rings(ta, tb, ia, ib)
+            ref = np.array(_two_pointer_merge(ta, tb, ia, ib))
+            assert np.array_equal(got, ref), (na, nb, sa, sb)
+
+    @pytest.mark.parametrize("h", [0.6, 0.24, 0.18, 1.0 / 16.0])
+    def test_disk_bitwise(self, geometry, h):
+        _assert_same_mesh(build_disk_mesh(geometry, h),
+                          _reference_disk(geometry, h))
+
+    @pytest.mark.parametrize("k", [8, 16, 32, 64, 128])
+    def test_graded_disk_bitwise(self, geometry, k):
+        local_h = 1.0 / (4.0 * k)
+        _assert_same_mesh(build_disk_mesh(geometry, 0.18, local_h=local_h),
+                          _reference_disk(geometry, 0.18, local_h))
+
+    @pytest.mark.parametrize("r_in, r_out, h", [(4.0, 9.0, 0.4),
+                                                (1.0, 2.0, 0.1)])
+    def test_annulus_bitwise(self, r_in, r_out, h):
+        _assert_same_mesh(build_annulus_mesh(r_in, r_out, h),
+                          _reference_annulus(r_in, r_out, h))
+
+
+class TestVertexBound:
+    @pytest.mark.parametrize("spec", [GeometrySpec(), GeometrySpec(R=0.12, L=1.0)])
+    def test_bounds_built_meshes(self, spec):
+        for h, local_h in itertools.product((0.9, 0.6, 0.3, 0.18, 0.12),
+                                            (None, 1.0 / 512.0, 1e-6)):
+            h *= spec.R
+            n = build_disk_mesh(spec, h, local_h=local_h).num_vertices
+            bound = disk_vertex_bound(spec, h, local_h)
+            assert n <= bound
+            if h <= 0.18 * spec.R:
+                assert bound <= 1.2 * n
+
+    def test_cap_admits_h_1_32(self, geometry):
+        assert disk_vertex_bound(geometry, 1.0 / 32.0) <= MAX_VERTICES
+
+    def test_cap_rejects_before_building(self, geometry, monkeypatch):
+        def ring_radii(*args, **kwargs):
+            raise AssertionError("a mesh was built")
+
+        monkeypatch.setattr(domain, "_ring_radii", ring_radii)
+        with pytest.raises(ValueError, match="cap"):
+            build_disk_mesh(geometry, 1e-4)
+        assert disk_vertex_bound(geometry, 1e-4) > 1000 * MAX_VERTICES
+
+
 class TestAnnulusMesh:
     def test_area_and_markers(self):
         mesh = build_annulus_mesh(4.0, 9.0, 0.4)
@@ -102,7 +247,7 @@ class TestQuadrature:
         # int_{B_1} |x|^1 * |x|^2 dx = 2 pi / 5 (radial moment oracle)
         mesh = build_disk_mesh(GeometrySpec(R=0.12, L=1.0), 1.0 / 32.0)
         val = integrate_space(mesh, lambda p: np.einsum("nd,nd->n", p, p),
-                              weight=lambda p: np.linalg.norm(p, axis=1),
+                              weight=AbsPowerWeight(1.0),
                               subdivide_radius=0.125)
         assert abs(val - 2.0 * np.pi / 5.0) < 0.01 * 2.0 * np.pi / 5.0
 
@@ -142,6 +287,56 @@ class TestInterpolation:
         assert Q is not P
         assert coarse_mesh.interpolation(1.2 + 1e-14, 3) is Q
         assert coarse_mesh.interpolation(1.2) is not Q
+
+
+class TestQuadratureWeights:
+    def test_cached_equal_fresh(self, coarse_mesh):
+        region, weight = Region.ball(4.0), AbsPowerWeight(1.0)
+        w, c = coarse_mesh.quadrature_weights(1.2, region, weight)
+        qp = coarse_mesh.quadrature(1.2)
+        fresh = (qp.weights * np.power(np.einsum("nd,nd->n", qp.points,
+                                                 qp.points), 0.5)
+                 * coarse_mesh.cell_mask(region)[qp.cell])
+        assert np.array_equal(w, fresh)
+        assert np.array_equal(c, coarse_mesh.interpolation(1.2).T @ fresh)
+
+    def test_equal_values_share_one_entry(self, geometry):
+        mesh = build_disk_mesh(geometry, 0.6)
+        times = np.linspace(0.0, 1.0, 5)
+        fields = np.ones((5, mesh.num_vertices))
+
+        def entries():
+            return sum(1 for key in mesh._cache if key[0] == "weights")
+
+        first = mesh.quadrature_weights(0.0, Region.ball(4.0), AbsPowerWeight(1.0))
+        for _ in range(3):
+            integrate_spacetime(mesh, times, fields=fields, region=Region.ball(4.0),
+                                weight=AbsPowerWeight(1.0))
+            integrate_space(mesh, fields[0], Region.ball(4.0), AbsPowerWeight(1))
+        assert entries() == 1
+        assert mesh.quadrature_weights(0.0, Region.ball(4.0),
+                                       AbsPowerWeight(1.0)) is first
+        integrate_spacetime(mesh, times, fields=fields, region=Region.ball(5.0),
+                            weight=AbsPowerWeight(1.0))
+        assert entries() == 2
+        integrate_spacetime(mesh, times, fields=fields, region=Region.ball(4.0),
+                            weight=AbsPowerWeight(2.0))
+        assert entries() == 3
+
+    def test_closure_weight_rejected(self, coarse_mesh):
+        before = len(coarse_mesh._cache)
+        with pytest.raises(TypeError, match="frozen dataclass"):
+            integrate_space(coarse_mesh, np.ones(coarse_mesh.num_vertices),
+                            weight=lambda p: np.linalg.norm(p, axis=1))
+        assert len(coarse_mesh._cache) == before
+
+    def test_cached_arrays_read_only(self, coarse_mesh):
+        w, c = coarse_mesh.quadrature_weights(0.0, None, AbsPowerWeight(1.0))
+        E, lengths = coarse_mesh.boundary_edge_average()
+        for arr in (w, c, lengths, E.data, coarse_mesh.gradient_operator().data):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
 
 
 class TestGradients:
@@ -221,7 +416,7 @@ class TestTimeIntegration:
         rng = np.random.default_rng(1)
         fields = rng.standard_normal((9, coarse_mesh.num_vertices)) ** 2
         for weight, window in itertools.product(
-                [None, lambda p: np.linalg.norm(p, axis=1)],
+                [None, AbsPowerWeight(1.0)],
                 [None, (0.25, 0.75)]):
             i0, i1 = (0, 8) if window is None else snap_window(times, window)
             ref = float(np.trapezoid(

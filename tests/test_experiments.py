@@ -50,13 +50,22 @@ class TestConfig:
         {"mesh_levels": (1.0,)}, {"mesh_levels": (0.5, 0.0)},
         {"k_levels": (0, 8)}, {"k_levels": (-4, 8)}, {"k_levels": (0.5, 8)},
         {"L": float("inf")}, {"T": float("nan")}, {"dt_factor": float("inf")},
-        {"k_levels": (8, float("inf"))}, {"carleman_s": (4.0, float("inf"))}])
+        {"k_levels": (8, float("inf"))}, {"carleman_s": (4.0, float("inf"))},
+        {"k_levels": (8.5, 16)}, {"k_levels": (8.0, 16)}, {"k_levels": (True, 16)},
+        {"mesh_levels": (1e-4,)}, {"mesh_levels": (0.24, 1.0 / 40.0)}])
     def test_degenerate_values_rejected(self, values):
         # each of these would otherwise fail inside a study: a traceback from
-        # the mesh builder, a division by zero, or a ring loop that never ends
+        # the mesh builder, a division by zero, a ring loop that never ends,
+        # a row reporting int(k) for a fractional k, or a mesh too large for
+        # memory (judged from a closed-form vertex bound, nothing is built)
         key = next(iter(values))
         with pytest.raises(ValueError, match=key):
             ExperimentConfig(**values)
+
+    def test_vertex_cap_admits_h_1_32(self):
+        cfg = ExperimentConfig(mesh_levels=(0.24, 1.0 / 32.0),
+                               k_levels=(8, 16, 32, 64, 128))
+        assert cfg.mesh_levels[-1] == 1.0 / 32.0
 
     def test_steps_floor_and_granularity(self):
         cfg = ExperimentConfig()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
+from degenlab import solver
 from degenlab.domain import GeometrySpec, build_annulus_mesh, build_disk_mesh
 from degenlab.solver import (ManufacturedField, ParabolicProblem, SolverError,
                              _factor_spd, _weight_spec, assemble_mass,
@@ -11,6 +12,7 @@ from degenlab.solver import (ManufacturedField, ParabolicProblem, SolverError,
                              boundary_mass_matrix, cell_weight_integrals,
                              energy_report, load_vector, manufactured_source,
                              solve, step_operator)
+from degenlab.spaces import WeightedNormSpec
 from degenlab.weights import RegularizedWeight
 
 
@@ -73,7 +75,36 @@ class TestAssembly:
         e = small_mesh.boundary_edges
         exact = float(np.sum(np.linalg.norm(
             small_mesh.vertices[e[:, 1]] - small_mesh.vertices[e[:, 0]], axis=1)))
-        assert np.isclose(perimeter, exact)
+        # 1^T B 1 sums the edge lengths in another order: equal to round-off
+        assert abs(perimeter - exact) <= 1e-14 * exact
+
+    def test_cell_weight_integrals_cached_per_spec(self, monkeypatch):
+        mesh = build_disk_mesh(GeometrySpec(R=0.12, L=1.0), 0.1)
+        calls = []
+        evaluate = WeightedNormSpec.evaluate
+        monkeypatch.setattr(WeightedNormSpec, "evaluate",
+                            lambda self, x: calls.append(self) or evaluate(self, x))
+        reg = RegularizedWeight(epsilon=0.05, alpha=1.0)
+        first = cell_weight_integrals(mesh, reg)
+        assert not first.flags.writeable
+        # an equal weight and both steps' stiffness read the one computation
+        assert cell_weight_integrals(
+            mesh, RegularizedWeight(epsilon=0.05, alpha=1.0)) is first
+        step_operator(mesh, reg, 0.1, 1.0)
+        step_operator(mesh, reg, 0.05, 1.0)
+        assert len(calls) == 1
+        assert cell_weight_integrals(mesh, 1.0) is not first
+        assert len(calls) == 2
+
+    def test_mass_assembled_once_per_mesh(self, monkeypatch):
+        mesh = build_disk_mesh(GeometrySpec(R=0.12, L=1.0), 0.1)
+        calls = []
+        monkeypatch.setattr(solver, "assemble_mass",
+                            lambda m: calls.append(m) or assemble_mass(m))
+        ops = [step_operator(mesh, w, 0.1, 1.0)
+               for w in (1.0, RegularizedWeight(epsilon=0.05, alpha=1.0))]
+        assert len(calls) == 1 and ops[0].mass is ops[1].mass
+        assert not ops[0].mass.data.flags.writeable
 
 
 class TestTimeStepping:
