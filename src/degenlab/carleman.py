@@ -1,22 +1,25 @@
 """Carleman weight functions and numerical instantiation of the estimates.
 
-Houses the time factor Theta(t) = [t(T-t)]^-4, the negative spatial profiles
-eta/xi (regularized and exact-weight variants), the positive annular weight
-eta_bar with its exponential lifts xi_bar/sigma_bar, and evaluators that
-integrate both sides of each weighted inequality for a discrete solution.
+Houses the time factor Theta(t) = [t(T-t)]^-4, the positive annular weight
+eta_bar, and one evaluator that integrates both sides of each weighted
+inequality for a discrete solution.
 
-A BalanceContext caches the parameter-free factors of each balance term on
-its support, so a parameter point costs one exp per support region and one
-multiply-reduce per term.  The exponential factors span thousands of orders
-of magnitude, so every balance subtracts a single exponent shift before
-exponentiating; the shift multiplies both sides identically and leaves the
-implied constant unchanged, while raw inf/sup certificates are reported in
-log scale.
+Each of the seven variants is data: an exponent profile e (none, 2 s
+eta_0(|x|), 2 s eta_0(psi_eps) or -2 s sigma_bar / Theta) and a list of
+terms, each naming its side, coefficient, field, region, cutoff, column
+factor, time factor and window.  A BalanceContext caches the
+parameter-free factors of each term on its support, so a parameter point
+costs one exp per support region and one multiply-reduce per term.  The
+exponential factors span thousands of orders of magnitude, so every balance
+subtracts a single exponent shift, the max of Theta_t e_q over the union of
+its terms' supports, before exponentiating; the shift multiplies both sides
+identically and leaves the implied constant unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,20 +84,6 @@ def theta_bound_check(T: float, n: int = 4001) -> dict:
     }
 
 
-def eta_xi(x, t, params: CarlemanParams,
-           weight: RegularizedWeight | None = None) -> dict:
-    """Spatial profile eta = gamma(-2 m^(2-a) + psi^(2-a)) and xi = Theta eta.
-
-    ``weight`` selects the regularized psi; None uses psi = |x| (the exact
-    variant entering xi_0).
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    r = np.linalg.norm(x, axis=1)
-    psi = weight.psi(r) if weight is not None else r
-    eta = _eta0(params, psi ** (2.0 - params.alpha))
-    return {"eta": eta, "xi": theta(t, params.T) * eta}
-
-
 @dataclass(frozen=True)
 class EtaBar:
     """Radial weight (r - 4R)(L - r)^q on the annulus, normalized to max 1.
@@ -137,96 +126,15 @@ class EtaBar:
         return ((self.L - r) ** (q - 1)
                 * ((self.L - r) - q * (r - 4.0 * self.R)) / self._norm)
 
-    def value(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        return self.value_radial(np.linalg.norm(x, axis=1))
-
-    def gradient(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        r = np.linalg.norm(x, axis=1)
-        safe = np.maximum(r, 1e-300)
-        return (self.d1_radial(r) / safe)[:, None] * x
-
-    @property
-    def sup(self) -> float:
-        return 1.0
-
 
 def fursikov_eta_bar(R: float, L: float, exponent: int = 8) -> EtaBar:
     """Construct the annular weight with the critical-radius placement check."""
     return EtaBar(R=R, L=L, exponent=exponent)
 
 
-def xi_sigma_bar(x, t, params: CarlemanParams, eta_bar: EtaBar) -> dict:
-    """xi_bar = Theta e^(lambda(8|eta|_inf + eta)), sigma_bar = Theta e^(10 lambda |eta|_inf) - xi_bar."""
-    th = theta(t, params.T)
-    e = eta_bar.value(x)
-    xi_b = th * np.exp(params.lam * (8.0 * eta_bar.sup + e))
-    sig = th * np.exp(10.0 * params.lam * eta_bar.sup) - xi_b
-    return {"xi_bar": xi_b, "sigma_bar": sig}
-
-
-@dataclass(frozen=True)
-class CarlemanWeightSet:
-    """Bundle of every weight evaluator for a fixed parameter point."""
-
-    params: CarlemanParams
-    weight: RegularizedWeight | None = None
-    eta_bar: EtaBar | None = None
-
-    def theta(self, t):
-        return theta(t, self.params.T)
-
-    def eta(self, x):
-        return eta_xi(x, 0.5 * self.params.T, self.params, self.weight)["eta"]
-
-    def xi(self, x, t):
-        return eta_xi(x, t, self.params, self.weight)["xi"]
-
-    def xi_bar(self, x, t):
-        return xi_sigma_bar(x, t, self.params, self.eta_bar)["xi_bar"]
-
-    def sigma_bar(self, x, t):
-        return xi_sigma_bar(x, t, self.params, self.eta_bar)["sigma_bar"]
-
-
-def weight_window_bounds(params: CarlemanParams, L: float,
-                         n_space: int = 400, n_time: int = 800) -> dict:
-    """Log-scale inf/sup certificates for Theta^3 e^(2 s xi_0).
-
-    The raw values underflow for any realistic parameters, so the inf over
-    Omega x (T/4, 3T/4) and the sup over Q are certified through
-    log(Theta^3 e^(2 s xi_0)) = 3 log Theta + 2 s xi_0, using monotonicity of
-    Theta on each half-interval (the window extrema sit on the window edge or
-    at T/2).
-    """
-    T = params.T
-    r = np.linspace(0.0, L, n_space)
-    eta = _eta0(params, r ** (2.0 - params.alpha))
-    t = np.linspace(T / n_time, T * (1.0 - 1.0 / n_time), n_time)
-    th = theta(t, T)
-    logv = 3.0 * np.log(th)[None, :] + 2.0 * params.s * eta[:, None] * th[None, :]
-    in_window = (t >= T / 4.0) & (t <= 3.0 * T / 4.0)
-    return {
-        "log_inf_window": float(np.min(logv[:, in_window])),
-        "log_sup_Q": float(np.max(logv)),
-        "inf_window_positive": bool(np.isfinite(np.min(logv[:, in_window]))),
-        "sup_Q_finite": bool(np.isfinite(np.max(logv))),
-    }
-
-
 # ---------------------------------------------------------------------------
 # inequality balances
 # ---------------------------------------------------------------------------
-
-VARIANTS = ("thm41", "thm42", "thm43", "prop1", "thm51", "thm61", "caccioppoli")
-
-# the large parameters each variant's balance reads (its context fixes T,
-# alpha, R and m); a context evaluates one balance per distinct tuple of them
-PARAMS_READ = {"thm41": ("s", "gamma"), "thm42": ("s", "gamma"),
-               "thm43": (), "prop1": ("s", "gamma"), "thm51": (),
-               "thm61": ("s", "lam"), "caccioppoli": ("s", "gamma")}
-
 
 class BalanceContext:
     """Parameter-free factors shared by every balance of one trajectory.
@@ -360,11 +268,153 @@ def _ratio(lhs, rhs):
     return lhs / rhs
 
 
+class Term(NamedTuple):
+    """One summand of a balance: ``coef`` times the context integral of the
+    ``kind`` field on ``region`` with the factors given; kind "boundary" is
+    the outer-circle flux term of _boundary_term instead."""
+
+    side: str                              # "lhs" or "rhs"
+    name: str
+    coef: float
+    kind: str                              # "u2", "grad2", "gsrc2", "boundary"
+    region: Region | None = None
+    cutoff: CutoffFunction | None = None
+    col: np.ndarray | None = None          # on the region's columns
+    time: np.ndarray | None = None         # on the active rows
+    window: bool = False                   # over (T/4, 3T/4) only
+
+
+def _band(p: CarlemanParams) -> Region:
+    return Region.annulus(3.0 * p.R, 6.0 * p.R)
+
+
+def _xi0_profile(ctx, p: CarlemanParams):
+    """e = 2 s eta_0(|x|) on a region's columns: Theta e = 2 s xi_0."""
+    return lambda reg: 2.0 * p.s * _eta0(p, ctx.radius(reg, 2.0 - p.alpha))
+
+
+# Each builder returns a variant's exponent profile (None when unweighted;
+# else region -> e on the region's columns) and its terms.
+
+def _thm41(ctx, p: CarlemanParams, weight: RegularizedWeight, eta_bar):
+    """u on the disk under e^(2 s xi_eps), xi_eps = Theta eta_0(psi_eps)."""
+    s, al, eps, th = p.s, p.alpha, weight.epsilon, ctx.theta_t
+    whole, in_eps = Region.whole(), Region.ball(eps)
+
+    def psi_factors():
+        r = ctx.radius(whole)
+        psi, dpsi = weight.psi(r), np.abs(weight.psi_prime(r))
+        return (psi ** (2.0 - al), psi ** al * dpsi ** 2,
+                psi ** (2.0 - al) * dpsi ** 4)
+
+    radial, grad_col, func_col = ctx.cached(("psi", weight), psi_factors)
+    # the terms include the whole disk, the only region the profile is asked on
+    return (lambda reg: 2.0 * s * _eta0(p, radial)), [
+        Term("lhs", "grad", s, "grad2", whole, col=grad_col, time=th),
+        Term("lhs", "func", s ** 3, "u2", whole, col=func_col, time=th ** 3),
+        Term("rhs", "boundary", s, "boundary"),
+        Term("rhs", "remainder_theta3", s ** 2, "u2", in_eps, time=th ** 3),
+        Term("rhs", "remainder_eps", eps ** (al - 2.0) * s ** 2, "u2", in_eps,
+             time=th)]
+
+
+def _thm42(ctx, p: CarlemanParams, weight, eta_bar):
+    """u on the disk under e^(2 s xi_0), the gradient outside B_R."""
+    s, al, th = p.s, p.alpha, ctx.theta_t
+    whole, outer = Region.whole(), Region.complement(p.R)
+    return _xi0_profile(ctx, p), [
+        Term("lhs", "grad_outer", s, "grad2", outer,
+             col=ctx.radius(outer, al), time=th),
+        Term("lhs", "func", s ** 3, "u2", whole,
+             col=ctx.radius(whole, 2.0 - al), time=th ** 3),
+        Term("rhs", "boundary", s, "boundary")]
+
+
+def _thm43(ctx, p: CarlemanParams, weight, eta_bar):
+    """zeta u on B_4R, unweighted; the LHS over (T/4, 3T/4)."""
+    R, al, zeta = p.R, p.alpha, cutoff_zeta(p.R)
+    ring, ball = Region.annulus(R, 4.0 * R), Region.ball(4.0 * R)
+    return None, [
+        Term("lhs", "grad_B4R_band", 1.0, "grad2", ring, zeta,
+             ctx.radius(ring, al), window=True),
+        Term("lhs", "func_B4R", 1.0, "u2", ball, zeta,
+             ctx.radius(ball, 2.0 - al), window=True),
+        Term("rhs", "band_mass", 1.0, "u2", _band(p), zeta)]
+
+
+def _prop1(ctx, p: CarlemanParams, weight, eta_bar):
+    """zeta u on B_4R under e^(2 s xi_0)."""
+    R, al, th, zeta = p.R, p.alpha, ctx.theta_t, cutoff_zeta(p.R)
+    ring, ball = Region.annulus(R, 4.0 * R), Region.ball(4.0 * R)
+    return _xi0_profile(ctx, p), [
+        Term("lhs", "grad_B4R_band", 1.0, "grad2", ring, zeta,
+             ctx.radius(ring, al), th),
+        Term("lhs", "func_B4R", 1.0, "u2", ball, zeta,
+             ctx.radius(ball, 2.0 - al), th ** 3),
+        Term("rhs", "band_mass", 1.0, "u2", _band(p), zeta,
+             time=1.0 + th ** 1.25)]
+
+
+def _thm51(ctx, p: CarlemanParams, weight, eta_bar):
+    """u outside B_5R, unweighted; the LHS over (T/4, 3T/4)."""
+    al, out = p.alpha, Region.complement(5.0 * p.R)
+    return None, [
+        Term("lhs", "grad_outer", 1.0, "grad2", out,
+             col=ctx.radius(out, al), window=True),
+        Term("lhs", "func_outer", 1.0, "u2", out,
+             col=ctx.radius(out, 2.0 - al), window=True),
+        Term("rhs", "band_mass", 1.0, "u2", _band(p))]
+
+
+def _thm61(ctx, p: CarlemanParams, weight, eta_bar: EtaBar | None):
+    """kappa u on the annulus under e^(-2 s sigma_bar), xi_bar weights."""
+    s, lam, R, th = p.s, p.lam, p.R, ctx.theta_t
+    if eta_bar is None:
+        eta_bar = fursikov_eta_bar(R, float(
+            np.max(np.linalg.norm(ctx.mesh.vertices, axis=1))))
+    kappa, outer, band = cutoff_kappa(R), Region.complement(R), _band(p)
+    xi = {}                                  # xi_bar / Theta
+    for reg in (outer, band):
+        ebar = ctx.cached(("eta_bar", eta_bar, reg),
+                          lambda: eta_bar.value_radial(ctx.radius(reg)))
+        xi[reg] = np.exp(lam * (8.0 + ebar))
+    c3 = s ** 3 * lam ** 4
+    # e = -2 s sigma_bar / Theta, sigma_bar = Theta e^(10 lambda) - xi_bar
+    return (lambda reg: -2.0 * s * (np.exp(10.0 * lam) - xi[reg])), [
+        Term("lhs", "grad", s * lam ** 2, "grad2", outer, kappa, xi[outer], th),
+        Term("lhs", "func", c3, "u2", outer, kappa, xi[outer] ** 3, th ** 3),
+        Term("rhs", "g_band", 1.0, "gsrc2", outer, kappa),
+        Term("rhs", "band_mass", c3, "u2", band, None, xi[band] ** 3, th ** 3)]
+
+
+def _caccioppoli(ctx, p: CarlemanParams, weight, eta_bar):
+    """u on A(4R, 5R) under e^(2 s xi_0)."""
+    R, th = p.R, ctx.theta_t
+    return _xi0_profile(ctx, p), [
+        Term("lhs", "grad_band45", 1.0, "grad2",
+             Region.annulus(4.0 * R, 5.0 * R)),
+        Term("rhs", "band_mass", 1.0, "u2", _band(p), time=1.0 + th ** 1.25)]
+
+
+# variant -> (what its balance reads beyond the T, alpha, R and m its
+# context fixes, its term builder); a context evaluates one balance per
+# distinct tuple of what a variant reads
+_TABLE = {
+    "thm41": (("s", "gamma", "weight", "flux"), _thm41),
+    "thm42": (("s", "gamma", "flux"), _thm42),
+    "thm43": ((), _thm43),
+    "prop1": (("s", "gamma"), _prop1),
+    "thm51": ((), _thm51),
+    "thm61": (("s", "lam", "eta_bar"), _thm61),
+    "caccioppoli": (("s", "gamma"), _caccioppoli),
+}
+VARIANTS = tuple(_TABLE)
+
+
 def carleman_balance(sol: DiscreteSolution, params: CarlemanParams,
                      variant: str, weight: RegularizedWeight | None = None,
                      flux: np.ndarray | None = None,
                      eta_bar: EtaBar | None = None,
-                     remainder_prefactor: str = "s2",
                      context: BalanceContext | None = None) -> dict:
     """Evaluate both sides of one weighted inequality for a solved trajectory.
 
@@ -375,7 +425,7 @@ def carleman_balance(sol: DiscreteSolution, params: CarlemanParams,
     the same T, alpha, R and m, and neither the solution nor ``flux`` may be
     changed in place while it is in use.
     """
-    if variant not in VARIANTS:
+    if variant not in _TABLE:
         raise ValueError(f"unknown variant {variant!r}; choose from {VARIANTS}")
     ctx = BalanceContext(sol, params) if context is None else context
     c = ctx.params
@@ -385,118 +435,53 @@ def carleman_balance(sol: DiscreteSolution, params: CarlemanParams,
                          "or horizon, alpha, R or m")
     if variant == "thm41" and weight is None:
         raise ValueError("thm41 needs the regularized weight")
-    # a balance reads only its variant's parameters, so the rows of a sweep
-    # that agree on them share one evaluation; a flux array is keyed by
-    # identity, and the entry holds it so that the id stays unique
-    reads = tuple(getattr(params, name) for name in PARAMS_READ[variant])
-    key = ("balance", variant, reads, weight, eta_bar, remainder_prefactor,
-           None if flux is None else id(flux))
+    # the calls that agree on what a variant reads share one evaluation; a
+    # flux array is keyed by identity, and the entry holds it so that the id
+    # stays unique
+    given = {**vars(params), "weight": weight, "eta_bar": eta_bar,
+             "flux": None if flux is None else id(flux)}
+    key = ("balance", variant, *(given[name] for name in _TABLE[variant][0]))
     _, res = ctx.cached(key, lambda: (flux, _evaluate(
-        ctx, params, variant, weight, flux, eta_bar, remainder_prefactor)))
+        ctx, params, variant, weight, flux, eta_bar)))
     return {**res, "lhs_terms": dict(res["lhs_terms"]),
             "rhs_terms": dict(res["rhs_terms"])}
 
 
-def _evaluate(ctx, params, variant, weight, flux, eta_bar, remainder_prefactor):
-    if variant in ("thm41", "thm42") and flux is None:
-        flux = boundary_flux(ctx.sol)
-    if variant == "thm41":
-        terms = _balance_thm41(ctx, params, weight, flux, remainder_prefactor)
-    elif variant == "thm42":
-        terms = _balance_thm42(ctx, params, flux)
-    elif variant == "thm61":
-        terms = _balance_thm61(ctx, params, eta_bar)
-    elif variant in ("prop1", "caccioppoli"):
-        terms = _balance_ball(ctx, params, variant)
-    else:
-        terms = _balance_unweighted(ctx, params, variant)
-    lhs_terms, rhs_terms, shift = terms
-    lhs = float(sum(lhs_terms.values()))
-    rhs = float(sum(rhs_terms.values()))
-    return {"variant": variant, "lhs_terms": lhs_terms, "rhs_terms": rhs_terms,
-            "lhs": lhs, "rhs": rhs, "implied_C": _ratio(lhs, rhs),
-            "exponent_shift": shift, "excluded_time_nodes": ctx.excluded}
-
-
-def _balance_unweighted(ctx, p: CarlemanParams, variant):
-    """thm43 (zeta u on B_4R) and thm51 (u outside B_5R); LHS over (T/4, 3T/4)."""
-    R, al = p.R, p.alpha
-    if variant == "thm43":
-        cut, names = cutoff_zeta(R), ("grad_B4R_band", "func_B4R")
-        grad_reg, func_reg = Region.annulus(R, 4.0 * R), Region.ball(4.0 * R)
-    else:
-        cut, names = None, ("grad_outer", "func_outer")
-        grad_reg = func_reg = Region.complement(5.0 * R)
-    lhs_terms = {
-        names[0]: ctx.integral(ctx.field("grad2", grad_reg, cut),
-                               ctx.radius(grad_reg, al), window=True),
-        names[1]: ctx.integral(ctx.field("u2", func_reg, cut),
-                               ctx.radius(func_reg, 2.0 - al), window=True),
-    }
-    band = Region.annulus(3.0 * R, 6.0 * R)
-    return lhs_terms, {"band_mass": ctx.integral(ctx.field("u2", band, cut))}, 0.0
-
-
-def _balance_ball(ctx, p: CarlemanParams, variant):
-    """prop1 (zeta u) and caccioppoli (u) under e^(2 s xi_0), xi_0 = Theta eta_0."""
-    R, al, th = p.R, p.alpha, ctx.theta_t
-    band, ring45 = Region.annulus(3.0 * R, 6.0 * R), Region.annulus(4.0 * R, 5.0 * R)
-    ring, ball = Region.annulus(R, 4.0 * R), Region.ball(4.0 * R)
-    cut = cutoff_zeta(R) if variant == "prop1" else None
-    regions = (ring, ball, band) if variant == "prop1" else (ring45, band)
-    e = [2.0 * p.s * _eta0(p, ctx.radius(reg, 2.0 - al)) for reg in regions]
-    # one shift on the union of both sides' regions; a global max would sit
-    # near the outer boundary and flush every integrand to zero
-    shift = _shift(th, *e)
-    X = [ctx.growth(ei, shift) for ei in e]
-    if variant == "prop1":
-        lhs_terms = {
-            "grad_B4R_band": ctx.integral(ctx.field("grad2", ring, cut),
-                                          ctx.radius(ring, al), th, X[0]),
-            "func_B4R": ctx.integral(ctx.field("u2", ball, cut),
-                                     ctx.radius(ball, 2.0 - al), th ** 3, X[1]),
-        }
-    else:
-        lhs_terms = {"grad_band45": ctx.integral(ctx.field("grad2", ring45),
-                                                 growth=X[0])}
-    rhs_terms = {"band_mass": ctx.integral(ctx.field("u2", band, cut),
-                                           time=1.0 + th ** 1.25, growth=X[-1])}
-    return lhs_terms, rhs_terms, shift
-
-
-def _balance_thm61(ctx, p: CarlemanParams, eta_bar: EtaBar | None):
-    """kappa u on the annulus under e^(-2 s sigma_bar), xi_bar weights."""
-    s, lam, R, th = p.s, p.lam, p.R, ctx.theta_t
-    if eta_bar is None:
-        eta_bar = fursikov_eta_bar(R, float(
-            np.max(np.linalg.norm(ctx.mesh.vertices, axis=1))))
-    kappa = cutoff_kappa(R)
-    outer, band = Region.complement(R), Region.annulus(3.0 * R, 6.0 * R)
-    xi, e = {}, {}
-    for reg in (outer, band):
-        ebar = ctx.cached(("eta_bar", eta_bar, reg),
-                          lambda: eta_bar.value_radial(ctx.radius(reg)))
-        xi[reg] = np.exp(lam * (8.0 + ebar))                # xi_bar / Theta
-        e[reg] = -2.0 * s * (np.exp(10.0 * lam) - xi[reg])  # sigma_bar / Theta
-    shift = _shift(th, e[outer])
-    Xo, Xb = ctx.growth(e[outer], shift), ctx.growth(e[band], shift)
-    c3 = s ** 3 * lam ** 4
-    lhs_terms = {
-        "grad": s * lam ** 2 * ctx.integral(ctx.field("grad2", outer, kappa),
-                                            xi[outer], th, Xo),
-        "func": c3 * ctx.integral(ctx.field("u2", outer, kappa),
-                                  xi[outer] ** 3, th ** 3, Xo),
-    }
-    rhs_terms = {
-        "g_band": ctx.integral(ctx.field("gsrc2", outer, kappa), growth=Xo),
-        "band_mass": c3 * ctx.integral(ctx.field("u2", band), xi[band] ** 3,
-                                       th ** 3, Xb),
-    }
-    return lhs_terms, rhs_terms, shift
+def _evaluate(ctx, params, variant, weight, flux, eta_bar):
+    profile, terms = _TABLE[variant][1](ctx, params, weight, eta_bar)
+    supports = dict.fromkeys(t.region for t in terms if t.kind != "boundary")
+    shift, growth = 0.0, supports
+    if profile is not None:
+        # one shift, the max over the union of the supports (a global max
+        # would sit near the outer circle and flush the inner terms to zero);
+        # a whole-disk support holds every other, whose growth is then a
+        # column slice of the whole disk's
+        whole = Region.whole()
+        regions = [whole] if whole in supports else supports
+        e = {reg: profile(reg) for reg in regions}
+        shift = _shift(ctx.theta_t, *e.values())
+        X = {reg: ctx.growth(e[reg], shift) for reg in e}
+        growth = {reg: X[reg] if reg in X else X[whole][:, ctx.columns(reg)]
+                  for reg in supports}
+    sides = {"lhs": {}, "rhs": {}}
+    for t in terms:
+        if t.kind == "boundary":
+            if flux is None:
+                flux = boundary_flux(ctx.sol)
+            value = _boundary_term(ctx, params, flux, shift)
+        else:
+            value = ctx.integral(ctx.field(t.kind, t.region, t.cutoff), t.col,
+                                 t.time, growth[t.region], t.window)
+        sides[t.side][t.name] = t.coef * value
+    lhs, rhs = (float(sum(sides[side].values())) for side in ("lhs", "rhs"))
+    return {"variant": variant, "lhs_terms": sides["lhs"],
+            "rhs_terms": sides["rhs"], "lhs": lhs, "rhs": rhs,
+            "implied_C": _ratio(lhs, rhs), "exponent_shift": shift,
+            "excluded_time_nodes": ctx.excluded}
 
 
 def _boundary_term(ctx, p: CarlemanParams, flux, shift):
-    """s int Theta |x|^alpha (d_nu u)^2 (x . nu) e^(2 s xi_0 - shift) on the
+    """int Theta |x|^alpha (d_nu u)^2 (x . nu) e^(2 s xi_0 - shift) on the
     outer circle (psi = |x| there), the flux averaged onto each edge."""
     E, lengths = ctx.mesh.boundary_edge_average()
 
@@ -511,51 +496,4 @@ def _boundary_term(ctx, p: CarlemanParams, flux, shift):
     radial, col = ctx.cached(("boundary",), edges)
     fl = (E @ flux[ctx.rows].T).T   # flux on the edges
     e = 2.0 * p.s * _eta0(p, radial)
-    return p.s * ctx.integral(fl * fl, col, ctx.theta_t, ctx.growth(e, shift))
-
-
-def _balance_thm41(ctx, p: CarlemanParams, weight: RegularizedWeight, flux,
-                   remainder_prefactor):
-    s, al, eps, th = p.s, p.alpha, weight.epsilon, ctx.theta_t
-    whole, in_eps = Region.whole(), Region.ball(eps)
-
-    def psi_factors():
-        r = ctx.radius(whole)
-        psi, dpsi = weight.psi(r), np.abs(weight.psi_prime(r))
-        return (psi ** (2.0 - al), psi ** al * dpsi ** 2,
-                psi ** (2.0 - al) * dpsi ** 4)
-
-    radial, grad_col, func_col = ctx.cached(("psi", weight), psi_factors)
-    e = 2.0 * s * _eta0(p, radial)
-    shift = _shift(th, e)
-    X = ctx.growth(e, shift)
-    lhs_terms = {
-        "grad": s * ctx.integral(ctx.field("grad2", whole), grad_col, th, X),
-        "func": s ** 3 * ctx.integral(ctx.field("u2", whole), func_col,
-                                      th ** 3, X),
-    }
-    # the columns of the whole domain are 0..nq-1, so X indexes by point
-    Xe = X[:, ctx.columns(in_eps)]
-    u2 = ctx.field("u2", in_eps)
-    pre = s ** 2 if remainder_prefactor == "s2" else s
-    rhs_terms = {
-        "boundary": _boundary_term(ctx, p, flux, shift),
-        "remainder_theta3": pre * ctx.integral(u2, time=th ** 3, growth=Xe),
-        "remainder_eps": eps ** (al - 2.0) * pre * ctx.integral(u2, time=th, growth=Xe),
-    }
-    return lhs_terms, rhs_terms, shift
-
-
-def _balance_thm42(ctx, p: CarlemanParams, flux):
-    s, al, th = p.s, p.alpha, ctx.theta_t
-    whole, outer = Region.whole(), Region.complement(p.R)
-    e = 2.0 * s * _eta0(p, ctx.radius(whole, 2.0 - al))
-    shift = _shift(th, e)
-    X = ctx.growth(e, shift)
-    lhs_terms = {   # X indexes by point, as in thm41
-        "grad_outer": s * ctx.integral(ctx.field("grad2", outer), ctx.radius(outer, al),
-                                       th, X[:, ctx.columns(outer)]),
-        "func": s ** 3 * ctx.integral(ctx.field("u2", whole),
-                                      ctx.radius(whole, 2.0 - al), th ** 3, X),
-    }
-    return lhs_terms, {"boundary": _boundary_term(ctx, p, flux, shift)}, shift
+    return ctx.integral(fl * fl, col, ctx.theta_t, ctx.growth(e, shift))

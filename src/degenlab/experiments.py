@@ -30,6 +30,16 @@ from .weights import AbsPowerWeight, RegularizedWeight
 # configuration
 # ---------------------------------------------------------------------------
 
+# A solve holds (M + 1) x vertices floats of trajectory. Peak memory grows by
+# 32 B per such float in the observability study and 108 B in the
+# approximation study (measured at h = 0.24 and 0.12, M = 44 to 168), so at
+# the cap the latter needs about 1.7 GB, near the vertex cap's budget. It
+# admits every mesh the vertex cap admits at dt_factor = 1 (h = 1/36: 37 x
+# 388,666). The Carleman sweep's contexts take 845 B per float (h = 0.24), so
+# that study passes this budget from about 2 M floats on.
+MAX_TRAJECTORY_FLOATS = 16_000_000
+
+
 @dataclass
 class ExperimentConfig:
     """All knobs for the study drivers (flat keys, overridable from the CLI)."""
@@ -106,6 +116,14 @@ class ExperimentConfig:
         if bound > MAX_VERTICES:
             raise ValueError(f"mesh_levels: h={hs[-1]} builds up to {bound} "
                              f"vertices, above the cap of {MAX_VERTICES}")
+        # the finest level has the most steps M and the most vertices; the
+        # unrounded count is checked first, where int(M) could overflow
+        steps = self.T / self.dt_factor / hs[-1]
+        if (steps > MAX_TRAJECTORY_FLOATS
+                or (self.steps_for(hs[-1]) + 1) * bound > MAX_TRAJECTORY_FLOATS):
+            raise ValueError(f"dt_factor: {steps:.3g} time steps at h={hs[-1]} "
+                             f"on up to {bound} vertices hold more than "
+                             f"{MAX_TRAJECTORY_FLOATS} trajectory values")
         if not self.sampler_families:
             raise ValueError("sampler_families must not be empty")
         for fam in self.sampler_families:
@@ -512,7 +530,6 @@ def run_ucp_check(config: ExperimentConfig,
 def run_carleman_sweep(config: ExperimentConfig, progress=None) -> StudyReport:
     """Tabulate implied constants over the s/gamma/lambda grids per mesh level."""
     report = StudyReport(name="carleman", config=config)
-    cfgm = config.m
     eps = config.carleman_epsilon
     reg = RegularizedWeight(epsilon=eps, alpha=config.alpha)
     eta_bar = cl.fursikov_eta_bar(config.R, config.L)
@@ -524,9 +541,9 @@ def run_carleman_sweep(config: ExperimentConfig, progress=None) -> StudyReport:
         chk = cl.theta_bound_check(T)
         chk["T"] = T
         theta_rows.append(chk)
-    defaults = dict(s=config.s_default, gamma=config.gamma_default,
-                    lam=config.lambda_default, T=config.T, m=cfgm,
-                    alpha=config.alpha, R=config.R)
+    base_params = cl.CarlemanParams(
+        s=config.s_default, gamma=config.gamma_default, lam=config.lambda_default,
+        T=config.T, m=config.m, alpha=config.alpha, R=config.R)
     scale_devs = []
     for li, h in enumerate(config.mesh_levels):
         mesh = build_disk_mesh(config.geometry, h,
@@ -542,42 +559,26 @@ def run_carleman_sweep(config: ExperimentConfig, progress=None) -> StudyReport:
                          mesh, M, theta=config.theta)
             flux0 = boundary_flux(sol0)
             fluxr = boundary_flux(solr)
-            sweep = di < config.carleman_sweep_samples
             param_points = [(config.s_default, config.gamma_default,
                              config.lambda_default)]
-            if sweep:
+            if di < config.carleman_sweep_samples:
                 param_points = [(s, g, config.lambda_default)
                                 for s in config.carleman_s
                                 for g in config.carleman_gamma]
                 param_points += [(s, config.gamma_default, lam)
                                  for s in config.carleman_s
                                  for lam in config.carleman_lambda]
-            seen = set()
-            base_params = cl.CarlemanParams(**defaults)
             ctx0 = cl.BalanceContext(sol0, base_params)
             ctxr = cl.BalanceContext(solr, base_params)
-            for s, g, lam in param_points:
-                if (s, g, lam) in seen:
-                    continue
-                seen.add((s, g, lam))
-                params = cl.CarlemanParams(s=s, gamma=g, lam=lam, T=config.T,
-                                           m=cfgm, alpha=config.alpha,
-                                           R=config.R)
+            for s, g, lam in dict.fromkeys(param_points):
+                params = dataclasses.replace(base_params, s=s, gamma=g, lam=lam)
                 for variant in cl.VARIANTS:
-                    if variant == "thm41":
-                        res = cl.carleman_balance(solr, params, variant,
-                                                  weight=reg, flux=fluxr,
-                                                  context=ctxr)
-                    elif variant == "thm42":
-                        res = cl.carleman_balance(sol0, params, variant,
-                                                  flux=flux0, context=ctx0)
-                    elif variant == "thm61":
-                        res = cl.carleman_balance(sol0, params, variant,
-                                                  eta_bar=eta_bar,
-                                                  context=ctx0)
-                    else:
-                        res = cl.carleman_balance(sol0, params, variant,
-                                                  context=ctx0)
+                    # thm41 reads the regularized trajectory, the rest u_0
+                    sol, flux, ctx = ((solr, fluxr, ctxr) if variant == "thm41"
+                                      else (sol0, flux0, ctx0))
+                    res = cl.carleman_balance(sol, params, variant, weight=reg,
+                                              flux=flux, eta_bar=eta_bar,
+                                              context=ctx)
                     rows.append({
                         "level": li, "h": float(h), "sample": di,
                         "variant": variant, "s": s, "gamma": g, "lambda": lam,
@@ -586,10 +587,9 @@ def run_carleman_sweep(config: ExperimentConfig, progress=None) -> StudyReport:
                         "exponent_shift": res["exponent_shift"],
                     })
             # scale invariance at the default point
-            params = cl.CarlemanParams(**defaults)
-            base = cl.carleman_balance(sol0, params, "thm43", context=ctx0)
+            base = cl.carleman_balance(sol0, base_params, "thm43", context=ctx0)
             scaled_sol = dataclasses.replace(sol0, fields=10.0 * sol0.fields)
-            scaled = cl.carleman_balance(scaled_sol, params, "thm43")
+            scaled = cl.carleman_balance(scaled_sol, base_params, "thm43")
             scale_devs.append(abs(scaled["implied_C"] - base["implied_C"])
                               / max(base["implied_C"], 1e-300))
             if progress:

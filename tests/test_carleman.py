@@ -7,10 +7,8 @@ import pytest
 
 from degenlab import carleman as carleman_module, experiments
 from degenlab.carleman import (THETA_CAP, BalanceContext, CarlemanParams,
-                               CarlemanWeightSet, EtaBar, VARIANTS,
-                               carleman_balance, eta_xi, fursikov_eta_bar,
-                               theta, theta_bound_check, weight_window_bounds,
-                               xi_sigma_bar)
+                               VARIANTS, carleman_balance, fursikov_eta_bar,
+                               theta, theta_bound_check)
 from degenlab.domain import GeometrySpec, Region, build_disk_mesh
 from degenlab.experiments import ExperimentConfig, run_carleman_sweep
 from degenlab.solver import ParabolicProblem, boundary_flux, solve
@@ -58,22 +56,22 @@ class TestTheta:
 
 
 class TestSpatialProfiles:
-    def test_eta_range_and_sign(self):
-        params = CarlemanParams(gamma=4.0, m=10.0, alpha=1.0)
-        x = np.column_stack([np.linspace(0.0, 9.0, 200), np.zeros(200)])
-        eta = eta_xi(x, 0.5, params)["eta"]
-        assert np.all(eta < 0.0)
-        assert np.isclose(eta[0], 4.0 * (-20.0))
-        assert np.isclose(eta[-1], 4.0 * (-20.0 + 9.0))
-
-    def test_regularized_profile_dominates(self):
-        # psi_eps >= |x| makes the regularized eta the larger (less negative)
-        params = CarlemanParams()
-        w = RegularizedWeight(epsilon=0.25, alpha=1.0)
-        x = np.column_stack([np.linspace(0.0, 1.0, 50), np.zeros(50)])
-        e0 = eta_xi(x, 0.5, params)["eta"]
-        er = eta_xi(x, 0.5, params, weight=w)["eta"]
-        assert np.all(er >= e0 - 1e-14)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_weighted_profiles_negative(self, sample_solution, variant):
+        # eta_0 < 0 on the disk (|x|^(2-alpha) and psi^(2-alpha) stay below
+        # 2 m^(2-alpha)) and sigma_bar > 0 (eta_bar <= 1), so every weighted
+        # variant's exponent shift, Theta e at the largest e, is negative;
+        # the unweighted ones take none
+        reg = RegularizedWeight(epsilon=0.25, alpha=1.0)
+        eb = fursikov_eta_bar(1.0, 9.0)
+        for s, g, lam, al in ((1.0, 1.0, 1.0, 1.9), (4.0, 4.0, 4.0, 1.0)):
+            params = CarlemanParams(s=s, gamma=g, lam=lam, alpha=al)
+            shift = carleman_balance(sample_solution, params, variant,
+                                     weight=reg, eta_bar=eb)["exponent_shift"]
+            if variant in ("thm43", "thm51"):
+                assert shift == 0.0
+            else:
+                assert shift < 0.0, (variant, params)
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
@@ -92,6 +90,8 @@ class TestEtaBar:
         r = np.linspace(4.01, 8.99, 500)
         v = eb.value_radial(r)
         assert np.all(v > 0.0) and np.max(v) <= 1.0 + 1e-12
+        # normalized to 1 at its maximum, so xi_bar peaks at Theta e^(9 lambda)
+        assert np.isclose(eb.value_radial(eb.critical_radius), 1.0, rtol=1e-14)
 
     def test_critical_radius_inside_b5(self):
         eb = fursikov_eta_bar(1.0, 9.0)
@@ -106,37 +106,11 @@ class TestEtaBar:
             fursikov_eta_bar(1.0, 9.0, exponent=1)
 
     def test_gradient_direction(self):
+        # decreasing past the critical radius: the gradient d1 x/|x| points
+        # inward there, outward inside it
         eb = fursikov_eta_bar(1.0, 9.0)
-        g = eb.gradient(np.array([[6.0, 0.0]]))
-        # decreasing past the critical radius: gradient points inward
-        assert g[0, 0] < 0.0 and abs(g[0, 1]) < 1e-15
-
-
-class TestBarWeights:
-    def test_sigma_positive_and_xi_plugin(self):
-        params = CarlemanParams(lam=2.0)
-        eb = fursikov_eta_bar(1.0, 9.0)
-        x = np.column_stack([np.linspace(4.1, 8.9, 100), np.zeros(100)])
-        out = xi_sigma_bar(x, 0.5, params, eb)
-        assert np.all(out["sigma_bar"] > 0.0)
-        th = theta(0.5, 1.0)
-        at_max = xi_sigma_bar(np.array([[eb.critical_radius, 0.0]]), 0.5,
-                              params, eb)
-        assert np.isclose(at_max["xi_bar"][0], th * np.exp(9.0 * 2.0))
-
-    def test_weight_set_bundle(self):
-        params = CarlemanParams()
-        ws = CarlemanWeightSet(params=params,
-                               eta_bar=fursikov_eta_bar(1.0, 9.0))
-        assert np.isclose(ws.theta(0.5), 256.0)
-        x = np.array([[5.0, 0.0]])
-        assert ws.sigma_bar(x, 0.5)[0] > 0.0
-
-    def test_window_bounds_are_finite_logs(self):
-        out = weight_window_bounds(CarlemanParams(), L=9.0)
-        assert out["sup_Q_finite"]
-        assert out["inf_window_positive"]
-        assert out["log_sup_Q"] >= out["log_inf_window"]
+        assert eb.d1_radial(6.0) < 0.0 < eb.d1_radial(4.2)
+        assert abs(eb.d1_radial(eb.critical_radius)) < 1e-12
 
 
 class TestBalances:
@@ -288,7 +262,56 @@ class TestBalances:
         assert again["rhs_terms"]["boundary"] > 0.0
         assert doubled["rhs_terms"]["boundary"] == 4.0 * again["rhs_terms"]["boundary"]
 
-    @pytest.mark.parametrize("variant", ["prop1", "thm61", "thm41", "thm51"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_balance_reads_only_its_list(self, sample_solution, variant,
+                                         monkeypatch):
+        # a fresh balance changes with each parameter or input its variant
+        # reads and is bitwise unchanged by any other; on one context, a call
+        # that changes only what the variant does not read is no evaluation
+        reads = {"thm41": {"s", "gamma", "weight", "flux"},
+                 "thm42": {"s", "gamma", "flux"}, "thm43": set(),
+                 "prop1": {"s", "gamma"}, "thm51": set(),
+                 "thm61": {"s", "lam", "eta_bar"},
+                 "caccioppoli": {"s", "gamma"}}[variant]
+        params = CarlemanParams(s=1.0, gamma=1.0, lam=1.0, alpha=1.9)
+        flux = boundary_flux(sample_solution)
+        base = {"weight": RegularizedWeight(epsilon=0.25, alpha=1.0),
+                "flux": flux, "eta_bar": fursikov_eta_bar(1.0, 9.0)}
+        changes = {
+            "s": {"params": dataclasses.replace(params, s=2.0)},
+            "gamma": {"params": dataclasses.replace(params, gamma=2.0)},
+            "lam": {"params": dataclasses.replace(params, lam=2.0)},
+            "weight": {"weight": RegularizedWeight(epsilon=0.5, alpha=1.0)},
+            "flux": {"flux": 2.0 * flux},
+            "eta_bar": {"eta_bar": fursikov_eta_bar(1.0, 9.0, exponent=12)}}
+        evaluations = []
+        evaluate = carleman_module._evaluate
+
+        def counting_evaluate(*args):
+            evaluations.append(args[2])
+            return evaluate(*args)
+
+        monkeypatch.setattr(carleman_module, "_evaluate", counting_evaluate)
+
+        def balance(context=None, **change):
+            given = {"params": params, **base, **change}
+            return carleman_balance(sample_solution, given.pop("params"),
+                                    variant, context=context, **given)
+
+        ctx = BalanceContext(sample_solution, params)
+        ref = balance(ctx)
+        for name, change in changes.items():
+            fresh = balance(**change)
+            unchanged = all(fresh[side] == ref[side]
+                            for side in ("lhs_terms", "rhs_terms"))
+            assert unchanged == (name not in reads), (variant, name)
+            count = len(evaluations)
+            shared = balance(ctx, **change)
+            assert (len(evaluations) > count) == (name in reads), (variant, name)
+            for side in ("lhs_terms", "rhs_terms"):
+                assert shared[side] == fresh[side], (variant, name)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
     def test_matches_dense_reference(self, sample_solution, variant):
         reg = RegularizedWeight(epsilon=0.25, alpha=1.0)
         eb = fursikov_eta_bar(1.0, 9.0)
@@ -311,7 +334,9 @@ class TestBalances:
                     else:
                         assert abs(value - want) <= 1e-13 * abs(want), (variant, name)
                         compared += 1
-            assert compared >= 3
+            # every term of caccioppoli (two) and thm61 (four); at least three
+            # elsewhere, where the B_eps remainders of thm41 may underflow
+            assert compared >= {"caccioppoli": 2, "thm61": 4}.get(variant, 3)
 
     def test_sweep_rows_match_fresh_balances(self, monkeypatch):
         # sweep rows that share evaluations against one balance per row on a
@@ -369,9 +394,9 @@ class TestBalances:
 
 
 def _dense_reference(sol, p, variant, weight, flux, eta_bar):
-    """prop1, thm61, thm41 and thm51 by the dense formula: (nt, nq) arrays over all
-    time levels, regions as 0/1 factors, one exponent shift, and a trapezoid
-    of per-slice quadrature sums.  Returns (lhs_terms, rhs_terms, shift)."""
+    """Every variant by the dense formula: (nt, nq) arrays over all time
+    levels, regions as 0/1 factors, one exponent shift, and a trapezoid of
+    per-slice quadrature sums.  Returns (lhs_terms, rhs_terms, shift)."""
     mesh = sol.mesh
     qp = mesh.quadrature()
     r = np.linalg.norm(qp.points, axis=1)
@@ -381,6 +406,7 @@ def _dense_reference(sol, p, variant, weight, flux, eta_bar):
     active = (th > 0.0) & (th <= THETA_CAP)
     th = np.where(active, th, 0.0)[:, None]
     s, al, R = p.s, p.alpha, p.R
+    window = (t >= p.T / 4.0 - 1e-12) & (t <= 3.0 * p.T / 4.0 + 1e-12)
 
     def mask(region):
         return mesh.cell_mask(region)[qp.cell].astype(float)
@@ -393,6 +419,10 @@ def _dense_reference(sol, p, variant, weight, flux, eta_bar):
     def spacetime(density):
         return float(np.trapezoid(np.where(active, density @ qp.weights, 0.0), t))
 
+    def windowed(density):
+        slices = np.where(active, density @ qp.weights, 0.0)
+        return float(np.trapezoid(slices[window], t[window]))
+
     def exp_shifted(E, support):
         shift = float(np.max(E[np.ix_(active, support)]))
         keep = active[:, None] & support[None, :]
@@ -401,21 +431,47 @@ def _dense_reference(sol, p, variant, weight, flux, eta_bar):
     def eta0(radial):
         return p.gamma * (-2.0 * p.m ** (2.0 - al) + radial)
 
+    def boundary(shift):
+        # s int Theta |x|^alpha (d_nu u)^2 (x . nu) e^(2 s xi_0 - shift) on
+        # the outer circle, edge by edge
+        e = mesh.boundary_edges
+        a, b = mesh.vertices[e[:, 0]], mesh.vertices[e[:, 1]]
+        mids = 0.5 * (a + b)
+        rb = np.linalg.norm(mids, axis=1)
+        xnu = np.sum(mids * mesh.boundary_edge_normals(), axis=1)
+        pos = {v: i for i, v in enumerate(np.flatnonzero(mesh.boundary_mask))}
+        fl = 0.5 * (flux[:, [pos[v] for v in e[:, 0]]]
+                    + flux[:, [pos[v] for v in e[:, 1]]])
+        Eb = np.exp(np.where(active[:, None], 2.0 * s * eta0(rb ** (2.0 - al)) * th
+                             - shift, -np.inf))
+        bnd = (th * rb ** al * fl * fl * xnu * Eb) @ np.linalg.norm(b - a, axis=1)
+        return s * float(np.trapezoid(np.where(active, bnd, 0.0), t))
+
     band = mask(Region.annulus(3.0 * R, 6.0 * R))
-    if variant == "prop1":
+    in4, ring = mask(Region.ball(4.0 * R)), mask(Region.annulus(R, 4.0 * R))
+    E0 = 2.0 * s * eta0(r ** (2.0 - al)) * th     # 2 s xi_0
+    if variant in ("prop1", "thm43"):
         u, g = sample(sol.fields * cutoff_zeta(R).value(mesh.vertices))
         g2 = np.sum(g * g, axis=2)
-        in4, ring = mask(Region.ball(4.0 * R)), mask(Region.annulus(R, 4.0 * R))
-        Ew, shift = exp_shifted(2.0 * s * eta0(r ** (2.0 - al)) * th,
-                                (in4 + band) > 0.0)
+        if variant == "thm43":
+            lhs = {"grad_B4R_band": windowed(r ** al * g2 * ring),
+                   "func_B4R": windowed(r ** (2.0 - al) * u * u * in4)}
+            return lhs, {"band_mass": spacetime(u * u * band)}, 0.0
+        Ew, shift = exp_shifted(E0, (in4 + band) > 0.0)
         lhs = {"grad_B4R_band": spacetime(th * r ** al * g2 * Ew * ring),
                "func_B4R": spacetime(th ** 3 * r ** (2.0 - al) * u * u * Ew * in4)}
+        rhs = {"band_mass": spacetime((1.0 + th ** 1.25) * u * u * Ew * band)}
+    elif variant == "caccioppoli":
+        u, g = sample(sol.fields)
+        ring45 = mask(Region.annulus(4.0 * R, 5.0 * R))
+        Ew, shift = exp_shifted(E0, (ring45 + band) > 0.0)
+        lhs = {"grad_band45": spacetime(np.sum(g * g, axis=2) * Ew * ring45)}
         rhs = {"band_mass": spacetime((1.0 + th ** 1.25) * u * u * Ew * band)}
     elif variant == "thm61":
         kappa = cutoff_kappa(R)
         uk, gk = sample(sol.fields * kappa.value(mesh.vertices))
         u, g = sample(sol.fields)
-        xi = np.exp(p.lam * (8.0 + eta_bar.value(qp.points)))
+        xi = np.exp(p.lam * (8.0 + eta_bar.value_radial(r)))
         outer = mask(Region.complement(R))
         # shift over the outer region, exponentials on every column
         E = -2.0 * s * (np.exp(10.0 * p.lam) - xi) * th
@@ -434,15 +490,17 @@ def _dense_reference(sol, p, variant, weight, flux, eta_bar):
     elif variant == "thm51":
         u, g = sample(sol.fields)
         outer = mask(Region.complement(5.0 * R))
-        window = (t >= p.T / 4.0 - 1e-12) & (t <= 3.0 * p.T / 4.0 + 1e-12)
-
-        def windowed(density):
-            slices = np.where(active, density @ qp.weights, 0.0)
-            return float(np.trapezoid(slices[window], t[window]))
-
         lhs = {"grad_outer": windowed(r ** al * np.sum(g * g, axis=2) * outer),
                "func_outer": windowed(r ** (2.0 - al) * u * u * outer)}
         rhs, shift = {"band_mass": spacetime(u * u * band)}, 0.0
+    elif variant == "thm42":
+        u, g = sample(sol.fields)
+        Ew, shift = exp_shifted(E0, np.ones(len(r), dtype=bool))
+        outer = mask(Region.complement(R))
+        lhs = {"grad_outer": s * spacetime(th * r ** al * np.sum(g * g, axis=2)
+                                           * Ew * outer),
+               "func": s ** 3 * spacetime(th ** 3 * r ** (2.0 - al) * u * u * Ew)}
+        rhs = {"boundary": boundary(shift)}
     else:
         u, g = sample(sol.fields)
         psi, dpsi = weight.psi(r), np.abs(weight.psi_prime(r))
@@ -452,20 +510,9 @@ def _dense_reference(sol, p, variant, weight, flux, eta_bar):
                                      * dpsi ** 2 * Ew),
                "func": s ** 3 * spacetime(th ** 3 * psi ** (2.0 - al) * u * u
                                           * dpsi ** 4 * Ew)}
-        e = mesh.boundary_edges
-        a, b = mesh.vertices[e[:, 0]], mesh.vertices[e[:, 1]]
-        mids = 0.5 * (a + b)
-        rb = np.linalg.norm(mids, axis=1)
-        xnu = np.sum(mids * mesh.boundary_edge_normals(), axis=1)
-        pos = {v: i for i, v in enumerate(np.flatnonzero(mesh.boundary_mask))}
-        fl = 0.5 * (flux[:, [pos[v] for v in e[:, 0]]]
-                    + flux[:, [pos[v] for v in e[:, 1]]])
-        Eb = np.exp(np.where(active[:, None], 2.0 * s * eta0(rb ** (2.0 - al)) * th
-                             - shift, -np.inf))
-        bnd = (th * rb ** al * fl * fl * xnu * Eb) @ np.linalg.norm(b - a, axis=1)
         in_eps = mask(Region.ball(weight.epsilon))
         pre = s ** 2
-        rhs = {"boundary": s * float(np.trapezoid(np.where(active, bnd, 0.0), t)),
+        rhs = {"boundary": boundary(shift),
                "remainder_theta3": pre * spacetime(th ** 3 * u * u * Ew * in_eps),
                "remainder_eps": weight.epsilon ** (al - 2.0) * pre * spacetime(
                    th * u * u * Ew * in_eps)}

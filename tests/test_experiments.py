@@ -52,12 +52,15 @@ class TestConfig:
         {"L": float("inf")}, {"T": float("nan")}, {"dt_factor": float("inf")},
         {"k_levels": (8, float("inf"))}, {"carleman_s": (4.0, float("inf"))},
         {"k_levels": (8.5, 16)}, {"k_levels": (8.0, 16)}, {"k_levels": (True, 16)},
-        {"mesh_levels": (1e-4,)}, {"mesh_levels": (0.24, 1.0 / 40.0)}])
+        {"mesh_levels": (1e-4,)}, {"mesh_levels": (0.24, 1.0 / 40.0)},
+        {"dt_factor": 1e-9}, {"dt_factor": 1e-300},
+        {"dt_factor": 0.5, "mesh_levels": (0.24, 1.0 / 32.0)}])
     def test_degenerate_values_rejected(self, values):
         # each of these would otherwise fail inside a study: a traceback from
         # the mesh builder, a division by zero, a ring loop that never ends,
         # a row reporting int(k) for a fractional k, or a mesh too large for
-        # memory (judged from a closed-form vertex bound, nothing is built)
+        # memory (judged from a closed-form vertex bound and the step count,
+        # nothing is built or solved: 64 steps on h = 1/32 is 20 M values)
         key = next(iter(values))
         with pytest.raises(ValueError, match=key):
             ExperimentConfig(**values)
@@ -66,6 +69,14 @@ class TestConfig:
         cfg = ExperimentConfig(mesh_levels=(0.24, 1.0 / 32.0),
                                k_levels=(8, 16, 32, 64, 128))
         assert cfg.mesh_levels[-1] == 1.0 / 32.0
+
+    def test_step_cap_admits_vertex_capped_meshes(self):
+        # at dt_factor = 1 the vertex cap binds first: h = 1/36, the finest
+        # mesh it admits, takes 36 steps; 48 steps there exceed the step cap
+        cfg = ExperimentConfig(mesh_levels=(0.24, 1.0 / 36.0))
+        assert cfg.steps_for(1.0 / 36.0) == 36
+        with pytest.raises(ValueError, match="dt_factor"):
+            ExperimentConfig(mesh_levels=(0.24, 1.0 / 36.0), dt_factor=0.8)
 
     def test_steps_floor_and_granularity(self):
         cfg = ExperimentConfig()
