@@ -73,6 +73,16 @@ class TestSpatialProfiles:
             else:
                 assert shift < 0.0, (variant, params)
 
+    def test_regularized_profile_dominates(self):
+        # psi_eps >= |x| makes the regularized eta the larger (less negative)
+        params = CarlemanParams()
+        w = RegularizedWeight(epsilon=0.25, alpha=1.0)
+        r = np.linspace(0.0, 1.0, 50)
+        p = 2.0 - params.alpha
+        e0 = carleman_module._eta0(params, r ** p)
+        er = carleman_module._eta0(params, w.psi(r) ** p)
+        assert np.all(er >= e0 - 1e-14)
+
     def test_params_validation(self):
         with pytest.raises(ValueError):
             CarlemanParams(s=0.5)
