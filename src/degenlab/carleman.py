@@ -8,12 +8,16 @@ Each of the seven variants is data: an exponent profile e (none, 2 s
 eta_0(|x|), 2 s eta_0(psi_eps) or -2 s sigma_bar / Theta) and a list of
 terms, each naming its side, coefficient, field, region, cutoff, column
 factor, time factor and window.  A BalanceContext caches the
-parameter-free factors of each term on its support, so a parameter point
-costs one exp per support region and one multiply-reduce per term.  The
+parameter-free factors of each term, each quadrature point built the first
+time a term reads it, so a parameter point costs one exp per live column
+and one multiply-reduce per term.  The
 exponential factors span thousands of orders of magnitude, so every balance
 subtracts a single exponent shift, the max of Theta_t e_q over the union of
 its terms' supports, before exponentiating; the shift multiplies both sides
-identically and leaves the implied constant unchanged.
+identically and leaves the implied constant unchanged.  After the shift
+most columns underflow: a column is live when its largest exponent lies
+above EXP_FLOOR, and the others, where exp returns exactly 0.0 on every
+active row, are neither exponentiated nor reduced.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .solver import DiscreteSolution, boundary_flux
 from .weights import CutoffFunction, RegularizedWeight, cutoff_kappa, cutoff_zeta
 
 THETA_CAP = 1e16  # time nodes with Theta beyond this are excluded from quadrature
+EXP_FLOOR = -746.0  # np.exp is exactly 0.0 at and below this (from about -745.13)
 
 
 @dataclass(frozen=True)
@@ -139,12 +144,14 @@ def fursikov_eta_bar(R: float, L: float, exponent: int = 8) -> EtaBar:
 class BalanceContext:
     """Parameter-free factors shared by every balance of one trajectory.
 
-    A balance term is coef * sum_t tau_t a_t sum_q G_tq c_q exp(Theta_t e_q
+    A balance term is coef * sum_t tau_t a_t sum_q G_qt c_q exp(Theta_t e_q
     - shift) over the active time rows (0 < Theta <= THETA_CAP) and the
     term's support columns (the quadrature points of its region's cells):
     trapezoid weights tau (window folded in), a time factor a, a field G with
     the quadrature weights folded in, a column factor c and the exponent
-    profile e, the only factor that reads s, gamma or lambda.
+    profile e, the only factor that reads s, gamma or lambda.  G and the
+    growth exp(Theta_t e_q - shift) are stored one column per array row, so
+    taking the live columns copies whole rows.
     """
 
     def __init__(self, sol: DiscreteSolution, params: CarlemanParams):
@@ -183,34 +190,45 @@ class BalanceContext:
         return self.cached(("radius", region, power), lambda: np.linalg.norm(
             self.qp.points[self.columns(region)], axis=1) ** power)
 
-    def field(self, kind: str, region: Region,
-              cutoff: CutoffFunction | None = None):
-        """G on (active rows, columns of ``region``), C-contiguous, cached.
+    def field(self, kind: str, q, cutoff: CutoffFunction | None = None):
+        """G on (quadrature points q, active rows), each point built once.
 
         "u2" and "grad2" are v^2 and |grad v|^2 for v = cutoff * u (v = u
         without a cutoff); "gsrc2" is g^2 for the commutator source
         g = 2 w grad(cutoff).grad(u) + u div(w grad cutoff), w = |x|^alpha.
+        One array per (kind, cutoff) holds every point built so far; its
+        pages are touched only where a term has read it.
         """
-        key = ("field", kind, region, cutoff)
-        if key in self._cache:
-            return self._cache[key]
-        cols = self.columns(region)
-        f = self.sol.fields[self.rows].T                  # (nv, active rows)
+        key = ("field", kind, cutoff)
+        if key not in self._cache:
+            self._cache[key] = (np.empty((len(self.qp.weights), len(self.rows))),
+                                np.zeros(len(self.qp.weights), dtype=bool))
+        G, built = self._cache[key]
+        new = q[~built[q]]
+        if len(new):
+            G[new] = self._build(kind, new, cutoff)
+            built[new] = True
+        return G[q]
+
+    def _build(self, kind, q, cutoff):
+        """The ``kind`` field on the quadrature points q, computed now."""
+        f = self.cached(("nodal",), lambda: np.ascontiguousarray(
+            self.sol.fields[self.rows].T))                # (nv, active rows)
         if cutoff is not None and kind != "gsrc2":
             f = cutoff.value(self.mesh.vertices)[:, None] * f
         if kind != "grad2":
-            u = (self.mesh.interpolation()[cols] @ f).T
+            u = self.mesh.interpolation()[q] @ f
         if kind != "u2":
             grad = self.mesh.gradient_operator()
-            cells = self.qp.cell[cols]
-            gx = (grad[cells] @ f).T
-            gy = (grad[cells + self.mesh.num_cells] @ f).T
+            cells = self.qp.cell[q]
+            gx = grad[cells] @ f
+            gy = grad[cells + self.mesh.num_cells] @ f
         if kind == "u2":
             g = u * u
         elif kind == "grad2":
             g = gx * gx + gy * gy
         else:
-            x = self.qp.points[cols]
+            x = self.qp.points[q]
             al = self.params.alpha
             r = np.linalg.norm(x, axis=1)
             r_safe = np.maximum(r, 1e-300)
@@ -219,23 +237,33 @@ class BalanceContext:
             w = r ** al
             div_wk = (np.einsum("qd,qd->q", (al * r_safe ** (al - 2.0))[:, None] * x, kg)
                       + w * lap)
-            g = (2.0 * w * (kg[:, 0] * gx + kg[:, 1] * gy) + u * div_wk) ** 2
-        G = self._cache[key] = np.ascontiguousarray(g * self.qp.weights[cols])
-        return G
+            g = ((2.0 * w)[:, None] * (kg[:, :1] * gx + kg[:, 1:] * gy)
+                 + u * div_wk[:, None]) ** 2
+        g *= self.qp.weights[q][:, None]
+        return g
 
     def growth(self, e, shift):
-        """exp(Theta_t e_q - shift) on the active rows."""
-        X = np.multiply.outer(self.theta_t, e)
+        """(live, exp(Theta_t e_q - shift) on the active rows and live columns).
+
+        Column q is live when max_t Theta_t e_q - shift > EXP_FLOOR.  Rounding
+        is monotone and Theta_t > 0, so that max sits at the smallest or
+        largest Theta_t, and on every other column exp is exactly 0.0.
+        """
+        th = self.theta_t
+        top = np.maximum(th.min() * e, th.max() * e) - shift
+        live = np.flatnonzero(top > EXP_FLOOR)
+        X = np.multiply.outer(e[live], th)
         X -= shift
-        return np.exp(X, out=X)
+        return live, np.exp(X, out=X)
 
     def integral(self, field, col=None, time=None, growth=None, window=False):
-        """sum_t tau_t time_t sum_q field_tq growth_tq col_q; a factor left
-        out counts 1."""
-        y = field if growth is None else field * growth
-        y = y.sum(axis=1) if col is None else y @ col
+        """sum_t tau_t time_t sum_q field_qt growth_qt col_q; a factor left
+        out counts 1.  ``field`` is a fresh array and holds the product."""
+        if growth is not None:
+            field *= growth
         tau = self.tau_window if window else self.tau
-        return float((tau if time is None else tau * time) @ y)
+        y = field @ (tau if time is None else tau * time)
+        return float(y.sum() if col is None else col @ y)
 
 
 def _trapezoid_weights(t):
@@ -454,15 +482,22 @@ def _evaluate(ctx, params, variant, weight, flux, eta_bar):
     if profile is not None:
         # one shift, the max over the union of the supports (a global max
         # would sit near the outer circle and flush the inner terms to zero);
-        # a whole-disk support holds every other, whose growth is then a
-        # column slice of the whole disk's
+        # a whole-disk support holds every other, whose growth is then the
+        # whole disk's on the live columns that lie in it
         whole = Region.whole()
         regions = [whole] if whole in supports else supports
         e = {reg: profile(reg) for reg in regions}
         shift = _shift(ctx.theta_t, *e.values())
-        X = {reg: ctx.growth(e[reg], shift) for reg in e}
-        growth = {reg: X[reg] if reg in X else X[whole][:, ctx.columns(reg)]
-                  for reg in supports}
+        growth = {reg: ctx.growth(e[reg], shift) for reg in e}
+        if whole in growth:
+            live, values = growth[whole]
+            on_disk = ctx.columns(whole)[live]
+            for reg in supports:
+                if reg != whole:
+                    _, pos, sel = np.intersect1d(
+                        ctx.columns(reg), on_disk, assume_unique=True,
+                        return_indices=True)
+                    growth[reg] = pos, values[sel]
     sides = {"lhs": {}, "rhs": {}}
     for t in terms:
         if t.kind == "boundary":
@@ -470,8 +505,12 @@ def _evaluate(ctx, params, variant, weight, flux, eta_bar):
                 flux = boundary_flux(ctx.sol)
             value = _boundary_term(ctx, params, flux, shift)
         else:
-            value = ctx.integral(ctx.field(t.kind, t.region, t.cutoff), t.col,
-                                 t.time, growth[t.region], t.window)
+            q, col, values = ctx.columns(t.region), t.col, None
+            if growth[t.region] is not None:
+                live, values = growth[t.region]
+                q, col = q[live], None if col is None else col[live]
+            value = ctx.integral(ctx.field(t.kind, q, t.cutoff), col, t.time,
+                                 values, t.window)
         sides[t.side][t.name] = t.coef * value
     lhs, rhs = (float(sum(sides[side].values())) for side in ("lhs", "rhs"))
     return {"variant": variant, "lhs_terms": sides["lhs"],
@@ -494,6 +533,6 @@ def _boundary_term(ctx, p: CarlemanParams, flux, shift):
         return rb ** (2.0 - p.alpha), rb ** p.alpha * xnu * lengths
 
     radial, col = ctx.cached(("boundary",), edges)
-    fl = (E @ flux[ctx.rows].T).T   # flux on the edges
-    e = 2.0 * p.s * _eta0(p, radial)
-    return ctx.integral(fl * fl, col, ctx.theta_t, ctx.growth(e, shift))
+    live, values = ctx.growth(2.0 * p.s * _eta0(p, radial), shift)
+    fl = E[live] @ flux[ctx.rows].T   # flux on (live edges, active rows)
+    return ctx.integral(fl * fl, col[live], ctx.theta_t, values)

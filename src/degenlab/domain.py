@@ -451,22 +451,24 @@ MAX_VERTICES = 400_000
 
 
 def disk_vertex_bound(spec: GeometrySpec, h: float,
-                      local_h: float | None = None) -> int:
+                      local_h: float | None = None) -> float:
     """Upper bound on the vertex count of ``build_disk_mesh(spec, h, local_h)``.
 
     Rings at spacing h/2 in B_{2R} and h outside hold about
     pi (L^2 + 12 R^2) / h^2 vertices; rounding each ring up and squeezing the
     last one onto r = L add O((L + 2R) / h), and the graded core round a
     finer ``local_h`` adds about 11 vertices per ring on rings growing by a
-    factor 1.6.  Closed form: no mesh is built.
+    factor 1.6.  Closed form: no mesh is built.  A whole number, or inf
+    where h (below about 1e-154) or a zero ``local_h`` makes it overflow.
     """
-    R, L = spec.R, spec.L
+    if local_h is not None and not local_h >= 0.0:
+        raise ValueError(f"local_h must not be negative, got {local_h}")
+    R, L, h = spec.R, spec.L, np.float64(h)
     lh = h / 2.0 if local_h is None else min(local_h, h / 2.0)
-    if not lh > 0.0:
-        raise ValueError(f"local_h must be positive, got {local_h}")
-    core = 3.0 + np.log(h / (2.0 * lh)) / np.log(1.6)
-    return int(np.ceil(np.pi * (L * L + 12.0 * R * R) / (h * h)
-                       + 8.0 * np.pi * (L + 2.0 * R) / h + 11.0 * core))
+    with np.errstate(over="ignore", divide="ignore"):
+        core = 3.0 + np.log(h / (2.0 * lh)) / np.log(1.6)
+        return float(np.ceil(np.pi * (L * L + 12.0 * R * R) / (h * h)
+                             + 8.0 * np.pi * (L + 2.0 * R) / h + 11.0 * core))
 
 
 def build_disk_mesh(spec: GeometrySpec, h: float, local_h: float | None = None) -> Mesh:
@@ -481,9 +483,9 @@ def build_disk_mesh(spec: GeometrySpec, h: float, local_h: float | None = None) 
             f"h={h} too coarse: need h < R = {spec.R} so the 3R-wide "
             "observation annulus is crossed by at least 3 element layers")
     bound = disk_vertex_bound(spec, h, local_h)
-    if bound > MAX_VERTICES:
-        raise ValueError(f"h={h} too fine: up to {bound} vertices, above the "
-                         f"cap of {MAX_VERTICES}")
+    if not bound <= MAX_VERTICES:
+        raise ValueError(f"h={h} too fine: up to {bound:.0f} vertices, above "
+                         f"the cap of {MAX_VERTICES}")
     R = spec.R
     fine = h / 2.0
     lh = fine if local_h is None else min(local_h, fine)

@@ -35,8 +35,9 @@ from .weights import AbsPowerWeight, RegularizedWeight
 # approximation study (measured at h = 0.24 and 0.12, M = 44 to 168), so at
 # the cap the latter needs about 1.7 GB, near the vertex cap's budget. It
 # admits every mesh the vertex cap admits at dt_factor = 1 (h = 1/36: 37 x
-# 388,666). The Carleman sweep's contexts take 845 B per float (h = 0.24), so
-# that study passes this budget from about 2 M floats on.
+# 388,666). The Carleman sweep's contexts take about 300 B per float
+# (h = 0.24, where most quadrature points underflow and are never built), so
+# that study passes this budget from about 6 M floats on.
 MAX_TRAJECTORY_FLOATS = 16_000_000
 
 
@@ -113,9 +114,10 @@ class ExperimentConfig:
         local_h = min(hs[-1] / 2.0, 0.25 / self.k_levels[-1],
                       self.carleman_epsilon / 4.0)
         bound = disk_vertex_bound(self.geometry, hs[-1], local_h)
-        if bound > MAX_VERTICES:
-            raise ValueError(f"mesh_levels: h={hs[-1]} builds up to {bound} "
-                             f"vertices, above the cap of {MAX_VERTICES}")
+        if not bound <= MAX_VERTICES:
+            raise ValueError(f"mesh_levels: h={hs[-1]} builds up to "
+                             f"{bound:.0f} vertices, above the cap of "
+                             f"{MAX_VERTICES}")
         # the finest level has the most steps M and the most vertices; the
         # unrounded count is checked first, where int(M) could overflow
         steps = self.T / self.dt_factor / hs[-1]

@@ -170,9 +170,10 @@ class TestBalances:
             assert direct["rhs"] == cached["rhs"]
 
     def test_context_samples_match_einsum(self, sample_solution):
-        # the cached support arrays (active rows, region columns, quadrature
+        # the cached field arrays (region columns, active rows, quadrature
         # weights folded in) against the per-point shape sum and the per-cell
-        # gradient einsum
+        # gradient einsum; a field read on part of the columns first is
+        # bitwise the same array
         ctx = BalanceContext(sample_solution, CarlemanParams())
         qp, mesh = ctx.qp, sample_solution.mesh
         zeta = cutoff_zeta(1.0)
@@ -186,10 +187,14 @@ class TestBalances:
             g = np.einsum("nci,cid->ncd", nodal[:, mesh.cells], mesh.grads)
             g2 = np.einsum("ncd,ncd->nc", g, g)[:, qp.cell]
             for kind, ref in (("u2", u * u), ("grad2", g2)):
-                ref = ref[ctx.rows][:, cols] * qp.weights[cols]
-                got = ctx.field(kind, band, cutoff)
+                ref = (ref[ctx.rows][:, cols] * qp.weights[cols]).T
+                part = ctx.field(kind, cols[::3], cutoff)
+                got = ctx.field(kind, cols, cutoff)
                 assert got.flags.c_contiguous and got.shape == ref.shape
                 assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+                assert np.array_equal(got[::3], part)
+                fresh = BalanceContext(sample_solution, CarlemanParams())
+                assert np.array_equal(fresh.field(kind, cols, cutoff), got)
 
     def test_balances_leave_context_params(self, sample_solution):
         params = CarlemanParams()
@@ -401,6 +406,114 @@ class TestBalances:
         out = carleman_balance(sample_solution, params, "thm51")
         full_energy = np.max(sample_solution.l2_norms) ** 2
         assert out["rhs"] <= full_energy * 1.001 * len(sample_solution.times)
+
+
+class TestLiveColumns:
+    def test_growth_is_exp_on_live_columns(self, sample_solution):
+        # live columns carry exp(Theta_t e_q - shift) bitwise; on every other
+        # column that full expression is exactly 0.0 on all active rows.
+        # Crafted columns put the largest exponent just above and just below
+        # the floor, at the smallest Theta (e < 0) and at the largest (e > 0)
+        params = CarlemanParams()
+        ctx = BalanceContext(sample_solution, params)
+        th = ctx.theta_t
+        lo, hi = th.min(), th.max()
+        assert lo < hi
+        e0 = 2.0 * params.s * carleman_module._eta0(
+            params, ctx.radius(Region.whole(), 2.0 - params.alpha))
+        shift0 = carleman_module._shift(th, e0)
+        tops = np.array([-745.9, -746.1, -700.0, -800.0])
+        n = len(e0)
+        for e, shift in ((np.concatenate([e0, (tops + shift0) / lo]), shift0),
+                         (np.concatenate([e0, (tops + 1000.0) / hi]), 1000.0)):
+            full = np.exp(np.multiply.outer(th, e) - shift)
+            live, values = ctx.growth(e, shift)
+            assert np.array_equal(values, full[:, live].T)
+            assert np.all(full[:, np.setdiff1d(np.arange(len(e)), live)] == 0.0)
+            assert list(live[live >= n] - n) == [0, 2]
+        live = ctx.growth(e0, shift0)[0]
+        assert 0 < len(live) < n
+
+    def test_all_dead_balance_is_exact_zero(self, sample_solution):
+        # prop1's left-hand regions lie more than 746 below its shift at the
+        # default parameters: no live column, and a left side of exactly 0.0
+        params = CarlemanParams()
+        ctx = BalanceContext(sample_solution, params)
+        out = carleman_balance(sample_solution, params, "prop1", context=ctx)
+        assert out["lhs"] == 0.0 and out["exponent_shift"] < 0.0
+        assert set(out["lhs_terms"].values()) == {0.0}
+        for reg in (Region.annulus(1.0, 4.0), Region.ball(4.0)):
+            e = 2.0 * params.s * carleman_module._eta0(
+                params, ctx.radius(reg, 2.0 - params.alpha))
+            assert len(ctx.growth(e, out["exponent_shift"])[0]) == 0
+
+    def test_sweep_matches_full_array_evaluation(self, monkeypatch):
+        # every sweep row against an evaluation that exponentiates and
+        # reduces every column of every support
+        cfg = ExperimentConfig(mesh_levels=(0.6,), carleman_family_count=2,
+                               carleman_sweep_samples=1,
+                               carleman_s=(1.0, 4.0, 16.0), seed=5)
+        monkeypatch.setattr(carleman_module, "_evaluate", _full_array_evaluate)
+        ref = run_carleman_sweep(cfg).tables["sweep"]
+        monkeypatch.undo()
+        rows = run_carleman_sweep(cfg).tables["sweep"]
+        assert len(rows) == len(ref)
+        zeros = 0
+        for row, want in zip(rows, ref):
+            assert row["exponent_shift"] == want["exponent_shift"], row
+            for key in ("lhs", "rhs"):
+                if want[key] == 0.0:
+                    assert row[key] == 0.0, (row, key)
+                    zeros += 1
+                else:
+                    assert abs(row[key] - want[key]) <= 1e-14 * abs(want[key]), (row, key)
+        assert 0 < zeros < len(rows)
+
+
+def _full_array_evaluate(ctx, p, variant, weight, flux, eta_bar):
+    """A balance with exp over every (active row, support column) and the
+    products and reductions on the full arrays; sub-regions of the whole disk
+    are column slices of its growth, and the shift is the max of the
+    exponent array itself."""
+    profile, terms = carleman_module._TABLE[variant][1](ctx, p, weight, eta_bar)
+    supports = dict.fromkeys(t.region for t in terms if t.kind != "boundary")
+    th = ctx.theta_t
+    shift, growth = 0.0, dict.fromkeys(supports)
+    if profile is not None:
+        whole = Region.whole()
+        regions = [whole] if whole in supports else list(supports)
+        X = {reg: np.multiply.outer(th, profile(reg)) for reg in regions}
+        shift = max(float(np.max(x)) for x in X.values())
+        X = {reg: np.exp(x - shift) for reg, x in X.items()}
+        growth = {reg: X[reg] if reg in X else X[whole][:, ctx.columns(reg)]
+                  for reg in supports}
+    sides = {"lhs": {}, "rhs": {}}
+    for t in terms:
+        if t.kind == "boundary":
+            mesh = ctx.mesh
+            E, lengths = mesh.boundary_edge_average()
+            e = mesh.boundary_edges
+            mids = 0.5 * (mesh.vertices[e[:, 0]] + mesh.vertices[e[:, 1]])
+            rb = np.linalg.norm(mids, axis=1)
+            xnu = np.sum(mids * mesh.boundary_edge_normals(), axis=1)
+            fl = (E @ (boundary_flux(ctx.sol) if flux is None else flux)[ctx.rows].T).T
+            ex = 2.0 * p.s * carleman_module._eta0(p, rb ** (2.0 - p.alpha))
+            y = fl * fl * np.exp(np.multiply.outer(th, ex) - shift)
+            y = y @ (rb ** p.alpha * xnu * lengths)
+            value = float((ctx.tau * th) @ y)
+        else:
+            y = ctx.field(t.kind, ctx.columns(t.region), t.cutoff).T
+            if growth[t.region] is not None:
+                y = y * growth[t.region]
+            y = y.sum(axis=1) if t.col is None else y @ t.col
+            tau = ctx.tau_window if t.window else ctx.tau
+            value = float((tau if t.time is None else tau * t.time) @ y)
+        sides[t.side][t.name] = t.coef * value
+    lhs, rhs = (float(sum(sides[side].values())) for side in ("lhs", "rhs"))
+    return {"variant": variant, "lhs_terms": sides["lhs"],
+            "rhs_terms": sides["rhs"], "lhs": lhs, "rhs": rhs,
+            "implied_C": carleman_module._ratio(lhs, rhs),
+            "exponent_shift": shift, "excluded_time_nodes": ctx.excluded}
 
 
 def _dense_reference(sol, p, variant, weight, flux, eta_bar):

@@ -58,7 +58,8 @@ class TestParsing:
     @pytest.mark.parametrize("override", [
         "mesh_levels=[1.5]", "mesh_levels=[-0.2]", "k_levels=[0,8]",
         "k_levels=[-4,8]", "L=Infinity", "T=NaN", "carleman_epsilon=Infinity",
-        "k_levels=[8.5,16]", "mesh_levels=[0.0001]", "dt_factor=1e-9"])
+        "k_levels=[8.5,16]", "mesh_levels=[0.0001]", "mesh_levels=[1e-160]",
+        "mesh_levels=[1e-200]", "dt_factor=1e-9"])
     def test_degenerate_value_exits_before_any_study(self, override, tmp_path,
                                                      monkeypatch, capsys):
         def study(config, *args, **kwargs):

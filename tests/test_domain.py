@@ -219,6 +219,11 @@ class TestVertexBound:
         with pytest.raises(ValueError, match="cap"):
             build_disk_mesh(geometry, 1e-4)
         assert disk_vertex_bound(geometry, 1e-4) > 1000 * MAX_VERTICES
+        # h^2 overflows the count near 1e-160 and underflows to 0 near 1e-200
+        for h in (1e-160, 1e-200, 5e-324):
+            assert disk_vertex_bound(geometry, h) == np.inf
+            with pytest.raises(ValueError, match="cap"):
+                build_disk_mesh(geometry, h)
 
 
 class TestAnnulusMesh:
