@@ -187,8 +187,10 @@ class BalanceContext:
 
     def radius(self, region: Region, power: float = 1.0):
         """|x|^power on the columns of ``region``."""
-        return self.cached(("radius", region, power), lambda: np.linalg.norm(
-            self.qp.points[self.columns(region)], axis=1) ** power)
+        r = self.cached(("radius",), lambda: np.linalg.norm(self.qp.points,
+                                                            axis=1))
+        return self.cached(("radius", region, power),
+                           lambda: r[self.columns(region)] ** power)
 
     def field(self, kind: str, q, cutoff: CutoffFunction | None = None):
         """G on (quadrature points q, active rows), each point built once.

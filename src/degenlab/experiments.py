@@ -21,8 +21,8 @@ from . import carleman as cl
 from .domain import (MAX_VERTICES, GeometrySpec, Mesh, Region,
                      build_disk_mesh, disk_vertex_bound, integrate_space,
                      integrate_spacetime)
-from .solver import (DiscreteSolution, ParabolicProblem, boundary_flux,
-                     cell_weight_integrals, solve)
+from .solver import (DiscreteSolution, ParabolicProblem, SolverError,
+                     boundary_flux, cell_weight_integrals, solve)
 from .weights import AbsPowerWeight, RegularizedWeight
 
 
@@ -30,15 +30,23 @@ from .weights import AbsPowerWeight, RegularizedWeight
 # configuration
 # ---------------------------------------------------------------------------
 
-# A solve holds (M + 1) x vertices floats of trajectory. Peak memory grows by
-# 32 B per such float in the observability study and 108 B in the
-# approximation study (measured at h = 0.24 and 0.12, M = 44 to 168), so at
-# the cap the latter needs about 1.7 GB, near the vertex cap's budget. It
-# admits every mesh the vertex cap admits at dt_factor = 1 (h = 1/36: 37 x
-# 388,666). The Carleman sweep's contexts take about 300 B per float
-# (h = 0.24, where most quadrature points underflow and are never built), so
-# that study passes this budget from about 6 M floats on.
+# A solve holds (M + 1) x vertices floats of trajectory per datum; the
+# observability study solves blocks of k data, k (M + 1) x vertices floats
+# within this cap. Peak memory grows by about 11 B per such float in its full
+# blocks of 8, 24 B one datum at a time, and 108 B in the approximation study
+# (measured at h = 0.24 and 0.12, M = 44 to 168), so at the cap the latter
+# needs about 1.7 GB, near the vertex cap's budget. It admits every mesh the
+# vertex cap admits at dt_factor = 1 (h = 1/36: 37 x 388,666). The Carleman
+# sweep's contexts take about 300 B per float (h = 0.24, where most
+# quadrature points underflow and are never built), so that study passes this
+# budget from about 6 M floats on.
 MAX_TRAJECTORY_FLOATS = 16_000_000
+
+# Data per block solve in the observability study. A block solve's time per
+# datum and step fell from k = 1 to 8 and was flat at 16: 0.44, 0.30, 0.27,
+# 0.25 ms at k = 1, 4, 8, 16 on h = 0.24 and 0.85, 0.65, 0.54, 0.57 ms on
+# h = 0.18 (one thread, M = 12).
+OBSERVABILITY_BLOCK = 8
 
 
 @dataclass
@@ -426,36 +434,68 @@ def _observability_record(sol: DiscreteSolution, cfg: ExperimentConfig) -> dict:
     }
 
 
+def _block_size(M: int, n_vertices: int) -> int:
+    """Data per observability solve: at most ``OBSERVABILITY_BLOCK``, and few
+    enough that the block's k (M + 1) n_vertices trajectory values stay
+    within ``MAX_TRAJECTORY_FLOATS`` (k = 1 near the cap)."""
+    fit = MAX_TRAJECTORY_FLOATS // ((M + 1) * n_vertices)
+    return max(1, min(OBSERVABILITY_BLOCK, fit))
+
+
 def _observability_level(config: ExperimentConfig, li: int, h: float,
                          progress=None) -> list:
     """Records of every sample on mesh level ``li``.
 
-    The level's mesh, its factored step and the trajectories are freed when
-    this returns, before the next level is built.
+    Every datum is drawn first, in report order; the data are then solved
+    in blocks of ``_block_size`` columns.  The level's mesh, its factored
+    step and the trajectories are freed when this returns, before the next
+    level is built.
     """
     mesh = build_disk_mesh(config.geometry, h)
     M = config.steps_for(h)
     rng = np.random.default_rng(config.seed + 2)
+    samples = [(family, si, *sample_field(family, rng, config))
+               for family in config.sampler_families
+               for si in range(config.sample_count)]
+    k = _block_size(M, mesh.num_vertices)
     rows = []
-    for family in config.sampler_families:
-        for si in range(config.sample_count):
-            fn, desc = sample_field(family, rng, config)
-            data = _nodal(mesh, fn)
-            sol = solve(ParabolicProblem(weight=config.alpha, T=config.T,
-                                         data=data, direction="backward"),
-                        mesh, M, theta=config.theta)
-            rec = _observability_record(sol, config)
-            # quadratic homogeneity: the ratio must be scale invariant
-            scaled = dataclasses.replace(sol, fields=3.0 * sol.fields)
-            rec_s = _observability_record(scaled, config)
-            scale_dev = (abs(rec_s["ratio"] - rec["ratio"])
-                         / max(rec["ratio"], 1e-300))
-            rec.update({"level": li, "h": float(h), "family": family,
-                        "sample": si, "scale_invariance_dev": float(scale_dev)})
-            rec.update(desc)
-            rows.append(rec)
-            if progress:
-                progress(f"observe level={li} {family} sample={si}")
+    for start in range(0, len(samples), k):
+        rows += _observability_block(config, li, mesh, M,
+                                     samples[start:start + k], progress)
+    return rows
+
+
+def _observability_block(config: ExperimentConfig, li: int, mesh: Mesh,
+                         M: int, block: list, progress=None) -> list:
+    """Records of the (family, sample, datum, descriptor) ``block``, solved
+    together; its trajectories are freed when this returns."""
+    data = np.array([_nodal(mesh, fn) for _, _, fn, _ in block])
+    try:
+        sols = solve(ParabolicProblem(weight=config.alpha, T=config.T,
+                                      data=data, direction="backward"),
+                     mesh, M, theta=config.theta)
+    except SolverError as exc:
+        names = ", ".join(f"{block[j][0]} sample {block[j][1]}"
+                          for j in exc.columns)
+        raise SolverError(f"observability level {li} (h={mesh.h}): "
+                          f"non-finite values in {names} at time step "
+                          f"{exc.step} of {M}", step=exc.step) from exc
+    rows = []
+    for (family, si, _, desc), sol in zip(block, sols):
+        rec = _observability_record(sol, config)
+        # quadratic homogeneity: the ratio must be scale invariant; the
+        # trajectory is not read again, so it is scaled in place
+        sol.fields *= 3.0
+        scaled = dataclasses.replace(sol)
+        rec_s = _observability_record(scaled, config)
+        scale_dev = (abs(rec_s["ratio"] - rec["ratio"])
+                     / max(rec["ratio"], 1e-300))
+        rec.update({"level": li, "h": float(mesh.h), "family": family,
+                    "sample": si, "scale_invariance_dev": float(scale_dev)})
+        rec.update(desc)
+        rows.append(rec)
+        if progress:
+            progress(f"observe level={li} {family} sample={si}")
     return rows
 
 

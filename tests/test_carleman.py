@@ -196,6 +196,18 @@ class TestBalances:
                 fresh = BalanceContext(sample_solution, CarlemanParams())
                 assert np.array_equal(fresh.field(kind, cols, cutoff), got)
 
+    def test_radius_bitwise_per_region(self, sample_solution):
+        # |x| is taken once over all points and sliced per region; the
+        # row-wise norm is elementwise, so each region's |x|^p is bitwise the
+        # norm of its own points raised to p
+        ctx = BalanceContext(sample_solution, CarlemanParams())
+        for region in (Region.whole(), Region.ball(4.0),
+                       Region.annulus(3.0, 6.0), Region.complement(5.0)):
+            for power in (1.0, 0.5, 1.5):
+                ref = np.linalg.norm(ctx.qp.points[ctx.columns(region)],
+                                     axis=1) ** power
+                assert np.array_equal(ctx.radius(region, power), ref)
+
     def test_balances_leave_context_params(self, sample_solution):
         params = CarlemanParams()
         ctx = BalanceContext(sample_solution, params)

@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from degenlab.domain import GeometrySpec, Region, build_disk_mesh
-from degenlab.experiments import (ExperimentConfig, StudyReport,
-                                  _approximation_row, _nodal, bump,
-                                  data_bump_a2r7r, persist_report,
-                                  sample_field)
-from degenlab.solver import ParabolicProblem, boundary_flux, solve
+from degenlab import experiments
+from degenlab.experiments import (MAX_TRAJECTORY_FLOATS, OBSERVABILITY_BLOCK,
+                                  ExperimentConfig, StudyReport,
+                                  _approximation_row, _block_size, _nodal,
+                                  _observability_level, bump, data_bump_a2r7r,
+                                  persist_report, sample_field)
+from degenlab.solver import (ParabolicProblem, SolverError, boundary_flux,
+                             solve)
 from degenlab.weights import RegularizedWeight
 
 
@@ -188,3 +191,52 @@ class TestApproximationRow:
         assert row["flux"] > 0.0
         assert np.isclose(row["flux"], np.sqrt(np.trapezoid(f2, times)),
                           rtol=1e-12, atol=0.0)
+
+
+class TestObservabilityBlocks:
+    CFG = ExperimentConfig(mesh_levels=(0.5,), sample_count=3, seed=4)
+
+    def test_block_size_rule(self):
+        # k (M + 1) n_vertices stays within the trajectory cap; one datum at
+        # a time near the cap, never none
+        assert _block_size(12, 9_000) == OBSERVABILITY_BLOCK
+        for k in (1, 3, 7):
+            nv = MAX_TRAJECTORY_FLOATS // (13 * k)
+            assert _block_size(12, nv) == k
+            assert k * 13 * nv <= MAX_TRAJECTORY_FLOATS
+            assert _block_size(12, nv + 1) == max(k - 1, 1)
+        assert _block_size(12, MAX_TRAJECTORY_FLOATS) == 1
+
+    def test_partial_last_block_rows_unchanged(self, monkeypatch):
+        # nine data in blocks of 8 (one full, one partial) give the rows of
+        # nine one-column solves
+        blocked = _observability_level(self.CFG, 0, 0.5)
+        monkeypatch.setattr(experiments, "OBSERVABILITY_BLOCK", 1)
+        single = _observability_level(self.CFG, 0, 0.5)
+        assert len(blocked) == len(single) == 9
+        assert [(r["family"], r["sample"]) for r in blocked] == [
+            (f, s) for f in self.CFG.sampler_families for s in range(3)]
+        for a, b in zip(blocked, single):
+            assert a.keys() == b.keys()
+            for key, va in a.items():
+                if isinstance(va, float) and va != b[key]:
+                    assert abs(va - b[key]) <= 1e-12 * abs(b[key]), key
+                else:
+                    assert va == b[key], key
+
+    def test_nan_datum_named(self, monkeypatch):
+        # one NaN datum in a block of three names its level, family and sample
+        draw = experiments.sample_field
+
+        def poisoned(family, rng, cfg):
+            fn, desc = draw(family, rng, cfg)
+            if family == "adversarial":
+                return (lambda x: np.full(len(x), np.nan)), desc
+            return fn, desc
+
+        monkeypatch.setattr(experiments, "sample_field", poisoned)
+        cfg = ExperimentConfig(mesh_levels=(0.5,), sample_count=1)
+        with pytest.raises(SolverError, match=r"level 0 \(h=0.5\): non-finite "
+                                              r"values in adversarial sample 0 "
+                                              r"at time step 1 of 12"):
+            _observability_level(cfg, 0, 0.5)

@@ -10,7 +10,7 @@ from degenlab.solver import (ManufacturedField, ParabolicProblem, SolverError,
                              _factor_spd, _weight_spec, assemble_mass,
                              assemble_stiffness, boundary_flux,
                              boundary_mass_matrix, cell_weight_integrals,
-                             energy_report, load_vector, manufactured_source,
+                             energy_report, load_vectors, manufactured_source,
                              solve, step_operator)
 from degenlab.spaces import WeightedNormSpec
 from degenlab.weights import RegularizedWeight
@@ -219,6 +219,89 @@ class TestStepOperator:
                                    direction="backward"), small_mesh, 8)
 
 
+def _source(x, t):
+    return np.cos(3.0 * t) * np.exp(-np.einsum("nd,nd->n", x, x) / 8.0)
+
+
+class TestBlockSolve:
+    @staticmethod
+    def _block(mesh, k, seed):
+        data = np.random.default_rng(seed).normal(size=(k, mesh.num_vertices))
+        data[:, mesh.boundary_mask] = 0.0
+        return data
+
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    @pytest.mark.parametrize("sourced", [False, True])
+    def test_columns_match_single_solves(self, small_mesh, direction, theta,
+                                         sourced):
+        data = self._block(small_mesh, 3, 7)
+        prob = ParabolicProblem(weight=1.0, T=0.5, data=data,
+                                direction=direction,
+                                source=_source if sourced else None)
+        sols = solve(prob, small_mesh, 8, theta=theta)
+        assert len(sols) == 3
+        for j, sol in enumerate(sols):
+            one = solve(ParabolicProblem(weight=1.0, T=0.5, data=data[j],
+                                         direction=direction,
+                                         source=prob.source),
+                        small_mesh, 8, theta=theta)
+            assert sol.fields.shape == one.fields.shape
+            assert sol.fields.flags.c_contiguous
+            assert np.max(np.abs(sol.fields - one.fields)) <= (
+                1e-12 * np.max(np.abs(one.fields)))
+            assert np.array_equal(sol.problem.data, data[j])
+
+    def test_backward_rows_equal_reversed_forward(self, small_mesh):
+        # with no source the backward block integrates what the forward block
+        # does; writing step n into row M - n is the old reversed copy
+        data = self._block(small_mesh, 2, 8)
+        fwd = solve(ParabolicProblem(weight=1.0, T=0.5, data=data),
+                    small_mesh, 8)
+        bwd = solve(ParabolicProblem(weight=1.0, T=0.5, data=data,
+                                     direction="backward"), small_mesh, 8)
+        for f, b in zip(fwd, bwd):
+            assert np.array_equal(b.fields, f.fields[::-1].copy())
+            assert np.array_equal(b.forward_fields(), f.fields)
+        assert bwd[0].fields.base is bwd[1].fields.base
+
+    @pytest.mark.parametrize("extra", [-1, 1, None])
+    def test_wrong_shape_raises(self, small_mesh, extra):
+        nv = small_mesh.num_vertices
+        shape = (1, 2, nv) if extra is None else (2, nv + extra)
+        with pytest.raises(ValueError, match="nodal field"):
+            solve(ParabolicProblem(weight=1.0, T=0.5, data=np.zeros(shape)),
+                  small_mesh, 8)
+
+    def test_nan_column_named(self, small_mesh):
+        data = self._block(small_mesh, 3, 9)
+        data[1, small_mesh.interior[0]] = np.nan
+        with pytest.raises(SolverError, match=r"column\(s\) \[1\] at time "
+                                              r"step 1 of 8") as err:
+            solve(ParabolicProblem(weight=1.0, T=0.5, data=data,
+                                   direction="backward"), small_mesh, 8)
+        assert err.value.columns == [1] and err.value.step == 1
+
+
+class TestLoads:
+    def test_load_matches_scatter(self, small_mesh):
+        # P^T (w f) against the per-point scatter over the cell's vertices
+        qp = small_mesh.quadrature()
+        wf = qp.weights * _source(qp.points, 0.3)
+        ref = np.zeros(small_mesh.num_vertices)
+        np.add.at(ref, qp.nodes, wf[:, None] * qp.shape)
+        got = load_vectors(small_mesh, _source, [0.3])[:, 0]
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    def test_columns_are_single_time_loads(self, small_mesh):
+        times = np.linspace(0.0, 0.5, 5)
+        loads = load_vectors(small_mesh, _source, times)
+        assert loads.shape == (small_mesh.num_vertices, len(times))
+        for n, t in enumerate(times):
+            assert np.array_equal(loads[:, n],
+                                  load_vectors(small_mesh, _source, [t])[:, 0])
+
+
 class TestManufactured:
     @staticmethod
     def _target():
@@ -299,15 +382,12 @@ class TestBoundaryFlux:
                                    sourced):
         # the residual of all steps in one block and one multi-column solve
         # give bitwise the flux of one residual and one solve per step
-        def source(x, t):
-            return np.cos(3.0 * t) * np.exp(-np.einsum("nd,nd->n", x, x) / 8.0)
-
         rng = np.random.default_rng(5)
         data = rng.normal(size=coarse_mesh.num_vertices)
         data[coarse_mesh.boundary_mask] = 0.0
         sol = solve(ParabolicProblem(weight=weight, T=0.5, data=data,
                                      direction=direction,
-                                     source=source if sourced else None),
+                                     source=_source if sourced else None),
                     coarse_mesh, 8, theta=theta)
         assert np.array_equal(boundary_flux(sol), _flux_step_loop(sol))
 
@@ -323,7 +403,7 @@ def _flux_step_loop(sol):
 
     def load(n):
         phys_t = prob.T - sol.times[n] if backward else sol.times[n]
-        return load_vector(mesh, prob.source, phys_t)
+        return load_vectors(mesh, prob.source, [phys_t])[:, 0]
 
     flux = np.zeros((len(sol.times), len(bidx)))
     f_prev = load(0) if prob.source is not None else None
