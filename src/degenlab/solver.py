@@ -65,20 +65,19 @@ def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
 def cell_weight_integrals(mesh: Mesh, weight) -> np.ndarray:
     """Per-cell quadrature of the spatial weight (1 for unweighted).
 
+    Each cell's points are summed in order (:meth:`Mesh.cell_forms`).
     Cached on the mesh per weight spec and read-only.
     """
     spec = _weight_spec(weight)
 
-    def build():
-        qp = mesh.quadrature(spec.subdivide_radius)
-        wq = spec.evaluate(qp.points)
+    def checked(points):
+        wq = spec.evaluate(points)
         if np.any(wq < 0.0) or not np.all(np.isfinite(wq)):
             raise ValueError("weight must be nonnegative and finite at every "
                              "quadrature point")
-        out = np.zeros(mesh.num_cells)
-        np.add.at(out, qp.cell, qp.weights * wq)
-        return out
-    return mesh.cached(("cell_weights", spec), build)
+        return wq
+    return mesh.cached(("cell_weights", spec), lambda: mesh.cell_forms(
+        checked, spec.subdivide_radius)[1])
 
 
 def assemble_stiffness(mesh: Mesh, weight) -> sp.csr_matrix:

@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .domain import Mesh
-from .weights import RegularizedWeight, exact_weight
+from .weights import AbsPowerWeight, RegularizedWeight, exact_weight
 
 
 @dataclass(frozen=True)
@@ -134,9 +133,12 @@ def inequality_ratio_table(mesh: Mesh, fields, alpha: float, eps: float,
     ``fields`` has shape (n_fields, n_vertices).  Returns arrays keyed
     "hardy", "r_22", "r_23", "r_36", "r_37" that match the single-field
     functions to round-off.  Each squared norm is a quadratic form u^T A u
-    with A assembled once: B^T diag(w) B for the interpolation B = P (masses)
-    or the gradient B = G (stiffnesses, w the per-cell sum of the weighted
-    quadrature weights), so the stack costs one sparse product per form.
+    with A assembled from per-cell 3 x 3 blocks (:meth:`Mesh.cell_forms`,
+    :meth:`Mesh.assemble`): the weighted P1 mass blocks on the quadrature
+    rule for the masses, and c_w grad(phi_i) . grad(phi_j) for the weighted
+    stiffnesses, c_w the per-cell sum of the weighted quadrature weights.
+    The forms are built and applied one at a time, so the stack costs one
+    sparse product per form and no per-point array outlives its form.
     """
     if not 0.0 < alpha < 2.0:
         raise ValueError("alpha must lie in (0, 2)")
@@ -149,30 +151,29 @@ def inequality_ratio_table(mesh: Mesh, fields, alpha: float, eps: float,
     N = 2
     c = N - 2 + alpha
     sub = 4.0 * mesh.h
-    qp3 = mesh.quadrature(sub, levels=3)     # singular-factor quadrature
-    qp2 = mesh.quadrature(sub)               # norm quadrature
-    r2_3 = np.einsum("qd,qd->q", qp3.points, qp3.points)
-    sing3 = np.power(r2_3, 0.5 * alpha - 1.0) * qp3.weights
-    we2 = exact_weight(alpha, qp2.points) * qp2.weights
-    wr2 = (RegularizedWeight(epsilon=eps, alpha=alpha).value(qp2.points)
-           * qp2.weights)
-    P3 = mesh.interpolation(sub, levels=3)
-    P2 = mesh.interpolation(sub)
-    G = mesh.gradient_operator()
     Ft = np.ascontiguousarray(F.T)           # one column per field
 
-    def norm(B, w):
-        """sqrt(u^T B^T diag(w) B u) for every row u of F."""
-        A = B.T @ sp.diags(w) @ B
+    def norm(A):
+        """sqrt(u^T A u) for every row u of F."""
         return np.sqrt(np.maximum(0.0, np.einsum("vf,vf->f", Ft, A @ Ft)))
 
-    def stiffness_norm(wq):
-        cell_w = np.bincount(qp2.cell, weights=wq, minlength=mesh.num_cells)
-        return norm(G, np.concatenate([cell_w, cell_w]))
+    gx, gy = mesh.grads[..., 0], mesh.grads[..., 1]
 
-    hardy_num = norm(P3, sing3)
-    l2_w, l2_we, l2 = norm(P2, we2), norm(P2, wr2), norm(P2, qp2.weights)
-    h1_w, h1_we = stiffness_norm(we2), stiffness_norm(wr2)
+    def mass_and_stiffness(weight):
+        local, cell_w = mesh.cell_forms(weight, sub)
+        A = mesh.assemble(local)
+        del local                  # each form's blocks go before its product
+        return norm(A), norm(mesh.assemble(
+            cell_w[:, None, None] * (gx[:, :, None] * gx[:, None, :]
+                                     + gy[:, :, None] * gy[:, None, :])))
+
+    # the singular factor |x|^(alpha-2) on the finer rule
+    hardy_num = norm(mesh.assemble(mesh.cell_forms(
+        AbsPowerWeight(alpha - 2.0), sub, levels=3)[0]))
+    l2 = norm(mesh.assemble(mesh.cell_forms(None, sub)[0]))
+    l2_w, h1_w = mass_and_stiffness(WeightedNormSpec(alpha).evaluate)
+    l2_we, h1_we = mass_and_stiffness(
+        WeightedNormSpec(RegularizedWeight(epsilon=eps, alpha=alpha)).evaluate)
     k_w = c / (2.0 * m)                        # r_22, r_36
     k_1 = c / (2.0 * m ** (1.0 - 0.5 * alpha))  # r_23, r_37
     nz = np.any(F != 0.0, axis=1)

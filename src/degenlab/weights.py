@@ -2,7 +2,7 @@
 
 The regularized profile replaces r -> |r| by a quartic polynomial inside the
 ball of radius ``epsilon`` so that the weight ``psi(|x|)^alpha`` is C^{2,1}
-with explicit first, second and third radial derivatives.  Everything here is
+with explicit first and second radial derivatives.  Everything here is
 closed form; no quadrature except the Muckenhoupt constant estimator at the
 bottom of the module.
 """
@@ -64,33 +64,6 @@ class RegularizedWeight:
         e = self.epsilon
         inner = 3.0 / (2.0 * e) - 3.0 * r**2 / (2.0 * e**3)
         return np.where(r <= e, inner, 0.0)
-
-    def psi_third(self, r):
-        r = np.asarray(r, dtype=float)
-        return np.where(r <= self.epsilon, -3.0 * r / self.epsilon**3, 0.0)
-
-    # -- vector calculus in R^N ---------------------------------------------
-
-    def psi_derivatives(self, x):
-        """Gradient, Hessian and Laplacian of psi_eps(|x|) at a single point."""
-        x = np.asarray(x, dtype=float)
-        if not np.all(np.isfinite(x)):
-            raise ValueError("point must be finite")
-        n = x.shape[-1]
-        r2 = float(np.dot(x, x))
-        r = np.sqrt(r2)
-        e = self.epsilon
-        eye = np.eye(n)
-        if r <= e:
-            a = 3.0 / (2.0 * e) - r2 / (2.0 * e**3)
-            grad = a * x
-            hess = a * eye - np.outer(x, x) / e**3
-            lap = n * a - r2 / e**3
-        else:
-            grad = x / r
-            hess = eye / r - np.outer(x, x) / r**3
-            lap = (n - 1) / r
-        return {"gradient": grad, "hessian": hess, "laplacian": lap}
 
     # -- the weight itself --------------------------------------------------
 

@@ -4,8 +4,9 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from degenlab import domain
+from degenlab import domain, solver
 from degenlab.domain import (MAX_VERTICES, GeometrySpec, Mesh, Region,
                              build_annulus_mesh, build_disk_mesh,
                              disk_vertex_bound, integrate_space,
@@ -284,6 +285,10 @@ class TestInterpolation:
         u = np.random.default_rng(0).standard_normal(coarse_mesh.num_vertices)
         ref = qp.values(u)
         assert np.max(np.abs(P @ u - ref)) <= 1e-14 * np.max(np.abs(ref))
+        # each point is its shape values times its cell's vertices, summed
+        # in vertex order
+        assert np.array_equal(qp.points, np.einsum(
+            "qi,qid->qd", qp.shape, coarse_mesh.vertices[qp.nodes]))
 
     def test_cached_per_key(self, coarse_mesh):
         P = coarse_mesh.interpolation()
@@ -292,6 +297,40 @@ class TestInterpolation:
         assert Q is not P
         assert coarse_mesh.interpolation(1.2 + 1e-14, 3) is Q
         assert coarse_mesh.interpolation(1.2) is not Q
+
+
+class TestCellForms:
+    def test_assemble_matches_mass_matrix(self, coarse_mesh):
+        got = coarse_mesh.assemble(coarse_mesh.areas[:, None, None]
+                                   * solver._MASS_LOCAL)
+        ref = solver.assemble_mass(coarse_mesh)
+        ref.sort_indices()
+        assert np.array_equal(got.indptr, ref.indptr)
+        assert np.array_equal(got.indices, ref.indices)
+        assert np.max(np.abs(got.data - ref.data) / ref.data) <= 1e-15
+        # the pattern is built once and shared read-only
+        again = coarse_mesh.assemble(np.ones((coarse_mesh.num_cells, 3, 3)))
+        assert np.shares_memory(again.indices, got.indices)
+        assert np.shares_memory(again.indptr, got.indptr)
+        assert not got.indices.flags.writeable
+
+    @pytest.mark.parametrize("weight, levels", itertools.product(
+        [None, AbsPowerWeight(1.0)], [2, 3]))
+    def test_local_blocks_match_interpolated_form(self, coarse_mesh, weight,
+                                                  levels):
+        # against P^T diag(w) P and a scatter of w on the same rule
+        sub = 1.2
+        qp = coarse_mesh.quadrature(sub, levels)
+        assert len(qp.weights) > 3 * coarse_mesh.num_cells   # cells refined
+        wq = qp.weights * (1.0 if weight is None else weight(qp.points))
+        P = coarse_mesh.interpolation(sub, levels)
+        ref = (P.T @ sp.diags(wq) @ P).toarray()
+        local, sums = coarse_mesh.cell_forms(weight, sub, levels)
+        got = coarse_mesh.assemble(local).toarray()
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        ref_sums = np.zeros(coarse_mesh.num_cells)
+        np.add.at(ref_sums, qp.cell, wq)
+        assert np.array_equal(sums, ref_sums)
 
 
 class TestQuadratureWeights:
@@ -383,15 +422,33 @@ class TestGradients:
 
 class TestPersistence:
     def test_save_load_round_trip(self, tmp_path, geometry):
+        # the text format Mesh.save writes (the CLI's mesh file, hashed by
+        # criterion 9), read back by a parser of that format
         mesh = build_disk_mesh(geometry, 0.6)
         path = tmp_path / "mesh.txt"
         mesh.save(str(path))
-        back = Mesh.load(str(path))
-        assert np.array_equal(mesh.vertices, back.vertices)
-        assert np.array_equal(mesh.cells, back.cells)
-        assert np.array_equal(mesh.boundary_edges, back.boundary_edges)
-        assert np.array_equal(mesh.boundary_markers, back.boundary_markers)
-        assert mesh.h == back.h
+        lines = path.read_text().splitlines()
+        pos = 0
+
+        def section(tag):
+            nonlocal pos
+            head = lines[pos].split()
+            assert head[:2] == ["#", tag]
+            rows = [ln.split() for ln in lines[pos + 1:pos + 1 + int(head[2])]]
+            pos += 1 + len(rows)
+            return rows
+
+        verts = np.array(section("vertices"), dtype=float)
+        cells = np.array(section("cells"), dtype=np.int64)
+        edges = section("boundary_edges")
+        assert lines[pos:] == [f"# h {mesh.h!r}"]
+        assert np.array_equal(mesh.vertices, verts)
+        assert np.array_equal(mesh.cells, cells)
+        assert np.array_equal(mesh.boundary_edges,
+                              np.array([e[:2] for e in edges], dtype=np.int64))
+        assert np.array_equal(
+            mesh.boundary_markers,
+            [Mesh.INNER if e[2] == "inner" else Mesh.OUTER for e in edges])
 
 
 class TestTimeIntegration:

@@ -68,6 +68,20 @@ class TestAssembly:
         w = cell_weight_integrals(small_mesh, 1.0)
         assert abs(float(np.sum(w)) - 2.0 * np.pi / 3.0) < 1e-2
 
+    def test_cell_weight_integrals_match_scatter(self):
+        # each cell's points summed in order: bitwise np.add.at over the
+        # quadrature, on a graded mesh with a refined block
+        mesh = build_disk_mesh(GeometrySpec(R=0.12, L=1.0), 0.1,
+                               local_h=1.0 / 64.0)
+        for weight in (1.0, RegularizedWeight(epsilon=0.05, alpha=1.3), None):
+            spec = _weight_spec(weight)
+            qp = mesh.quadrature(spec.subdivide_radius)
+            if isinstance(weight, RegularizedWeight):    # refined cells
+                assert len(qp.weights) > 3 * mesh.num_cells
+            ref = np.zeros(mesh.num_cells)
+            np.add.at(ref, qp.cell, qp.weights * spec.evaluate(qp.points))
+            assert np.array_equal(cell_weight_integrals(mesh, weight), ref)
+
     def test_boundary_mass_total_is_perimeter(self, small_mesh):
         B = boundary_mass_matrix(small_mesh)
         ones = np.ones(small_mesh.num_vertices)
