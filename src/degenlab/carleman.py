@@ -29,7 +29,8 @@ import numpy as np
 
 from .domain import Mesh, Region
 from .solver import DiscreteSolution, boundary_flux
-from .weights import CutoffFunction, RegularizedWeight, cutoff_kappa, cutoff_zeta
+from .weights import (AbsPowerWeight, CutoffFunction, RegularizedWeight,
+                      cutoff_kappa, cutoff_zeta)
 
 THETA_CAP = 1e16  # time nodes with Theta beyond this are excluded from quadrature
 EXP_FLOOR = -746.0  # np.exp is exactly 0.0 at and below this (from about -745.13)
@@ -231,14 +232,13 @@ class BalanceContext:
             g = gx * gx + gy * gy
         else:
             x = self.qp.points[q]
-            al = self.params.alpha
+            weight = AbsPowerWeight(self.params.alpha)
             r = np.linalg.norm(x, axis=1)
-            r_safe = np.maximum(r, 1e-300)
             kg = cutoff.gradient(x)
-            lap = cutoff.d2_radial(r) + cutoff.d1_radial(r) / r_safe
-            w = r ** al
-            div_wk = (np.einsum("qd,qd->q", (al * r_safe ** (al - 2.0))[:, None] * x, kg)
-                      + w * lap)
+            lap = (cutoff.d2_radial(r)
+                   + cutoff.d1_radial(r) / np.maximum(r, 1e-300))
+            w = weight(x)
+            div_wk = np.einsum("qd,qd->q", weight.gradient(x), kg) + w * lap
             g = ((2.0 * w)[:, None] * (kg[:, :1] * gx + kg[:, 1:] * gy)
                  + u * div_wk[:, None]) ** 2
         g *= self.qp.weights[q][:, None]

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .weights import as_weight
+
 _MIDPOINT_BARY = np.array([
     [0.5, 0.5, 0.0],
     [0.0, 0.5, 0.5],
@@ -248,15 +250,11 @@ class Mesh:
 
         w holds the quadrature weights times ``weight`` at the points, zero
         outside ``region``; c = P^T w are the nodal weights, so the integral of
-        a nodal field u is ``c @ u``.  ``weight`` is None or a value object (a
-        frozen dataclass called on point arrays, such as
-        :class:`~degenlab.weights.AbsPowerWeight`): the cache key holds it, so
-        equal parameters share one entry.
+        a nodal field u is ``c @ u``.  ``weight`` is anything
+        :func:`~degenlab.weights.as_weight` accepts; the cache key holds the
+        weight value, so equal parameters share one entry.
         """
-        params = getattr(type(weight), "__dataclass_params__", None)
-        if weight is not None and not (params and params.frozen and params.eq):
-            raise TypeError(f"weight must be None or a frozen dataclass "
-                            f"called on point arrays, got {weight!r}")
+        weight = as_weight(weight)
         key = _quadrature_key(subdivide_radius, 2)
 
         def build():
@@ -597,10 +595,9 @@ def integrate_space(mesh: Mesh, integrand, region: Region | None = None,
     """Integral of integrand * weight over the region.
 
     ``integrand`` is either a nodal array (P1-interpolated) or a callable on
-    point arrays; ``weight`` is None or a value object, as in
-    :meth:`Mesh.quadrature_weights`.  Cells whose vertices come within
-    ``subdivide_radius`` of the origin are integrated on a 2-level dyadic
-    refinement of the midpoint rule.
+    point arrays; ``weight`` is as in :meth:`Mesh.quadrature_weights`.  Cells
+    whose vertices come within ``subdivide_radius`` of the origin are
+    integrated on a 2-level dyadic refinement of the midpoint rule.
     """
     w, _ = mesh.quadrature_weights(subdivide_radius, region, weight)
     return float(np.dot(w, mesh.quadrature(subdivide_radius).values(integrand)))

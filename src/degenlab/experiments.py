@@ -20,7 +20,7 @@ import numpy as np
 from . import carleman as cl
 from .domain import (MAX_VERTICES, GeometrySpec, Mesh, Region,
                      build_disk_mesh, disk_vertex_bound, integrate_space,
-                     integrate_spacetime)
+                     integrate_spacetime, snap_window)
 from .solver import (DiscreteSolution, ParabolicProblem, SolverError,
                      boundary_flux, cell_weight_integrals, solve)
 from .weights import AbsPowerWeight, RegularizedWeight
@@ -415,8 +415,7 @@ def _observability_record(sol: DiscreteSolution, cfg: ExperimentConfig) -> dict:
 
     # (5.2) chain in the discrete mass-matrix norms where it holds exactly
     l2sq = sol.l2_norms ** 2
-    i0 = int(np.argmin(np.abs(times - window[0])))
-    i1 = int(np.argmin(np.abs(times - window[1])))
+    i0, i1 = snap_window(times, window)
     window_mass = float(np.trapezoid(l2sq[i0:i1 + 1], times[i0:i1 + 1]))
     chain_lhs = float(l2sq[0])
     chain_rhs = 2.0 / T * window_mass

@@ -21,8 +21,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .domain import Mesh
-from .spaces import WeightedNormSpec
-from .weights import RegularizedWeight, exact_weight
+from .weights import AbsPowerWeight, as_weight
 
 _MASS_LOCAL = np.array([[2.0, 1.0, 1.0],
                         [1.0, 2.0, 1.0],
@@ -42,15 +41,6 @@ class SolverError(RuntimeError):
         self.step = step
 
 
-def _weight_spec(weight) -> WeightedNormSpec:
-    if weight is None:
-        return WeightedNormSpec()
-    if isinstance(weight, RegularizedWeight):
-        return WeightedNormSpec(weight=weight,
-                                subdivide_radius=2.0 * weight.epsilon)
-    return WeightedNormSpec(weight=float(weight))
-
-
 def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
     """Consistent P1 mass matrix (SPD; row sums partition the area)."""
     nc = mesh.num_cells
@@ -65,19 +55,21 @@ def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
 def cell_weight_integrals(mesh: Mesh, weight) -> np.ndarray:
     """Per-cell quadrature of the spatial weight (1 for unweighted).
 
-    Each cell's points are summed in order (:meth:`Mesh.cell_forms`).
-    Cached on the mesh per weight spec and read-only.
+    Each cell's points are summed in order (:meth:`Mesh.cell_forms`) on the
+    rule refined within the weight's ``quadrature_radius``.  Cached on the
+    mesh per weight (:func:`~degenlab.weights.as_weight`) and read-only.
     """
-    spec = _weight_spec(weight)
+    w = as_weight(weight)
 
     def checked(points):
-        wq = spec.evaluate(points)
+        wq = w(points)
         if np.any(wq < 0.0) or not np.all(np.isfinite(wq)):
             raise ValueError("weight must be nonnegative and finite at every "
                              "quadrature point")
         return wq
-    return mesh.cached(("cell_weights", spec), lambda: mesh.cell_forms(
-        checked, spec.subdivide_radius)[1])
+    return mesh.cached(("cell_weights", w), lambda: mesh.cell_forms(
+        None if w is None else checked,
+        0.0 if w is None else w.quadrature_radius)[1])
 
 
 def assemble_stiffness(mesh: Mesh, weight) -> sp.csr_matrix:
@@ -107,9 +99,11 @@ def load_vectors(mesh: Mesh, fn, times) -> np.ndarray:
 class ParabolicProblem:
     """Forward or backward weighted heat problem with an optional source.
 
-    ``weight`` is a float alpha (exact weight |x|^alpha) or a
-    RegularizedWeight; ``data`` is the nodal initial datum (forward) or
-    terminal datum (backward); ``source`` is f(points, t).
+    ``weight`` is None (unweighted), a float alpha in (0, 2) (the exact
+    weight |x|^alpha) or a weight object; it is stored as
+    :func:`~degenlab.weights.as_weight` gives it.  ``data`` is the nodal
+    initial datum (forward) or terminal datum (backward); ``source`` is
+    f(points, t).
     """
 
     weight: object
@@ -119,6 +113,7 @@ class ParabolicProblem:
     source: object = None
 
     def __post_init__(self):
+        self.weight = as_weight(self.weight)
         if self.direction not in ("forward", "backward"):
             raise ValueError("direction must be 'forward' or 'backward'")
         if self.T <= 0:
@@ -187,7 +182,7 @@ def step_operator(mesh: Mesh, weight, dt: float, theta: float) -> StepOperator:
     solution built from it, and the mass matrix by every step operator of the
     mesh; they are read-only.
     """
-    key = (_weight_spec(weight), float(dt), float(theta))
+    key = (as_weight(weight), float(dt), float(theta))
     op = mesh._step_cache.get(key)
     if op is None:
         mass = mesh.cached("mass", lambda: assemble_mass(mesh))
@@ -285,31 +280,16 @@ class ManufacturedField:
 
 def manufactured_source(target: ManufacturedField, weight):
     """Source f = d_t(phi*) - grad w . grad phi* - w lap phi* (chain rule)."""
-    if isinstance(weight, RegularizedWeight):
-        def wval(x):
-            return weight.value(x)
-
-        def wgrad(x):
-            return weight.gradient(x)
-    else:
-        alpha = float(weight)
-        if alpha < 1.0 and not target.vanishes_at_origin:
-            raise ValueError(
-                "exact weight with alpha < 1 requires a target vanishing at "
-                "the origin; otherwise the source is not square-integrable")
-
-        def wval(x):
-            return exact_weight(alpha, x)
-
-        def wgrad(x):
-            r2 = np.einsum("nd,nd->n", x, x)
-            fac = np.where(r2 > 0.0, alpha * np.power(np.maximum(r2, 1e-300),
-                                                      0.5 * alpha - 1.0), 0.0)
-            return fac[:, None] * x
+    w = as_weight(weight)
+    if (isinstance(w, AbsPowerWeight) and w.p < 1.0
+            and not target.vanishes_at_origin):
+        raise ValueError(
+            "exact weight with alpha < 1 requires a target vanishing at "
+            "the origin; otherwise the source is not square-integrable")
 
     def source(x, t):
-        adv = np.einsum("nd,nd->n", wgrad(x), target.grad(x, t))
-        return target.dt(x, t) - adv - wval(x) * target.lap(x, t)
+        adv = np.einsum("nd,nd->n", w.gradient(x), target.grad(x, t))
+        return target.dt(x, t) - adv - w(x) * target.lap(x, t)
 
     return source
 
@@ -357,10 +337,10 @@ def _source_data_norms(sol: DiscreteSolution) -> float:
     prob = sol.problem
     if prob.source is None:
         return 0.0
-    spec = _weight_spec(prob.weight)
-    sub = max(spec.subdivide_radius, 4.0 * sol.mesh.h)
+    w = prob.weight
+    sub = max(0.0 if w is None else w.quadrature_radius, 4.0 * sol.mesh.h)
     qp = sol.mesh.quadrature(sub, levels=3)
-    winv = 1.0 / spec.evaluate(qp.points)
+    winv = 1.0 if w is None else 1.0 / w(qp.points)
     slices = np.array([
         float(np.dot(qp.weights,
                      np.asarray(prob.source(qp.points, t), dtype=float) ** 2
@@ -395,8 +375,8 @@ def boundary_flux(sol: DiscreteSolution) -> np.ndarray:
     bidx = np.flatnonzero(mesh.boundary_mask)
     B_lu = mesh.cached("boundary_mass_lu", lambda: _factor_spd(
         boundary_mass_matrix(mesh)[bidx][:, bidx]))
-    spec = _weight_spec(prob.weight)
-    wb = spec.evaluate(mesh.vertices[bidx])
+    wb = (np.ones(len(bidx)) if prob.weight is None
+          else prob.weight(mesh.vertices[bidx]))
     if np.any(wb <= 0.0):
         raise ValueError("weight degenerates on the boundary; flux undefined")
 

@@ -9,47 +9,29 @@ LHS / RHS with the explicit constants, so a verified inequality reads
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .domain import Mesh
-from .weights import AbsPowerWeight, RegularizedWeight, exact_weight
+from .weights import AbsPowerWeight, RegularizedWeight
 
 
-@dataclass(frozen=True)
-class WeightedNormSpec:
-    """Selects the spatial weight entering a norm.
-
-    ``weight`` is ``None`` for the unweighted case, a float ``alpha`` for the
-    exact weight |x|^alpha, or a RegularizedWeight instance.
-    """
-
-    weight: object = None
-    subdivide_radius: float = 0.0
-
-    def evaluate(self, points):
-        if self.weight is None:
-            return np.ones(len(points))
-        if isinstance(self.weight, RegularizedWeight):
-            return self.weight.value(points)
-        return exact_weight(float(self.weight), points)
-
-
-def weighted_l2_norm(mesh: Mesh, field, spec: WeightedNormSpec) -> float:
-    """sqrt of the quadrature of u^2 * w over the mesh."""
-    qp = mesh.quadrature(spec.subdivide_radius)
+def weighted_l2_norm(mesh: Mesh, field, weight=None,
+                     subdivide_radius: float = 0.0) -> float:
+    """sqrt of the quadrature of u^2 * w over the mesh (w = 1 when ``weight``
+    is None)."""
+    qp = mesh.quadrature(subdivide_radius)
     u = qp.values(field)
-    w = spec.evaluate(qp.points)
+    w = 1.0 if weight is None else weight(qp.points)
     return float(np.sqrt(max(0.0, np.dot(qp.weights, u * u * w))))
 
 
-def weighted_h1_seminorm(mesh: Mesh, field, spec: WeightedNormSpec) -> float:
+def weighted_h1_seminorm(mesh: Mesh, field, weight=None,
+                         subdivide_radius: float = 0.0) -> float:
     """sqrt of the quadrature of |grad u|^2 * w with the P1 cell gradient."""
-    qp = mesh.quadrature(spec.subdivide_radius)
+    qp = mesh.quadrature(subdivide_radius)
     g = mesh.p1_gradient(field)
     g2 = np.einsum("cd,cd->c", g, g)[qp.cell]
-    w = spec.evaluate(qp.points)
+    w = 1.0 if weight is None else weight(qp.points)
     return float(np.sqrt(max(0.0, np.dot(qp.weights, g2 * w))))
 
 
@@ -63,12 +45,11 @@ def _require_h10(mesh: Mesh, fields):
     return u
 
 
-def hardy_ratio(mesh: Mesh, field, alpha: float,
-                subdivide_radius: float | None = None) -> float:
+def hardy_ratio(mesh: Mesh, field, alpha: float) -> float:
     """(N-2+alpha) * || |x|^(alpha/2-1) u ||_L2 / (2 ||grad u||_{L2;|x|^alpha}).
 
     The singular factor |x|^(alpha-2) is integrable in 2D for alpha in (0,2);
-    it is handled by extra quadrature subdivision near the origin.
+    it is handled by extra quadrature subdivision within 4h of the origin.
     """
     if not 0.0 < alpha < 2.0:
         raise ValueError("alpha must lie in (0, 2)")
@@ -76,20 +57,18 @@ def hardy_ratio(mesh: Mesh, field, alpha: float,
     if not np.any(u):
         return 0.0
     N = 2
-    sub = 4.0 * mesh.h if subdivide_radius is None else subdivide_radius
+    sub = 4.0 * mesh.h
     qp = mesh.quadrature(sub, levels=3)
     uq = qp.values(u)
-    r2 = np.einsum("qd,qd->q", qp.points, qp.points)
     # |x|^(alpha-2) u^2; the rule never samples x = 0 (edge midpoints of
     # nondegenerate cells), so the power is finite
-    lhs2 = float(np.dot(qp.weights, np.power(r2, 0.5 * alpha - 1.0) * uq * uq))
-    spec = WeightedNormSpec(weight=alpha, subdivide_radius=sub)
-    rhs = weighted_h1_seminorm(mesh, u, spec)
+    lhs2 = float(np.dot(qp.weights,
+                        AbsPowerWeight(alpha - 2.0)(qp.points) * uq * uq))
+    rhs = weighted_h1_seminorm(mesh, u, AbsPowerWeight(alpha), sub)
     return (N - 2 + alpha) * np.sqrt(max(0.0, lhs2)) / (2.0 * rhs)
 
 
-def poincare_ratios(mesh: Mesh, field, alpha: float, eps: float,
-                    m: float | None = None) -> dict:
+def poincare_ratios(mesh: Mesh, field, alpha: float, eps: float) -> dict:
     """LHS/RHS of the four explicit-constant Poincare-type inequalities.
 
     r_22: c/(2m) * ||u||_{L2;w}      <= ||grad u||_{L2;w}       (exact weight)
@@ -102,22 +81,19 @@ def poincare_ratios(mesh: Mesh, field, alpha: float, eps: float,
     if not 0.0 < alpha < 2.0:
         raise ValueError("alpha must lie in (0, 2)")
     u = _require_h10(mesh, field)
-    if m is None:
-        m = float(np.max(np.linalg.norm(mesh.vertices, axis=1))) + 1.0
+    m = float(np.max(np.linalg.norm(mesh.vertices, axis=1))) + 1.0
     if not np.any(u):
         return {"r_22": 0.0, "r_23": 0.0, "r_36": 0.0, "r_37": 0.0}
     N = 2
     c = N - 2 + alpha
     sub = 4.0 * mesh.h
-    exact = WeightedNormSpec(weight=alpha, subdivide_radius=sub)
-    reg = WeightedNormSpec(weight=RegularizedWeight(epsilon=eps, alpha=alpha),
-                           subdivide_radius=sub)
-    plain = WeightedNormSpec(subdivide_radius=sub)
-    l2_w = weighted_l2_norm(mesh, u, exact)
-    l2_we = weighted_l2_norm(mesh, u, reg)
-    l2 = weighted_l2_norm(mesh, u, plain)
-    h1_w = weighted_h1_seminorm(mesh, u, exact)
-    h1_we = weighted_h1_seminorm(mesh, u, reg)
+    exact = AbsPowerWeight(alpha)
+    reg = RegularizedWeight(epsilon=eps, alpha=alpha)
+    l2_w = weighted_l2_norm(mesh, u, exact, sub)
+    l2_we = weighted_l2_norm(mesh, u, reg, sub)
+    l2 = weighted_l2_norm(mesh, u, None, sub)
+    h1_w = weighted_h1_seminorm(mesh, u, exact, sub)
+    h1_we = weighted_h1_seminorm(mesh, u, reg, sub)
     return {
         "r_22": c / (2.0 * m) * l2_w / h1_w,
         "r_23": c / (2.0 * m ** (1.0 - 0.5 * alpha)) * l2 / h1_w,
@@ -126,8 +102,8 @@ def poincare_ratios(mesh: Mesh, field, alpha: float, eps: float,
     }
 
 
-def inequality_ratio_table(mesh: Mesh, fields, alpha: float, eps: float,
-                           m: float | None = None) -> dict:
+def inequality_ratio_table(mesh: Mesh, fields, alpha: float,
+                           eps: float) -> dict:
     """Hardy and Poincare ratios for a stack of nodal fields at once.
 
     ``fields`` has shape (n_fields, n_vertices).  Returns arrays keyed
@@ -146,8 +122,7 @@ def inequality_ratio_table(mesh: Mesh, fields, alpha: float, eps: float,
     if F.ndim != 2 or F.shape[1] != mesh.num_vertices:
         raise ValueError("fields must be (n_fields, n_vertices)")
     _require_h10(mesh, F)
-    if m is None:
-        m = float(np.max(np.linalg.norm(mesh.vertices, axis=1))) + 1.0
+    m = float(np.max(np.linalg.norm(mesh.vertices, axis=1))) + 1.0
     N = 2
     c = N - 2 + alpha
     sub = 4.0 * mesh.h
@@ -171,9 +146,9 @@ def inequality_ratio_table(mesh: Mesh, fields, alpha: float, eps: float,
     hardy_num = norm(mesh.assemble(mesh.cell_forms(
         AbsPowerWeight(alpha - 2.0), sub, levels=3)[0]))
     l2 = norm(mesh.assemble(mesh.cell_forms(None, sub)[0]))
-    l2_w, h1_w = mass_and_stiffness(WeightedNormSpec(alpha).evaluate)
-    l2_we, h1_we = mass_and_stiffness(
-        WeightedNormSpec(RegularizedWeight(epsilon=eps, alpha=alpha)).evaluate)
+    l2_w, h1_w = mass_and_stiffness(AbsPowerWeight(alpha))
+    l2_we, h1_we = mass_and_stiffness(RegularizedWeight(epsilon=eps,
+                                                        alpha=alpha))
     k_w = c / (2.0 * m)                        # r_22, r_36
     k_1 = c / (2.0 * m ** (1.0 - 0.5 * alpha))  # r_23, r_37
     nz = np.any(F != 0.0, axis=1)

@@ -2,14 +2,19 @@
 
 The regularized profile replaces r -> |r| by a quartic polynomial inside the
 ball of radius ``epsilon`` so that the weight ``psi(|x|)^alpha`` is C^{2,1}
-with explicit first and second radial derivatives.  Everything here is
-closed form; no quadrature except the Muckenhoupt constant estimator at the
-bottom of the module.
+with explicit first and second radial derivatives.  The spatial weights
+|x|^p (:class:`AbsPowerWeight`) and psi_eps^alpha (:class:`RegularizedWeight`)
+are frozen values called on point arrays, with a ``gradient`` and the
+``quadrature_radius`` within which their integrals need the refined rule;
+:func:`as_weight` maps every public spelling of a weight onto them.
+Everything here is closed form; no quadrature except the Muckenhoupt
+constant estimator at the bottom of the module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -33,15 +38,17 @@ class RegularizedWeight:
 
     epsilon: float
     alpha: float
-    dim: int = 2
 
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if not (0.0 < self.alpha < 2.0):
-            raise ValueError(f"alpha must lie in (0, 2), got {self.alpha}")
-        if self.dim < 2:
-            raise ValueError("dim must be >= 2")
+        _check_alpha(self.alpha)
+
+    @property
+    def quadrature_radius(self) -> float:
+        """The weight bends within the ball of radius epsilon; its cells
+        take the refined rule out to twice that."""
+        return 2.0 * self.epsilon
 
     # -- scalar radial calculus ---------------------------------------------
 
@@ -67,13 +74,10 @@ class RegularizedWeight:
 
     # -- the weight itself --------------------------------------------------
 
-    def value(self, x):
+    def __call__(self, x):
         """w_eps(x) = psi_eps(|x|)^alpha; accepts (..., dim) arrays."""
         x = np.asarray(x, dtype=float)
         r = np.linalg.norm(x, axis=-1)
-        return self.psi(r) ** self.alpha
-
-    def value_radial(self, r):
         return self.psi(r) ** self.alpha
 
     def gradient(self, x):
@@ -93,24 +97,44 @@ class RegularizedWeight:
 
 @dataclass(frozen=True)
 class AbsPowerWeight:
-    """The weight |x|^p on point arrays, as a value: equal p, equal weights.
-
-    Being a value, it can key the mesh's cached quadrature weights
-    (:meth:`degenlab.domain.Mesh.quadrature_weights`).
-    """
+    """The weight |x|^p on (n, dim) point arrays, as a value: equal p, equal
+    weights, so it can key the mesh's caches.  Its integrals need no refined
+    rule beyond what the caller asks for."""
 
     p: float
+    quadrature_radius = 0.0
 
     def __call__(self, points) -> np.ndarray:
         x = np.asarray(points, dtype=float)
         return np.power(np.einsum("nd,nd->n", x, x), 0.5 * self.p)
 
+    def gradient(self, points) -> np.ndarray:
+        """p |x|^(p-2) x, with |x| floored at 1e-300."""
+        x = np.asarray(points, dtype=float)
+        r = np.maximum(np.linalg.norm(x, axis=-1), 1e-300)
+        return (self.p * r ** (self.p - 2.0))[..., None] * x
 
-def exact_weight(alpha: float, x) -> np.ndarray:
-    """The unregularized weight |x|^alpha."""
-    x = np.asarray(x, dtype=float)
-    r = np.linalg.norm(x, axis=-1)
-    return r**alpha
+
+def _check_alpha(alpha):
+    if not 0.0 < alpha < 2.0:
+        raise ValueError(f"alpha must lie in (0, 2), got {alpha}")
+
+
+def as_weight(weight):
+    """The spatial weight that ``weight`` names.
+
+    None (unweighted) stays None, a real alpha in (0, 2) is the exact weight
+    ``AbsPowerWeight(alpha)``, and a weight object passes through.
+    """
+    if weight is None or isinstance(weight,
+                                    (AbsPowerWeight, RegularizedWeight)):
+        return weight
+    if isinstance(weight, Real) and not isinstance(weight, bool):
+        _check_alpha(weight)
+        return AbsPowerWeight(float(weight))
+    raise TypeError(f"weight must be None, a float alpha or a weight value "
+                    f"(a frozen dataclass called on point arrays), got "
+                    f"{weight!r}")
 
 
 def identity_residuals(weight: RegularizedWeight, x):

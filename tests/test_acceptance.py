@@ -23,9 +23,8 @@ from degenlab.experiments import (ExperimentConfig, bump,
 from degenlab.solver import (ManufacturedField, ParabolicProblem,
                              energy_report, manufactured_source, solve)
 from degenlab.spaces import inequality_ratio_table
-from degenlab.weights import (CubeFamily, RegularizedWeight,
-                              ap_constant_estimate, exact_weight,
-                              identity_residuals)
+from degenlab.weights import (AbsPowerWeight, CubeFamily, RegularizedWeight,
+                              ap_constant_estimate, identity_residuals)
 
 
 def _verdict(capsys, ok: bool, num: int, detail: str, elapsed: float,
@@ -59,8 +58,8 @@ def test_criterion_1_weight_calculus(capsys):
         e = 0.0
         for p in pts:
             fd = np.array([
-                (w.value(p + [h, 0.0]) - w.value(p - [h, 0.0])) / (2 * h),
-                (w.value(p + [0.0, h]) - w.value(p - [0.0, h])) / (2 * h)])
+                (w(p + [h, 0.0]) - w(p - [h, 0.0])) / (2 * h),
+                (w(p + [0.0, h]) - w(p - [0.0, h])) / (2 * h)])
             e = max(e, float(np.max(np.abs(fd - w.gradient(p[None])[0]))))
         errs.append(e)
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(len(hs) - 1)]
@@ -75,12 +74,12 @@ def test_criterion_1_weight_calculus(capsys):
 def test_criterion_2_ap_uniformity(capsys):
     t0 = time.perf_counter()
     cubes = CubeFamily(half=2.0, levels=3, random_per_level=64, seed=11)
-    exact = ap_constant_estimate(lambda x: exact_weight(1.0, x), 2.0, cubes,
+    exact = ap_constant_estimate(AbsPowerWeight(1.0), 2.0, cubes,
                                  singular_radius=1e-3)
     vals = {}
     for eps in (0.25, 0.125, 1.0 / 16.0, 1.0 / 32.0, 1.0 / 64.0):
         w = RegularizedWeight(epsilon=eps, alpha=1.0)
-        vals[eps] = ap_constant_estimate(w.value, 2.0, cubes,
+        vals[eps] = ap_constant_estimate(w, 2.0, cubes,
                                          singular_radius=eps)
     const = ap_constant_estimate(
         lambda x: np.ones(len(np.atleast_2d(x))), 2.0, cubes)

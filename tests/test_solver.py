@@ -7,13 +7,12 @@ import scipy.sparse.linalg as spla
 from degenlab import solver
 from degenlab.domain import GeometrySpec, build_annulus_mesh, build_disk_mesh
 from degenlab.solver import (ManufacturedField, ParabolicProblem, SolverError,
-                             _factor_spd, _weight_spec, assemble_mass,
-                             assemble_stiffness, boundary_flux,
-                             boundary_mass_matrix, cell_weight_integrals,
-                             energy_report, load_vectors, manufactured_source,
-                             solve, step_operator)
-from degenlab.spaces import WeightedNormSpec
-from degenlab.weights import RegularizedWeight
+                             _factor_spd, assemble_mass, assemble_stiffness,
+                             boundary_flux, boundary_mass_matrix,
+                             cell_weight_integrals, energy_report,
+                             load_vectors, manufactured_source, solve,
+                             step_operator)
+from degenlab.weights import AbsPowerWeight, RegularizedWeight, as_weight
 
 
 @pytest.fixture(scope="module")
@@ -74,12 +73,13 @@ class TestAssembly:
         mesh = build_disk_mesh(GeometrySpec(R=0.12, L=1.0), 0.1,
                                local_h=1.0 / 64.0)
         for weight in (1.0, RegularizedWeight(epsilon=0.05, alpha=1.3), None):
-            spec = _weight_spec(weight)
-            qp = mesh.quadrature(spec.subdivide_radius)
+            w = as_weight(weight)
+            qp = mesh.quadrature(0.0 if w is None else w.quadrature_radius)
             if isinstance(weight, RegularizedWeight):    # refined cells
                 assert len(qp.weights) > 3 * mesh.num_cells
             ref = np.zeros(mesh.num_cells)
-            np.add.at(ref, qp.cell, qp.weights * spec.evaluate(qp.points))
+            np.add.at(ref, qp.cell, qp.weights * (1.0 if w is None
+                                                  else w(qp.points)))
             assert np.array_equal(cell_weight_integrals(mesh, weight), ref)
 
     def test_boundary_mass_total_is_perimeter(self, small_mesh):
@@ -95,9 +95,10 @@ class TestAssembly:
     def test_cell_weight_integrals_cached_per_spec(self, monkeypatch):
         mesh = build_disk_mesh(GeometrySpec(R=0.12, L=1.0), 0.1)
         calls = []
-        evaluate = WeightedNormSpec.evaluate
-        monkeypatch.setattr(WeightedNormSpec, "evaluate",
-                            lambda self, x: calls.append(self) or evaluate(self, x))
+        for cls in (AbsPowerWeight, RegularizedWeight):
+            monkeypatch.setattr(cls, "__call__",
+                                lambda self, x, f=cls.__call__:
+                                calls.append(self) or f(self, x))
         reg = RegularizedWeight(epsilon=0.05, alpha=1.0)
         first = cell_weight_integrals(mesh, reg)
         assert not first.flags.writeable
@@ -109,6 +110,13 @@ class TestAssembly:
         assert len(calls) == 1
         assert cell_weight_integrals(mesh, 1.0) is not first
         assert len(calls) == 2
+        # the float alpha and its weight object share one entry, and one
+        # step operator
+        assert cell_weight_integrals(mesh, AbsPowerWeight(1.0)) is (
+            cell_weight_integrals(mesh, 1))
+        assert step_operator(mesh, 1, 0.1, 1.0) is step_operator(
+            mesh, AbsPowerWeight(1.0), 0.1, 1.0)
+        assert calls == [reg, AbsPowerWeight(1.0)]
 
     def test_mass_assembled_once_per_mesh(self, monkeypatch):
         mesh = build_disk_mesh(GeometrySpec(R=0.12, L=1.0), 0.1)
@@ -172,6 +180,17 @@ class TestTimeStepping:
                              direction="sideways")
         with pytest.raises(ValueError):
             ParabolicProblem(weight=1.0, T=-1.0, data=np.zeros(3))
+
+    @pytest.mark.parametrize("weight, error", [
+        (2.5, ValueError), (-1.0, ValueError), (0.0, ValueError),
+        ("1.0", TypeError)])
+    def test_weight_validated(self, weight, error):
+        with pytest.raises(error):
+            ParabolicProblem(weight=weight, T=1.0, data=np.zeros(3))
+
+    def test_weight_stored_as_weight(self):
+        prob = ParabolicProblem(weight=1, T=1.0, data=np.zeros(3))
+        assert prob.weight == AbsPowerWeight(1.0)
 
 
 class TestStepOperator:
@@ -412,7 +431,8 @@ def _flux_step_loop(sol):
     u = sol.forward_fields()
     bidx = np.flatnonzero(mesh.boundary_mask)
     B_lu = _factor_spd(boundary_mass_matrix(mesh)[bidx][:, bidx])
-    wb = _weight_spec(prob.weight).evaluate(mesh.vertices[bidx])
+    wb = (np.ones(len(bidx)) if prob.weight is None
+          else prob.weight(mesh.vertices[bidx]))
     backward = prob.direction == "backward"
 
     def load(n):

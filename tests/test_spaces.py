@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degenlab.domain import GeometrySpec, build_disk_mesh
-from degenlab.spaces import (WeightedNormSpec, hardy_ratio,
-                             inequality_ratio_table, poincare_ratios,
-                             weighted_h1_seminorm, weighted_l2_norm)
-from degenlab.weights import RegularizedWeight
+from degenlab.spaces import (hardy_ratio, inequality_ratio_table,
+                             poincare_ratios, weighted_h1_seminorm,
+                             weighted_l2_norm)
+from degenlab.weights import AbsPowerWeight, RegularizedWeight
 
 
 @pytest.fixture(scope="module")
@@ -29,44 +29,43 @@ class TestNorms:
     def test_weighted_l2_oracle(self, unit_disk_mesh):
         # ||1||^2_{L2(B_1; |x|)} = int |x| dx = 2 pi / 3
         ones = np.ones(unit_disk_mesh.num_vertices)
-        spec = WeightedNormSpec(weight=1.0, subdivide_radius=0.1)
-        val = weighted_l2_norm(unit_disk_mesh, ones, spec) ** 2
+        val = weighted_l2_norm(unit_disk_mesh, ones, AbsPowerWeight(1.0),
+                               0.1) ** 2
         assert abs(val - 2.0 * np.pi / 3.0) < 2e-3
 
     def test_unweighted_h1_oracle(self, unit_disk_mesh):
         # |x.e|_{H1} over B_1: gradient is a unit vector, norm^2 = pi
         u = unit_disk_mesh.vertices[:, 0]
-        val = weighted_h1_seminorm(unit_disk_mesh, u, WeightedNormSpec()) ** 2
+        val = weighted_h1_seminorm(unit_disk_mesh, u) ** 2
         assert abs(val - np.pi) < 2e-3
 
     @given(st.floats(min_value=-8.0, max_value=8.0, allow_nan=False))
     @settings(max_examples=25, deadline=None)
     def test_homogeneity(self, unit_disk_mesh, c):
         u = _bump_field(unit_disk_mesh)
-        spec = WeightedNormSpec(weight=1.0)
-        base = weighted_l2_norm(unit_disk_mesh, u, spec)
-        scaled = weighted_l2_norm(unit_disk_mesh, c * u, spec)
+        w = AbsPowerWeight(1.0)
+        base = weighted_l2_norm(unit_disk_mesh, u, w)
+        scaled = weighted_l2_norm(unit_disk_mesh, c * u, w)
         assert np.isclose(scaled, abs(c) * base, rtol=1e-12, atol=1e-12)
 
     def test_triangle_inequality(self, unit_disk_mesh):
         rng = np.random.default_rng(4)
-        spec = WeightedNormSpec(weight=1.0)
+        w = AbsPowerWeight(1.0)
         for _ in range(10):
             u = rng.normal(size=unit_disk_mesh.num_vertices)
             v = rng.normal(size=unit_disk_mesh.num_vertices)
-            nu = weighted_l2_norm(unit_disk_mesh, u, spec)
-            nv = weighted_l2_norm(unit_disk_mesh, v, spec)
-            nuv = weighted_l2_norm(unit_disk_mesh, u + v, spec)
+            nu = weighted_l2_norm(unit_disk_mesh, u, w)
+            nv = weighted_l2_norm(unit_disk_mesh, v, w)
+            nuv = weighted_l2_norm(unit_disk_mesh, u + v, w)
             assert nuv <= nu + nv + 1e-12
 
     def test_regularized_dominates_exact(self, unit_disk_mesh):
         # psi_eps >= |x| pointwise, so the weighted norm can only grow
         u = _bump_field(unit_disk_mesh)
-        exact = WeightedNormSpec(weight=1.0, subdivide_radius=0.1)
-        reg = WeightedNormSpec(weight=RegularizedWeight(epsilon=0.1, alpha=1.0),
-                               subdivide_radius=0.1)
-        assert (weighted_l2_norm(unit_disk_mesh, u, reg)
-                >= weighted_l2_norm(unit_disk_mesh, u, exact) - 1e-14)
+        reg = RegularizedWeight(epsilon=0.1, alpha=1.0)
+        exact = AbsPowerWeight(1.0)
+        assert (weighted_l2_norm(unit_disk_mesh, u, reg, 0.1)
+                >= weighted_l2_norm(unit_disk_mesh, u, exact, 0.1) - 1e-14)
 
 
 class TestHardyPoincare:

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degenlab.weights import (CubeFamily, CutoffFunction, RegularizedWeight,
-                              ap_constant_estimate, build_cutoff, cutoff_kappa,
-                              cutoff_rho, cutoff_zeta, exact_weight,
-                              identity_residuals)
+from degenlab.domain import GeometrySpec, build_disk_mesh
+from degenlab.weights import (AbsPowerWeight, CubeFamily, CutoffFunction,
+                              RegularizedWeight, ap_constant_estimate,
+                              as_weight, build_cutoff, cutoff_kappa,
+                              cutoff_rho, cutoff_zeta, identity_residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +129,7 @@ class TestDerivatives:
         for k in range(2):
             e = np.zeros(2)
             e[k] = h
-            fd = (w.value(x + e) - w.value(x - e)) / (2.0 * h)
+            fd = (w(x + e) - w(x - e)) / (2.0 * h)
             assert np.allclose(g[:, k], fd, atol=1e-7)
 
 
@@ -158,8 +159,57 @@ class TestIdentities:
 class TestExactWeight:
     def test_values(self):
         x = np.array([[3.0, 4.0], [1.0, 0.0]])
-        assert np.allclose(exact_weight(1.0, x), [5.0, 1.0])
-        assert np.allclose(exact_weight(0.5, x), [np.sqrt(5.0), 1.0])
+        assert np.allclose(AbsPowerWeight(1.0)(x), [5.0, 1.0])
+        assert np.allclose(AbsPowerWeight(0.5)(x), [np.sqrt(5.0), 1.0])
+
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_alpha_one_is_the_norm_bitwise(self, levels):
+        # (x.x)^(1/2) rounds like the Euclidean norm, so every alpha = 1
+        # quantity matches the norm-based formula bit for bit
+        mesh = build_disk_mesh(GeometrySpec(R=0.12, L=1.0), 0.1,
+                               local_h=1.0 / 64.0)
+        x = mesh.quadrature(0.25, levels=levels).points
+        assert np.array_equal(AbsPowerWeight(1.0)(x),
+                              np.linalg.norm(x, axis=-1))
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 1.5])
+    def test_gradient(self, p):
+        w = AbsPowerWeight(p)
+        x = np.random.default_rng(8).uniform(-1.0, 1.0, size=(50, 2))
+        g = w.gradient(x)
+        h = 1e-6
+        for k, e in enumerate(h * np.eye(2)):
+            fd = (w(x + e) - w(x - e)) / (2.0 * h)
+            assert np.allclose(g[:, k], fd, rtol=1e-6, atol=1e-8)
+        # the inline formula of the Carleman commutator source, bitwise
+        r_safe = np.maximum(np.linalg.norm(x, axis=1), 1e-300)
+        assert np.array_equal(g, (p * r_safe ** (p - 2.0))[:, None] * x)
+
+    def test_quadrature_radius(self):
+        assert AbsPowerWeight(1.0).quadrature_radius == 0.0
+        reg = RegularizedWeight(epsilon=0.1, alpha=1.0)
+        assert reg.quadrature_radius == 0.2
+
+
+class TestAsWeight:
+    def test_spellings(self):
+        assert as_weight(None) is None
+        assert as_weight(1) == AbsPowerWeight(1.0)
+        assert isinstance(as_weight(1).p, float)
+        assert as_weight(np.float64(0.5)) == AbsPowerWeight(0.5)
+        for w in (AbsPowerWeight(-1.0), RegularizedWeight(0.1, 1.0)):
+            assert as_weight(w) is w
+
+    @pytest.mark.parametrize("alpha", [2.5, -1.0, 0.0, 2.0, float("nan")])
+    def test_alpha_outside_range(self, alpha):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 2\)"):
+            as_weight(alpha)
+
+    @pytest.mark.parametrize("weight", ["1.0", True, [1.0],
+                                        lambda x: np.ones(len(x))])
+    def test_not_a_weight(self, weight):
+        with pytest.raises(TypeError):
+            as_weight(weight)
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +226,8 @@ class TestMuckenhoupt:
     def test_at_least_one_and_scaling_invariant(self):
         cubes = CubeFamily(half=2.0, levels=2, random_per_level=16, seed=1)
         w = RegularizedWeight(epsilon=0.25, alpha=1.0)
-        base = ap_constant_estimate(w.value, 2.0, cubes, singular_radius=0.25)
-        scaled = ap_constant_estimate(lambda x: 5.0 * w.value(x), 2.0, cubes,
+        base = ap_constant_estimate(w, 2.0, cubes, singular_radius=0.25)
+        scaled = ap_constant_estimate(lambda x: 5.0 * w(x), 2.0, cubes,
                                       singular_radius=0.25)
         assert base >= 1.0
         assert abs(scaled - base) < 1e-10 * base
@@ -186,8 +236,8 @@ class TestMuckenhoupt:
         # smoothing can only lower the oscillation probe
         cubes = CubeFamily(half=2.0, levels=3, random_per_level=32, seed=2)
         w = RegularizedWeight(epsilon=0.25, alpha=1.0)
-        reg = ap_constant_estimate(w.value, 2.0, cubes, singular_radius=0.25)
-        ex = ap_constant_estimate(lambda x: exact_weight(1.0, x), 2.0, cubes,
+        reg = ap_constant_estimate(w, 2.0, cubes, singular_radius=0.25)
+        ex = ap_constant_estimate(AbsPowerWeight(1.0), 2.0, cubes,
                                   singular_radius=1e-3)
         assert reg <= ex * (1.0 + 1e-12)
         assert ex <= 2.0 * reg
