@@ -220,7 +220,7 @@ class BalanceContext:
         if cutoff is not None and kind != "gsrc2":
             f = cutoff.value(self.mesh.vertices)[:, None] * f
         if kind != "grad2":
-            u = self.mesh.interpolation()[q] @ f
+            u = self.qp.interpolation[q] @ f
         if kind != "u2":
             grad = self.mesh.gradient_operator()
             cells = self.qp.cell[q]

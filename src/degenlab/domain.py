@@ -7,15 +7,18 @@ radial grading near the degeneracy at the origin is explicit.  All integrals
 use a per-cell midpoint rule (exact for quadratic integrands), with optional
 dyadic cell subdivision near the origin where singular weights live; the
 rule is defined once, as blocks of cells sharing a barycentric point set.
-Weighted bilinear forms can be built cell by cell on those blocks and
-assembled into the P1 sparsity pattern without any per-point array.
-Everything that depends on the mesh alone (quadratures, operators, the P1
-pattern, weighted quadrature weights, the mass matrix) is built once and
-cached on the Mesh.
+Each quadrature carries the sparse P1 interpolation P onto its points.
+Every P1 matrix is assembled from per-cell 3 x 3 blocks into one cached
+sparsity pattern; weighted bilinear forms can be built cell by cell on the
+rule blocks without any per-point array.  Everything built from the mesh
+(quadratures, operators, the P1 pattern, weighted quadrature weights, the
+mass matrix, the solver's step operators) is built once, cached on the Mesh
+and read-only.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import io
 from dataclasses import dataclass
 
@@ -85,21 +88,22 @@ class Region:
         return np.ones_like(r, dtype=bool)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SpaceQuadrature:
-    """Flat arrays of quadrature points over (possibly subdivided) cells."""
+    """Flat arrays of quadrature points over (possibly subdivided) cells, and
+    the sparse (nq, n_vertices) P1 interpolation P onto them: ``P @ u``
+    samples a nodal field u at the points, ``P.T @ w`` turns quadrature
+    weights w into nodal weights."""
 
     points: np.ndarray   # (nq, 2)
     weights: np.ndarray  # (nq,)
     cell: np.ndarray     # (nq,) owning cell index
-    nodes: np.ndarray    # (nq, 3) vertex ids of the owning cell
-    shape: np.ndarray    # (nq, 3) P1 shape values at the point
+    interpolation: sp.csr_matrix
 
     def values(self, field_or_fn):
         if callable(field_or_fn):
             return np.asarray(field_or_fn(self.points), dtype=float)
-        u = np.asarray(field_or_fn, dtype=float)
-        return np.einsum("qi,qi->q", self.shape, u[self.nodes])
+        return self.interpolation @ np.asarray(field_or_fn, dtype=float)
 
 
 class Mesh:
@@ -114,10 +118,8 @@ class Mesh:
         self.boundary_markers = np.asarray(boundary_markers, dtype=np.int64)
         self.h = float(h)
         self._finalize()
-        # mesh-only data: quadratures, operators, weights, the mass matrix
+        # everything built from the mesh, by key (see cached)
         self._cache: dict = {}
-        # factored theta-scheme steps, filled by solver.step_operator
-        self._step_cache: dict = {}
 
     def _finalize(self):
         p = self.vertices[self.cells]
@@ -161,8 +163,9 @@ class Mesh:
     def cached(self, key, build):
         """``build()``, once per key for the life of the mesh.
 
-        Arrays in the value (alone, in a tuple, or a sparse matrix's buffers)
-        are made read-only, since every caller shares them.
+        Arrays in the value (alone, in a tuple or a dataclass's fields, or a
+        sparse matrix's buffers) are made read-only, since every caller
+        shares them.
         """
         if key not in self._cache:
             self._cache[key] = _read_only(build())
@@ -221,28 +224,6 @@ class Mesh:
             ("quadrature", _quadrature_key(subdivide_radius, levels)),
             lambda: self._build_quadrature(subdivide_radius, levels))
 
-    def interpolation(self, subdivide_radius: float = 0.0,
-                      levels: int = 2) -> sp.csr_matrix:
-        """Sparse (nq, n_vertices) P1 interpolation onto ``quadrature(...)``.
-
-        Row q holds the shape values of point q at the vertices of its cell, so
-        ``P @ u`` samples a nodal field u at the quadrature points, and
-        ``P.T @ w`` turns quadrature weights w into nodal weights.  Cached per
-        quadrature key, like the quadrature itself.
-        """
-        def build():
-            qp = self.quadrature(subdivide_radius, levels)
-            nq = len(qp.weights)
-            # copy: eliminate_zeros compacts in place, and without it the
-            # matrix would share its data with qp.shape
-            P = sp.csr_matrix(
-                (qp.shape.ravel(), qp.nodes.ravel(), np.arange(0, 3 * nq + 1, 3)),
-                shape=(nq, self.num_vertices), copy=True)
-            P.eliminate_zeros()   # edge midpoints carry one zero shape value
-            return P
-        return self.cached(
-            ("interpolation", _quadrature_key(subdivide_radius, levels)), build)
-
     def quadrature_weights(self, subdivide_radius: float = 0.0,
                            region: Region | None = None,
                            weight=None) -> tuple[np.ndarray, np.ndarray]:
@@ -265,7 +246,7 @@ class Mesh:
             if region is not None:
                 w = w * self.cell_mask(region)[qp.cell]
             w = np.array(w)   # never the quadrature's own array
-            return w, self.interpolation(subdivide_radius).T @ w
+            return w, qp.interpolation.T @ w
         return self.cached(("weights", key, region, weight), build)
 
     def cell_forms(self, weight=None, subdivide_radius: float = 0.0,
@@ -317,6 +298,16 @@ class Mesh:
         return sp.csr_matrix((data, indices, indptr),
                              shape=(self.num_vertices,) * 2)
 
+    def stiffness(self, cell_weights) -> sp.csr_matrix:
+        """The P1 matrix sum_c cell_weights[c] grad(phi_i) . grad(phi_j), the
+        gradients constant on each cell c, by :meth:`assemble`."""
+        gx, gy = self.grads[..., 0], self.grads[..., 1]
+        # bitwise einsum("cid,cjd->cij", grads, grads), about 4x faster
+        local = gx[:, :, None] * gx[:, None, :]
+        local += gy[:, :, None] * gy[:, None, :]
+        local *= np.asarray(cell_weights, dtype=float)[:, None, None]
+        return self.assemble(local)
+
     def _p1_pattern(self):
         """``(indptr, indices, slot)``: the P1 pattern and, for each local
         entry (c, i, j) in C order, its position in the CSR data.
@@ -344,16 +335,23 @@ class Mesh:
         return indptr.astype(np.int32), (keys % nv).astype(np.int32), slot
 
     def _build_quadrature(self, subdivide_radius, levels):
-        pts, w, cell, shape = [], [], [], []
+        pts, w, cell, data, cols, row_nnz = [], [], [], [], [], []
         for ids, bary, a in _rule_blocks(self, subdivide_radius, levels):
             nq = len(bary)
             pts.append(_block_points(self, ids, bary).reshape(-1, 2))
             w.append(np.repeat(a, nq))
             cell.append(np.repeat(ids, nq))
-            shape.append(np.tile(bary, (len(ids), 1)))
+            # P's entries: the nonzero shape values, point by point; edge
+            # midpoints carry one zero shape value
+            nz = bary != 0.0
+            data.append(np.tile(bary[nz], len(ids)))
+            cols.append(self.cells[ids][:, np.nonzero(nz)[1]].ravel())
+            row_nnz.append(np.tile(nz.sum(axis=1), len(ids)))
         cell = np.concatenate(cell)
-        return SpaceQuadrature(np.concatenate(pts), np.concatenate(w), cell,
-                               self.cells[cell], np.concatenate(shape))
+        indptr = np.concatenate([[0], np.cumsum(np.concatenate(row_nnz))])
+        P = sp.csr_matrix((np.concatenate(data), np.concatenate(cols), indptr),
+                          shape=(len(cell), self.num_vertices))
+        return SpaceQuadrature(np.concatenate(pts), np.concatenate(w), cell, P)
 
     # -- plain-text export -----------------------------------------------------
 
@@ -417,7 +415,10 @@ def _block_points(mesh, ids, bary):
 
 def _read_only(value):
     """``value``, with the arrays it holds marked read-only."""
-    if isinstance(value, tuple):
+    if dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            _read_only(getattr(value, f.name))
+    elif isinstance(value, tuple):
         for v in value:
             _read_only(v)
     elif sp.issparse(value):

@@ -43,13 +43,7 @@ class SolverError(RuntimeError):
 
 def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
     """Consistent P1 mass matrix (SPD; row sums partition the area)."""
-    nc = mesh.num_cells
-    local = mesh.areas[:, None, None] * _MASS_LOCAL
-    rows = np.repeat(mesh.cells, 3, axis=1).reshape(nc, 3, 3)
-    cols = np.tile(mesh.cells, 3).reshape(nc, 3, 3)
-    mat = sp.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())),
-                        shape=(mesh.num_vertices,) * 2)
-    return mat.tocsr()
+    return mesh.assemble(mesh.areas[:, None, None] * _MASS_LOCAL)
 
 
 def cell_weight_integrals(mesh: Mesh, weight) -> np.ndarray:
@@ -74,25 +68,17 @@ def cell_weight_integrals(mesh: Mesh, weight) -> np.ndarray:
 
 def assemble_stiffness(mesh: Mesh, weight) -> sp.csr_matrix:
     """Weighted stiffness A_ij = sum_cells (grad phi_i . grad phi_j) int_c w."""
-    nc = mesh.num_cells
-    wint = cell_weight_integrals(mesh, weight)
-    gg = np.einsum("cid,cjd->cij", mesh.grads, mesh.grads)
-    local = wint[:, None, None] * gg
-    rows = np.repeat(mesh.cells, 3, axis=1).reshape(nc, 3, 3)
-    cols = np.tile(mesh.cells, 3).reshape(nc, 3, 3)
-    mat = sp.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())),
-                        shape=(mesh.num_vertices,) * 2)
-    return mat.tocsr()
+    return mesh.stiffness(cell_weight_integrals(mesh, weight))
 
 
 def load_vectors(mesh: Mesh, fn, times) -> np.ndarray:
     """Consistent loads (f(t), phi_i) for a callable f(points, t), one column
-    per time in ``times``: P^T (w f) on the cached interpolation P, as one
-    sparse product for all times."""
+    per time in ``times``: P^T (w f) on the quadrature's interpolation P, as
+    one sparse product for all times."""
     qp = mesh.quadrature()
     wf = np.array([qp.weights * np.asarray(fn(qp.points, t), dtype=float)
                    for t in times])
-    return mesh.interpolation().T @ wf.T
+    return qp.interpolation.T @ wf.T
 
 
 @dataclass
@@ -100,10 +86,10 @@ class ParabolicProblem:
     """Forward or backward weighted heat problem with an optional source.
 
     ``weight`` is None (unweighted), a float alpha in (0, 2) (the exact
-    weight |x|^alpha) or a weight object; it is stored as
-    :func:`~degenlab.weights.as_weight` gives it.  ``data`` is the nodal
-    initial datum (forward) or terminal datum (backward); ``source`` is
-    f(points, t).
+    weight |x|^alpha) or a weight object, where an exact weight |x|^p needs
+    p in (0, 2); it is stored as :func:`~degenlab.weights.as_weight` gives
+    it.  ``data`` is the nodal initial datum (forward) or terminal datum
+    (backward); ``source`` is f(points, t).
     """
 
     weight: object
@@ -114,6 +100,10 @@ class ParabolicProblem:
 
     def __post_init__(self):
         self.weight = as_weight(self.weight)
+        w = self.weight
+        if isinstance(w, AbsPowerWeight) and not 0.0 < w.p < 2.0:
+            raise ValueError(f"the diffusion weight |x|^p needs p in (0, 2), "
+                             f"got p = {w.p}")
         if self.direction not in ("forward", "backward"):
             raise ValueError("direction must be 'forward' or 'backward'")
         if self.T <= 0:
@@ -177,24 +167,22 @@ class StepOperator:
 def step_operator(mesh: Mesh, weight, dt: float, theta: float) -> StepOperator:
     """The step operator for (weight, dt, theta) on ``mesh``.
 
-    It is cached on the mesh, so it is built once for every solve that shares
-    these values and is freed with the mesh.  Its matrices are shared by every
-    solution built from it, and the mass matrix by every step operator of the
-    mesh; they are read-only.
+    It is cached on the mesh (:meth:`Mesh.cached`), so it is built once for
+    every solve that shares these values and is freed with the mesh.  Its
+    matrices are shared by every solution built from it, and the mass matrix
+    by every step operator of the mesh; they are read-only.
     """
-    key = (as_weight(weight), float(dt), float(theta))
-    op = mesh._step_cache.get(key)
-    if op is None:
+    def build():
         mass = mesh.cached("mass", lambda: assemble_mass(mesh))
         stiff = assemble_stiffness(mesh, weight)
         inter = mesh.interior
         Mi = mass[inter][:, inter]
         Ai = stiff[inter][:, inter]
-        op = StepOperator(mass=mass, stiffness=stiff,
-                          explicit=(Mi - (1.0 - theta) * dt * Ai).tocsr(),
-                          lu=_factor_spd(Mi + theta * dt * Ai))
-        mesh._step_cache[key] = op
-    return op
+        return StepOperator(mass=mass, stiffness=stiff,
+                            explicit=(Mi - (1.0 - theta) * dt * Ai).tocsr(),
+                            lu=_factor_spd(Mi + theta * dt * Ai))
+    return mesh.cached(("step", as_weight(weight), float(dt), float(theta)),
+                       build)
 
 
 def solve(problem: ParabolicProblem, mesh: Mesh, M: int,

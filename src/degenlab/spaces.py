@@ -109,10 +109,10 @@ def inequality_ratio_table(mesh: Mesh, fields, alpha: float,
     ``fields`` has shape (n_fields, n_vertices).  Returns arrays keyed
     "hardy", "r_22", "r_23", "r_36", "r_37" that match the single-field
     functions to round-off.  Each squared norm is a quadratic form u^T A u
-    with A assembled from per-cell 3 x 3 blocks (:meth:`Mesh.cell_forms`,
-    :meth:`Mesh.assemble`): the weighted P1 mass blocks on the quadrature
-    rule for the masses, and c_w grad(phi_i) . grad(phi_j) for the weighted
-    stiffnesses, c_w the per-cell sum of the weighted quadrature weights.
+    with A assembled from per-cell 3 x 3 blocks: the weighted P1 mass blocks
+    on the quadrature rule for the masses (:meth:`Mesh.cell_forms`,
+    :meth:`Mesh.assemble`), and :meth:`Mesh.stiffness` of c_w, the per-cell
+    sum of the weighted quadrature weights, for the weighted stiffnesses.
     The forms are built and applied one at a time, so the stack costs one
     sparse product per form and no per-point array outlives its form.
     """
@@ -132,15 +132,11 @@ def inequality_ratio_table(mesh: Mesh, fields, alpha: float,
         """sqrt(u^T A u) for every row u of F."""
         return np.sqrt(np.maximum(0.0, np.einsum("vf,vf->f", Ft, A @ Ft)))
 
-    gx, gy = mesh.grads[..., 0], mesh.grads[..., 1]
-
     def mass_and_stiffness(weight):
         local, cell_w = mesh.cell_forms(weight, sub)
         A = mesh.assemble(local)
         del local                  # each form's blocks go before its product
-        return norm(A), norm(mesh.assemble(
-            cell_w[:, None, None] * (gx[:, :, None] * gx[:, None, :]
-                                     + gy[:, :, None] * gy[:, None, :])))
+        return norm(A), norm(mesh.stiffness(cell_w))
 
     # the singular factor |x|^(alpha-2) on the finer rule
     hardy_num = norm(mesh.assemble(mesh.cell_forms(

@@ -7,6 +7,21 @@ from degenlab.domain import GeometrySpec, build_disk_mesh
 from degenlab.experiments import ExperimentConfig
 
 
+def p1_shape_values(mesh, qp):
+    """``(nodes, shape)`` at the points of the quadrature ``qp``.
+
+    nodes[q] are the vertices of point q's cell and shape[q, i] the P1 shape
+    value lambda_i(x_q) = delta_i0 + grad(lambda_i) . (x_q - v_0), from the
+    cell gradients and vertices alone: an oracle that reads neither the
+    quadrature's interpolation P nor the rule it was built from.
+    """
+    nodes = mesh.cells[qp.cell]
+    d = qp.points - mesh.vertices[nodes[:, 0]]
+    shape = np.einsum("qid,qd->qi", mesh.grads[qp.cell], d)
+    shape[:, 0] += 1.0
+    return nodes, shape
+
+
 @pytest.fixture(scope="session")
 def geometry():
     return GeometrySpec(R=1.0, L=9.0)

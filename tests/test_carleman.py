@@ -14,6 +14,8 @@ from degenlab.experiments import ExperimentConfig, run_carleman_sweep
 from degenlab.solver import ParabolicProblem, boundary_flux, solve
 from degenlab.weights import RegularizedWeight, cutoff_kappa, cutoff_zeta
 
+from conftest import p1_shape_values
+
 
 @pytest.fixture(scope="module")
 def study_mesh():
@@ -182,8 +184,9 @@ class TestBalances:
         band = Region.annulus(3.0, 6.0)
         cols = ctx.columns(band)
         assert len(cols) < len(qp.weights)
+        nodes, shape = p1_shape_values(mesh, qp)
         for cutoff, nodal in ((None, f), (zeta, fz)):
-            u = np.einsum("qi,nqi->nq", qp.shape, nodal[:, qp.nodes])
+            u = np.einsum("qi,nqi->nq", shape, nodal[:, nodes])
             g = np.einsum("nci,cid->ncd", nodal[:, mesh.cells], mesh.grads)
             g2 = np.einsum("ncd,ncd->nc", g, g)[:, qp.cell]
             for kind, ref in (("u2", u * u), ("grad2", g2)):
@@ -543,11 +546,13 @@ def _dense_reference(sol, p, variant, weight, flux, eta_bar):
     s, al, R = p.s, p.alpha, p.R
     window = (t >= p.T / 4.0 - 1e-12) & (t <= 3.0 * p.T / 4.0 + 1e-12)
 
+    nodes, shape = p1_shape_values(mesh, qp)
+
     def mask(region):
         return mesh.cell_mask(region)[qp.cell].astype(float)
 
     def sample(nodal):
-        u = np.einsum("qi,nqi->nq", qp.shape, nodal[:, qp.nodes])
+        u = np.einsum("qi,nqi->nq", shape, nodal[:, nodes])
         g = np.einsum("nci,cid->ncd", nodal[:, mesh.cells], mesh.grads)
         return u, g[:, qp.cell]
 

@@ -11,7 +11,9 @@ from degenlab.domain import (MAX_VERTICES, GeometrySpec, Mesh, Region,
                              build_annulus_mesh, build_disk_mesh,
                              disk_vertex_bound, integrate_space,
                              integrate_spacetime, snap_window)
-from degenlab.weights import AbsPowerWeight
+from degenlab.weights import AbsPowerWeight, RegularizedWeight
+
+from conftest import p1_shape_values
 
 
 class TestGeometry:
@@ -278,40 +280,68 @@ class TestInterpolation:
     @pytest.mark.parametrize("sub, levels", KEYS)
     def test_rows_are_shape_values(self, coarse_mesh, sub, levels):
         qp = coarse_mesh.quadrature(sub, levels)
-        P = coarse_mesh.interpolation(sub, levels)
+        P = qp.interpolation
         assert P.shape == (len(qp.weights), coarse_mesh.num_vertices)
+        assert np.all(P.data != 0.0)     # edge midpoints' zeros eliminated
         assert np.allclose(np.asarray(P.sum(axis=1)).ravel(), 1.0,
                            rtol=0.0, atol=1e-14)
         u = np.random.default_rng(0).standard_normal(coarse_mesh.num_vertices)
-        ref = qp.values(u)
+        nodes, shape = p1_shape_values(coarse_mesh, qp)
+        ref = np.einsum("qi,qi->q", shape, u[nodes])
         assert np.max(np.abs(P @ u - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert np.array_equal(qp.values(u), P @ u)
         # each point is its shape values times its cell's vertices, summed
         # in vertex order
-        assert np.array_equal(qp.points, np.einsum(
-            "qi,qid->qd", qp.shape, coarse_mesh.vertices[qp.nodes]))
+        assert np.array_equal(qp.points, P @ coarse_mesh.vertices)
 
     def test_cached_per_key(self, coarse_mesh):
-        P = coarse_mesh.interpolation()
-        assert coarse_mesh.interpolation(0.0, 2) is P
-        Q = coarse_mesh.interpolation(1.2, 3)
-        assert Q is not P
-        assert coarse_mesh.interpolation(1.2 + 1e-14, 3) is Q
-        assert coarse_mesh.interpolation(1.2) is not Q
+        qp = coarse_mesh.quadrature()
+        assert coarse_mesh.quadrature(0.0, 2) is qp
+        fine = coarse_mesh.quadrature(1.2, 3)
+        assert fine is not qp
+        assert fine.interpolation is not qp.interpolation
+        assert coarse_mesh.quadrature(1.2 + 1e-14, 3) is fine
+        assert coarse_mesh.quadrature(1.2) is not fine
+
+
+def _coo_assemble(mesh, local):
+    """The blocks as COO triplets, summed by ``tocsr``: an assembly that
+    shares nothing with :meth:`Mesh.assemble`."""
+    rows = np.repeat(mesh.cells, 3, axis=1)
+    cols = np.tile(mesh.cells, 3)
+    return sp.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())),
+                         shape=(mesh.num_vertices,) * 2).tocsr()
 
 
 class TestCellForms:
     def test_assemble_matches_mass_matrix(self, coarse_mesh):
-        got = coarse_mesh.assemble(coarse_mesh.areas[:, None, None]
-                                   * solver._MASS_LOCAL)
-        ref = solver.assemble_mass(coarse_mesh)
+        got = solver.assemble_mass(coarse_mesh)
+        ref = _coo_assemble(coarse_mesh, coarse_mesh.areas[:, None, None]
+                            * solver._MASS_LOCAL)
         ref.sort_indices()
         assert np.array_equal(got.indptr, ref.indptr)
         assert np.array_equal(got.indices, ref.indices)
         assert np.max(np.abs(got.data - ref.data) / ref.data) <= 1e-15
+        # the weighted stiffness, on the same pattern
+        weight = RegularizedWeight(epsilon=0.5, alpha=1.0)
+        wint = solver.cell_weight_integrals(coarse_mesh, weight)
+        stiff = solver.assemble_stiffness(coarse_mesh, weight)
+        local = wint[:, None, None] * np.einsum(
+            "cid,cjd->cij", coarse_mesh.grads, coarse_mesh.grads)
+        ref = _coo_assemble(coarse_mesh, local)
+        ref.sort_indices()
+        assert np.array_equal(stiff.indptr, ref.indptr)
+        assert np.array_equal(stiff.indices, ref.indices)
+        # entries of both signs: the summation order moves an entry by
+        # round-off of the sum of its terms' magnitudes
+        scale = _coo_assemble(coarse_mesh, np.abs(local))
+        scale.sort_indices()
+        assert np.max(np.abs(stiff.data - ref.data) / scale.data) <= 1e-15
         # the pattern is built once and shared read-only
         again = coarse_mesh.assemble(np.ones((coarse_mesh.num_cells, 3, 3)))
         assert np.shares_memory(again.indices, got.indices)
         assert np.shares_memory(again.indptr, got.indptr)
+        assert np.shares_memory(stiff.indices, got.indices)
         assert not got.indices.flags.writeable
 
     @pytest.mark.parametrize("weight, levels", itertools.product(
@@ -323,7 +353,10 @@ class TestCellForms:
         qp = coarse_mesh.quadrature(sub, levels)
         assert len(qp.weights) > 3 * coarse_mesh.num_cells   # cells refined
         wq = qp.weights * (1.0 if weight is None else weight(qp.points))
-        P = coarse_mesh.interpolation(sub, levels)
+        nodes, shape = p1_shape_values(coarse_mesh, qp)
+        P = sp.csr_matrix((shape.ravel(), nodes.ravel(),
+                           np.arange(0, shape.size + 1, 3)),
+                          shape=(len(wq), coarse_mesh.num_vertices))
         ref = (P.T @ sp.diags(wq) @ P).toarray()
         local, sums = coarse_mesh.cell_forms(weight, sub, levels)
         got = coarse_mesh.assemble(local).toarray()
@@ -342,7 +375,12 @@ class TestQuadratureWeights:
                                                  qp.points), 0.5)
                  * coarse_mesh.cell_mask(region)[qp.cell])
         assert np.array_equal(w, fresh)
-        assert np.array_equal(c, coarse_mesh.interpolation(1.2).T @ fresh)
+        assert np.array_equal(c, qp.interpolation.T @ fresh)
+        # the nodal weights scatter each point's weight over its cell
+        nodes, shape = p1_shape_values(coarse_mesh, qp)
+        ref = np.zeros(coarse_mesh.num_vertices)
+        np.add.at(ref, nodes, fresh[:, None] * shape)
+        assert np.max(np.abs(c - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_equal_values_share_one_entry(self, geometry):
         mesh = build_disk_mesh(geometry, 0.6)
@@ -377,7 +415,13 @@ class TestQuadratureWeights:
     def test_cached_arrays_read_only(self, coarse_mesh):
         w, c = coarse_mesh.quadrature_weights(0.0, None, AbsPowerWeight(1.0))
         E, lengths = coarse_mesh.boundary_edge_average()
-        for arr in (w, c, lengths, E.data, coarse_mesh.gradient_operator().data):
+        qp = coarse_mesh.quadrature()
+        P = qp.interpolation
+        op = solver.step_operator(coarse_mesh, 1.0, 0.1, 1.0)
+        for arr in (w, c, lengths, E.data, coarse_mesh.gradient_operator().data,
+                    qp.points, qp.weights, qp.cell,
+                    P.data, P.indices, P.indptr,
+                    op.stiffness.data, op.explicit.data, op.explicit.indices):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 1.0

@@ -14,6 +14,8 @@ from degenlab.solver import (ManufacturedField, ParabolicProblem, SolverError,
                              step_operator)
 from degenlab.weights import AbsPowerWeight, RegularizedWeight, as_weight
 
+from conftest import p1_shape_values
+
 
 @pytest.fixture(scope="module")
 def small_mesh():
@@ -188,6 +190,19 @@ class TestTimeStepping:
         with pytest.raises(error):
             ParabolicProblem(weight=weight, T=1.0, data=np.zeros(3))
 
+    @pytest.mark.parametrize("p", [-1.0, 0.0, 3.0])
+    def test_exact_weight_power_validated(self, p):
+        with pytest.raises(ValueError, match="p in"):
+            ParabolicProblem(weight=AbsPowerWeight(p), T=1.0, data=np.zeros(3))
+
+    def test_exact_weight_power_in_range_solves(self, small_mesh):
+        data = np.zeros(small_mesh.num_vertices)
+        data[small_mesh.interior] = 1.0
+        sol = solve(ParabolicProblem(weight=AbsPowerWeight(1.0), T=0.5,
+                                     data=data), small_mesh, 4)
+        assert np.all(np.isfinite(sol.fields))
+        assert sol.l2_norms[-1] < sol.l2_norms[0]
+
     def test_weight_stored_as_weight(self):
         prob = ParabolicProblem(weight=1, T=1.0, data=np.zeros(3))
         assert prob.weight == AbsPowerWeight(1.0)
@@ -228,9 +243,10 @@ class TestStepOperator:
                                 direction="backward")
         first = solve(prob, mesh, 8)
         second = solve(prob, mesh, 8)
-        assert len(mesh._step_cache) == 1
-        assert step_operator(mesh, 1.0, 0.5 / 8, 1.0) is next(
-            iter(mesh._step_cache.values()))
+        steps = [key for key in mesh._cache
+                 if isinstance(key, tuple) and key[0] == "step"]
+        assert len(steps) == 1
+        assert step_operator(mesh, 1.0, 0.5 / 8, 1.0) is mesh._cache[steps[0]]
         assert np.array_equal(first.fields, second.fields)
         assert first.mass is second.mass
 
@@ -321,8 +337,9 @@ class TestLoads:
         # P^T (w f) against the per-point scatter over the cell's vertices
         qp = small_mesh.quadrature()
         wf = qp.weights * _source(qp.points, 0.3)
+        nodes, shape = p1_shape_values(small_mesh, qp)
         ref = np.zeros(small_mesh.num_vertices)
-        np.add.at(ref, qp.nodes, wf[:, None] * qp.shape)
+        np.add.at(ref, nodes, wf[:, None] * shape)
         got = load_vectors(small_mesh, _source, [0.3])[:, 0]
         assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 

