@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .domain import Mesh, Region
+from .domain import Mesh, Region, time_weights
 from .solver import DiscreteSolution, boundary_flux
 from .weights import (AbsPowerWeight, CutoffFunction, RegularizedWeight,
                       cutoff_kappa, cutoff_zeta)
@@ -148,11 +148,11 @@ class BalanceContext:
     A balance term is coef * sum_t tau_t a_t sum_q G_qt c_q exp(Theta_t e_q
     - shift) over the active time rows (0 < Theta <= THETA_CAP) and the
     term's support columns (the quadrature points of its region's cells):
-    trapezoid weights tau (window folded in), a time factor a, a field G with
-    the quadrature weights folded in, a column factor c and the exponent
-    profile e, the only factor that reads s, gamma or lambda.  G and the
-    growth exp(Theta_t e_q - shift) are stored one column per array row, so
-    taking the live columns copies whole rows.
+    the time weights tau of :func:`time_weights` (window folded in), a time
+    factor a, a field G with the quadrature weights folded in, a column
+    factor c and the exponent profile e, the only factor that reads s, gamma
+    or lambda.  G and the growth exp(Theta_t e_q - shift) are stored one
+    column per array row, so taking the live columns copies whole rows.
     """
 
     def __init__(self, sol: DiscreteSolution, params: CarlemanParams):
@@ -167,12 +167,9 @@ class BalanceContext:
         self.excluded = int(np.sum(~active))
         self.rows = np.flatnonzero(active)
         self.theta_t = th[active]
-        window = ((t >= params.T / 4.0 - 1e-12)
-                  & (t <= 3.0 * params.T / 4.0 + 1e-12))
-        tau_window = np.zeros(len(t))
-        tau_window[window] = _trapezoid_weights(t[window])
-        self.tau = _trapezoid_weights(t)[active]
-        self.tau_window = tau_window[active]
+        self.tau = time_weights(t)[active]
+        self.tau_window = time_weights(
+            t, (params.T / 4.0, 3.0 * params.T / 4.0))[active]
         self._cache: dict = {}
 
     def cached(self, key, build):
@@ -266,15 +263,6 @@ class BalanceContext:
         tau = self.tau_window if window else self.tau
         y = field @ (tau if time is None else tau * time)
         return float(y.sum() if col is None else col @ y)
-
-
-def _trapezoid_weights(t):
-    """tau with tau @ y equal to the trapezoid rule of y over the nodes t."""
-    half = np.diff(t) / 2.0
-    tau = np.zeros(len(t))
-    tau[:-1] += half
-    tau[1:] += half
-    return tau
 
 
 def _shift(theta_t, *profiles):

@@ -604,29 +604,41 @@ def integrate_space(mesh: Mesh, integrand, region: Region | None = None,
     return float(np.dot(w, mesh.quadrature(subdivide_radius).values(integrand)))
 
 
-def snap_window(times: np.ndarray, window) -> tuple[int, int]:
-    """Indices of the time-grid nodes nearest the window endpoints."""
-    t0, t1 = window
-    T = times[-1]
-    if t0 < -1e-12 or t1 > T + 1e-12 or t0 >= t1:
-        raise ValueError(f"time window {window} outside [0, {T}]")
-    i0 = int(np.argmin(np.abs(times - t0)))
-    i1 = int(np.argmin(np.abs(times - t1)))
-    return i0, i1
+def time_weights(times, window=None) -> np.ndarray:
+    """Trapezoid weights tau over the time nodes: tau @ y is the trapezoid
+    rule of the per-time values y.
+
+    This is the one time rule of every space-time integral.  With a window
+    (t0, t1) the rule runs from the node nearest t0 to the node nearest t1,
+    and tau is zero on the other nodes.
+    """
+    times = np.asarray(times, dtype=float)
+    i0, i1 = 0, len(times) - 1
+    if window is not None:
+        t0, t1 = window
+        T = times[-1]
+        if t0 < -1e-12 or t1 > T + 1e-12 or t0 >= t1:
+            raise ValueError(f"time window {window} outside [0, {T}]")
+        i0 = int(np.argmin(np.abs(times - t0)))
+        i1 = int(np.argmin(np.abs(times - t1)))
+    half = np.diff(times[i0:i1 + 1]) / 2.0
+    tau = np.zeros(len(times))
+    tau[i0:i1] += half
+    tau[i0 + 1:i1 + 1] += half
+    return tau
 
 
 def integrate_spacetime(mesh: Mesh, times, fields, region: Region | None = None,
                         weight=None, window=None,
                         subdivide_radius: float = 0.0) -> float:
-    """Trapezoid-in-time composite of per-slice space integrals.
+    """Integral over the region and the window: per-slice space integrals
+    summed with the :func:`time_weights` tau.
 
     ``fields`` are nodal, with shape (len(times), n_vertices).  The space
-    integral is linear in the nodal field, so every slice in the window
-    integrates as ``fields @ c`` with the mesh's cached nodal weights c of
+    integral is linear in the nodal field, so every slice integrates as
+    ``fields @ c`` with the mesh's cached nodal weights c of
     :meth:`Mesh.quadrature_weights`.
     """
-    times = np.asarray(times, dtype=float)
-    i0, i1 = (0, len(times) - 1) if window is None else snap_window(times, window)
     _, c = mesh.quadrature_weights(subdivide_radius, region, weight)
-    slices = np.asarray(fields, dtype=float)[i0:i1 + 1] @ c
-    return float(np.trapezoid(slices, times[i0:i1 + 1]))
+    slices = np.asarray(fields, dtype=float) @ c
+    return float(time_weights(times, window) @ slices)

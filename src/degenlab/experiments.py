@@ -20,7 +20,7 @@ import numpy as np
 from . import carleman as cl
 from .domain import (MAX_VERTICES, GeometrySpec, Mesh, Region,
                      build_disk_mesh, disk_vertex_bound, integrate_space,
-                     integrate_spacetime, snap_window)
+                     integrate_spacetime, time_weights)
 from .solver import (DiscreteSolution, ParabolicProblem, SolverError,
                      boundary_flux, cell_weight_integrals, solve)
 from .weights import AbsPowerWeight, RegularizedWeight
@@ -349,12 +349,12 @@ def _approximation_row(config: ExperimentConfig, k: int, fn) -> dict:
     gdiff = mesh.gradient_operator() @ diff.T        # (2 n_cells, n_times)
     g2 = (gdiff[:nc] ** 2 + gdiff[nc:] ** 2).T
     mask = mesh.cell_mask(region_k)
-    g_slices = g2[:, mask] @ mesh.areas[mask]
-    grad_k = np.sqrt(np.trapezoid(g_slices, sol_k.times))
+    tau = time_weights(sol_k.times)
+    grad_k = np.sqrt(tau @ (g2[:, mask] @ mesh.areas[mask]))
     fdiff = boundary_flux(sol_k) - boundary_flux(sol_0)
     E, lengths = mesh.boundary_edge_average()
     fe = (E @ fdiff.T).T                               # flux gap on the edges
-    flux_l2 = np.sqrt(np.trapezoid((fe * fe) @ lengths, sol_k.times))
+    flux_l2 = np.sqrt(tau @ ((fe * fe) @ lengths))
     return {
         "k": int(k), "h_local": float(local_h),
         "vertices": mesh.num_vertices,
@@ -400,6 +400,9 @@ def _observability_record(sol: DiscreteSolution, cfg: ExperimentConfig) -> dict:
     mesh, times = sol.mesh, sol.times
     T, al, R = cfg.T, cfg.alpha, cfg.R
     window = (T / 4.0, 3.0 * T / 4.0)
+    # read before u2 exists: the norms' two trajectory-sized temporaries
+    # then never coexist with it
+    l2sq = sol.l2_norms ** 2
     u2 = sol.fields ** 2
     weight = AbsPowerWeight(2.0 - al)
     lhs = integrate_spacetime(mesh, times, fields=u2, weight=weight,
@@ -414,9 +417,7 @@ def _observability_record(sol: DiscreteSolution, cfg: ExperimentConfig) -> dict:
                                     weight=weight, window=window)
 
     # (5.2) chain in the discrete mass-matrix norms where it holds exactly
-    l2sq = sol.l2_norms ** 2
-    i0, i1 = snap_window(times, window)
-    window_mass = float(np.trapezoid(l2sq[i0:i1 + 1], times[i0:i1 + 1]))
+    window_mass = float(time_weights(times, window) @ l2sq)
     chain_lhs = float(l2sq[0])
     chain_rhs = 2.0 / T * window_mass
     chain_slack = ((chain_rhs - chain_lhs)

@@ -14,13 +14,14 @@ than a solve per datum.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .domain import Mesh
+from .domain import Mesh, time_weights
 from .weights import AbsPowerWeight, as_weight
 
 _MASS_LOCAL = np.array([[2.0, 1.0, 1.0],
@@ -121,10 +122,11 @@ class DiscreteSolution:
     theta: float
     mass: sp.csr_matrix
     stiffness: sp.csr_matrix
-    l2_norms: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        self.l2_norms = np.sqrt(np.maximum(
+    @functools.cached_property
+    def l2_norms(self) -> np.ndarray:
+        """||u(t)|| in the mass-matrix norm, per time node."""
+        return np.sqrt(np.maximum(
             0.0, np.einsum("nv,nv->n", self.fields, (self.mass @ self.fields.T).T)))
 
     @property
@@ -334,7 +336,7 @@ def _source_data_norms(sol: DiscreteSolution) -> float:
                      np.asarray(prob.source(qp.points, t), dtype=float) ** 2
                      * winv))
         for t in sol.times])
-    return float(np.trapezoid(slices, sol.times))
+    return float(time_weights(sol.times) @ slices)
 
 
 def boundary_mass_matrix(mesh: Mesh) -> sp.csr_matrix:

@@ -334,21 +334,16 @@ class CutoffFunction:
         }
 
 
-def build_cutoff(inner_radius: float, outer_radius: float,
-                 orientation: str = "one-inside") -> CutoffFunction:
-    return CutoffFunction(inner_radius, outer_radius, orientation)
-
-
 def cutoff_zeta(R: float) -> CutoffFunction:
     """1 on B_{4R}, 0 outside B_{5R}."""
-    return build_cutoff(4.0 * R, 5.0 * R, "one-inside")
+    return CutoffFunction(4.0 * R, 5.0 * R, "one-inside")
 
 
 def cutoff_kappa(R: float) -> CutoffFunction:
     """0 (with zero gradient) on B_{4R}, 1 outside B_{5R}."""
-    return build_cutoff(4.0 * R, 5.0 * R, "one-outside")
+    return CutoffFunction(4.0 * R, 5.0 * R, "one-outside")
 
 
 def cutoff_rho(R: float) -> CutoffFunction:
     """1 on B_{5R} (hence on the 4R..5R annulus), 0 outside B_{6R}."""
-    return build_cutoff(5.0 * R, 6.0 * R, "one-inside")
+    return CutoffFunction(5.0 * R, 6.0 * R, "one-inside")

@@ -1,16 +1,20 @@
 """Mesh, region and quadrature oracles: areas, exactness, round trips."""
 
+import ast
 import itertools
+import pathlib
+import re
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from degenlab import domain, solver
+from degenlab.carleman import BalanceContext, CarlemanParams
 from degenlab.domain import (MAX_VERTICES, GeometrySpec, Mesh, Region,
                              build_annulus_mesh, build_disk_mesh,
                              disk_vertex_bound, integrate_space,
-                             integrate_spacetime, snap_window)
+                             integrate_spacetime, time_weights)
 from degenlab.weights import AbsPowerWeight, RegularizedWeight
 
 from conftest import p1_shape_values
@@ -496,11 +500,72 @@ class TestPersistence:
 
 
 class TestTimeIntegration:
-    def test_snap_window(self):
+    @pytest.mark.parametrize("times", [
+        np.linspace(0.0, 1.0, 17), np.linspace(0.0, 1e5, 45),
+        np.concatenate([[0.0], np.sort(
+            np.random.default_rng(2).uniform(0.0, 3.0, 20)), [3.0]])])
+    def test_time_weights_full_grid(self, times):
+        tau = time_weights(times)
+        T = times[-1]
+        assert abs(tau.sum() - T) <= 1e-15 * T
+        y = np.random.default_rng(3).uniform(0.5, 2.0, len(times))
+        ref = np.trapezoid(y, times)
+        assert abs(tau @ y - ref) <= 1e-15 * ref
+
+    def test_time_weights_window(self):
         times = np.linspace(0.0, 1.0, 17)
-        assert snap_window(times, (0.25, 0.75)) == (4, 12)
-        with pytest.raises(ValueError):
-            snap_window(times, (0.75, 0.25))
+        tau = time_weights(times, (0.25, 0.75))
+        assert np.array_equal(np.flatnonzero(tau), np.arange(4, 13))
+        assert abs(tau.sum() - 0.5) <= 1e-15
+        # endpoints snap to the nearest nodes: 0.3 -> 0.3125, 0.7 -> 0.6875
+        tau = time_weights(times, (0.3, 0.7))
+        assert np.array_equal(np.flatnonzero(tau), np.arange(5, 12))
+        assert abs(tau.sum() - (times[11] - times[5])) <= 1e-15
+        for window in [(0.75, 0.25), (-0.1, 0.5), (0.5, 1.1)]:
+            with pytest.raises(ValueError):
+                time_weights(times, window)
+
+    @pytest.mark.parametrize("T, M", [(1e5, 44), (1.0, 10)])
+    def test_carleman_and_spacetime_share_the_window(self, coarse_mesh, T, M):
+        # grids where a node sits within round-off of T/4 (or ties between
+        # two nodes): the Carleman window and integrate_spacetime's window
+        # must still pick the same nodes, the ones time_weights picks
+        sol = solver.solve(solver.ParabolicProblem(
+            weight=1.0, T=T, data=np.zeros(coarse_mesh.num_vertices)),
+            coarse_mesh, M)
+        times = sol.times
+        window = (T / 4.0, 3.0 * T / 4.0)
+        ctx = BalanceContext(sol, CarlemanParams(T=T))
+        tau = time_weights(times, window)
+        rows = ctx.rows[ctx.tau_window != 0.0]
+        assert np.array_equal(rows, np.flatnonzero(tau))
+        assert np.array_equal(ctx.tau_window, tau[ctx.rows])
+        rng = np.random.default_rng(5)
+        fields = rng.standard_normal((M + 1, coarse_mesh.num_vertices)) ** 2
+        weight = AbsPowerWeight(1.0)
+        ref = float(np.trapezoid(
+            [integrate_space(coarse_mesh, fields[n], weight=weight)
+             for n in rows], times[rows]))
+        got = integrate_spacetime(coarse_mesh, times, fields=fields,
+                                  weight=weight, window=window)
+        assert abs(got - ref) <= 1e-13 * abs(ref)
+
+    def test_one_time_rule_in_src(self):
+        # every time integral in the package reads domain.time_weights: no
+        # trapezoid call or helper anywhere else
+        hits = []
+        for path in sorted(pathlib.Path(domain.__file__).parent.glob("*.py")):
+            text = path.read_text()
+            skip = set()
+            if path.name == "domain.py":
+                fn = next(n for n in ast.parse(text).body
+                          if isinstance(n, ast.FunctionDef)
+                          and n.name == "time_weights")
+                skip = set(range(fn.lineno, fn.end_lineno + 1))
+            hits += [f"{path.name}:{i}: {line.strip()}"
+                     for i, line in enumerate(text.splitlines(), 1)
+                     if i not in skip and re.search(r"trapezoid\w*\(", line)]
+        assert hits == []
 
     def test_spacetime_constant_field(self, coarse_mesh):
         times = np.linspace(0.0, 1.0, 9)
@@ -524,10 +589,10 @@ class TestTimeIntegration:
         for weight, window in itertools.product(
                 [None, AbsPowerWeight(1.0)],
                 [None, (0.25, 0.75)]):
-            i0, i1 = (0, 8) if window is None else snap_window(times, window)
+            rows = np.flatnonzero(time_weights(times, window))
             ref = float(np.trapezoid(
                 [integrate_space(coarse_mesh, fields[n], region, weight, sub)
-                 for n in range(i0, i1 + 1)], times[i0:i1 + 1]))
+                 for n in rows], times[rows]))
             got = integrate_spacetime(coarse_mesh, times, fields=fields,
                                       region=region, weight=weight,
                                       window=window, subdivide_radius=sub)

@@ -1,5 +1,7 @@
 """Finite element assembly oracles and time-stepping properties."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -206,6 +208,21 @@ class TestTimeStepping:
     def test_weight_stored_as_weight(self):
         prob = ParabolicProblem(weight=1, T=1.0, data=np.zeros(3))
         assert prob.weight == AbsPowerWeight(1.0)
+
+    def test_l2_norms_computed_on_first_read(self, small_mesh):
+        rng = np.random.default_rng(4)
+        data = rng.normal(size=small_mesh.num_vertices)
+        data[small_mesh.boundary_mask] = 0.0
+        sol = solve(ParabolicProblem(weight=1.0, T=0.5, data=data),
+                    small_mesh, 4)
+        assert "l2_norms" not in vars(sol)
+        norms = sol.l2_norms
+        assert np.array_equal(norms, np.sqrt(np.einsum(
+            "nv,nv->n", sol.fields, (sol.mass @ sol.fields.T).T)))
+        assert sol.l2_norms is norms
+        # a replaced trajectory reads its own fields, not the cached norms
+        scaled = dataclasses.replace(sol, fields=3.0 * sol.fields)
+        assert np.allclose(scaled.l2_norms, 3.0 * norms, rtol=1e-14, atol=0.0)
 
 
 class TestStepOperator:

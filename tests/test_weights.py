@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from degenlab.domain import GeometrySpec, build_disk_mesh
 from degenlab.weights import (AbsPowerWeight, CubeFamily, CutoffFunction,
                               RegularizedWeight, ap_constant_estimate,
-                              as_weight, build_cutoff, cutoff_kappa,
-                              cutoff_rho, cutoff_zeta, identity_residuals)
+                              as_weight, cutoff_kappa, cutoff_rho,
+                              cutoff_zeta, identity_residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +276,7 @@ class TestCutoffs:
         assert rho.value_radial(6.0) == 0.0
 
     def test_c2_continuity(self):
-        c = build_cutoff(4.0, 5.0)
+        c = CutoffFunction(4.0, 5.0)
         for r0 in (4.0, 5.0):
             h = 1e-7
             assert abs(c.value_radial(r0 - h) - c.value_radial(r0 + h)) < 1e-6
@@ -284,7 +284,7 @@ class TestCutoffs:
             assert abs(c.d2_radial(r0 - h) - c.d2_radial(r0 + h)) < 1e-4
 
     def test_gradient_matches_radial_derivative(self):
-        c = build_cutoff(4.0, 5.0)
+        c = CutoffFunction(4.0, 5.0)
         x = np.array([[4.5, 0.0], [0.0, 4.2], [3.0, 3.0]])
         g = c.gradient(x)
         r = np.linalg.norm(x, axis=1)
@@ -293,13 +293,13 @@ class TestCutoffs:
 
     def test_measured_constants(self):
         # quintic smoothstep: sup|S'| = 15/8 exactly on the unit band
-        c = build_cutoff(4.0, 5.0)
+        c = CutoffFunction(4.0, 5.0)
         consts = c.measured_constants()
         assert np.isclose(consts["grad_constant"], 15.0 / 8.0, rtol=1e-5)
         assert consts["hess_constant"] > 0.0
 
     def test_invalid_radii(self):
         with pytest.raises(ValueError):
-            build_cutoff(5.0, 4.0)
+            CutoffFunction(5.0, 4.0)
         with pytest.raises(ValueError):
-            build_cutoff(1.0, 2.0, "sideways")
+            CutoffFunction(1.0, 2.0, "sideways")
