@@ -20,8 +20,7 @@ from . import carleman as cl
 from .domain import build_disk_mesh
 from .experiments import (ExperimentConfig, StudyReport, persist_report,
                           run_approximation_study, run_carleman_sweep,
-                          run_observability_study, run_ucp_check,
-                          sample_field, _nodal)
+                          run_observability_study, sample_field, _nodal)
 from .solver import ParabolicProblem, SolverError, energy_report, solve
 from .weights import (RegularizedWeight, cutoff_kappa, cutoff_rho, cutoff_zeta,
                       identity_residuals)
@@ -141,25 +140,13 @@ def cmd_converge(cfg: ExperimentConfig, args) -> int:
     return 0 if report.passed else 1
 
 
-def _observe(cfg: ExperimentConfig, args) -> StudyReport:
+def cmd_observe(cfg: ExperimentConfig, args) -> int:
     report = run_observability_study(
         cfg, progress=(lambda m: _log(args, m)) if args.verbose else None)
     persist_report(report, cfg.out_dir)
     fam = report.summary["family_max_ratios"]
     _write_plot(os.path.join(cfg.out_dir, "plot_family_max.csv"),
                 ["key", "max_ratio"], sorted(fam.items()))
-    return report
-
-
-def cmd_observe(cfg: ExperimentConfig, args) -> int:
-    return 0 if _observe(cfg, args).passed else 1
-
-
-def cmd_ucp(cfg: ExperimentConfig, args,
-            observability: StudyReport | None = None) -> int:
-    """UCP chain checks; the observability study runs here unless given."""
-    report = run_ucp_check(cfg, observability)
-    persist_report(report, cfg.out_dir)
     return 0 if report.passed else 1
 
 
@@ -180,22 +167,11 @@ def cmd_carleman(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_all(cfg: ExperimentConfig, args) -> int:
-    studies = {}
-
-    def observe(cfg, args):
-        studies["observability"] = _observe(cfg, args)
-        return 0 if studies["observability"].passed else 1
-
-    def ucp(cfg, args):
-        # the chain checks read the study observe just ran
-        return cmd_ucp(cfg, args, studies["observability"])
-
     rc = 0
     for name, fn in (("verify-weights", cmd_verify_weights),
                      ("solve", cmd_solve),
                      ("converge", cmd_converge),
-                     ("observe", observe),
-                     ("ucp", ucp),
+                     ("observe", cmd_observe),
                      ("carleman", cmd_carleman)):
         t0 = time.time()
         step = fn(cfg, args)
@@ -209,7 +185,6 @@ _COMMANDS = {
     "solve": cmd_solve,
     "converge": cmd_converge,
     "observe": cmd_observe,
-    "ucp": cmd_ucp,
     "carleman": cmd_carleman,
     "all": cmd_all,
 }
@@ -236,8 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
             ("verify-weights", "closed-form weight and cutoff residual tables"),
             ("solve", "one backward solve with energy diagnostics and export"),
             ("converge", "regularization-level approximation study"),
-            ("observe", "observability ratio study over sampler families"),
-            ("ucp", "quantitative unique continuation chain checks"),
+            ("observe", "observability ratios and the (5.2) chain over "
+                        "sampler families"),
             ("carleman", "implied-constant sweeps for the weighted estimates"),
             ("all", "run every study into one output tree")):
         p = sub.add_parser(name, help=help_text)

@@ -11,9 +11,9 @@ Each quadrature carries the sparse P1 interpolation P onto its points.
 Every P1 matrix is assembled from per-cell 3 x 3 blocks into one cached
 sparsity pattern; weighted bilinear forms can be built cell by cell on the
 rule blocks without any per-point array.  Everything built from the mesh
-(quadratures, operators, the P1 pattern, weighted quadrature weights, the
-mass matrix, the solver's step operators) is built once, cached on the Mesh
-and read-only.
+(quadratures, operators, the P1 pattern, the nodal weights of each region
+and weight, the mass matrix, the solver's step operators) is built once,
+cached on the Mesh and read-only.
 """
 
 from __future__ import annotations
@@ -40,15 +40,12 @@ class GeometrySpec:
 
     R: float = 1.0
     L: float = 9.0
-    dim: int = 2
 
     def __post_init__(self):
         if self.R <= 0:
             raise ValueError("R must be positive")
         if self.L <= 8.0 * self.R:
             raise ValueError("need L > 8R so the annulus bands fit inside the disk")
-        if self.dim != 2:
-            raise ValueError("only dim = 2 is exercised at runtime")
 
 
 @dataclass(frozen=True)
@@ -99,11 +96,6 @@ class SpaceQuadrature:
     weights: np.ndarray  # (nq,)
     cell: np.ndarray     # (nq,) owning cell index
     interpolation: sp.csr_matrix
-
-    def values(self, field_or_fn):
-        if callable(field_or_fn):
-            return np.asarray(field_or_fn(self.points), dtype=float)
-        return self.interpolation @ np.asarray(field_or_fn, dtype=float)
 
 
 class Mesh:
@@ -224,30 +216,29 @@ class Mesh:
             ("quadrature", _quadrature_key(subdivide_radius, levels)),
             lambda: self._build_quadrature(subdivide_radius, levels))
 
-    def quadrature_weights(self, subdivide_radius: float = 0.0,
-                           region: Region | None = None,
-                           weight=None) -> tuple[np.ndarray, np.ndarray]:
-        """``(w, c)`` on ``quadrature(subdivide_radius)``, cached.
+    def quadrature_weights(self, region: Region | None = None,
+                           weight=None) -> np.ndarray:
+        """Nodal weights c = P^T w, cached: the integral of a nodal field u
+        times ``weight`` over ``region`` is ``c @ u``.
 
-        w holds the quadrature weights times ``weight`` at the points, zero
-        outside ``region``; c = P^T w are the nodal weights, so the integral of
-        a nodal field u is ``c @ u``.  ``weight`` is anything
+        w holds the weights of ``quadrature(r)`` times ``weight`` at the
+        points, zero outside ``region``, with r the weight's
+        ``quadrature_radius`` (0 unweighted).  ``weight`` is anything
         :func:`~degenlab.weights.as_weight` accepts; the cache key holds the
         weight value, so equal parameters share one entry.
         """
         weight = as_weight(weight)
-        key = _quadrature_key(subdivide_radius, 2)
 
         def build():
-            qp = self.quadrature(subdivide_radius)
+            qp = self.quadrature(0.0 if weight is None
+                                 else weight.quadrature_radius)
             w = qp.weights
             if weight is not None:
                 w = w * np.asarray(weight(qp.points), dtype=float)
             if region is not None:
                 w = w * self.cell_mask(region)[qp.cell]
-            w = np.array(w)   # never the quadrature's own array
-            return w, qp.interpolation.T @ w
-        return self.cached(("weights", key, region, weight), build)
+            return qp.interpolation.T @ w
+        return self.cached(("weights", region, weight), build)
 
     def cell_forms(self, weight=None, subdivide_radius: float = 0.0,
                    levels: int = 2) -> tuple[np.ndarray, np.ndarray]:
@@ -591,17 +582,13 @@ def build_annulus_mesh(r_in: float, r_out: float, h: float) -> Mesh:
 # integration
 # ---------------------------------------------------------------------------
 
-def integrate_space(mesh: Mesh, integrand, region: Region | None = None,
-                    weight=None, subdivide_radius: float = 0.0) -> float:
-    """Integral of integrand * weight over the region.
-
-    ``integrand`` is either a nodal array (P1-interpolated) or a callable on
-    point arrays; ``weight`` is as in :meth:`Mesh.quadrature_weights`.  Cells
-    whose vertices come within ``subdivide_radius`` of the origin are
-    integrated on a 2-level dyadic refinement of the midpoint rule.
-    """
-    w, _ = mesh.quadrature_weights(subdivide_radius, region, weight)
-    return float(np.dot(w, mesh.quadrature(subdivide_radius).values(integrand)))
+def integrate_space(mesh: Mesh, u, region: Region | None = None,
+                    weight=None) -> float:
+    """Integral of the nodal field u times ``weight`` over the region:
+    ``c @ u`` with the nodal weights c of :meth:`Mesh.quadrature_weights`,
+    the one-slice case of :func:`integrate_spacetime`."""
+    return float(mesh.quadrature_weights(region, weight)
+                 @ np.asarray(u, dtype=float))
 
 
 def time_weights(times, window=None) -> np.ndarray:
@@ -629,8 +616,7 @@ def time_weights(times, window=None) -> np.ndarray:
 
 
 def integrate_spacetime(mesh: Mesh, times, fields, region: Region | None = None,
-                        weight=None, window=None,
-                        subdivide_radius: float = 0.0) -> float:
+                        weight=None, window=None) -> float:
     """Integral over the region and the window: per-slice space integrals
     summed with the :func:`time_weights` tau.
 
@@ -639,6 +625,6 @@ def integrate_spacetime(mesh: Mesh, times, fields, region: Region | None = None,
     ``fields @ c`` with the mesh's cached nodal weights c of
     :meth:`Mesh.quadrature_weights`.
     """
-    _, c = mesh.quadrature_weights(subdivide_radius, region, weight)
+    c = mesh.quadrature_weights(region, weight)
     slices = np.asarray(fields, dtype=float) @ c
     return float(time_weights(times, window) @ slices)

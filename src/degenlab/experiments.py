@@ -1,5 +1,5 @@
-"""Study drivers: approximation convergence, observability ratios, unique
-continuation checks, and Carleman constant sweeps, with deterministic reports.
+"""Study drivers: approximation convergence, observability ratios with the
+(5.2) chain, and Carleman constant sweeps, with deterministic reports.
 
 Every study consumes an ExperimentConfig, draws its random data from a seeded
 generator, and emits a StudyReport whose JSON/CSV serialization is
@@ -57,7 +57,6 @@ class ExperimentConfig:
     L: float = 9.0
     alpha: float = 1.0
     T: float = 1.0
-    dim: int = 2
     mesh_levels: tuple = (0.24, 0.18)             # decreasing h for solves
     dt_factor: float = 1.0                         # dt ~ dt_factor * h
     theta: float = 1.0
@@ -84,8 +83,6 @@ class ExperimentConfig:
                     raise ValueError(f"{f.name} must be finite, got {val!r}")
         if not 0.0 < self.alpha < 2.0:
             raise ValueError(f"alpha must lie in (0, 2), got {self.alpha}")
-        if self.dim != 2:
-            raise ValueError(f"dim must be 2, got {self.dim}")
         for key in ("R", "dt_factor", "carleman_epsilon"):
             if not getattr(self, key) > 0.0:
                 raise ValueError(f"{key} must be positive, got {getattr(self, key)!r}")
@@ -140,12 +137,15 @@ class ExperimentConfig:
             if fam not in ("interior", "adversarial", "noise"):
                 raise ValueError(f"unknown sampler family {fam!r}")
         for key, least in (("sample_count", 1), ("carleman_family_count", 1),
-                           ("carleman_sweep_samples", 0)):
+                           ("carleman_sweep_samples", 0), ("seed", 0)):
             val = getattr(self, key)
             if (not isinstance(val, (int, np.integer)) or isinstance(val, bool)
                     or val < least):
                 raise ValueError(f"{key} must be an integer >= {least}, "
                                  f"got {val!r}")
+        if not isinstance(self.out_dir, str) or not self.out_dir:
+            raise ValueError(f"out_dir must be a non-empty string, "
+                             f"got {self.out_dir!r}")
 
     # -- dict round trip ----------------------------------------------------
 
@@ -174,7 +174,7 @@ class ExperimentConfig:
 
     @property
     def geometry(self) -> GeometrySpec:
-        return GeometrySpec(R=self.R, L=self.L, dim=self.dim)
+        return GeometrySpec(R=self.R, L=self.L)
 
     @property
     def m(self) -> float:
@@ -535,33 +535,6 @@ def run_observability_study(config: ExperimentConfig,
                      and report.summary["all_finite"]
                      and worst_chain >= -1e-8
                      and all(v < 0.5 for v in drift.values()))
-    return report
-
-
-def run_ucp_check(config: ExperimentConfig,
-                  observability: StudyReport | None = None) -> StudyReport:
-    """The (5.2) chain plus the composite quantitative UCP bound."""
-    if observability is None:
-        observability = run_observability_study(config)
-    rows = observability.tables["samples"]
-    C = max(max(r["ratio"] for r in rows), 1.0)
-    report = StudyReport(name="ucp", config=config)
-    checks = []
-    for r in rows:
-        # composite: ||phi(0)||^2 <= (2/T) * window mass <= (2 C'/T) * RHS
-        # with C' the observed window-mass/rhs bound; record the direct chain
-        checks.append({
-            "level": r["level"], "family": r["family"], "sample": r["sample"],
-            "chain_slack": r["chain_slack"],
-            "chain_ok": bool(r["chain_slack"] >= -1e-8),
-        })
-    report.tables["chain"] = checks
-    report.summary = {
-        "observability_constant": float(C),
-        "worst_chain_slack": float(min(c["chain_slack"] for c in checks)),
-        "all_chains_hold": bool(all(c["chain_ok"] for c in checks)),
-    }
-    report.passed = report.summary["all_chains_hold"]
     return report
 
 

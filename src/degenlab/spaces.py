@@ -20,7 +20,7 @@ def weighted_l2_norm(mesh: Mesh, field, weight=None,
     """sqrt of the quadrature of u^2 * w over the mesh (w = 1 when ``weight``
     is None)."""
     qp = mesh.quadrature(subdivide_radius)
-    u = qp.values(field)
+    u = qp.interpolation @ np.asarray(field, dtype=float)
     w = 1.0 if weight is None else weight(qp.points)
     return float(np.sqrt(max(0.0, np.dot(qp.weights, u * u * w))))
 
@@ -59,7 +59,7 @@ def hardy_ratio(mesh: Mesh, field, alpha: float) -> float:
     N = 2
     sub = 4.0 * mesh.h
     qp = mesh.quadrature(sub, levels=3)
-    uq = qp.values(u)
+    uq = qp.interpolation @ u
     # |x|^(alpha-2) u^2; the rule never samples x = 0 (edge midpoints of
     # nondegenerate cells), so the power is finite
     lhs2 = float(np.dot(qp.weights,

@@ -24,6 +24,12 @@ class TestParsing:
             build_parser().parse_args(["frobnicate"])
         assert exc.value.code == 2
 
+    def test_no_ucp_command(self, capsys):
+        # the (5.2) chain is reported and gated by observe alone
+        with pytest.raises(SystemExit) as exc:
+            main(["ucp"])
+        assert exc.value.code == 2
+
     def test_bad_override_format_is_config_error(self, capsys):
         rc = main(["converge", "--set", "alpha"])
         assert rc == 2
@@ -48,7 +54,8 @@ class TestParsing:
         "carleman_s=[]",
         "s_default=0.5", "gamma_default=0", "lambda_default=0.9",
         "carleman_epsilon=0", "carleman_epsilon=-0.1", "dt_factor=0",
-        "R=0", "R=-1", "dim=3"])
+        "R=0", "R=-1", "dim=3", "seed=1.5", "seed=-10", "seed=true",
+        "out_dir=5", 'out_dir=""'])
     def test_out_of_range_value_is_config_error(self, override, capsys):
         rc = main(["observe", "--set", override])
         assert rc == 2
@@ -59,17 +66,24 @@ class TestParsing:
         "mesh_levels=[1.5]", "mesh_levels=[-0.2]", "k_levels=[0,8]",
         "k_levels=[-4,8]", "L=Infinity", "T=NaN", "carleman_epsilon=Infinity",
         "k_levels=[8.5,16]", "mesh_levels=[0.0001]", "mesh_levels=[1e-160]",
-        "mesh_levels=[1e-200]", "dt_factor=1e-9"])
-    def test_degenerate_value_exits_before_any_study(self, override, tmp_path,
+        "mesh_levels=[1e-200]", "dt_factor=1e-9", "seed=1.5", "seed=-10",
+        "out_dir=5"])
+    def test_degenerate_value_exits_before_any_study(self, override,
                                                      monkeypatch, capsys):
         def study(config, *args, **kwargs):
             raise AssertionError(f"a study ran with {override}")
 
         monkeypatch.setattr(cli, "run_approximation_study", study)
-        rc = main(["converge", "--set", override, "--out", str(tmp_path)])
+        rc = main(["converge", "--set", override])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and override.split("=")[0] in err
+
+    def test_negative_cli_seed_is_config_error(self, tmp_path, capsys):
+        rc = main(["verify-weights", "--seed", "-3", "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert os.listdir(tmp_path) == []
 
     def test_config_file_missing(self, capsys):
         rc = main(["converge", "--config", "/no/such/file.json"])
@@ -126,3 +140,33 @@ class TestWriteError:
         err = capsys.readouterr().err
         assert err.startswith("degenlab: verify-weights: cannot write report: ")
         assert err.count("\n") == 1
+
+
+class TestAll:
+    TINY = ["--set", "mesh_levels=[0.6,0.5]", "--set", "sample_count=1",
+            "--set", "k_levels=[8,16]", "--set", "carleman_family_count=1",
+            "--set", "carleman_sweep_samples=0"]
+    STEPS = ["verify-weights", "solve", "converge", "observe", "carleman"]
+
+    def test_writes_the_files_of_every_step(self, tmp_path):
+        expected = set()
+        for name in self.STEPS:
+            out = tmp_path / name
+            assert main([name, "--out", str(out)] + self.TINY) == 0
+            expected |= set(os.listdir(out))
+        out = tmp_path / "all"
+        assert main(["all", "--out", str(out)] + self.TINY) == 0
+        files = set(os.listdir(out))
+        assert files == expected
+        assert not any(f.startswith("ucp") for f in files)
+
+    def test_returns_the_largest_step_exit_code(self, monkeypatch):
+        ran = []
+        codes = {"converge": 1}
+        for name in self.STEPS:
+            def step(cfg, args, name=name):
+                ran.append(name)
+                return codes.get(name, 0)
+            monkeypatch.setattr(cli, "cmd_" + name.replace("-", "_"), step)
+        assert main(["all"]) == 1
+        assert ran == self.STEPS

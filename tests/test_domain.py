@@ -258,9 +258,9 @@ class TestQuadrature:
     def test_weighted_polar_integral(self, geometry):
         # int_{B_1} |x|^1 * |x|^2 dx = 2 pi / 5 (radial moment oracle)
         mesh = build_disk_mesh(GeometrySpec(R=0.12, L=1.0), 1.0 / 32.0)
-        val = integrate_space(mesh, lambda p: np.einsum("nd,nd->n", p, p),
-                              weight=AbsPowerWeight(1.0),
-                              subdivide_radius=0.125)
+        qp = mesh.quadrature(0.125)
+        val = float(np.dot(qp.weights * AbsPowerWeight(1.0)(qp.points),
+                           np.einsum("nd,nd->n", qp.points, qp.points)))
         assert abs(val - 2.0 * np.pi / 5.0) < 0.01 * 2.0 * np.pi / 5.0
 
     def test_subdivision_refines_near_origin_only(self, coarse_mesh):
@@ -273,7 +273,7 @@ class TestQuadrature:
         # P1 interpolation of a linear nodal field is exact
         u = unit_square_mesh.vertices @ np.array([2.0, -1.0]) + 0.5
         qp = unit_square_mesh.quadrature()
-        vals = qp.values(u)
+        vals = qp.interpolation @ u
         expected = qp.points @ np.array([2.0, -1.0]) + 0.5
         assert np.allclose(vals, expected)
 
@@ -293,7 +293,6 @@ class TestInterpolation:
         nodes, shape = p1_shape_values(coarse_mesh, qp)
         ref = np.einsum("qi,qi->q", shape, u[nodes])
         assert np.max(np.abs(P @ u - ref)) <= 1e-14 * np.max(np.abs(ref))
-        assert np.array_equal(qp.values(u), P @ u)
         # each point is its shape values times its cell's vertices, summed
         # in vertex order
         assert np.array_equal(qp.points, P @ coarse_mesh.vertices)
@@ -372,19 +371,41 @@ class TestCellForms:
 
 class TestQuadratureWeights:
     def test_cached_equal_fresh(self, coarse_mesh):
-        region, weight = Region.ball(4.0), AbsPowerWeight(1.0)
-        w, c = coarse_mesh.quadrature_weights(1.2, region, weight)
-        qp = coarse_mesh.quadrature(1.2)
-        fresh = (qp.weights * np.power(np.einsum("nd,nd->n", qp.points,
-                                                 qp.points), 0.5)
+        # the rule is refined within the weight's own radius: 0 for |x|^p,
+        # 2 eps = 1.2 for the regularized weight
+        region = Region.ball(4.0)
+        for weight in (AbsPowerWeight(1.0),
+                       RegularizedWeight(epsilon=0.6, alpha=1.0)):
+            c = coarse_mesh.quadrature_weights(region, weight)
+            qp = coarse_mesh.quadrature(weight.quadrature_radius)
+            fresh = (qp.weights * weight(qp.points)
+                     * coarse_mesh.cell_mask(region)[qp.cell])
+            assert np.array_equal(c, qp.interpolation.T @ fresh)
+            # the nodal weights scatter each point's weight over its cell
+            nodes, shape = p1_shape_values(coarse_mesh, qp)
+            ref = np.zeros(coarse_mesh.num_vertices)
+            np.add.at(ref, nodes, fresh[:, None] * shape)
+            assert np.max(np.abs(c - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_regularized_integral_on_refined_rule(self, coarse_mesh):
+        # integrate_space with psi_eps^alpha integrates on quadrature(2 eps),
+        # as the weights times P u there
+        eps, region = 0.6, Region.ball(4.0)
+        weight = RegularizedWeight(epsilon=eps, alpha=1.0)
+        u = np.random.default_rng(4).standard_normal(coarse_mesh.num_vertices)
+        got = integrate_space(coarse_mesh, u, region, weight)
+        vals, scale = {}, 0.0
+        for radius in (0.0, 2.0 * eps):
+            qp = coarse_mesh.quadrature(radius)
+            w = (qp.weights * weight(qp.points)
                  * coarse_mesh.cell_mask(region)[qp.cell])
-        assert np.array_equal(w, fresh)
-        assert np.array_equal(c, qp.interpolation.T @ fresh)
-        # the nodal weights scatter each point's weight over its cell
-        nodes, shape = p1_shape_values(coarse_mesh, qp)
-        ref = np.zeros(coarse_mesh.num_vertices)
-        np.add.at(ref, nodes, fresh[:, None] * shape)
-        assert np.max(np.abs(c - ref)) <= 1e-14 * np.max(np.abs(ref))
+            uq = qp.interpolation @ u
+            vals[radius] = float(w @ uq)
+            scale = float(np.abs(w) @ np.abs(uq))
+        tol = 1e-14 * scale
+        assert abs(got - vals[2.0 * eps]) <= tol
+        # the unrefined rule is off by far more than round-off
+        assert abs(got - vals[0.0]) > 1e3 * tol
 
     def test_equal_values_share_one_entry(self, geometry):
         mesh = build_disk_mesh(geometry, 0.6)
@@ -394,13 +415,13 @@ class TestQuadratureWeights:
         def entries():
             return sum(1 for key in mesh._cache if key[0] == "weights")
 
-        first = mesh.quadrature_weights(0.0, Region.ball(4.0), AbsPowerWeight(1.0))
+        first = mesh.quadrature_weights(Region.ball(4.0), AbsPowerWeight(1.0))
         for _ in range(3):
             integrate_spacetime(mesh, times, fields=fields, region=Region.ball(4.0),
                                 weight=AbsPowerWeight(1.0))
             integrate_space(mesh, fields[0], Region.ball(4.0), AbsPowerWeight(1))
         assert entries() == 1
-        assert mesh.quadrature_weights(0.0, Region.ball(4.0),
+        assert mesh.quadrature_weights(Region.ball(4.0),
                                        AbsPowerWeight(1.0)) is first
         integrate_spacetime(mesh, times, fields=fields, region=Region.ball(5.0),
                             weight=AbsPowerWeight(1.0))
@@ -417,12 +438,12 @@ class TestQuadratureWeights:
         assert len(coarse_mesh._cache) == before
 
     def test_cached_arrays_read_only(self, coarse_mesh):
-        w, c = coarse_mesh.quadrature_weights(0.0, None, AbsPowerWeight(1.0))
+        c = coarse_mesh.quadrature_weights(None, AbsPowerWeight(1.0))
         E, lengths = coarse_mesh.boundary_edge_average()
         qp = coarse_mesh.quadrature()
         P = qp.interpolation
         op = solver.step_operator(coarse_mesh, 1.0, 0.1, 1.0)
-        for arr in (w, c, lengths, E.data, coarse_mesh.gradient_operator().data,
+        for arr in (c, lengths, E.data, coarse_mesh.gradient_operator().data,
                     qp.points, qp.weights, qp.cell,
                     P.data, P.indices, P.indptr,
                     op.stiffness.data, op.explicit.data, op.explicit.indices):
@@ -577,23 +598,31 @@ class TestTimeIntegration:
                                    window=(0.25, 0.75))
         assert abs(half - 0.5 * area) < 1e-10 * area
 
-    @pytest.mark.parametrize("region, sub", itertools.product(
+    @pytest.mark.parametrize("region, radius", itertools.product(
         [None, Region.ball(4.0), Region.annulus(3.0, 6.0),
          Region.complement(5.0)],
         [0.0, 1.2]))
-    def test_spacetime_matches_slice_loop(self, coarse_mesh, region, sub):
-        # one nodal-weight product against the per-slice space integrals
+    def test_spacetime_matches_slice_loop(self, coarse_mesh, region, radius):
+        # one nodal-weight product against per-slice point integrals on the
+        # rule refined within the weight's radius
         times = np.linspace(0.0, 1.0, 9)
         rng = np.random.default_rng(1)
         fields = rng.standard_normal((9, coarse_mesh.num_vertices)) ** 2
-        for weight, window in itertools.product(
-                [None, AbsPowerWeight(1.0)],
-                [None, (0.25, 0.75)]):
+        weights = ([None, AbsPowerWeight(1.0)] if radius == 0.0
+                   else [RegularizedWeight(epsilon=radius / 2.0, alpha=1.0)])
+        qp = coarse_mesh.quadrature(radius)
+        mask = (np.ones(coarse_mesh.num_cells, dtype=bool) if region is None
+                else coarse_mesh.cell_mask(region))
+        for weight, window in itertools.product(weights,
+                                                [None, (0.25, 0.75)]):
+            w = qp.weights * mask[qp.cell]
+            if weight is not None:
+                w = w * weight(qp.points)
             rows = np.flatnonzero(time_weights(times, window))
             ref = float(np.trapezoid(
-                [integrate_space(coarse_mesh, fields[n], region, weight, sub)
-                 for n in rows], times[rows]))
+                [w @ (qp.interpolation @ fields[n]) for n in rows],
+                times[rows]))
             got = integrate_spacetime(coarse_mesh, times, fields=fields,
                                       region=region, weight=weight,
-                                      window=window, subdivide_radius=sub)
+                                      window=window)
             assert abs(got - ref) <= 1e-13 * abs(ref)

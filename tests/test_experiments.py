@@ -20,7 +20,7 @@ from degenlab.weights import RegularizedWeight
 class TestConfig:
     def test_defaults_valid(self):
         cfg = ExperimentConfig()
-        assert cfg.geometry == GeometrySpec(R=1.0, L=9.0, dim=2)
+        assert cfg.geometry == GeometrySpec(R=1.0, L=9.0)
         assert cfg.m == 10.0
 
     def test_unknown_key_rejected(self):
