@@ -4,7 +4,7 @@ Modules
 -------
 weights      degenerate weight, quartic regularization, Muckenhoupt constants,
              radial cutoffs
-domain       graded disk/annulus triangulations, regions, quadrature
+domain       graded disk triangulations, regions, quadrature
 spaces       weighted norms and Hardy/Poincare/embedding ratio checks
 solver       P1 theta-scheme time stepping, sources, energy and flux diagnostics
 carleman     Carleman weight evaluators and inequality balance instantiation

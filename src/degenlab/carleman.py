@@ -34,6 +34,7 @@ from .weights import (AbsPowerWeight, CutoffFunction, RegularizedWeight,
 
 THETA_CAP = 1e16  # time nodes with Theta beyond this are excluded from quadrature
 EXP_FLOOR = -746.0  # np.exp is exactly 0.0 at and below this (from about -745.13)
+THETA_SAMPLES = 4001  # interior time nodes of theta_bound_check's grid
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,7 @@ def theta(t, T: float):
     return (t * (T - t)) ** -4.0
 
 
-def theta_bound_check(T: float, n: int = 4001) -> dict:
+def theta_bound_check(T: float) -> dict:
     """Sharpest empirical constants for the derivative bounds of Theta.
 
     |Theta' Theta| / Theta^(9/4) equals 4|2t - T| exactly (sup 4T), which is
@@ -73,6 +74,7 @@ def theta_bound_check(T: float, n: int = 4001) -> dict:
     20(2t-T)^2 + 8t(T-t) exactly; its sup 20T^2 is reported next to the
     looser reference constant 60T + 8T^2, which dominates it only for T <= 5.
     """
+    n = THETA_SAMPLES
     t = np.linspace(T / n, T * (1.0 - 1.0 / n), n)
     g = t * (T - t)
     c1 = np.max(np.abs(4.0 * (2.0 * t - T)))           # |Theta' Theta|/Theta^{9/4}

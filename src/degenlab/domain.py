@@ -1,12 +1,13 @@
-"""Computational geometry: graded disk/annulus triangulations and quadrature.
+"""Computational geometry: graded disk triangulations and quadrature.
 
-Meshes are built from concentric rings of vertices; the band between two
-rings is triangulated by a stable merge of their angles, with array
-operations only, so boundary vertices sit exactly on their circle and the
-radial grading near the degeneracy at the origin is explicit.  All integrals
-use a per-cell midpoint rule (exact for quadratic integrands), with optional
-dyadic cell subdivision near the origin where singular weights live; the
-rule is defined once, as blocks of cells sharing a barycentric point set.
+A mesh of the disk B_L is built from concentric rings of vertices round a
+centre vertex; the band between two rings is triangulated by a stable merge
+of their angles, with array operations only, so boundary vertices sit
+exactly on the outer circle and the radial grading near the degeneracy at
+the origin is explicit.  All integrals use a per-cell midpoint rule (exact
+for quadratic integrands), with optional dyadic cell subdivision near the
+origin where singular weights live; the rule is defined once, as blocks of
+cells sharing a barycentric point set.
 Each quadrature carries the sparse P1 interpolation P onto its points.
 Every P1 matrix is assembled from per-cell 3 x 3 blocks into one cached
 sparsity pattern; weighted bilinear forms can be built cell by cell on the
@@ -99,15 +100,14 @@ class SpaceQuadrature:
 
 
 class Mesh:
-    """Immutable P1 triangulation with boundary markers and cached geometry."""
+    """Immutable P1 triangulation with cached geometry; its cells are
+    counter-clockwise and its boundary edges lie on one outer circle round
+    the origin."""
 
-    OUTER, INNER = 0, 1
-
-    def __init__(self, vertices, cells, boundary_edges, boundary_markers, h):
+    def __init__(self, vertices, cells, boundary_edges, h):
         self.vertices = np.asarray(vertices, dtype=float)
         self.cells = np.asarray(cells, dtype=np.int64)
         self.boundary_edges = np.asarray(boundary_edges, dtype=np.int64)
-        self.boundary_markers = np.asarray(boundary_markers, dtype=np.int64)
         self.h = float(h)
         self._finalize()
         # everything built from the mesh, by key (see cached)
@@ -118,15 +118,8 @@ class Mesh:
         e1 = p[:, 1] - p[:, 0]
         e2 = p[:, 2] - p[:, 0]
         signed = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-        flip = signed < 0
-        if np.any(flip):
-            self.cells[flip] = self.cells[flip][:, [0, 2, 1]]
-            p = self.vertices[self.cells]
-            e1 = p[:, 1] - p[:, 0]
-            e2 = p[:, 2] - p[:, 0]
-            signed = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
         if np.any(signed <= 0):
-            raise ValueError("degenerate cell in triangulation")
+            raise ValueError("degenerate or clockwise cell in triangulation")
         self.areas = signed
         self.centroids = p.mean(axis=1)
         # P1 shape gradients: grad lambda_i = rot(opposite edge) / (2A)
@@ -201,13 +194,10 @@ class Mesh:
         return self.cached("edge_average", build)
 
     def boundary_edge_normals(self) -> np.ndarray:
-        """Unit outward normals per boundary edge (radial on circles)."""
+        """Unit outward normals per boundary edge (radial on the circle)."""
         mids = 0.5 * (self.vertices[self.boundary_edges[:, 0]]
                       + self.vertices[self.boundary_edges[:, 1]])
-        r = np.linalg.norm(mids, axis=1, keepdims=True)
-        n = mids / r
-        n[self.boundary_markers == Mesh.INNER] *= -1.0
-        return n
+        return mids / np.linalg.norm(mids, axis=1, keepdims=True)
 
     # -- quadrature ------------------------------------------------------------
 
@@ -355,8 +345,8 @@ class Mesh:
         for i, j, k in self.cells:
             buf.write(f"{i} {j} {k}\n")
         buf.write(f"# boundary_edges {len(self.boundary_edges)}\n")
-        for (i, j), m in zip(self.boundary_edges, self.boundary_markers):
-            buf.write(f"{i} {j} {'inner' if m == Mesh.INNER else 'outer'}\n")
+        for i, j in self.boundary_edges:
+            buf.write(f"{i} {j} outer\n")
         buf.write(f"# h {self.h!r}\n")
         with open(path, "w") as f:
             f.write(buf.getvalue())
@@ -436,10 +426,9 @@ def _refine_bary(bary):
 # ring-based mesh generation
 # ---------------------------------------------------------------------------
 
-def _ring_radii(r_start, r_end, spacing_fn, s_first=None):
-    radii = [r_start]
-    s_prev = s_first if s_first is not None else spacing_fn(r_start)
-    r = r_start
+def _ring_radii(r_end, spacing_fn, s_first):
+    """Ring radii from 0 to r_end, each step at most 1.5 times the last."""
+    radii, r, s_prev = [0.0], 0.0, s_first
     while True:
         s = min(spacing_fn(r), 1.5 * s_prev)
         r = r + s
@@ -449,8 +438,7 @@ def _ring_radii(r_start, r_end, spacing_fn, s_first=None):
             break
     radii = np.array(radii)
     # affine squeeze of the overshoot so the last ring lands exactly on r_end
-    radii = r_start + (radii - r_start) * (r_end - r_start) / (radii[-1] - r_start)
-    return radii
+    return radii * r_end / radii[-1]
 
 
 def _ring_points(radius, count, stagger):
@@ -478,31 +466,22 @@ def _merge_rings(theta_a, theta_b, idx_a, idx_b):
     return np.column_stack([idx_a[i % na], idx_b[j % nb], third])
 
 
-def _build_rings(radii, spacing_fn, include_center):
-    """Vertices, the triangles between consecutive rings, and each ring's ids."""
-    if include_center:
-        radii = radii[1:]  # drop the r = 0 entry
+def _build_rings(radii, spacing_fn):
+    """Vertices (the centre, then ring by ring), the triangles of the centre
+    fan and between consecutive rings, and the outer ring's ids."""
+    radii = radii[1:]  # the centre stands for the r = 0 entry
     counts = [max(8, int(np.ceil(2.0 * np.pi * r / spacing_fn(r)))) for r in radii]
     rings = [_ring_points(r, n, stagger=(k % 2 == 1))
              for k, (r, n) in enumerate(zip(radii, counts))]
-    first = 1 if include_center else 0
-    ends = first + np.cumsum(counts)
+    ends = 1 + np.cumsum(counts)
     ring_idx = [np.arange(e - n, e) for n, e in zip(counts, ends)]
-    cells = [_merge_rings(rings[k][1], rings[k + 1][1],
-                          ring_idx[k], ring_idx[k + 1])
-             for k in range(len(rings) - 1)]
-    verts = [pts for pts, _ in rings]
-    if include_center:
-        ids = ring_idx[0]
-        cells.insert(0, np.column_stack([np.zeros_like(ids), ids,
-                                         np.roll(ids, -1)]))
-        verts.insert(0, np.zeros((1, 2)))
-    return np.concatenate(verts), np.concatenate(cells), ring_idx
-
-
-def _boundary_loop(ring):
-    """The edges (ring[i], ring[i + 1]) closing the ring into a loop."""
-    return np.column_stack([ring, np.roll(ring, -1)])
+    ids = ring_idx[0]
+    cells = [np.column_stack([np.zeros_like(ids), ids, np.roll(ids, -1)])]
+    cells += [_merge_rings(rings[k][1], rings[k + 1][1],
+                           ring_idx[k], ring_idx[k + 1])
+              for k in range(len(rings) - 1)]
+    verts = [np.zeros((1, 2))] + [pts for pts, _ in rings]
+    return np.concatenate(verts), np.concatenate(cells), ring_idx[-1]
 
 
 # Measured peak memory of the heaviest per-mesh paths (the inequality table,
@@ -556,26 +535,10 @@ def build_disk_mesh(spec: GeometrySpec, h: float, local_h: float | None = None) 
         base = fine if r < 2.0 * R else h
         return min(base, max(lh, 0.6 * r))
 
-    radii = _ring_radii(0.0, spec.L, spacing, s_first=lh)
-    verts, cells, rings = _build_rings(radii, spacing, include_center=True)
-    return Mesh(verts, cells, _boundary_loop(rings[-1]),
-                np.full(len(rings[-1]), Mesh.OUTER), h)
-
-
-def build_annulus_mesh(r_in: float, r_out: float, h: float) -> Mesh:
-    """Quasi-uniform triangulation of the annulus A_{r_in, r_out}."""
-    if not 0.0 < r_in < r_out:
-        raise ValueError("need 0 < r_in < r_out")
-    if h >= (r_out - r_in) / 3.0:
-        raise ValueError("h too coarse: fewer than 3 element layers across the annulus")
-
-    radii = _ring_radii(r_in, r_out, lambda r: h)
-    verts, cells, rings = _build_rings(radii, lambda r: h, include_center=False)
-    return Mesh(verts, cells,
-                np.concatenate([_boundary_loop(rings[0]),
-                                _boundary_loop(rings[-1])]),
-                np.repeat([Mesh.INNER, Mesh.OUTER], [len(rings[0]), len(rings[-1])]),
-                h)
+    radii = _ring_radii(spec.L, spacing, s_first=lh)
+    verts, cells, outer = _build_rings(radii, spacing)
+    # the edges (outer[i], outer[i + 1]) close the outer ring into a loop
+    return Mesh(verts, cells, np.column_stack([outer, np.roll(outer, -1)]), h)
 
 
 # ---------------------------------------------------------------------------

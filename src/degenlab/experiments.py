@@ -22,7 +22,7 @@ from .domain import (MAX_VERTICES, GeometrySpec, Mesh, Region,
                      build_disk_mesh, disk_vertex_bound, integrate_space,
                      integrate_spacetime, time_weights)
 from .solver import (DiscreteSolution, ParabolicProblem, SolverError,
-                     boundary_flux, cell_weight_integrals, solve)
+                     boundary_flux, solve)
 from .weights import AbsPowerWeight, RegularizedWeight
 
 
@@ -78,6 +78,11 @@ class ExperimentConfig:
     def __post_init__(self):
         for f in dataclasses.fields(self):
             val = getattr(self, f.name)
+            if isinstance(f.default, tuple):
+                if not isinstance(val, (tuple, list)):
+                    raise ValueError(f"{f.name} must be a list, got {val!r}")
+                val = tuple(val)
+                setattr(self, f.name, val)
             for v in val if isinstance(val, tuple) else (val,):
                 if isinstance(v, (float, np.floating)) and not np.isfinite(v):
                     raise ValueError(f"{f.name} must be finite, got {val!r}")
@@ -136,6 +141,9 @@ class ExperimentConfig:
         for fam in self.sampler_families:
             if fam not in ("interior", "adversarial", "noise"):
                 raise ValueError(f"unknown sampler family {fam!r}")
+        if len(set(self.sampler_families)) < len(self.sampler_families):
+            raise ValueError(f"sampler_families must not repeat a family, "
+                             f"got {list(self.sampler_families)}")
         for key, least in (("sample_count", 1), ("carleman_family_count", 1),
                            ("carleman_sweep_samples", 0), ("seed", 0)):
             val = getattr(self, key)
@@ -158,19 +166,13 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(values: dict, overrides: dict | None = None) -> "ExperimentConfig":
-        known = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
-        merged = dict(values)
-        for key, val in (overrides or {}).items():
-            merged[key] = val
-        kwargs = {}
-        for key, val in merged.items():
+        known = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        merged = {**values, **(overrides or {})}
+        for key in merged:
             if key not in known:
                 raise ValueError(f"unknown config key {key!r}; known keys: "
                                  f"{sorted(known)}")
-            if isinstance(val, list):
-                val = tuple(val)
-            kwargs[key] = val
-        return ExperimentConfig(**kwargs)
+        return ExperimentConfig(**merged)
 
     @property
     def geometry(self) -> GeometrySpec:
@@ -191,11 +193,11 @@ class ExperimentConfig:
 
 @dataclass
 class StudyReport:
-    """Per-case records plus summary statistics, tagged with the config hash."""
+    """Tables of per-case rows plus summary statistics, tagged with the
+    config hash."""
 
     name: str
     config: ExperimentConfig
-    records: list = field(default_factory=list)
     tables: dict = field(default_factory=dict)
     summary: dict = field(default_factory=dict)
     passed: bool = True
@@ -207,7 +209,6 @@ class StudyReport:
             "config_hash": self.config.config_hash(),
             "passed": self.passed,
             "summary": self.summary,
-            "records": self.records,
             "tables": self.tables,
         })
 
@@ -265,23 +266,23 @@ def bump(points, center, rho):
     return np.maximum(0.0, rho * rho - d2) ** 2 / rho ** 4
 
 
+def _bump_at(rad, rng: np.random.Generator, rho: float):
+    """The bump of radius rho centred at radius ``rad``, at an angle drawn
+    from ``rng``; returns (callable on points, descriptor)."""
+    ang = rng.uniform(0.0, 2.0 * np.pi)
+    c = (rad * np.cos(ang), rad * np.sin(ang))
+    return (lambda x: bump(x, c, rho)), {"center_radius": float(rad)}
+
+
 def sample_field(family: str, rng: np.random.Generator,
                  cfg: ExperimentConfig):
     """Draw one closed-form datum; returns (callable on points, descriptor)."""
     R, L = cfg.R, cfg.L
     rho = R / 2.0
-    if family == "interior":
-        rad = (L - 2.0 * rho) * np.sqrt(rng.uniform())
-        ang = rng.uniform(0.0, 2.0 * np.pi)
-        c = (rad * np.cos(ang), rad * np.sin(ang))
-        return (lambda x: bump(x, c, rho)), {"family": family,
-                                             "center_radius": float(rad)}
-    if family == "adversarial":
-        rad = (2.0 * R - rho) * np.sqrt(rng.uniform())
-        ang = rng.uniform(0.0, 2.0 * np.pi)
-        c = (rad * np.cos(ang), rad * np.sin(ang))
-        return (lambda x: bump(x, c, rho)), {"family": family,
-                                             "center_radius": float(rad)}
+    if family in ("interior", "adversarial"):
+        top = L - 2.0 * rho if family == "interior" else 2.0 * R - rho
+        fn, desc = _bump_at(top * np.sqrt(rng.uniform()), rng, rho)
+        return fn, {"family": family, **desc}
     if family == "noise":
         J = 6
         freqs = rng.uniform(0.1, 0.6, size=(J, 2))
@@ -309,10 +310,38 @@ def _nodal(mesh: Mesh, fn) -> np.ndarray:
 def data_bump_a2r7r(rng: np.random.Generator, cfg: ExperimentConfig):
     """Bump supported in the annulus A_{2R,7R}: away from origin and boundary."""
     rho = cfg.R / 2.0
-    rad = rng.uniform(2.0 * cfg.R + rho, 7.0 * cfg.R - rho)
-    ang = rng.uniform(0.0, 2.0 * np.pi)
-    c = (rad * np.cos(ang), rad * np.sin(ang))
-    return (lambda x: bump(x, c, rho)), {"center_radius": float(rad)}
+    return _bump_at(rng.uniform(2.0 * cfg.R + rho, 7.0 * cfg.R - rho), rng, rho)
+
+
+def _solve_named(problem: ParabolicProblem, mesh: Mesh, M: int, theta: float,
+                 where: str, names: list):
+    """``solve``, with a SolverError that names the study's ``where``, the
+    data that went non-finite (``names`` holds one name per datum) and the
+    weight."""
+    try:
+        return solve(problem, mesh, M, theta=theta)
+    except SolverError as exc:
+        bad = ", ".join(names[j] for j in exc.columns)
+        raise SolverError(f"{where}: non-finite values in {bad} at time step "
+                          f"{exc.step} of {M} under weight {problem.weight!r}",
+                          step=exc.step) from exc
+
+
+def _finest_drift(config: ExperimentConfig, rows: list, key: str,
+                  value: str, groups) -> dict:
+    """{g: |v_b - v_a| / v_a} per group g, with v_a and v_b the largest
+    ``value`` of the rows whose ``key`` is g on the two finest mesh levels
+    (0 where there is none); empty with one level."""
+    n = len(config.mesh_levels)
+    if n < 2:
+        return {}
+    drift = {}
+    for g in groups:
+        va, vb = (max((r[value] for r in rows
+                       if r["level"] == li and r[key] == g), default=0.0)
+                  for li in (n - 2, n - 1))
+        drift[g] = abs(vb - va) / max(va, 1e-300)
+    return drift
 
 
 # ---------------------------------------------------------------------------
@@ -330,15 +359,12 @@ def _approximation_row(config: ExperimentConfig, k: int, fn) -> dict:
     eps = 1.0 / k
     local_h = min(h / 2.0, 1.0 / (4.0 * k))
     mesh = build_disk_mesh(config.geometry, h, local_h=local_h)
-    reg = RegularizedWeight(epsilon=eps, alpha=config.alpha)
-    under_resolved = bool(np.allclose(
-        cell_weight_integrals(mesh, reg),
-        cell_weight_integrals(mesh, config.alpha), rtol=0.0, atol=1e-15))
     data = _nodal(mesh, fn)
-    sol_k = solve(ParabolicProblem(weight=reg, T=config.T, data=data),
-                  mesh, M, theta=config.theta)
-    sol_0 = solve(ParabolicProblem(weight=config.alpha, T=config.T,
-                                   data=data), mesh, M, theta=config.theta)
+    sol_k, sol_0 = (_solve_named(
+        ParabolicProblem(weight=w, T=config.T, data=data), mesh, M,
+        config.theta, f"approximation k={k} (h={h})", ["the A(2R,7R) bump"])
+        for w in (RegularizedWeight(epsilon=eps, alpha=config.alpha),
+                  config.alpha))
     diff = sol_k.fields - sol_0.fields
     ref = np.sqrt(integrate_spacetime(
         mesh, sol_k.times, fields=sol_0.fields ** 2))
@@ -358,7 +384,6 @@ def _approximation_row(config: ExperimentConfig, k: int, fn) -> dict:
     return {
         "k": int(k), "h_local": float(local_h),
         "vertices": mesh.num_vertices,
-        "under_resolved": under_resolved,
         "l2_Q": float(l2q), "l2_Q_relative": float(l2q / ref),
         "terminal": float(terminal), "gradient_K": float(grad_k),
         "flux": float(flux_l2),
@@ -372,11 +397,10 @@ def run_approximation_study(config: ExperimentConfig) -> StudyReport:
     report = StudyReport(name="approximation", config=config)
     rows = [_approximation_row(config, k, fn) for k in config.k_levels]
     report.tables["convergence"] = rows
-    resolved = [r for r in rows if not r["under_resolved"]]
     norms = ["l2_Q", "terminal", "gradient_K", "flux"]
     monotone = {
-        n: all(resolved[i + 1][n] <= 1.10 * resolved[i][n]
-               for i in range(len(resolved) - 1))
+        n: all(rows[i + 1][n] <= 1.10 * rows[i][n]
+               for i in range(len(rows) - 1))
         for n in norms}
     report.summary = {
         "datum": desc,
@@ -384,7 +408,6 @@ def run_approximation_study(config: ExperimentConfig) -> StudyReport:
                                 if rows[-1]["l2_Q"] > 0 else float("inf")),
         "final_l2Q_relative": rows[-1]["l2_Q_relative"],
         "monotone_within_10pct": monotone,
-        "skipped_levels": [r["k"] for r in rows if r["under_resolved"]],
     }
     report.passed = (report.summary["first_over_last_l2Q"] >= 2.0
                      and report.summary["final_l2Q_relative"] <= 1e-3
@@ -470,16 +493,11 @@ def _observability_block(config: ExperimentConfig, li: int, mesh: Mesh,
     """Records of the (family, sample, datum, descriptor) ``block``, solved
     together; its trajectories are freed when this returns."""
     data = np.array([_nodal(mesh, fn) for _, _, fn, _ in block])
-    try:
-        sols = solve(ParabolicProblem(weight=config.alpha, T=config.T,
-                                      data=data, direction="backward"),
-                     mesh, M, theta=config.theta)
-    except SolverError as exc:
-        names = ", ".join(f"{block[j][0]} sample {block[j][1]}"
-                          for j in exc.columns)
-        raise SolverError(f"observability level {li} (h={mesh.h}): "
-                          f"non-finite values in {names} at time step "
-                          f"{exc.step} of {M}", step=exc.step) from exc
+    sols = _solve_named(
+        ParabolicProblem(weight=config.alpha, T=config.T, data=data,
+                         direction="backward"), mesh, M, config.theta,
+        f"observability level {li} (h={mesh.h})",
+        [f"{family} sample {si}" for family, si, _, _ in block])
     rows = []
     for (family, si, _, desc), sol in zip(block, sols):
         rec = _observability_record(sol, config)
@@ -507,19 +525,12 @@ def run_observability_study(config: ExperimentConfig,
     for li, h in enumerate(config.mesh_levels):
         rows += _observability_level(config, li, h, progress)
     report.tables["samples"] = rows
-    fam_max = {}
-    for li in range(len(config.mesh_levels)):
-        for family in config.sampler_families:
-            vals = [r["ratio"] for r in rows
-                    if r["level"] == li and r["family"] == family]
-            fam_max[f"max_ratio_L{li}_{family}"] = max(vals)
-    drift = {}
-    if len(config.mesh_levels) >= 2:
-        a, b = len(config.mesh_levels) - 2, len(config.mesh_levels) - 1
-        for family in config.sampler_families:
-            va = fam_max[f"max_ratio_L{a}_{family}"]
-            vb = fam_max[f"max_ratio_L{b}_{family}"]
-            drift[family] = abs(vb - va) / max(va, 1e-300)
+    fam_max = {f"max_ratio_L{li}_{family}": max(
+        r["ratio"] for r in rows if r["level"] == li and r["family"] == family)
+        for li in range(len(config.mesh_levels))
+        for family in config.sampler_families}
+    drift = _finest_drift(config, rows, "family", "ratio",
+                          config.sampler_families)
     violations = [r for r in rows if r["ucp_violation"]]
     worst_chain = min(r["chain_slack"] for r in rows)
     report.summary = {
@@ -566,12 +577,11 @@ def run_carleman_sweep(config: ExperimentConfig, progress=None) -> StudyReport:
         M = config.steps_for(h)
         for di, fn in enumerate(data_fns):
             data = _nodal(mesh, fn)
-            sol0 = solve(ParabolicProblem(weight=config.alpha, T=config.T,
-                                          data=data, direction="backward"),
-                         mesh, M, theta=config.theta)
-            solr = solve(ParabolicProblem(weight=reg, T=config.T, data=data,
-                                          direction="backward"),
-                         mesh, M, theta=config.theta)
+            sol0, solr = (_solve_named(
+                ParabolicProblem(weight=w, T=config.T, data=data,
+                                 direction="backward"), mesh, M, config.theta,
+                f"carleman level {li} (h={mesh.h})", [f"interior sample {di}"])
+                for w in (config.alpha, reg))
             flux0 = boundary_flux(sol0)
             fluxr = boundary_flux(solr)
             param_points = [(config.s_default, config.gamma_default,
@@ -615,17 +625,8 @@ def run_carleman_sweep(config: ExperimentConfig, progress=None) -> StudyReport:
                     if r["s"] == config.s_default
                     and r["gamma"] == config.gamma_default
                     and r["lambda"] == config.lambda_default]
-    drift = {}
-    if len(config.mesh_levels) >= 2:
-        a, b = len(config.mesh_levels) - 2, len(config.mesh_levels) - 1
-        for variant in cl.VARIANTS:
-            va = max((r["implied_C"] for r in default_rows
-                      if r["level"] == a and r["variant"] == variant),
-                     default=0.0)
-            vb = max((r["implied_C"] for r in default_rows
-                      if r["level"] == b and r["variant"] == variant),
-                     default=0.0)
-            drift[variant] = abs(vb - va) / max(va, 1e-300)
+    drift = _finest_drift(config, default_rows, "variant", "implied_C",
+                          cl.VARIANTS)
     all_finite = bool(all(np.isfinite(r["implied_C"]) for r in rows))
     report.summary = {
         "all_finite": all_finite,

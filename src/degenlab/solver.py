@@ -291,22 +291,25 @@ def manufactured_source(target: ManufacturedField, weight):
 def energy_report(sol: DiscreteSolution) -> dict:
     """Discrete energy quantities and the empirical stability constant.
 
-    For f = 0 and theta = 1 the scheme satisfies the exact identity
-    (1/2)||u_M||^2 + sum dt a(u_{n+1}, u_{n+1}) + (1/2) sum ||u_{n+1}-u_n||^2
-    = (1/2)||u_0||^2, so ``identity_constant`` is 1 up to solver tolerance.
+    For f = 0 the theta scheme satisfies the exact identity
+    (1/2)||u_M||^2 + sum dt a(u_theta, u_theta)
+    + (theta - 1/2) sum ||u_{n+1} - u_n||^2 = (1/2)||u_0||^2, with
+    u_theta = theta u_{n+1} + (1 - theta) u_n, so ``identity_constant`` is 1
+    up to solver tolerance; ``grad_energy`` is the sum over u_theta.
     """
     u = sol.forward_fields()
-    dt = sol.dt
+    dt, th = sol.dt, sol.theta
     Mm, A = sol.mass, sol.stiffness
     l2sq = np.einsum("nv,nv->n", u, (Mm @ u.T).T)
-    asq = np.einsum("nv,nv->n", u, (A @ u.T).T)
-    grad_energy = float(dt * np.sum(asq[1:]))
+    uth = th * u[1:] + (1.0 - th) * u[:-1]
+    asq = np.einsum("nv,nv->n", uth, (A @ uth.T).T)
+    grad_energy = float(dt * np.sum(asq))
     jumps = np.diff(u, axis=0)
     jumpsq = float(np.sum(np.einsum("nv,nv->n", jumps, (Mm @ jumps.T).T)))
     sup_l2_sq = float(np.max(l2sq))
     data_sq = float(l2sq[0])
 
-    identity_lhs = 0.5 * float(l2sq[-1]) + grad_energy + 0.5 * jumpsq
+    identity_lhs = 0.5 * float(l2sq[-1]) + grad_energy + (th - 0.5) * jumpsq
     identity_constant = 0.0 if data_sq == 0.0 else identity_lhs / (0.5 * data_sq)
 
     rhs = data_sq + _source_data_norms(sol)

@@ -256,6 +256,8 @@ def ap_constant_estimate(weight_fn, p: float, cubes: CubeFamily,
 # smooth radial cutoffs
 # ---------------------------------------------------------------------------
 
+CUTOFF_SAMPLES = 4000  # radii of CutoffFunction.measured_constants' grid
+
 def _smoothstep(t):
     t = np.clip(t, 0.0, 1.0)
     return t**3 * (10.0 - 15.0 * t + 6.0 * t**2)
@@ -321,10 +323,11 @@ class CutoffFunction:
         safe = np.where(r > 0, r, 1.0)
         return (self.d1_radial(r) / safe)[..., None] * x
 
-    def measured_constants(self, samples: int = 4000) -> dict:
-        """Dense radial sampling of sup|grad| and sup|hess entry| on the band,
-        scaled by band width and width^2 respectively."""
-        r = np.linspace(self.inner_radius, self.outer_radius, samples)
+    def measured_constants(self) -> dict:
+        """Dense radial sampling (``CUTOFF_SAMPLES`` radii) of sup|grad| and
+        sup|hess entry| on the band, scaled by band width and width^2
+        respectively."""
+        r = np.linspace(self.inner_radius, self.outer_radius, CUTOFF_SAMPLES)
         g = np.abs(self.d1_radial(r))
         h = np.maximum(np.abs(self.d2_radial(r)),
                        np.abs(self.d1_radial(r)) / np.maximum(r, 1e-300))

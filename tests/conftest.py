@@ -46,5 +46,4 @@ def unit_square_mesh():
     vertices = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     cells = np.array([[0, 1, 2], [0, 2, 3]])
     edges = np.array([[0, 1], [1, 2], [2, 3], [3, 0]])
-    markers = np.zeros(len(edges), dtype=int)
-    return Mesh(vertices, cells, edges, markers, h=1.0)
+    return Mesh(vertices, cells, edges, h=1.0)

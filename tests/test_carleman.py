@@ -142,6 +142,16 @@ class TestBalances:
         with pytest.raises(ValueError):
             carleman_balance(sample_solution, CarlemanParams(), "thm99")
 
+    def test_missing_input_rejected(self, sample_solution):
+        # thm41 reads the regularized weight; it is not guessed
+        with pytest.raises(ValueError, match="weight"):
+            carleman_balance(sample_solution, CarlemanParams(), "thm41")
+
+    def test_ratio_of_zero_sides(self):
+        assert carleman_module._ratio(0.0, 0.0) == 0.0
+        assert carleman_module._ratio(2.0, 0.0) == np.inf
+        assert carleman_module._ratio(3.0, 2.0) == 1.5
+
     def test_scale_invariance(self, sample_solution):
         params = CarlemanParams()
         base = carleman_balance(sample_solution, params, "thm43")

@@ -55,7 +55,9 @@ class TestParsing:
         "s_default=0.5", "gamma_default=0", "lambda_default=0.9",
         "carleman_epsilon=0", "carleman_epsilon=-0.1", "dt_factor=0",
         "R=0", "R=-1", "dim=3", "seed=1.5", "seed=-10", "seed=true",
-        "out_dir=5", 'out_dir=""'])
+        "out_dir=5", 'out_dir=""', "T=0", "T=-1",
+        "mesh_levels=0.24", "k_levels=8", 'sampler_families="interior"',
+        'mesh_levels="0.3"', 'sampler_families=["interior","interior"]'])
     def test_out_of_range_value_is_config_error(self, override, capsys):
         rc = main(["observe", "--set", override])
         assert rc == 2
@@ -118,6 +120,16 @@ class TestVerifyWeights:
         assert rep["config"]["seed"] == 42
 
 
+class TestSolve:
+    def test_energy_identity_holds_for_crank_nicolson(self, tmp_path):
+        out = str(tmp_path / "res")
+        rc = main(["solve", "--set", "theta=0.5", "--set",
+                   "mesh_levels=[0.3]", "--out", out])
+        assert rc == 0
+        side = json.load(open(os.path.join(out, "solve_trajectory.json")))
+        assert abs(side["energy"]["identity_constant"] - 1.0) <= 1e-8
+
+
 class TestSolverError:
     def test_one_line_and_exit_1(self, monkeypatch, capsys):
         def fail(config):
@@ -159,6 +171,29 @@ class TestAll:
         files = set(os.listdir(out))
         assert files == expected
         assert not any(f.startswith("ucp") for f in files)
+
+    def test_verbose_logs_progress_and_writes_the_same_files(
+            self, tmp_path, monkeypatch, capsys):
+        # progress goes to stdout only: the report tree is byte-identical
+        # with and without --verbose
+        trees = {}
+        for flags in ([], ["--verbose"]):
+            run = tmp_path / ("verbose" if flags else "quiet")
+            run.mkdir()
+            monkeypatch.chdir(run)
+            assert main(["all", "--out", "res"] + self.TINY + flags) == 0
+            out = capsys.readouterr().out
+            trees[bool(flags)] = {f: (run / "res" / f).read_bytes()
+                                  for f in os.listdir(run / "res")}
+            if not flags:
+                assert out == ""
+        lines = out.splitlines()
+        assert all(line.startswith("[degenlab] ") for line in lines)
+        for part in ("energy identity constant", "observe level=1 noise "
+                     "sample=0", "carleman level=1 sample=0",
+                     "carleman: exit 0 in"):
+            assert any(part in line for line in lines), part
+        assert trees[True] == trees[False]
 
     def test_returns_the_largest_step_exit_code(self, monkeypatch):
         ran = []

@@ -40,7 +40,7 @@ def valid_configs(draw):
         sample_count=draw(st.integers(1, 100)),
         sampler_families=tuple(draw(st.lists(
             st.sampled_from(("interior", "adversarial", "noise")),
-            min_size=1, max_size=3))),
+            min_size=1, max_size=3, unique=True))),
         carleman_s=tuple(draw(grid)), carleman_gamma=tuple(draw(grid)),
         carleman_lambda=tuple(draw(grid)),
         s_default=draw(st.floats(1.0, 50.0)),

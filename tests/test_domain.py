@@ -12,9 +12,9 @@ import scipy.sparse as sp
 from degenlab import domain, solver
 from degenlab.carleman import BalanceContext, CarlemanParams
 from degenlab.domain import (MAX_VERTICES, GeometrySpec, Mesh, Region,
-                             build_annulus_mesh, build_disk_mesh,
-                             disk_vertex_bound, integrate_space,
-                             integrate_spacetime, time_weights)
+                             build_disk_mesh, disk_vertex_bound,
+                             integrate_space, integrate_spacetime,
+                             time_weights)
 from degenlab.weights import AbsPowerWeight, RegularizedWeight
 
 from conftest import p1_shape_values
@@ -86,8 +86,21 @@ class TestDiskMesh:
         assert min(orders) >= 1.8
 
 
+class TestCellOrientation:
+    def test_clockwise_cell_rejected(self, unit_square_mesh):
+        sq = unit_square_mesh
+        with pytest.raises(ValueError, match="clockwise cell"):
+            Mesh(sq.vertices, sq.cells[:, [0, 2, 1]], sq.boundary_edges,
+                 h=1.0)
+
+    def test_degenerate_cell_rejected(self):
+        vertices = [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 1.0]]
+        with pytest.raises(ValueError, match="degenerate"):
+            Mesh(vertices, [[0, 1, 3], [0, 1, 2]], [[0, 1]], h=1.0)
+
+
 # Reference ring mesher: the loop-based two-pointer merge, centre fan and
-# boundary loops that the array-built meshes must reproduce bit for bit.
+# boundary loop that the array-built meshes must reproduce bit for bit.
 
 def _two_pointer_merge(theta_a, theta_b, idx_a, idx_b):
     na, nb = len(theta_a), len(theta_b)
@@ -113,34 +126,28 @@ def _two_pointer_merge(theta_a, theta_b, idx_a, idx_b):
     return tri
 
 
-def _reference_rings(radii, spacing_fn, include_center):
-    verts, cells, ring_idx, ring_theta = [], [], [], []
-    nxt = 0
-    if include_center:
-        verts.append(np.zeros((1, 2)))
-        center = nxt
-        nxt += 1
-        radii = radii[1:]
-    for k, r in enumerate(radii):
+def _reference_rings(radii, spacing_fn):
+    verts, cells, ring_idx, ring_theta = [np.zeros((1, 2))], [], [], []
+    center, nxt = 0, 1
+    for k, r in enumerate(radii[1:]):
         count = max(8, int(np.ceil(2.0 * np.pi * r / spacing_fn(r))))
         pts, theta = domain._ring_points(r, count, stagger=(k % 2 == 1))
         verts.append(pts)
         ring_idx.append(np.arange(nxt, nxt + count))
         ring_theta.append(theta)
         nxt += count
-    if include_center:
-        first = ring_idx[0]
-        for i in range(len(first)):
-            cells.append((center, first[i], first[(i + 1) % len(first)]))
+    first = ring_idx[0]
+    for i in range(len(first)):
+        cells.append((center, first[i], first[(i + 1) % len(first)]))
     for k in range(len(ring_idx) - 1):
         cells.extend(_two_pointer_merge(ring_theta[k], ring_theta[k + 1],
                                         ring_idx[k], ring_idx[k + 1]))
     return np.concatenate(verts), cells, ring_idx
 
 
-def _reference_loop(ring, marker):
+def _reference_loop(ring):
     n = len(ring)
-    return [(ring[i], ring[(i + 1) % n]) for i in range(n)], [marker] * n
+    return [(ring[i], ring[(i + 1) % n]) for i in range(n)]
 
 
 def _reference_disk(spec, h, local_h=None):
@@ -150,23 +157,13 @@ def _reference_disk(spec, h, local_h=None):
     def spacing(r):
         return min(fine if r < 2.0 * spec.R else h, max(lh, 0.6 * r))
 
-    radii = domain._ring_radii(0.0, spec.L, spacing, s_first=lh)
-    verts, cells, rings = _reference_rings(radii, spacing, True)
-    edges, marks = _reference_loop(rings[-1], Mesh.OUTER)
-    return Mesh(verts, np.array(cells), np.array(edges), np.array(marks), h)
-
-
-def _reference_annulus(r_in, r_out, h):
-    radii = domain._ring_radii(r_in, r_out, lambda r: h)
-    verts, cells, rings = _reference_rings(radii, lambda r: h, False)
-    e_in, m_in = _reference_loop(rings[0], Mesh.INNER)
-    e_out, m_out = _reference_loop(rings[-1], Mesh.OUTER)
-    return Mesh(verts, np.array(cells), np.array(e_in + e_out),
-                np.array(m_in + m_out), h)
+    radii = domain._ring_radii(spec.L, spacing, s_first=lh)
+    verts, cells, rings = _reference_rings(radii, spacing)
+    return Mesh(verts, np.array(cells), np.array(_reference_loop(rings[-1])), h)
 
 
 def _assert_same_mesh(got, ref):
-    for name in ("vertices", "cells", "boundary_edges", "boundary_markers"):
+    for name in ("vertices", "cells", "boundary_edges"):
         a, b = getattr(got, name), getattr(ref, name)
         assert a.dtype == b.dtype, name
         assert np.array_equal(a, b), name
@@ -195,12 +192,6 @@ class TestArrayBuiltRings:
         local_h = 1.0 / (4.0 * k)
         _assert_same_mesh(build_disk_mesh(geometry, 0.18, local_h=local_h),
                           _reference_disk(geometry, 0.18, local_h))
-
-    @pytest.mark.parametrize("r_in, r_out, h", [(4.0, 9.0, 0.4),
-                                                (1.0, 2.0, 0.1)])
-    def test_annulus_bitwise(self, r_in, r_out, h):
-        _assert_same_mesh(build_annulus_mesh(r_in, r_out, h),
-                          _reference_annulus(r_in, r_out, h))
 
 
 class TestVertexBound:
@@ -231,18 +222,6 @@ class TestVertexBound:
             assert disk_vertex_bound(geometry, h) == np.inf
             with pytest.raises(ValueError, match="cap"):
                 build_disk_mesh(geometry, h)
-
-
-class TestAnnulusMesh:
-    def test_area_and_markers(self):
-        mesh = build_annulus_mesh(4.0, 9.0, 0.4)
-        exact = np.pi * (81.0 - 16.0)
-        assert abs(float(np.sum(mesh.areas)) - exact) / exact < 1e-3
-        assert set(np.unique(mesh.boundary_markers)) == {Mesh.OUTER, Mesh.INNER}
-
-    def test_too_coarse_rejected(self):
-        with pytest.raises(ValueError):
-            build_annulus_mesh(4.0, 5.0, 0.5)
 
 
 class TestQuadrature:
@@ -467,9 +446,8 @@ class TestGradients:
             got = (G @ w).reshape(2, -1).T
             assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("annulus", [False, True])
-    def test_boundary_edge_average_of_linear_field(self, coarse_mesh, annulus):
-        mesh = build_annulus_mesh(4.0, 9.0, 0.4) if annulus else coarse_mesh
+    def test_boundary_edge_average_of_linear_field(self, coarse_mesh):
+        mesh = coarse_mesh
         E, lengths = mesh.boundary_edge_average()
         e = mesh.boundary_edges
         bidx = np.flatnonzero(mesh.boundary_mask)
@@ -515,9 +493,8 @@ class TestPersistence:
         assert np.array_equal(mesh.cells, cells)
         assert np.array_equal(mesh.boundary_edges,
                               np.array([e[:2] for e in edges], dtype=np.int64))
-        assert np.array_equal(
-            mesh.boundary_markers,
-            [Mesh.INNER if e[2] == "inner" else Mesh.OUTER for e in edges])
+        # every boundary edge lies on the outer circle
+        assert all(e[2] == "outer" for e in edges)
 
 
 class TestTimeIntegration:

@@ -240,3 +240,39 @@ class TestObservabilityBlocks:
                                               r"values in adversarial sample 0 "
                                               r"at time step 1 of 12"):
             _observability_level(cfg, 0, 0.5)
+
+
+class TestNamedSolverErrors:
+    def test_nan_datum_named_in_carleman_sweep(self, monkeypatch):
+        # the second interior datum is NaN: the sweep names its level, the
+        # datum and the weight of the first solve that reads it
+        draw = experiments.sample_field
+        drawn = []
+
+        def poisoned(family, rng, cfg):
+            fn, desc = draw(family, rng, cfg)
+            drawn.append(family)
+            if len(drawn) == 2:
+                return (lambda x: np.full(len(x), np.nan)), desc
+            return fn, desc
+
+        monkeypatch.setattr(experiments, "sample_field", poisoned)
+        cfg = ExperimentConfig(mesh_levels=(0.5,), carleman_family_count=2,
+                               carleman_sweep_samples=0)
+        with pytest.raises(SolverError, match=(
+                r"^carleman level 0 \(h=0.5\): non-finite values in interior "
+                r"sample 1 at time step 1 of 12 under weight "
+                r"AbsPowerWeight\(p=1.0\)$")):
+            experiments.run_carleman_sweep(cfg)
+
+    def test_nan_datum_named_in_approximation_study(self, monkeypatch):
+        def poisoned(rng, cfg):
+            return (lambda x: np.full(len(x), np.nan)), {}
+
+        monkeypatch.setattr(experiments, "data_bump_a2r7r", poisoned)
+        cfg = ExperimentConfig(mesh_levels=(0.5,), k_levels=(8,))
+        with pytest.raises(SolverError, match=(
+                r"^approximation k=8 \(h=0.5\): non-finite values in the "
+                r"A\(2R,7R\) bump at time step 1 of 12 under weight "
+                r"RegularizedWeight\(epsilon=0.125, alpha=1.0\)$")):
+            experiments.run_approximation_study(cfg)

@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from degenlab import solver
-from degenlab.domain import GeometrySpec, build_annulus_mesh, build_disk_mesh
+from degenlab.domain import GeometrySpec, build_disk_mesh
 from degenlab.solver import (ManufacturedField, ParabolicProblem, SolverError,
                              _factor_spd, assemble_mass, assemble_stiffness,
                              boundary_flux, boundary_mass_matrix,
@@ -149,14 +149,16 @@ class TestTimeStepping:
         assert slack >= -1e-12
 
     def test_energy_identity_implicit(self, small_mesh):
+        # (1/2)|u_M|^2 + dt sum a(u_theta, u_theta)
+        # + (theta - 1/2) sum |u_{n+1} - u_n|^2 = (1/2)|u_0|^2 at every theta
         rng = np.random.default_rng(1)
         data = rng.normal(size=small_mesh.num_vertices)
         data[small_mesh.boundary_mask] = 0.0
-        sol = solve(ParabolicProblem(weight=1.0, T=0.5, data=data),
-                    small_mesh, 12, theta=1.0)
-        rep = energy_report(sol)
-        assert rep["identity_constant"] <= 1.0 + 1e-8
-        assert rep["identity_constant"] >= 1.0 - 1e-8
+        for theta in (0.5, 0.75, 1.0):
+            sol = solve(ParabolicProblem(weight=1.0, T=0.5, data=data),
+                        small_mesh, 12, theta=theta)
+            rep = energy_report(sol)
+            assert abs(rep["identity_constant"] - 1.0) <= 1e-8, theta
 
     def test_backward_is_time_reversed_forward(self, small_mesh):
         rng = np.random.default_rng(2)
@@ -410,26 +412,25 @@ class TestManufactured:
 
 
 class TestBoundaryFlux:
-    def test_steady_radial_flux(self):
-        # steady u = (r-a)(b-r) with matching source; normal flux a-b on both
-        # circles (outward normals point away from the annulus)
-        a, b = 4.0, 9.0
-        mesh = build_annulus_mesh(a, b, 0.22)
+    def test_steady_radial_flux(self, geometry):
+        # steady u = L^(2-a) - |x|^(2-a) of -div(|x|^a grad u) = 2(2 - a) on
+        # the disk B_L; its normal derivative on r = L is -(2 - a) L^(1-a)
+        mesh = build_disk_mesh(geometry, 0.22)
+        L, r = geometry.L, np.linalg.norm(mesh.vertices, axis=1)
+        for alpha in (0.5, 1.0):
+            def source(x, t):
+                return np.full(len(x), 2.0 * (2.0 - alpha))
 
-        def source(x, t):
-            r = np.linalg.norm(x, axis=1)
-            return 2.0 - (a + b) / r + 2.0
-
-        r = np.linalg.norm(mesh.vertices, axis=1)
-        data = (r - a) * (b - r)
-        data[mesh.boundary_mask] = 0.0
-        sol = solve(ParabolicProblem(weight=None, T=0.2, data=data,
-                                     source=source), mesh, 10, theta=1.0)
-        # the initial datum is already the steady state
-        drift = np.max(np.abs(sol.fields[-1] - sol.fields[0]))
-        assert drift < 5e-3 * np.max(np.abs(data))
-        flux = boundary_flux(sol)
-        assert np.max(np.abs(flux[-1] - (a - b))) < 0.03 * (b - a)
+            data = L ** (2.0 - alpha) - r ** (2.0 - alpha)
+            data[mesh.boundary_mask] = 0.0
+            sol = solve(ParabolicProblem(weight=alpha, T=0.2, data=data,
+                                         source=source), mesh, 10, theta=1.0)
+            # the initial datum is already the steady state
+            drift = np.max(np.abs(sol.fields[-1] - sol.fields[0]))
+            assert drift < 5e-3 * np.max(np.abs(data)), alpha
+            exact = -(2.0 - alpha) * L ** (1.0 - alpha)
+            flux = boundary_flux(sol)
+            assert np.max(np.abs(flux[-1] - exact)) < 0.03 * abs(exact), alpha
 
     def test_flux_shape(self, small_mesh):
         rng = np.random.default_rng(3)
