@@ -520,9 +520,9 @@ def _boundary_term(ctx, p: CarlemanParams, flux, shift):
         mesh = ctx.mesh
         e = mesh.boundary_edges
         mids = 0.5 * (mesh.vertices[e[:, 0]] + mesh.vertices[e[:, 1]])
+        # the normal is radial, so x . nu = |x| at each edge midpoint
         rb = np.linalg.norm(mids, axis=1)
-        xnu = np.einsum("ed,ed->e", mids, mesh.boundary_edge_normals())
-        return rb ** (2.0 - p.alpha), rb ** p.alpha * xnu * lengths
+        return rb ** (2.0 - p.alpha), rb ** p.alpha * rb * lengths
 
     radial, col = ctx.cached(("boundary",), edges)
     live, values = ctx.growth(2.0 * p.s * _eta0(p, radial), shift)

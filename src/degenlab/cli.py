@@ -10,6 +10,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import logging
 import os
 import sys
 import time
@@ -24,6 +25,8 @@ from .experiments import (ExperimentConfig, StudyReport, persist_report,
 from .solver import ParabolicProblem, SolverError, energy_report, solve
 from .weights import (RegularizedWeight, cutoff_kappa, cutoff_rho, cutoff_zeta,
                       identity_residuals)
+
+log = logging.getLogger(__name__)
 
 
 def parse_config(path: str | None, overrides: dict,
@@ -54,16 +57,11 @@ def _parse_overrides(pairs) -> dict:
     return out
 
 
-def _log(args, msg):
-    if args.verbose:
-        print(f"[degenlab] {msg}", flush=True)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_verify_weights(cfg: ExperimentConfig, args) -> int:
+def cmd_verify_weights(cfg: ExperimentConfig) -> int:
     rng = np.random.default_rng(cfg.seed)
     rows = []
     ok = True
@@ -96,7 +94,7 @@ def cmd_verify_weights(cfg: ExperimentConfig, args) -> int:
     return 0 if ok else 1
 
 
-def cmd_solve(cfg: ExperimentConfig, args) -> int:
+def cmd_solve(cfg: ExperimentConfig) -> int:
     h = cfg.mesh_levels[-1]
     mesh = build_disk_mesh(cfg.geometry, h)
     rng = np.random.default_rng(cfg.seed)
@@ -120,7 +118,7 @@ def cmd_solve(cfg: ExperimentConfig, args) -> int:
     with open(os.path.join(cfg.out_dir, "solve_trajectory.json"), "w") as f:
         json.dump(sidecar, f, sort_keys=True, indent=1)
         f.write("\n")
-    _log(args, f"energy identity constant {rep['identity_constant']:.2e}")
+    log.info("energy identity constant %.2e", rep["identity_constant"])
     return 0 if rep["identity_constant"] <= 1.0 + 1e-8 else 1
 
 
@@ -131,7 +129,7 @@ def _write_plot(path, header, rows):
         w.writerows(rows)
 
 
-def cmd_converge(cfg: ExperimentConfig, args) -> int:
+def cmd_converge(cfg: ExperimentConfig) -> int:
     report = run_approximation_study(cfg)
     persist_report(report, cfg.out_dir)
     _write_plot(os.path.join(cfg.out_dir, "plot_k_vs_l2Q.csv"),
@@ -140,9 +138,8 @@ def cmd_converge(cfg: ExperimentConfig, args) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_observe(cfg: ExperimentConfig, args) -> int:
-    report = run_observability_study(
-        cfg, progress=(lambda m: _log(args, m)) if args.verbose else None)
+def cmd_observe(cfg: ExperimentConfig) -> int:
+    report = run_observability_study(cfg)
     persist_report(report, cfg.out_dir)
     fam = report.summary["family_max_ratios"]
     _write_plot(os.path.join(cfg.out_dir, "plot_family_max.csv"),
@@ -150,9 +147,8 @@ def cmd_observe(cfg: ExperimentConfig, args) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_carleman(cfg: ExperimentConfig, args) -> int:
-    report = run_carleman_sweep(
-        cfg, progress=(lambda m: _log(args, m)) if args.verbose else None)
+def cmd_carleman(cfg: ExperimentConfig) -> int:
+    report = run_carleman_sweep(cfg)
     persist_report(report, cfg.out_dir)
     finest = len(cfg.mesh_levels) - 1
     for variant in cl.VARIANTS:
@@ -166,27 +162,30 @@ def cmd_carleman(cfg: ExperimentConfig, args) -> int:
     return 0 if report.passed else 1
 
 
-def cmd_all(cfg: ExperimentConfig, args) -> int:
+def cmd_all(cfg: ExperimentConfig) -> int:
+    """Every other command, in table order; the largest exit code."""
     rc = 0
-    for name, fn in (("verify-weights", cmd_verify_weights),
-                     ("solve", cmd_solve),
-                     ("converge", cmd_converge),
-                     ("observe", cmd_observe),
-                     ("carleman", cmd_carleman)):
-        t0 = time.time()
-        step = fn(cfg, args)
-        _log(args, f"{name}: exit {step} in {time.time() - t0:.1f}s")
-        rc = max(rc, step)
+    for name, (fn, _) in _COMMANDS.items():
+        if name != "all":
+            t0 = time.time()
+            step = fn(cfg)
+            log.info("%s: exit %d in %.1fs", name, step, time.time() - t0)
+            rc = max(rc, step)
     return rc
 
 
+# name -> (command, help), in the order ``all`` runs them
 _COMMANDS = {
-    "verify-weights": cmd_verify_weights,
-    "solve": cmd_solve,
-    "converge": cmd_converge,
-    "observe": cmd_observe,
-    "carleman": cmd_carleman,
-    "all": cmd_all,
+    "verify-weights": (cmd_verify_weights,
+                       "closed-form weight and cutoff residual tables"),
+    "solve": (cmd_solve,
+              "one backward solve with energy diagnostics and export"),
+    "converge": (cmd_converge, "regularization-level approximation study"),
+    "observe": (cmd_observe, "observability ratios and the (5.2) chain over "
+                             "sampler families"),
+    "carleman": (cmd_carleman,
+                 "implied-constant sweeps for the weighted estimates"),
+    "all": (cmd_all, "run every study into one output tree"),
 }
 
 
@@ -207,14 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=_config_keys_help(),
         formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-            ("verify-weights", "closed-form weight and cutoff residual tables"),
-            ("solve", "one backward solve with energy diagnostics and export"),
-            ("converge", "regularization-level approximation study"),
-            ("observe", "observability ratios and the (5.2) chain over "
-                        "sampler families"),
-            ("carleman", "implied-constant sweeps for the weighted estimates"),
-            ("all", "run every study into one output tree")):
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None,
                        help="JSON config file (single object; defaults fill "
@@ -238,8 +230,14 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"degenlab: config error: {exc}", file=sys.stderr)
         return 2
+    package = logging.getLogger("degenlab")
+    handler, level = logging.StreamHandler(sys.stdout), package.level
+    handler.setFormatter(logging.Formatter("[degenlab] %(message)s"))
+    if args.verbose:
+        package.addHandler(handler)
+        package.setLevel(logging.INFO)
     try:
-        return _COMMANDS[args.command](cfg, args)
+        return _COMMANDS[args.command][0](cfg)
     except SolverError as exc:
         print(f"degenlab: {args.command}: solver error: {exc}", file=sys.stderr)
         return 1
@@ -247,6 +245,9 @@ def main(argv=None) -> int:
         print(f"degenlab: {args.command}: cannot write report: {exc}",
               file=sys.stderr)
         return 1
+    finally:
+        package.removeHandler(handler)
+        package.setLevel(level)
 
 
 if __name__ == "__main__":

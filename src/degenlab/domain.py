@@ -51,39 +51,28 @@ class GeometrySpec:
 
 @dataclass(frozen=True)
 class Region:
-    """Radial region: ball, annulus, complement of a ball, or the whole domain."""
+    """Radial band r_inner <= |x| < r_outer (the whole domain by default)."""
 
-    kind: str  # "ball" | "annulus" | "complement" | "whole"
     r_inner: float = 0.0
-    r_outer: float = 0.0
+    r_outer: float = np.inf
 
     @staticmethod
     def ball(r):
-        return Region("ball", 0.0, r)
+        return Region(r_outer=r)
 
     @staticmethod
     def annulus(a, b):
         if not 0.0 <= a <= b:
             raise ValueError("annulus radii must satisfy 0 <= a <= b")
-        return Region("annulus", a, b)
+        return Region(a, b)
 
     @staticmethod
     def complement(r):
-        return Region("complement", r, np.inf)
+        return Region(r_inner=r)
 
     @staticmethod
     def whole():
-        return Region("whole")
-
-    def contains_radius(self, r):
-        r = np.asarray(r, dtype=float)
-        if self.kind == "ball":
-            return r < self.r_outer
-        if self.kind == "annulus":
-            return (r > self.r_inner) & (r < self.r_outer)
-        if self.kind == "complement":
-            return r >= self.r_inner
-        return np.ones_like(r, dtype=bool)
+        return Region()
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,7 +132,8 @@ class Mesh:
         return len(self.cells)
 
     def cell_mask(self, region: Region) -> np.ndarray:
-        return region.contains_radius(np.linalg.norm(self.centroids, axis=1))
+        r = np.linalg.norm(self.centroids, axis=1)
+        return (r >= region.r_inner) & (r < region.r_outer)
 
     def cached(self, key, build):
         """``build()``, once per key for the life of the mesh.
@@ -156,17 +146,13 @@ class Mesh:
             self._cache[key] = _read_only(build())
         return self._cache[key]
 
-    def p1_gradient(self, u) -> np.ndarray:
-        """Piecewise-constant gradient of a nodal field, one row per cell."""
-        u = np.asarray(u, dtype=float)
-        return np.einsum("ci,cid->cd", u[self.cells], self.grads)
-
     def gradient_operator(self) -> sp.csr_matrix:
         """Sparse (2 n_cells, n_vertices) P1 gradient G, cached.
 
-        Row c holds the x-derivative and row n_cells + c the y-derivative of
-        cell c, with the entries in local-vertex order, so ``G @ u`` stacks
-        the two columns of ``p1_gradient(u)``.
+        ``G @ u`` is the piecewise-constant gradient of the nodal field u:
+        row c holds the x-derivative and row n_cells + c the y-derivative on
+        cell c, with the entries in local-vertex order.  This is the one P1
+        gradient of the package.
         """
         nc = self.num_cells
         return self.cached("gradient", lambda: sp.csr_matrix(
@@ -192,12 +178,6 @@ class Mesh:
                                      - self.vertices[e[:, 0]], axis=1)
             return E, lengths
         return self.cached("edge_average", build)
-
-    def boundary_edge_normals(self) -> np.ndarray:
-        """Unit outward normals per boundary edge (radial on the circle)."""
-        mids = 0.5 * (self.vertices[self.boundary_edges[:, 0]]
-                      + self.vertices[self.boundary_edges[:, 1]])
-        return mids / np.linalg.norm(mids, axis=1, keepdims=True)
 
     # -- quadrature ------------------------------------------------------------
 

@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import logging
 import os
 from dataclasses import dataclass, field
 
@@ -24,6 +25,8 @@ from .domain import (MAX_VERTICES, GeometrySpec, Mesh, Region,
 from .solver import (DiscreteSolution, ParabolicProblem, SolverError,
                      boundary_flux, solve)
 from .weights import AbsPowerWeight, RegularizedWeight
+
+log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -78,12 +81,20 @@ class ExperimentConfig:
     def __post_init__(self):
         for f in dataclasses.fields(self):
             val = getattr(self, f.name)
-            if isinstance(f.default, tuple):
+            listed = isinstance(f.default, tuple)
+            if listed:
                 if not isinstance(val, (tuple, list)):
                     raise ValueError(f"{f.name} must be a list, got {val!r}")
                 val = tuple(val)
                 setattr(self, f.name, val)
-            for v in val if isinstance(val, tuple) else (val,):
+            # a float key (or float list) takes ints and floats, never bools
+            numeric = isinstance(f.default[0] if listed else f.default, float)
+            for v in val if listed else (val,):
+                if numeric and (isinstance(v, bool) or not isinstance(
+                        v, (int, float, np.integer, np.floating))):
+                    what = "a list of numbers" if listed else "a number"
+                    shown = list(val) if listed else val
+                    raise ValueError(f"{f.name} must be {what}, got {shown!r}")
                 if isinstance(v, (float, np.floating)) and not np.isfinite(v):
                     raise ValueError(f"{f.name} must be finite, got {val!r}")
         if not 0.0 < self.alpha < 2.0:
@@ -140,7 +151,7 @@ class ExperimentConfig:
             raise ValueError("sampler_families must not be empty")
         for fam in self.sampler_families:
             if fam not in ("interior", "adversarial", "noise"):
-                raise ValueError(f"unknown sampler family {fam!r}")
+                raise ValueError(f"sampler_families: unknown family {fam!r}")
         if len(set(self.sampler_families)) < len(self.sampler_families):
             raise ValueError(f"sampler_families must not repeat a family, "
                              f"got {list(self.sampler_families)}")
@@ -465,8 +476,7 @@ def _block_size(M: int, n_vertices: int) -> int:
     return max(1, min(OBSERVABILITY_BLOCK, fit))
 
 
-def _observability_level(config: ExperimentConfig, li: int, h: float,
-                         progress=None) -> list:
+def _observability_level(config: ExperimentConfig, li: int, h: float) -> list:
     """Records of every sample on mesh level ``li``.
 
     Every datum is drawn first, in report order; the data are then solved
@@ -484,12 +494,12 @@ def _observability_level(config: ExperimentConfig, li: int, h: float,
     rows = []
     for start in range(0, len(samples), k):
         rows += _observability_block(config, li, mesh, M,
-                                     samples[start:start + k], progress)
+                                     samples[start:start + k])
     return rows
 
 
 def _observability_block(config: ExperimentConfig, li: int, mesh: Mesh,
-                         M: int, block: list, progress=None) -> list:
+                         M: int, block: list) -> list:
     """Records of the (family, sample, datum, descriptor) ``block``, solved
     together; its trajectories are freed when this returns."""
     data = np.array([_nodal(mesh, fn) for _, _, fn, _ in block])
@@ -512,18 +522,16 @@ def _observability_block(config: ExperimentConfig, li: int, mesh: Mesh,
                     "sample": si, "scale_invariance_dev": float(scale_dev)})
         rec.update(desc)
         rows.append(rec)
-        if progress:
-            progress(f"observe level={li} {family} sample={si}")
+        log.info("observe level=%d %s sample=%d", li, family, si)
     return rows
 
 
-def run_observability_study(config: ExperimentConfig,
-                            progress=None) -> StudyReport:
+def run_observability_study(config: ExperimentConfig) -> StudyReport:
     """Backward solves over the sampler families; ratio LHS/RHS per sample."""
     report = StudyReport(name="observability", config=config)
     rows = []
     for li, h in enumerate(config.mesh_levels):
-        rows += _observability_level(config, li, h, progress)
+        rows += _observability_level(config, li, h)
     report.tables["samples"] = rows
     fam_max = {f"max_ratio_L{li}_{family}": max(
         r["ratio"] for r in rows if r["level"] == li and r["family"] == family)
@@ -553,7 +561,7 @@ def run_observability_study(config: ExperimentConfig,
 # carleman sweep
 # ---------------------------------------------------------------------------
 
-def run_carleman_sweep(config: ExperimentConfig, progress=None) -> StudyReport:
+def run_carleman_sweep(config: ExperimentConfig) -> StudyReport:
     """Tabulate implied constants over the s/gamma/lambda grids per mesh level."""
     report = StudyReport(name="carleman", config=config)
     eps = config.carleman_epsilon
@@ -617,8 +625,7 @@ def run_carleman_sweep(config: ExperimentConfig, progress=None) -> StudyReport:
             scaled = cl.carleman_balance(scaled_sol, base_params, "thm43")
             scale_devs.append(abs(scaled["implied_C"] - base["implied_C"])
                               / max(base["implied_C"], 1e-300))
-            if progress:
-                progress(f"carleman level={li} sample={di}")
+            log.info("carleman level=%d sample=%d", li, di)
     report.tables["sweep"] = rows
     report.tables["theta_checks"] = theta_rows
     default_rows = [r for r in rows

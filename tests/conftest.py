@@ -22,6 +22,13 @@ def p1_shape_values(mesh, qp):
     return nodes, shape
 
 
+def p1_cell_gradient(mesh, u):
+    """(n_cells, 2) gradient of the nodal field u on each cell, summed from
+    the cell shape gradients: an oracle that reads no mesh operator."""
+    return np.einsum("ci,cid->cd", np.asarray(u, dtype=float)[mesh.cells],
+                     mesh.grads)
+
+
 @pytest.fixture(scope="session")
 def geometry():
     return GeometrySpec(R=1.0, L=9.0)

@@ -520,7 +520,8 @@ def _full_array_evaluate(ctx, p, variant, weight, flux, eta_bar):
             e = mesh.boundary_edges
             mids = 0.5 * (mesh.vertices[e[:, 0]] + mesh.vertices[e[:, 1]])
             rb = np.linalg.norm(mids, axis=1)
-            xnu = np.sum(mids * mesh.boundary_edge_normals(), axis=1)
+            # x . nu with the outward normal mid / |mid| of a circle edge
+            xnu = np.sum(mids * mids / rb[:, None], axis=1)
             fl = (E @ (boundary_flux(ctx.sol) if flux is None else flux)[ctx.rows].T).T
             ex = 2.0 * p.s * carleman_module._eta0(p, rb ** (2.0 - p.alpha))
             y = fl * fl * np.exp(np.multiply.outer(th, ex) - shift)
@@ -588,7 +589,7 @@ def _dense_reference(sol, p, variant, weight, flux, eta_bar):
         a, b = mesh.vertices[e[:, 0]], mesh.vertices[e[:, 1]]
         mids = 0.5 * (a + b)
         rb = np.linalg.norm(mids, axis=1)
-        xnu = np.sum(mids * mesh.boundary_edge_normals(), axis=1)
+        xnu = np.sum(mids * mids / rb[:, None], axis=1)   # nu = mid / |mid|
         pos = {v: i for i, v in enumerate(np.flatnonzero(mesh.boundary_mask))}
         fl = 0.5 * (flux[:, [pos[v] for v in e[:, 0]]]
                     + flux[:, [pos[v] for v in e[:, 1]]])

@@ -1,7 +1,10 @@
 """Command-line interface: argument handling, exit codes, artifacts."""
 
+import ast
 import json
+import logging
 import os
+import pathlib
 
 import pytest
 
@@ -57,7 +60,11 @@ class TestParsing:
         "R=0", "R=-1", "dim=3", "seed=1.5", "seed=-10", "seed=true",
         "out_dir=5", 'out_dir=""', "T=0", "T=-1",
         "mesh_levels=0.24", "k_levels=8", 'sampler_families="interior"',
-        'mesh_levels="0.3"', 'sampler_families=["interior","interior"]'])
+        'mesh_levels="0.3"', 'sampler_families=["interior","interior"]',
+        # float keys take ints and floats only: no bool, string, list or null
+        "theta=true", "carleman_s=[true,4]", "alpha=[1]", 'R="1"',
+        'dt_factor="0.5"', "L=null", "mesh_levels=[null]",
+        'sampler_families=["bogus"]'])
     def test_out_of_range_value_is_config_error(self, override, capsys):
         rc = main(["observe", "--set", override])
         assert rc == 2
@@ -195,13 +202,60 @@ class TestAll:
             assert any(part in line for line in lines), part
         assert trees[True] == trees[False]
 
-    def test_returns_the_largest_step_exit_code(self, monkeypatch):
+    def test_returns_the_largest_step_exit_code(self, tmp_path, monkeypatch):
         ran = []
         codes = {"converge": 1}
         for name in self.STEPS:
-            def step(cfg, args, name=name):
+            def step(cfg, name=name):
                 ran.append(name)
                 return codes.get(name, 0)
-            monkeypatch.setattr(cli, "cmd_" + name.replace("-", "_"), step)
-        assert main(["all"]) == 1
+            monkeypatch.setitem(cli._COMMANDS, name, (step, name))
+        out = tmp_path / "res"
+        assert main(["all", "--out", str(out)] + self.TINY) == 1
         assert ran == self.STEPS
+        assert not out.exists()     # only the stubs ran
+
+
+class TestLogging:
+    SOLVE = ["solve", "--set", "mesh_levels=[0.6]"]
+
+    def test_verbose_leaves_no_handler(self, tmp_path, capsys):
+        package = logging.getLogger("degenlab")
+        level = package.level
+        assert main(self.SOLVE + ["--out", str(tmp_path), "--verbose"]) == 0
+        assert capsys.readouterr().out.startswith("[degenlab] ")
+        assert package.handlers == [] and package.level == level
+
+    def test_quiet_after_verbose_and_verbose_twice(self, tmp_path, capsys):
+        outs = []
+        for flags in (["--verbose"], [], ["--verbose"]):
+            assert main(self.SOLVE + ["--out", str(tmp_path)] + flags) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[1] == ""
+        # one line each, not one per verbose call made so far
+        assert outs[0].count("\n") == 1
+        assert outs[2] == outs[0]
+        assert outs[0].startswith("[degenlab] energy identity constant ")
+
+    def test_no_print_in_src(self):
+        # progress goes through the degenlab logger: the only prints in the
+        # package are cli.main's one-line errors on stderr
+        hits = []
+        for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            main_fn = next((n for n in tree.body
+                            if isinstance(n, ast.FunctionDef)
+                            and n.name == "main"), None)
+            for node in ast.walk(tree):
+                if not (isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Name)
+                        and node.func.id == "print"):
+                    continue
+                allowed = (path.name == "cli.py"
+                           and main_fn.lineno <= node.lineno <= main_fn.end_lineno
+                           and any(k.arg == "file"
+                                   and ast.unparse(k.value) == "sys.stderr"
+                                   for k in node.keywords))
+                if not allowed:
+                    hits.append(f"{path.name}:{node.lineno}")
+        assert hits == []

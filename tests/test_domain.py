@@ -17,7 +17,7 @@ from degenlab.domain import (MAX_VERTICES, GeometrySpec, Mesh, Region,
                              time_weights)
 from degenlab.weights import AbsPowerWeight, RegularizedWeight
 
-from conftest import p1_shape_values
+from conftest import p1_cell_gradient, p1_shape_values
 
 
 class TestGeometry:
@@ -43,6 +43,21 @@ class TestRegion:
     def test_annulus_validation(self):
         with pytest.raises(ValueError):
             Region.annulus(5.0, 3.0)
+
+    def test_one_half_open_band_rule(self):
+        # every constructor is the band r_inner <= |x| < r_outer
+        assert Region.whole() == Region(0.0, np.inf)
+        assert Region.ball(4.0) == Region.annulus(0.0, 4.0)
+        assert Region.complement(5.0) == Region.annulus(5.0, np.inf)
+        mesh = Mesh(np.array([[2.0, 4.0], [4.0, 3.0], [3.0, 5.0]]),
+                    np.array([[0, 1, 2]]), np.array([[0, 1]]), h=1.0)
+        # the one centroid (3, 4) lies at |x| = 5 exactly: inside [5, 6) and
+        # the complement of B_5, outside [4, 5) and B_5
+        assert np.linalg.norm(mesh.centroids[0]) == 5.0
+        assert mesh.cell_mask(Region.annulus(5.0, 6.0))[0]
+        assert mesh.cell_mask(Region.complement(5.0))[0]
+        assert not mesh.cell_mask(Region.annulus(4.0, 5.0))[0]
+        assert not mesh.cell_mask(Region.ball(5.0))[0]
 
 
 class TestDiskMesh:
@@ -434,15 +449,14 @@ class TestQuadratureWeights:
 class TestGradients:
     def test_p1_gradient_of_linear_field(self, coarse_mesh):
         u = coarse_mesh.vertices @ np.array([3.0, -2.0])
-        g = coarse_mesh.p1_gradient(u)
-        assert np.allclose(g, [3.0, -2.0])
-        # G stacks the two columns of p1_gradient, on this field and any other
         G = coarse_mesh.gradient_operator()
         assert G is coarse_mesh.gradient_operator()
         assert G.shape == (2 * coarse_mesh.num_cells, coarse_mesh.num_vertices)
+        assert np.allclose((G @ u).reshape(2, -1).T, [3.0, -2.0])
+        # G stacks the two columns of the cell gradient, on any field
         v = np.random.default_rng(2).standard_normal(coarse_mesh.num_vertices)
         for w in (u, v):
-            ref = coarse_mesh.p1_gradient(w)
+            ref = p1_cell_gradient(coarse_mesh, w)
             got = (G @ w).reshape(2, -1).T
             assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
@@ -458,13 +472,6 @@ class TestGradients:
         got = E @ (mesh.vertices[bidx] @ coef + 2.0)
         expected = 0.5 * (a + b) @ coef + 2.0
         assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
-
-    def test_boundary_normals_radial(self, coarse_mesh):
-        normals = coarse_mesh.boundary_edge_normals()
-        e = coarse_mesh.boundary_edges
-        mids = 0.5 * (coarse_mesh.vertices[e[:, 0]] + coarse_mesh.vertices[e[:, 1]])
-        mids /= np.linalg.norm(mids, axis=1, keepdims=True)
-        assert np.all(np.einsum("ed,ed->e", normals, mids) > 0.99)
 
 
 class TestPersistence:

@@ -16,6 +16,8 @@ from degenlab.solver import (ParabolicProblem, SolverError, boundary_flux,
                              solve)
 from degenlab.weights import RegularizedWeight
 
+from conftest import p1_cell_gradient
+
 
 class TestConfig:
     def test_defaults_valid(self):
@@ -179,7 +181,8 @@ class TestApproximationRow:
                           cfg.alpha)]
         times = sols[0].times
         outer = mesh.cell_mask(Region.complement(2.0 * cfg.R))
-        g2 = [np.sum(mesh.p1_gradient(d) ** 2, axis=1)[outer] @ mesh.areas[outer]
+        g2 = [np.sum(p1_cell_gradient(mesh, d) ** 2, axis=1)[outer]
+              @ mesh.areas[outer]
               for d in sols[0].fields - sols[1].fields]
         assert np.isclose(row["gradient_K"], np.sqrt(np.trapezoid(g2, times)),
                           rtol=1e-12, atol=0.0)
