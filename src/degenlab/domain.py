@@ -9,12 +9,16 @@ for quadratic integrands), with optional dyadic cell subdivision near the
 origin where singular weights live; the rule is defined once, as blocks of
 cells sharing a barycentric point set.
 Each quadrature carries the sparse P1 interpolation P onto its points.
-Every P1 matrix is assembled from per-cell 3 x 3 blocks into one cached
-sparsity pattern; weighted bilinear forms can be built cell by cell on the
-rule blocks without any per-point array.  Everything built from the mesh
-(quadratures, operators, the P1 pattern, the nodal weights of each region
-and weight, the mass matrix, the solver's step operators) is built once,
-cached on the Mesh and read-only.
+Weighted forms are built cell by cell on the rule blocks without any
+per-point array, in two layouts.  As (n_cells, 3, 3) blocks,
+:meth:`Mesh.assemble` sums them into a CSR matrix on one cached P1 pattern
+(the solver's matrices).  As symmetric (n_cells, 6) pair forms,
+:meth:`Mesh.quadratic_forms` sums them onto the cached symmetric pattern of
+vertex pairs i <= j and evaluates u^T A u for several forms and a whole
+stack of fields in one blocked pass, with no matrix.  Everything built from
+the mesh (quadratures, operators, both patterns, the nodal weights of each
+region and weight, the mass matrix, the solver's step operators) is built
+once, cached on the Mesh and read-only.
 """
 
 from __future__ import annotations
@@ -33,6 +37,15 @@ _MIDPOINT_BARY = np.array([
     [0.0, 0.5, 0.5],
     [0.5, 0.0, 0.5],
 ])
+
+# the local vertex pairs (i, j), i <= j, of a symmetric per-cell form, and
+# the pair of each entry (i, j) of a 3 x 3 block
+PAIRS = np.array([[0, 0], [1, 1], [2, 2], [0, 1], [1, 2], [0, 2]])
+_PAIR_OF = np.array([[0, 3, 5], [3, 1, 4], [5, 4, 2]])
+
+# vertex pairs per block of Mesh.quadratic_forms: two (n_fields, block)
+# temporaries, 1 MB each at 60 fields
+_PAIR_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -212,39 +225,94 @@ class Mesh:
 
     def cell_forms(self, weight=None, subdivide_radius: float = 0.0,
                    levels: int = 2) -> tuple[np.ndarray, np.ndarray]:
-        """``(local, sums)`` of a weight on the quadrature rule, cell by cell.
+        """``(local, sums)`` of one weight on the quadrature rule: the
+        (n_cells, 3, 3) blocks of its pair form, which :meth:`assemble` turns
+        into the weighted mass matrix P^T diag(a w) P, and its per-cell sums
+        (see :meth:`pair_forms`)."""
+        forms, sums = self.pair_forms([weight], subdivide_radius, [levels])
+        return forms[0][:, _PAIR_OF], sums[0]
 
-        With a_q the rule's weights and w the weight at the points of
-        ``quadrature(subdivide_radius, levels)``:
+    def pair_forms(self, weights, subdivide_radius: float,
+                   levels) -> tuple[np.ndarray, np.ndarray]:
+        """``(forms, sums)`` of several weights, each on its quadrature rule,
+        cell by cell.
 
-        - local[c, i, j] = sum_q a_q w(x_q) lambda_i(x_q) lambda_j(x_q) over
-          cell c's points, the (n_cells, 3, 3) blocks that :meth:`assemble`
-          turns into the weighted mass matrix P^T diag(a w) P;
-        - sums[c] = sum_q a_q w(x_q), accumulated in point order.
+        Weight k reads the rule of ``quadrature(subdivide_radius,
+        levels[k])``; with a_q its weights and w_k the weight at its points:
 
-        ``weight`` is None (w = 1) or a callable on (n, 2) point arrays,
-        called once on every point of the rule.  No quadrature, interpolation
-        or per-point array is kept.
+        - forms[k, c, p] = sum_q a_q w_k(x_q) lambda_i(x_q) lambda_j(x_q)
+          over cell c's points, for the local pair (i, j) = PAIRS[p]: the
+          (n_cells, 6) symmetric forms that :meth:`quadratic_forms` reads;
+        - sums[k, c] = sum_q a_q w_k(x_q), accumulated in point order.
+
+        Each weight is None (w = 1) or a callable on (n, 2) point arrays,
+        called once on every point of its rule.  The rules share their
+        midpoint block, whose points are built once.  No quadrature,
+        interpolation or per-point array is kept.
         """
+        forms = np.empty((len(weights), self.num_cells, len(PAIRS)))
+        sums = np.empty((len(weights), self.num_cells))
         blocks = _rule_blocks(self, subdivide_radius, levels)
-        if weight is not None:
-            wq = np.asarray(weight(np.concatenate([
-                _block_points(self, ids, bary).reshape(-1, 2)
-                for ids, bary, _ in blocks])), dtype=float)
-        local = np.empty((self.num_cells, 9))
-        sums = np.empty(self.num_cells)
-        start = 0
-        for ids, bary, a in blocks:
-            nc, nq = len(ids), len(bary)
-            wv = np.repeat(a[:, None], nq, axis=1)
+        points = [None] * len(blocks)
+        for k, weight in enumerate(weights):
+            rule = [b for b, block in enumerate(blocks) if k in block[3]]
             if weight is not None:
-                wv *= wq[start:start + nc * nq].reshape(nc, nq)
-                start += nc * nq
-            bb = np.einsum("qi,qj->qij", bary, bary).reshape(nq, 9)
-            local[ids] = wv @ bb
-            sums[ids] = np.bincount(np.repeat(np.arange(nc), nq),
-                                    weights=wv.ravel(), minlength=nc)
-        return local.reshape(-1, 3, 3), sums
+                for b in rule:
+                    if points[b] is None:
+                        ids, bary = blocks[b][:2]
+                        points[b] = _block_points(self, ids,
+                                                  bary).reshape(-1, 2)
+                wq = np.asarray(weight(np.concatenate(
+                    [points[b] for b in rule])), dtype=float)
+            start = 0
+            for b in rule:
+                ids, bary, a, _ = blocks[b]
+                nc, nq = len(ids), len(bary)
+                wv = np.repeat(a[:, None], nq, axis=1)
+                if weight is not None:
+                    wv *= wq[start:start + nc * nq].reshape(nc, nq)
+                    start += nc * nq
+                forms[k, ids] = wv @ (bary[:, PAIRS[:, 0]]
+                                      * bary[:, PAIRS[:, 1]])
+                sums[k, ids] = np.bincount(np.repeat(np.arange(nc), nq),
+                                           weights=wv.ravel(), minlength=nc)
+        return forms, sums
+
+    def gradient_pairs(self) -> np.ndarray:
+        """(n_cells, 6) grad(lambda_i) . grad(lambda_j) on each cell, for the
+        local pairs (i, j) = PAIRS: the stiffness pair form of a unit cell
+        weight."""
+        gx, gy = self.grads[..., 0], self.grads[..., 1]
+        i, j = PAIRS.T
+        out = gx[:, i] * gx[:, j]
+        out += gy[:, i] * gy[:, j]
+        return out
+
+    def quadratic_forms(self, forms, fields) -> np.ndarray:
+        """(k, n_fields) array of u^T A u for every form A and row u.
+
+        ``forms`` is an iterable of k (n_cells, 6) symmetric per-cell forms
+        in the layout of :meth:`pair_forms`; each is summed into the values
+        of the cached symmetric P1 pattern by one ``np.bincount``, the
+        off-diagonal pairs doubled, before the next is read.  ``fields`` is
+        an (n_fields, n_vertices) stack, read in blocks of ``_PAIR_BLOCK``
+        pairs (i, j): each block gathers F[:, i] * F[:, j] and makes one
+        small product with the k columns of values, so no temporary grows
+        with both the mesh and the number of fields.
+        """
+        I, J, slot = self.cached("p1_pairs", self._pair_pattern)
+        values = np.array([
+            np.bincount(slot, weights=np.asarray(f, dtype=float).ravel(),
+                        minlength=len(I)) for f in forms])
+        values[:, I != J] *= 2.0
+        F = np.asarray(fields, dtype=float)
+        out = np.zeros((len(F), len(values)))
+        for s in range(0, len(I), _PAIR_BLOCK):
+            block = slice(s, s + _PAIR_BLOCK)
+            prod = F[:, I[block]]
+            prod *= F[:, J[block]]
+            out += prod @ values[:, block].T
+        return out.T
 
     def assemble(self, local) -> sp.csr_matrix:
         """The P1 matrix with the (n_cells, 3, 3) blocks ``local``, as CSR.
@@ -262,10 +330,7 @@ class Mesh:
     def stiffness(self, cell_weights) -> sp.csr_matrix:
         """The P1 matrix sum_c cell_weights[c] grad(phi_i) . grad(phi_j), the
         gradients constant on each cell c, by :meth:`assemble`."""
-        gx, gy = self.grads[..., 0], self.grads[..., 1]
-        # bitwise einsum("cid,cjd->cij", grads, grads), about 4x faster
-        local = gx[:, :, None] * gx[:, None, :]
-        local += gy[:, :, None] * gy[:, None, :]
+        local = self.gradient_pairs()[:, _PAIR_OF]
         local *= np.asarray(cell_weights, dtype=float)[:, None, None]
         return self.assemble(local)
 
@@ -295,9 +360,30 @@ class Mesh:
         # near 7 * MAX_VERTICES
         return indptr.astype(np.int32), (keys % nv).astype(np.int32), slot
 
+    def _pair_pattern(self):
+        """``(I, J, slot)``: the vertex pairs I <= J of the symmetric P1
+        pattern, sorted, and for each cell's local pair (c, p) in C order its
+        position in I and J.  Built from 6 keys per cell, min * n_vertices +
+        max, by one sort."""
+        nv = self.num_vertices
+        a, b = self.cells[:, PAIRS[:, 0]], self.cells[:, PAIRS[:, 1]]
+        keys = np.minimum(a, b) * nv
+        keys += np.maximum(a, b)
+        order = np.argsort(keys, axis=None)
+        keys = keys.ravel()[order]
+        first = np.empty(len(keys), dtype=bool)
+        first[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        rank = np.cumsum(first)
+        rank -= 1
+        slot = np.empty_like(order)
+        slot[order] = rank
+        keys = keys[first]
+        return keys // nv, keys % nv, slot
+
     def _build_quadrature(self, subdivide_radius, levels):
         pts, w, cell, data, cols, row_nnz = [], [], [], [], [], []
-        for ids, bary, a in _rule_blocks(self, subdivide_radius, levels):
+        for ids, bary, a, _ in _rule_blocks(self, subdivide_radius, [levels]):
             nq = len(bary)
             pts.append(_block_points(self, ids, bary).reshape(-1, 2))
             w.append(np.repeat(a, nq))
@@ -337,26 +423,31 @@ def _quadrature_key(subdivide_radius, levels):
 
 
 def _rule_blocks(mesh, subdivide_radius, levels):
-    """The quadrature rule, as blocks ``(cell ids, bary, a)``.
+    """The quadrature rules of several refinement ``levels``, as blocks
+    ``(cell ids, bary, a, rules)``.
 
     Each point of cell ``ids[k]`` is ``bary[q] @ vertices`` with weight
-    ``a[k]`` = area / (points per cell).  Cells with a vertex within
-    ``subdivide_radius`` of the origin take the midpoint rule refined
-    ``levels`` times (4^levels subtriangles); the others, listed first, the
-    midpoint rule.
+    ``a[k]`` = area / (points per cell); ``rules`` are the positions in
+    ``levels`` of the rules that hold the block.  In rule r, cells with a
+    vertex within ``subdivide_radius`` of the origin take the midpoint rule
+    refined ``levels[r]`` times (4^levels subtriangles); the others, listed
+    first in one block that every rule holds, the midpoint rule.
     """
     if subdivide_radius > 0.0:
         r = np.linalg.norm(mesh.vertices, axis=1)
         fine = r[mesh.cells].min(axis=1) <= subdivide_radius
     else:
         fine = np.zeros(mesh.num_cells, dtype=bool)
-    bary = _MIDPOINT_BARY
-    for _ in range(levels):
-        bary = _refine_bary(bary)
-    return [(ids, b, mesh.areas[ids] / len(b))
-            for ids, b in ((np.flatnonzero(~fine), _MIDPOINT_BARY),
-                           (np.flatnonzero(fine), bary))
-            if len(ids)]
+    blocks = [(np.flatnonzero(~fine), _MIDPOINT_BARY, range(len(levels)))]
+    fine_ids = np.flatnonzero(fine)
+    for level in sorted(set(levels)):
+        bary = _MIDPOINT_BARY
+        for _ in range(level):
+            bary = _refine_bary(bary)
+        blocks.append((fine_ids, bary,
+                       [r for r, lv in enumerate(levels) if lv == level]))
+    return [(ids, b, mesh.areas[ids] / len(b), rules)
+            for ids, b, rules in blocks if len(ids)]
 
 
 def _block_points(mesh, ids, bary):
@@ -464,10 +555,12 @@ def _build_rings(radii, spacing_fn):
     return np.concatenate(verts), np.concatenate(cells), ring_idx[-1]
 
 
-# Measured peak memory of the heaviest per-mesh paths (the inequality table,
-# one observability level) is 2.9-3.7 KB per vertex at h = 1/8 and 1/16, so
-# the cap keeps one mesh's studies near 1.5 GB. It admits h = 1/32 on the
-# default disk (about 300k vertices).
+# Measured peak memory of the heaviest per-mesh paths: the inequality table
+# (mesh, 60 fields and the table) takes 1.8-1.9 KB per vertex by tracemalloc
+# at h = 1/8 and 1/16, and 2.7 KB per vertex by peak RSS at 1/16; one
+# observability level measured 2.9-3.7 KB per vertex.  So the cap keeps one
+# mesh's studies near 1.5 GB.  It admits h = 1/32 on the default disk (about
+# 300k vertices).
 MAX_VERTICES = 400_000
 
 

@@ -4,7 +4,11 @@ All norms are computed with the midpoint-rule quadrature of :mod:`.domain`
 (with extra subdivision near the origin, where the weights degenerate), and
 P1 cell gradients for seminorms.  The inequality checkers return the ratio
 LHS / RHS with the explicit constants, so a verified inequality reads
-``ratio <= 1 + quadrature budget``.
+``ratio <= 1 + quadrature budget``.  The single-field functions sample the
+field on the quadrature; the batched table reads each squared norm of a
+stack of fields as a quadratic form u^T A u and evaluates all of them in one
+pass (:meth:`~degenlab.domain.Mesh.quadratic_forms`).  Every field must be
+finite and vanish on the boundary.
 """
 
 from __future__ import annotations
@@ -36,13 +40,20 @@ def weighted_h1_seminorm(mesh: Mesh, field, weight=None,
 
 
 def _require_h10(mesh: Mesh, fields):
-    """The nodal field (or each row of a stack) must vanish on the boundary."""
+    """``(u, peak)``: the nodal field (or each row of a stack), which must be
+    finite and vanish on the boundary, and max |u| (per row)."""
     u = np.asarray(fields, dtype=float)
+    hi, lo = np.max(u, axis=-1), np.min(u, axis=-1)
+    bad = np.flatnonzero(~(np.isfinite(hi) & np.isfinite(lo)))
+    if len(bad):
+        where = f" (row {bad[0]})" if u.ndim == 2 else ""
+        raise ValueError(f"field{where} has a NaN or inf value")
+    peak = np.maximum(hi, -lo)
     trace = np.max(np.abs(u[..., mesh.boundary_mask]), axis=-1)
-    if np.any(trace > 1e-13 * np.maximum(1.0, np.max(np.abs(u), axis=-1))):
+    if np.any(trace > 1e-13 * np.maximum(1.0, peak)):
         raise ValueError("field has a nonzero boundary trace; the inequality "
                          "is stated for fields vanishing on the boundary")
-    return u
+    return u, peak
 
 
 def hardy_ratio(mesh: Mesh, field, alpha: float) -> float:
@@ -53,8 +64,8 @@ def hardy_ratio(mesh: Mesh, field, alpha: float) -> float:
     """
     if not 0.0 < alpha < 2.0:
         raise ValueError("alpha must lie in (0, 2)")
-    u = _require_h10(mesh, field)
-    if not np.any(u):
+    u, peak = _require_h10(mesh, field)
+    if peak == 0.0:
         return 0.0
     N = 2
     sub = 4.0 * mesh.h
@@ -80,9 +91,9 @@ def poincare_ratios(mesh: Mesh, field, alpha: float, eps: float) -> dict:
     """
     if not 0.0 < alpha < 2.0:
         raise ValueError("alpha must lie in (0, 2)")
-    u = _require_h10(mesh, field)
+    u, peak = _require_h10(mesh, field)
     m = float(np.max(np.linalg.norm(mesh.vertices, axis=1))) + 1.0
-    if not np.any(u):
+    if peak == 0.0:
         return {"r_22": 0.0, "r_23": 0.0, "r_36": 0.0, "r_37": 0.0}
     N = 2
     c = N - 2 + alpha
@@ -109,48 +120,47 @@ def inequality_ratio_table(mesh: Mesh, fields, alpha: float,
     ``fields`` has shape (n_fields, n_vertices).  Returns arrays keyed
     "hardy", "r_22", "r_23", "r_36", "r_37" that match the single-field
     functions to round-off.  Each squared norm is a quadratic form u^T A u
-    with A assembled from per-cell 3 x 3 blocks: the weighted P1 mass blocks
-    on the quadrature rule for the masses (:meth:`Mesh.cell_forms`,
-    :meth:`Mesh.assemble`), and :meth:`Mesh.stiffness` of c_w, the per-cell
-    sum of the weighted quadrature weights, for the weighted stiffnesses.
-    The forms are built and applied one at a time, so the stack costs one
-    sparse product per form and no per-point array outlives its form.
+    of a symmetric per-cell form (:func:`_table_forms`), and all six are
+    evaluated for the whole stack in one blocked pass over the mesh's
+    symmetric P1 pattern (:meth:`Mesh.quadratic_forms`): no quadrature,
+    sparse matrix or transposed copy of the stack is built.
     """
     if not 0.0 < alpha < 2.0:
         raise ValueError("alpha must lie in (0, 2)")
     F = np.asarray(fields, dtype=float)
     if F.ndim != 2 or F.shape[1] != mesh.num_vertices:
         raise ValueError("fields must be (n_fields, n_vertices)")
-    _require_h10(mesh, F)
+    F, peak = _require_h10(mesh, F)
     m = float(np.max(np.linalg.norm(mesh.vertices, axis=1))) + 1.0
     N = 2
     c = N - 2 + alpha
-    sub = 4.0 * mesh.h
-    Ft = np.ascontiguousarray(F.T)           # one column per field
-
-    def norm(A):
-        """sqrt(u^T A u) for every row u of F."""
-        return np.sqrt(np.maximum(0.0, np.einsum("vf,vf->f", Ft, A @ Ft)))
-
-    def mass_and_stiffness(weight):
-        local, cell_w = mesh.cell_forms(weight, sub)
-        A = mesh.assemble(local)
-        del local                  # each form's blocks go before its product
-        return norm(A), norm(mesh.stiffness(cell_w))
-
-    # the singular factor |x|^(alpha-2) on the finer rule
-    hardy_num = norm(mesh.assemble(mesh.cell_forms(
-        AbsPowerWeight(alpha - 2.0), sub, levels=3)[0]))
-    l2 = norm(mesh.assemble(mesh.cell_forms(None, sub)[0]))
-    l2_w, h1_w = mass_and_stiffness(AbsPowerWeight(alpha))
-    l2_we, h1_we = mass_and_stiffness(RegularizedWeight(epsilon=eps,
-                                                        alpha=alpha))
+    hardy_num, l2, l2_w, l2_we, h1_w, h1_we = np.sqrt(np.maximum(
+        0.0, mesh.quadratic_forms(_table_forms(mesh, alpha, eps), F)))
     k_w = c / (2.0 * m)                        # r_22, r_36
     k_1 = c / (2.0 * m ** (1.0 - 0.5 * alpha))  # r_23, r_37
-    nz = np.any(F != 0.0, axis=1)
+    nz = peak > 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         return {"hardy": np.where(nz, c * hardy_num / (2.0 * h1_w), 0.0),
                 "r_22": np.where(nz, k_w * l2_w / h1_w, 0.0),
                 "r_23": np.where(nz, k_1 * l2 / h1_w, 0.0),
                 "r_36": np.where(nz, k_w * l2_we / h1_we, 0.0),
                 "r_37": np.where(nz, k_1 * l2 / h1_we, 0.0)}
+
+
+def _table_forms(mesh: Mesh, alpha: float, eps: float):
+    """The table's six per-cell pair forms (:meth:`Mesh.pair_forms`), one at
+    a time: the Hardy mass of |x|^(alpha-2) on the level-3 rule; the
+    unweighted, |x|^alpha and psi_eps^alpha masses on the level-2 rule, all
+    refined within 4h of the origin as the single-field functions are; and
+    the |x|^alpha and psi_eps^alpha stiffnesses, the one geometric block
+    :meth:`Mesh.gradient_pairs` times each weight's per-cell sums."""
+    exact = AbsPowerWeight(alpha)
+    reg = RegularizedWeight(epsilon=eps, alpha=alpha)
+    masses, sums = mesh.pair_forms(
+        [AbsPowerWeight(alpha - 2.0), None, exact, reg], 4.0 * mesh.h,
+        [3, 2, 2, 2])
+    yield from masses
+    del masses      # the mass forms go before the stiffness forms are built
+    geometric = mesh.gradient_pairs()
+    yield sums[2][:, None] * geometric
+    yield sums[3][:, None] * geometric

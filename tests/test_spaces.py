@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degenlab.domain import GeometrySpec, build_disk_mesh
+from degenlab import spaces
 from degenlab.spaces import (hardy_ratio, inequality_ratio_table,
                              poincare_ratios, weighted_h1_seminorm,
                              weighted_l2_norm)
@@ -130,6 +131,47 @@ class TestHardyPoincare:
         inequality_ratio_table(mesh, _bump_field(mesh)[None], 1.0, eps=0.1)
         assert not [key for key in mesh._cache if isinstance(key, tuple)
                     and key[0] == "quadrature"]
+        # nor the full P1 pattern of Mesh.assemble
+        assert "p1_pattern" not in mesh._cache
+
+    @pytest.mark.parametrize("where", ["interior", "boundary"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_field_rejected(self, unit_disk_mesh, where, bad):
+        fields = np.array([_bump_field(unit_disk_mesh)] * 3)
+        vertex = np.flatnonzero(unit_disk_mesh.boundary_mask
+                                == (where == "boundary"))[5]
+        fields[1, vertex] = bad
+        with pytest.raises(ValueError, match=r"row 1\) has a NaN or inf"):
+            inequality_ratio_table(unit_disk_mesh, fields, 1.0, eps=0.1)
+        with pytest.raises(ValueError, match="NaN or inf"):
+            hardy_ratio(unit_disk_mesh, fields[1], 1.0)
+        with pytest.raises(ValueError, match="NaN or inf"):
+            poincare_ratios(unit_disk_mesh, fields[1], 1.0, eps=0.1)
+
+    def test_traced_peak_flat_in_fields(self):
+        # the forms are evaluated in blocks of pairs: no temporary is
+        # (n_fields x n_vertices), so the peak does not grow with the stack
+        mesh = build_disk_mesh(GeometrySpec(), 0.12)
+        rng = np.random.default_rng(0)
+
+        def peak(n):
+            fields = rng.standard_normal((n, mesh.num_vertices))
+            fields[:, mesh.boundary_mask] = 0.0
+            tracing = tracemalloc.is_tracing()
+            if not tracing:
+                tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                inequality_ratio_table(mesh, fields, 1.0, eps=0.1)
+                return tracemalloc.get_traced_memory()[1] - base, fields.nbytes
+            finally:
+                if not tracing:
+                    tracemalloc.stop()
+        peak(1)                   # the mesh's pattern, cached
+        small, _ = peak(5)
+        large, nbytes = peak(60)
+        assert large - small <= 0.25 * nbytes
 
     def test_batch_traced_peak(self):
         # tracemalloc peak of one table on a fresh mesh (default disk,
@@ -153,3 +195,40 @@ class TestHardyPoincare:
             if not tracing:
                 tracemalloc.stop()
         assert peak <= 0.4 * 68.7 * 2**20
+
+
+@pytest.fixture(scope="module", params=["uniform", "graded"])
+def form_mesh(request, unit_disk_mesh):
+    if request.param == "uniform":
+        return unit_disk_mesh
+    return build_disk_mesh(GeometrySpec(R=0.12, L=1.0), 0.1, local_h=0.005)
+
+
+class TestQuadraticForms:
+    @pytest.mark.parametrize("n_fields", [1, 7])
+    def test_forms_match_assembled_matrices(self, form_mesh, n_fields):
+        mesh = form_mesh
+        rng = np.random.default_rng(n_fields)
+        U = rng.standard_normal((n_fields, mesh.num_vertices))
+        if n_fields > 1:
+            U[3] = 0.0
+        alpha, eps = 1.0, 0.1
+        sub = 4.0 * mesh.h
+        exact = AbsPowerWeight(alpha)
+        reg = RegularizedWeight(epsilon=eps, alpha=alpha)
+        refs = [mesh.assemble(mesh.cell_forms(w, sub, levels)[0])
+                for w, levels in ((AbsPowerWeight(alpha - 2.0), 3),
+                                  (None, 2), (exact, 2), (reg, 2))]
+        refs += [mesh.stiffness(mesh.cell_forms(w, sub)[1])
+                 for w in (exact, reg)]
+        got = mesh.quadratic_forms(spaces._table_forms(mesh, alpha, eps), U)
+        assert got.shape == (6, n_fields)
+        for A, row in zip(refs, got):
+            want = np.einsum("fv,fv->f", U, (A @ U.T).T)
+            assert np.allclose(row, want, rtol=1e-13, atol=0.0)
+        # the symmetric pattern: the diagonal and one of each off-diagonal
+        # pair of the full pattern
+        I, J, slot = mesh._cache["p1_pairs"]
+        assert np.all(I <= J)
+        assert len(I) == (refs[0].nnz + mesh.num_vertices) // 2
+        assert slot.shape == (6 * mesh.num_cells,)
