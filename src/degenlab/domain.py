@@ -9,16 +9,17 @@ for quadratic integrands), with optional dyadic cell subdivision near the
 origin where singular weights live; the rule is defined once, as blocks of
 cells sharing a barycentric point set.
 Each quadrature carries the sparse P1 interpolation P onto its points.
-Weighted forms are built cell by cell on the rule blocks without any
-per-point array, in two layouts.  As (n_cells, 3, 3) blocks,
-:meth:`Mesh.assemble` sums them into a CSR matrix on one cached P1 pattern
-(the solver's matrices).  As symmetric (n_cells, 6) pair forms,
-:meth:`Mesh.quadratic_forms` sums them onto the cached symmetric pattern of
-vertex pairs i <= j and evaluates u^T A u for several forms and a whole
-stack of fields in one blocked pass, with no matrix.  Everything built from
-the mesh (quadratures, operators, both patterns, the nodal weights of each
-region and weight, the mass matrix, the solver's step operators) is built
-once, cached on the Mesh and read-only.
+:meth:`Mesh.pair_forms` builds one weight's symmetric (n_cells, 6) pair
+form and per-cell sums on the rule blocks, a bounded chunk of cells at a
+time, with no point array of the whole rule.  As (n_cells, 3, 3) blocks,
+:meth:`Mesh.assemble` sums such forms into a CSR matrix on one cached P1
+pattern (the solver's matrices); :meth:`Mesh.quadratic_forms` sums them, as
+they arrive, onto the cached symmetric pattern of vertex pairs i <= j and
+evaluates u^T A u for several forms and a whole stack of fields in one
+blocked pass, with no matrix.  Everything built from the mesh
+(quadratures, operators, both patterns, the nodal weights of each region
+and weight, the mass matrix, the solver's step operators) is built once,
+cached on the Mesh and read-only.
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ _PAIR_OF = np.array([[0, 3, 5], [3, 1, 4], [5, 4, 2]])
 # vertex pairs per block of Mesh.quadratic_forms: two (n_fields, block)
 # temporaries, 1 MB each at 60 fields
 _PAIR_BLOCK = 2048
+# rule points per cell chunk of Mesh.pair_forms (256 KB of coordinates)
+_CHUNK_POINTS = 16384
 
 
 @dataclass(frozen=True)
@@ -223,69 +226,56 @@ class Mesh:
             return qp.interpolation.T @ w
         return self.cached(("weights", region, weight), build)
 
-    def cell_forms(self, weight=None, subdivide_radius: float = 0.0,
-                   levels: int = 2) -> tuple[np.ndarray, np.ndarray]:
-        """``(local, sums)`` of one weight on the quadrature rule: the
-        (n_cells, 3, 3) blocks of its pair form, which :meth:`assemble` turns
-        into the weighted mass matrix P^T diag(a w) P, and its per-cell sums
-        (see :meth:`pair_forms`)."""
-        forms, sums = self.pair_forms([weight], subdivide_radius, [levels])
-        return forms[0][:, _PAIR_OF], sums[0]
+    def pair_forms(self, weight, subdivide_radius: float = 0.0,
+                   levels: int = 2, form=None) -> np.ndarray:
+        """The per-cell sums of one weight on the rule of
+        ``quadrature(subdivide_radius, levels)``, and its pair form.
 
-    def pair_forms(self, weights, subdivide_radius: float,
-                   levels) -> tuple[np.ndarray, np.ndarray]:
-        """``(forms, sums)`` of several weights, each on its quadrature rule,
-        cell by cell.
+        With a_q the rule's weights and w the weight at its points:
 
-        Weight k reads the rule of ``quadrature(subdivide_radius,
-        levels[k])``; with a_q its weights and w_k the weight at its points:
+        - sums[c] = sum_q a_q w(x_q), accumulated in point order, returned;
+        - form[c, p] = sum_q a_q w(x_q) lambda_i(x_q) lambda_j(x_q) over cell
+          c's points, for the local pair (i, j) = PAIRS[p]: the symmetric
+          (n_cells, 6) form that :meth:`quadratic_forms` reads, written into
+          the array ``form`` unless it is None.
 
-        - forms[k, c, p] = sum_q a_q w_k(x_q) lambda_i(x_q) lambda_j(x_q)
-          over cell c's points, for the local pair (i, j) = PAIRS[p]: the
-          (n_cells, 6) symmetric forms that :meth:`quadratic_forms` reads;
-        - sums[k, c] = sum_q a_q w_k(x_q), accumulated in point order.
-
-        Each weight is None (w = 1) or a callable on (n, 2) point arrays,
-        called once on every point of its rule.  The rules share their
-        midpoint block, whose points are built once.  No quadrature,
-        interpolation or per-point array is kept.
+        ``weight`` is None (w = 1) or a callable on (n, 2) point arrays.  The
+        cells go in chunks of at most ``_CHUNK_POINTS`` points: each chunk's
+        points are built and the weight called on them, and no quadrature,
+        interpolation or per-point array of the whole rule is made.
         """
-        forms = np.empty((len(weights), self.num_cells, len(PAIRS)))
-        sums = np.empty((len(weights), self.num_cells))
-        blocks = _rule_blocks(self, subdivide_radius, levels)
-        points = [None] * len(blocks)
-        for k, weight in enumerate(weights):
-            rule = [b for b, block in enumerate(blocks) if k in block[3]]
-            if weight is not None:
-                for b in rule:
-                    if points[b] is None:
-                        ids, bary = blocks[b][:2]
-                        points[b] = _block_points(self, ids,
-                                                  bary).reshape(-1, 2)
-                wq = np.asarray(weight(np.concatenate(
-                    [points[b] for b in rule])), dtype=float)
-            start = 0
-            for b in rule:
-                ids, bary, a, _ = blocks[b]
-                nc, nq = len(ids), len(bary)
-                wv = np.repeat(a[:, None], nq, axis=1)
+        sums = np.empty(self.num_cells)
+        for ids, bary, a in _rule_blocks(self, subdivide_radius, levels):
+            nq = len(bary)
+            # a cell's row of wv @ products keeps its bits whatever the chunk
+            # bounds with products C-contiguous (transposed, BLAS switches
+            # kernels for short chunks) and no chunk of one cell (a GEMV)
+            products = np.ascontiguousarray(bary[:, PAIRS[:, 0]]
+                                            * bary[:, PAIRS[:, 1]])
+            step = max(2, _CHUNK_POINTS // nq)
+            stops = [*range(step, len(ids) - 1, step), len(ids)]
+            for s, e in zip([0, *stops], stops):
+                chunk = ids[s:e]
+                wv = np.repeat(a[s:e, None], nq, axis=1)
                 if weight is not None:
-                    wv *= wq[start:start + nc * nq].reshape(nc, nq)
-                    start += nc * nq
-                forms[k, ids] = wv @ (bary[:, PAIRS[:, 0]]
-                                      * bary[:, PAIRS[:, 1]])
-                sums[k, ids] = np.bincount(np.repeat(np.arange(nc), nq),
-                                           weights=wv.ravel(), minlength=nc)
-        return forms, sums
+                    points = _block_points(self, chunk, bary).reshape(-1, 2)
+                    wv *= np.asarray(weight(points),
+                                     dtype=float).reshape(wv.shape)
+                if form is not None:
+                    form[chunk] = wv @ products
+                sums[chunk] = np.bincount(
+                    np.repeat(np.arange(len(chunk)), nq), weights=wv.ravel(),
+                    minlength=len(chunk))
+        return sums
 
     def gradient_pairs(self) -> np.ndarray:
         """(n_cells, 6) grad(lambda_i) . grad(lambda_j) on each cell, for the
         local pairs (i, j) = PAIRS: the stiffness pair form of a unit cell
         weight."""
         gx, gy = self.grads[..., 0], self.grads[..., 1]
-        i, j = PAIRS.T
-        out = gx[:, i] * gx[:, j]
-        out += gy[:, i] * gy[:, j]
+        out = np.empty((self.num_cells, len(PAIRS)))
+        for p, (i, j) in enumerate(PAIRS):
+            out[:, p] = gx[:, i] * gx[:, j] + gy[:, i] * gy[:, j]
         return out
 
     def quadratic_forms(self, forms, fields) -> np.ndarray:
@@ -293,25 +283,31 @@ class Mesh:
 
         ``forms`` is an iterable of k (n_cells, 6) symmetric per-cell forms
         in the layout of :meth:`pair_forms`; each is summed into the values
-        of the cached symmetric P1 pattern by one ``np.bincount``, the
-        off-diagonal pairs doubled, before the next is read.  ``fields`` is
-        an (n_fields, n_vertices) stack, read in blocks of ``_PAIR_BLOCK``
-        pairs (i, j): each block gathers F[:, i] * F[:, j] and makes one
-        small product with the k columns of values, so no temporary grows
-        with both the mesh and the number of fields.
+        of the cached symmetric P1 pattern in one pass over the whole form,
+        the off-diagonal pairs doubled, as it arrives, so the iterable may
+        refill one buffer.  ``fields`` is an (n_fields, n_vertices) stack,
+        read in blocks of ``_PAIR_BLOCK`` pairs (i, j): each block gathers
+        F[:, i] * F[:, j] and makes one small product with the k columns of
+        values, so no temporary grows with both the mesh and the number of
+        fields.
         """
         I, J, slot = self.cached("p1_pairs", self._pair_pattern)
-        values = np.array([
-            np.bincount(slot, weights=np.asarray(f, dtype=float).ravel(),
-                        minlength=len(I)) for f in forms])
-        values[:, I != J] *= 2.0
+        off = I != J
+        values = []
+        for f in forms:
+            # np.add.at adds in the order np.bincount does, without the
+            # copy np.bincount makes of a read-only slot map
+            v = np.zeros(len(I))
+            np.add.at(v, slot, np.asarray(f, dtype=float).ravel())
+            np.multiply(v, 2.0, out=v, where=off)
+            values.append(v)
         F = np.asarray(fields, dtype=float)
         out = np.zeros((len(F), len(values)))
         for s in range(0, len(I), _PAIR_BLOCK):
             block = slice(s, s + _PAIR_BLOCK)
             prod = F[:, I[block]]
             prod *= F[:, J[block]]
-            out += prod @ values[:, block].T
+            out += prod @ np.array([v[block] for v in values]).T
         return out.T
 
     def assemble(self, local) -> sp.csr_matrix:
@@ -367,23 +363,26 @@ class Mesh:
         max, by one sort."""
         nv = self.num_vertices
         a, b = self.cells[:, PAIRS[:, 0]], self.cells[:, PAIRS[:, 1]]
-        keys = np.minimum(a, b) * nv
-        keys += np.maximum(a, b)
+        keys = np.minimum(a, b)
+        keys *= nv
+        keys += np.maximum(a, b, out=a)
+        del a, b
         order = np.argsort(keys, axis=None)
         keys = keys.ravel()[order]
         first = np.empty(len(keys), dtype=bool)
         first[0] = True
         np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        pairs = keys[first]
+        del keys
         rank = np.cumsum(first)
         rank -= 1
         slot = np.empty_like(order)
         slot[order] = rank
-        keys = keys[first]
-        return keys // nv, keys % nv, slot
+        return pairs // nv, pairs % nv, slot
 
     def _build_quadrature(self, subdivide_radius, levels):
         pts, w, cell, data, cols, row_nnz = [], [], [], [], [], []
-        for ids, bary, a, _ in _rule_blocks(self, subdivide_radius, [levels]):
+        for ids, bary, a in _rule_blocks(self, subdivide_radius, levels):
             nq = len(bary)
             pts.append(_block_points(self, ids, bary).reshape(-1, 2))
             w.append(np.repeat(a, nq))
@@ -423,45 +422,40 @@ def _quadrature_key(subdivide_radius, levels):
 
 
 def _rule_blocks(mesh, subdivide_radius, levels):
-    """The quadrature rules of several refinement ``levels``, as blocks
-    ``(cell ids, bary, a, rules)``.
+    """The quadrature rule as blocks ``(cell ids, bary, a)``.
 
     Each point of cell ``ids[k]`` is ``bary[q] @ vertices`` with weight
-    ``a[k]`` = area / (points per cell); ``rules`` are the positions in
-    ``levels`` of the rules that hold the block.  In rule r, cells with a
-    vertex within ``subdivide_radius`` of the origin take the midpoint rule
-    refined ``levels[r]`` times (4^levels subtriangles); the others, listed
-    first in one block that every rule holds, the midpoint rule.
+    ``a[k]`` = area / (points per cell).  Cells with a vertex within
+    ``subdivide_radius`` of the origin take the midpoint rule refined
+    ``levels`` times (4^levels subtriangles); the others, listed first in
+    one block, the midpoint rule.
     """
     if subdivide_radius > 0.0:
-        r = np.linalg.norm(mesh.vertices, axis=1)
-        fine = r[mesh.cells].min(axis=1) <= subdivide_radius
+        near = np.linalg.norm(mesh.vertices, axis=1) <= subdivide_radius
+        fine = near[mesh.cells].any(axis=1)
     else:
         fine = np.zeros(mesh.num_cells, dtype=bool)
-    blocks = [(np.flatnonzero(~fine), _MIDPOINT_BARY, range(len(levels)))]
-    fine_ids = np.flatnonzero(fine)
-    for level in sorted(set(levels)):
-        bary = _MIDPOINT_BARY
-        for _ in range(level):
-            bary = _refine_bary(bary)
-        blocks.append((fine_ids, bary,
-                       [r for r, lv in enumerate(levels) if lv == level]))
-    return [(ids, b, mesh.areas[ids] / len(b), rules)
-            for ids, b, rules in blocks if len(ids)]
+    bary = _MIDPOINT_BARY
+    for _ in range(levels):
+        bary = _refine_bary(bary)
+    blocks = [(np.flatnonzero(~fine), _MIDPOINT_BARY),
+              (np.flatnonzero(fine), bary)]
+    return [(ids, b, mesh.areas[ids] / len(b)) for ids, b in blocks if len(ids)]
 
 
 def _block_points(mesh, ids, bary):
     """(cells, points, 2) coordinates of a rule block's points.
 
     Each is (b_0 v_0 + b_1 v_1) + b_2 v_2, summed in that order (as
-    ``einsum("qi,cid->cqd")`` does), one coordinate at a time.
+    ``einsum("qi,cid->cqd")`` does), one coordinate at a time, point by
+    point over all cells (a long inner loop even for 3 points a cell).
     """
     out = np.empty((len(ids), len(bary), 2))
-    corners = mesh.cells[ids]
+    corners = mesh.cells[ids].T
     for d in range(2):
         x = mesh.vertices[:, d][corners]
-        out[..., d] = ((x[:, :1] * bary[:, 0] + x[:, 1:2] * bary[:, 1])
-                       + x[:, 2:] * bary[:, 2])
+        out[..., d] = ((bary[:, :1] * x[0] + bary[:, 1:2] * x[1])
+                       + bary[:, 2:] * x[2]).T
     return out
 
 
@@ -556,8 +550,8 @@ def _build_rings(radii, spacing_fn):
 
 
 # Measured peak memory of the heaviest per-mesh paths: the inequality table
-# (mesh, 60 fields and the table) takes 1.8-1.9 KB per vertex by tracemalloc
-# at h = 1/8 and 1/16, and 2.7 KB per vertex by peak RSS at 1/16; one
+# (mesh, 60 fields and the table) takes 1.24 KB per vertex by tracemalloc
+# at h = 1/8 and 1/16, and 2.2 KB per vertex by peak RSS at 1/16; one
 # observability level measured 2.9-3.7 KB per vertex.  So the cap keeps one
 # mesh's studies near 1.5 GB.  It admits h = 1/32 on the default disk (about
 # 300k vertices).

@@ -50,9 +50,10 @@ def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
 def cell_weight_integrals(mesh: Mesh, weight) -> np.ndarray:
     """Per-cell quadrature of the spatial weight (1 for unweighted).
 
-    Each cell's points are summed in order (:meth:`Mesh.cell_forms`) on the
-    rule refined within the weight's ``quadrature_radius``.  Cached on the
-    mesh per weight (:func:`~degenlab.weights.as_weight`) and read-only.
+    Each cell's points are summed in order (:meth:`Mesh.pair_forms`, no
+    form) on the rule refined within the weight's ``quadrature_radius``.
+    Cached on the mesh per weight (:func:`~degenlab.weights.as_weight`) and
+    read-only.
     """
     w = as_weight(weight)
 
@@ -62,9 +63,9 @@ def cell_weight_integrals(mesh: Mesh, weight) -> np.ndarray:
             raise ValueError("weight must be nonnegative and finite at every "
                              "quadrature point")
         return wq
-    return mesh.cached(("cell_weights", w), lambda: mesh.cell_forms(
+    return mesh.cached(("cell_weights", w), lambda: mesh.pair_forms(
         None if w is None else checked,
-        0.0 if w is None else w.quadrature_radius)[1])
+        0.0 if w is None else w.quadrature_radius))
 
 
 def assemble_stiffness(mesh: Mesh, weight) -> sp.csr_matrix:

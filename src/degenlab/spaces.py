@@ -6,8 +6,9 @@ P1 cell gradients for seminorms.  The inequality checkers return the ratio
 LHS / RHS with the explicit constants, so a verified inequality reads
 ``ratio <= 1 + quadrature budget``.  The single-field functions sample the
 field on the quadrature; the batched table reads each squared norm of a
-stack of fields as a quadratic form u^T A u and evaluates all of them in one
-pass (:meth:`~degenlab.domain.Mesh.quadratic_forms`).  Every field must be
+stack of fields as a quadratic form u^T A u, makes the six per-cell forms
+one at a time in one reused buffer and evaluates all of them in one pass
+(:meth:`~degenlab.domain.Mesh.quadratic_forms`).  Every field must be
 finite and vanish on the boundary.
 """
 
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .domain import Mesh
+from .domain import PAIRS, Mesh
 from .weights import AbsPowerWeight, RegularizedWeight
 
 
@@ -148,19 +149,22 @@ def inequality_ratio_table(mesh: Mesh, fields, alpha: float,
 
 
 def _table_forms(mesh: Mesh, alpha: float, eps: float):
-    """The table's six per-cell pair forms (:meth:`Mesh.pair_forms`), one at
-    a time: the Hardy mass of |x|^(alpha-2) on the level-3 rule; the
-    unweighted, |x|^alpha and psi_eps^alpha masses on the level-2 rule, all
-    refined within 4h of the origin as the single-field functions are; and
-    the |x|^alpha and psi_eps^alpha stiffnesses, the one geometric block
-    :meth:`Mesh.gradient_pairs` times each weight's per-cell sums."""
+    """The table's six per-cell pair forms, one at a time in one reused
+    (n_cells, 6) buffer: the Hardy mass of |x|^(alpha-2) on the level-3
+    rule; the unweighted, |x|^alpha and psi_eps^alpha masses on the level-2
+    rule (:meth:`Mesh.pair_forms`), all refined within 4h of the origin as
+    the single-field functions are; and the |x|^alpha and psi_eps^alpha
+    stiffnesses, the one geometric block :meth:`Mesh.gradient_pairs` times
+    each weight's per-cell sums."""
     exact = AbsPowerWeight(alpha)
     reg = RegularizedWeight(epsilon=eps, alpha=alpha)
-    masses, sums = mesh.pair_forms(
-        [AbsPowerWeight(alpha - 2.0), None, exact, reg], 4.0 * mesh.h,
-        [3, 2, 2, 2])
-    yield from masses
-    del masses      # the mass forms go before the stiffness forms are built
+    form = np.empty((mesh.num_cells, len(PAIRS)))
+    sums = []
+    for weight, levels in ((AbsPowerWeight(alpha - 2.0), 3), (None, 2),
+                           (exact, 2), (reg, 2)):
+        sums.append(mesh.pair_forms(weight, 4.0 * mesh.h, levels, form))
+        yield form
+    del sums[:2]            # the stiffnesses read the last two weights' sums
     geometric = mesh.gradient_pairs()
-    yield sums[2][:, None] * geometric
-    yield sums[3][:, None] * geometric
+    for cell_sums in sums:
+        yield np.multiply(cell_sums[:, None], geometric, out=form)

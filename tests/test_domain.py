@@ -17,7 +17,7 @@ from degenlab.domain import (MAX_VERTICES, GeometrySpec, Mesh, Region,
                              time_weights)
 from degenlab.weights import AbsPowerWeight, RegularizedWeight
 
-from conftest import p1_cell_gradient, p1_shape_values
+from conftest import cell_forms, p1_cell_gradient, p1_shape_values
 
 
 class TestGeometry:
@@ -355,7 +355,7 @@ class TestCellForms:
                            np.arange(0, shape.size + 1, 3)),
                           shape=(len(wq), coarse_mesh.num_vertices))
         ref = (P.T @ sp.diags(wq) @ P).toarray()
-        local, sums = coarse_mesh.cell_forms(weight, sub, levels)
+        local, sums = cell_forms(coarse_mesh, weight, sub, levels)
         got = coarse_mesh.assemble(local).toarray()
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
         ref_sums = np.zeros(coarse_mesh.num_cells)

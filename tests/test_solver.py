@@ -106,21 +106,24 @@ class TestAssembly:
         reg = RegularizedWeight(epsilon=0.05, alpha=1.0)
         first = cell_weight_integrals(mesh, reg)
         assert not first.flags.writeable
+        n_reg = len(calls)      # one call per chunk of cells
+        assert n_reg >= 1
         # an equal weight and both steps' stiffness read the one computation
         assert cell_weight_integrals(
             mesh, RegularizedWeight(epsilon=0.05, alpha=1.0)) is first
         step_operator(mesh, reg, 0.1, 1.0)
         step_operator(mesh, reg, 0.05, 1.0)
-        assert len(calls) == 1
+        assert len(calls) == n_reg
         assert cell_weight_integrals(mesh, 1.0) is not first
-        assert len(calls) == 2
+        n_all = len(calls)
+        assert n_all > n_reg
         # the float alpha and its weight object share one entry, and one
         # step operator
         assert cell_weight_integrals(mesh, AbsPowerWeight(1.0)) is (
             cell_weight_integrals(mesh, 1))
         assert step_operator(mesh, 1, 0.1, 1.0) is step_operator(
             mesh, AbsPowerWeight(1.0), 0.1, 1.0)
-        assert calls == [reg, AbsPowerWeight(1.0)]
+        assert calls == [reg] * n_reg + [AbsPowerWeight(1.0)] * (n_all - n_reg)
 
     def test_mass_assembled_once_per_mesh(self, monkeypatch):
         mesh = build_disk_mesh(GeometrySpec(R=0.12, L=1.0), 0.1)

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degenlab.domain import GeometrySpec, build_disk_mesh
-from degenlab import spaces
+from conftest import cell_forms
+from degenlab import domain, spaces
+from degenlab.domain import PAIRS, GeometrySpec, Mesh, build_disk_mesh
+from degenlab.solver import cell_weight_integrals
 from degenlab.spaces import (hardy_ratio, inequality_ratio_table,
                              poincare_ratios, weighted_h1_seminorm,
                              weighted_l2_norm)
@@ -157,17 +159,8 @@ class TestHardyPoincare:
         def peak(n):
             fields = rng.standard_normal((n, mesh.num_vertices))
             fields[:, mesh.boundary_mask] = 0.0
-            tracing = tracemalloc.is_tracing()
-            if not tracing:
-                tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                tracemalloc.reset_peak()
-                inequality_ratio_table(mesh, fields, 1.0, eps=0.1)
-                return tracemalloc.get_traced_memory()[1] - base, fields.nbytes
-            finally:
-                if not tracing:
-                    tracemalloc.stop()
+            return _traced_peak(lambda: inequality_ratio_table(
+                mesh, fields, 1.0, eps=0.1)), fields.nbytes
         peak(1)                   # the mesh's pattern, cached
         small, _ = peak(5)
         large, nbytes = peak(60)
@@ -179,22 +172,40 @@ class TestHardyPoincare:
         # Assembled as P^T diag(w) P on both cached quadratures it peaked at
         # 68.7 MB; from the cell-local forms it peaks at 17.8 MB. The bound
         # is 0.4 of the former.
-        mesh = build_disk_mesh(GeometrySpec(), 0.12)
-        fields = np.random.default_rng(0).standard_normal(
-            (20, mesh.num_vertices))
-        fields[:, mesh.boundary_mask] = 0.0
-        tracing = tracemalloc.is_tracing()
+        assert _fresh_table_peak() <= 0.4 * 68.7 * 2**20
+
+    def test_streamed_forms_traced_peak(self):
+        # the same table, pattern build included: with every weight's mass
+        # form held at once and the weights called on whole rules it peaked
+        # at 24.3 MB; one weight and one chunk of cells at a time, into one
+        # reused form buffer, it peaks at 11.4 MB. The bound is 0.7 of the
+        # former.
+        assert _fresh_table_peak() <= 0.7 * 24.3 * 2**20
+
+
+def _traced_peak(run):
+    """tracemalloc peak of ``run()`` above the memory traced before it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
         if not tracing:
-            tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            inequality_ratio_table(mesh, fields, 1.0, eps=0.1)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if not tracing:
-                tracemalloc.stop()
-        assert peak <= 0.4 * 68.7 * 2**20
+            tracemalloc.stop()
+
+
+def _fresh_table_peak():
+    """Traced peak of the table on a fresh default disk at h = 0.12 (its
+    pattern built inside), 20 fields, alpha = 1, eps = 0.1."""
+    mesh = build_disk_mesh(GeometrySpec(), 0.12)
+    fields = np.random.default_rng(0).standard_normal((20, mesh.num_vertices))
+    fields[:, mesh.boundary_mask] = 0.0
+    return _traced_peak(lambda: inequality_ratio_table(mesh, fields, 1.0,
+                                                       eps=0.1))
 
 
 @pytest.fixture(scope="module", params=["uniform", "graded"])
@@ -216,10 +227,10 @@ class TestQuadraticForms:
         sub = 4.0 * mesh.h
         exact = AbsPowerWeight(alpha)
         reg = RegularizedWeight(epsilon=eps, alpha=alpha)
-        refs = [mesh.assemble(mesh.cell_forms(w, sub, levels)[0])
+        refs = [mesh.assemble(cell_forms(mesh, w, sub, levels)[0])
                 for w, levels in ((AbsPowerWeight(alpha - 2.0), 3),
                                   (None, 2), (exact, 2), (reg, 2))]
-        refs += [mesh.stiffness(mesh.cell_forms(w, sub)[1])
+        refs += [mesh.stiffness(cell_forms(mesh, w, sub)[1])
                  for w in (exact, reg)]
         got = mesh.quadratic_forms(spaces._table_forms(mesh, alpha, eps), U)
         assert got.shape == (6, n_fields)
@@ -232,3 +243,45 @@ class TestQuadraticForms:
         assert np.all(I <= J)
         assert len(I) == (refs[0].nnz + mesh.num_vertices) // 2
         assert slot.shape == (6 * mesh.num_cells,)
+
+    def test_chunk_bounds_keep_bits(self, form_mesh, monkeypatch):
+        # chunks of a few cells give the table and the cell weight integrals
+        # the bits of the default chunks of up to 16,384 rule points
+        mesh = form_mesh
+        rng = np.random.default_rng(5)
+        U = rng.standard_normal((4, mesh.num_vertices))
+        U[:, mesh.boundary_mask] = 0.0
+        weights = (None, 1.0, RegularizedWeight(epsilon=0.05, alpha=1.3))
+        chunks = []
+        monkeypatch.setattr(domain, "_block_points", lambda m, ids, bary, f=(
+            domain._block_points): chunks.append(len(ids)) or f(m, ids, bary))
+
+        def run():
+            fresh = Mesh(mesh.vertices, mesh.cells, mesh.boundary_edges,
+                         mesh.h)
+            return (inequality_ratio_table(fresh, U, 1.0, eps=0.1),
+                    [cell_weight_integrals(fresh, w) for w in weights])
+        table, sums = run()
+        n_default = len(chunks)
+        monkeypatch.setattr(domain, "_CHUNK_POINTS", 16)
+        small_table, small_sums = run()
+        # 5 midpoint cells a chunk and 2 refined cells, a block's last
+        # chunk one more rather than one cell alone
+        assert len(chunks) - n_default > 20 * n_default
+        assert 2 <= min(chunks[n_default:]) <= max(chunks[n_default:]) <= 6
+        for k in table:
+            assert np.array_equal(small_table[k], table[k])
+        for a, b in zip(small_sums, sums):
+            assert np.array_equal(a, b)
+
+    def test_pair_pattern_is_unique_keys(self, form_mesh):
+        mesh = form_mesh
+        nv = mesh.num_vertices
+        a, b = mesh.cells[:, PAIRS[:, 0]], mesh.cells[:, PAIRS[:, 1]]
+        keys, inverse = np.unique((np.minimum(a, b) * nv
+                                   + np.maximum(a, b)).ravel(),
+                                  return_inverse=True)
+        I, J, slot = mesh._pair_pattern()
+        assert np.array_equal(I, keys // nv)
+        assert np.array_equal(J, keys % nv)
+        assert np.array_equal(slot, inverse.ravel())
