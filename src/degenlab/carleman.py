@@ -181,14 +181,17 @@ class BalanceContext:
         return self._cache[key]
 
     def columns(self, region: Region):
-        """Indices of the quadrature points whose cell lies in ``region``."""
-        return self.cached(("columns", region), lambda: np.flatnonzero(
-            self.mesh.cell_mask(region)[self.qp.cell]))
+        """Indices of the quadrature points whose cell lies in ``region``,
+        cached on the mesh: every context of the mesh shares them."""
+        return self.mesh.cached(("quadrature_columns", region),
+                                lambda: np.flatnonzero(
+                                    self.mesh.cell_mask(region)[self.qp.cell]))
 
     def radius(self, region: Region, power: float = 1.0):
-        """|x|^power on the columns of ``region``."""
-        r = self.cached(("radius",), lambda: np.linalg.norm(self.qp.points,
-                                                            axis=1))
+        """|x|^power on the columns of ``region``; |x| is taken once per
+        mesh."""
+        r = self.mesh.cached("quadrature_radii", lambda: np.linalg.norm(
+            self.qp.points, axis=1))
         return self.cached(("radius", region, power),
                            lambda: r[self.columns(region)] ** power)
 

@@ -148,7 +148,9 @@ class Mesh:
         return len(self.cells)
 
     def cell_mask(self, region: Region) -> np.ndarray:
-        r = np.linalg.norm(self.centroids, axis=1)
+        """Cells whose centroid lies in ``region`` (radii taken once)."""
+        r = self.cached("centroid_radii",
+                        lambda: np.linalg.norm(self.centroids, axis=1))
         return (r >= region.r_inner) & (r < region.r_outer)
 
     def cached(self, key, build):
@@ -314,19 +316,23 @@ class Mesh:
         """The P1 matrix with the (n_cells, 3, 3) blocks ``local``, as CSR.
 
         local[c, i, j] is added at (cells[c, i], cells[c, j]) by one
-        ``np.bincount`` into the cached sparsity pattern, whose columns are
-        sorted in each row.
+        ``np.add.at`` into the zeroed values of the cached sparsity pattern,
+        whose columns are sorted in each row: the additions of
+        ``np.bincount``, in its order, without its copy of the read-only
+        slot map.
         """
         indptr, indices, slot = self.cached("p1_pattern", self._p1_pattern)
-        data = np.bincount(slot, weights=np.asarray(local, dtype=float).ravel(),
-                           minlength=len(indices))
+        data = np.zeros(len(indices))
+        np.add.at(data, slot, np.asarray(local, dtype=float).ravel())
         return sp.csr_matrix((data, indices, indptr),
                              shape=(self.num_vertices,) * 2)
 
     def stiffness(self, cell_weights) -> sp.csr_matrix:
         """The P1 matrix sum_c cell_weights[c] grad(phi_i) . grad(phi_j), the
         gradients constant on each cell c, by :meth:`assemble`."""
-        local = self.gradient_pairs()[:, _PAIR_OF]
+        # np.take keeps the blocks C-ordered (a fancy index puts the cells
+        # innermost), so assemble reads them without a copy
+        local = np.take(self.gradient_pairs(), _PAIR_OF, axis=1)
         local *= np.asarray(cell_weights, dtype=float)[:, None, None]
         return self.assemble(local)
 

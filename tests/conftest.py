@@ -1,5 +1,7 @@
 """Shared fixtures: meshes and configs reused across the test modules."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,21 @@ def p1_cell_gradient(mesh, u):
     the cell shape gradients: an oracle that reads no mesh operator."""
     return np.einsum("ci,cid->cd", np.asarray(u, dtype=float)[mesh.cells],
                      mesh.grads)
+
+
+def traced_peak(run):
+    """tracemalloc peak of ``run()`` above the memory traced before it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

@@ -221,6 +221,20 @@ class TestBalances:
                                      axis=1) ** power
                 assert np.array_equal(ctx.radius(region, power), ref)
 
+    def test_contexts_share_mesh_geometry(self, sample_solution):
+        # |x_q| and each region's columns are taken once per mesh and read,
+        # read-only, by every context of it
+        first = BalanceContext(sample_solution, CarlemanParams())
+        second = BalanceContext(sample_solution, CarlemanParams(s=8.0))
+        band = Region.annulus(3.0, 6.0)
+        assert second.columns(band) is first.columns(band)
+        first.radius(band)
+        cache = sample_solution.mesh._cache
+        r = cache["quadrature_radii"]
+        assert np.array_equal(r, np.linalg.norm(first.qp.points, axis=1))
+        for arr in (r, first.columns(band), cache["centroid_radii"]):
+            assert not arr.flags.writeable
+
     def test_balances_leave_context_params(self, sample_solution):
         params = CarlemanParams()
         ctx = BalanceContext(sample_solution, params)

@@ -11,13 +11,14 @@ import scipy.sparse as sp
 
 from degenlab import domain, solver
 from degenlab.carleman import BalanceContext, CarlemanParams
-from degenlab.domain import (MAX_VERTICES, GeometrySpec, Mesh, Region,
-                             build_disk_mesh, disk_vertex_bound,
+from degenlab.domain import (_PAIR_OF, MAX_VERTICES, GeometrySpec, Mesh,
+                             Region, build_disk_mesh, disk_vertex_bound,
                              integrate_space, integrate_spacetime,
                              time_weights)
 from degenlab.weights import AbsPowerWeight, RegularizedWeight
 
-from conftest import cell_forms, p1_cell_gradient, p1_shape_values
+from conftest import (cell_forms, p1_cell_gradient, p1_shape_values,
+                      traced_peak)
 
 
 class TestGeometry:
@@ -340,6 +341,26 @@ class TestCellForms:
         assert np.shares_memory(again.indptr, got.indptr)
         assert np.shares_memory(stiff.indices, got.indices)
         assert not got.indices.flags.writeable
+
+    def test_assemble_is_bincount_without_slot_copy(self, geometry):
+        # np.add.at adds in np.bincount's order, so the values are bitwise
+        # those of np.bincount; unlike np.bincount it does not copy the
+        # read-only slot map, and C-ordered blocks are read in place
+        mesh = build_disk_mesh(geometry, 0.12)
+        wint = solver.cell_weight_integrals(
+            mesh, RegularizedWeight(epsilon=0.25, alpha=1.0))
+        mass = mesh.areas[:, None, None] * solver._MASS_LOCAL
+        stiff = wint[:, None, None] * mesh.gradient_pairs()[:, _PAIR_OF]
+        got = (mesh.assemble(mass), mesh.stiffness(wint))
+        _, indices, slot = mesh._cache["p1_pattern"]
+        for matrix, local in zip(got, (mass, stiff)):
+            ref = np.bincount(slot, weights=local.ravel(),
+                              minlength=len(indices))
+            assert np.array_equal(matrix.data, ref)
+        # the assembly holds its CSR data alone; the stiffness adds its
+        # (n_cells, 6) pair form and (n_cells, 3, 3) blocks, no copy of them
+        assert traced_peak(lambda: mesh.assemble(mass)) < slot.nbytes
+        assert traced_peak(lambda: mesh.stiffness(wint)) < 2 * slot.nbytes
 
     @pytest.mark.parametrize("weight, levels", itertools.product(
         [None, AbsPowerWeight(1.0)], [2, 3]))

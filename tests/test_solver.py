@@ -1,6 +1,8 @@
 """Finite element assembly oracles and time-stepping properties."""
 
 import dataclasses
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import scipy.sparse.linalg as spla
 
 from degenlab import solver
 from degenlab.domain import GeometrySpec, build_disk_mesh
+from degenlab.experiments import ExperimentConfig
 from degenlab.solver import (ManufacturedField, ParabolicProblem, SolverError,
                              _factor_spd, assemble_mass, assemble_stiffness,
                              boundary_flux, boundary_mass_matrix,
@@ -290,6 +293,51 @@ class TestStepOperator:
                                    direction="backward"), small_mesh, 8)
 
 
+class TestFactor:
+    @staticmethod
+    def _step_matrix(level):
+        """The implicit step matrix M + theta dt A on the interior, at the
+        default config's h = 0.24 level (exact weight) or its approximation
+        study's k = 8 level (graded mesh, regularized weight)."""
+        cfg = ExperimentConfig()
+        if level == "h=0.24":
+            h, local_h, weight = 0.24, None, cfg.alpha
+        else:
+            h, k = cfg.mesh_levels[-1], 8
+            local_h = min(h / 2.0, 1.0 / (4.0 * k))
+            weight = RegularizedWeight(epsilon=1.0 / k, alpha=cfg.alpha)
+        mesh = build_disk_mesh(cfg.geometry, h, local_h=local_h)
+        inter = mesh.interior
+        Mi = assemble_mass(mesh)[inter][:, inter]
+        Ai = assemble_stiffness(mesh, weight)[inter][:, inter]
+        dt = cfg.T / cfg.steps_for(h)
+        return (Mi + cfg.theta * dt * Ai).tocsc()
+
+    @pytest.mark.parametrize("level", ["h=0.24", "converge k=8"])
+    def test_unrelaxed_supernodes_keep_fill(self, level):
+        # relax=1, panel_size=1 change only the supernode blocking: the
+        # minimum-degree ordering and its fill are those of the default
+        # blocking, and the solve is exact to round-off
+        A = self._step_matrix(level)
+        lu = _factor_spd(A)
+        ref = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                        options={"SymmetricMode": True})
+        assert lu.L.nnz + lu.U.nnz == ref.L.nnz + ref.U.nnz
+        assert np.array_equal(lu.perm_c, ref.perm_c)
+        b = np.random.default_rng(7).normal(size=A.shape[0])
+        x = lu.solve(b)
+        assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+    def test_one_factor_path_in_src(self):
+        # every sparse LU of the package is _factor_spd's: one splu call
+        hits = [f"{path.name}:{i}"
+                for path in sorted(pathlib.Path(solver.__file__).parent
+                                   .glob("*.py"))
+                for i, line in enumerate(path.read_text().splitlines(), 1)
+                if re.search(r"\bsplu\(", line)]
+        assert len(hits) == 1 and hits[0].startswith("solver.py:"), hits
+
+
 def _source(x, t):
     return np.cos(3.0 * t) * np.exp(-np.einsum("nd,nd->n", x, x) / 8.0)
 
@@ -451,8 +499,9 @@ class TestBoundaryFlux:
         for src in (False, True)])
     def test_matches_per_step_loop(self, coarse_mesh, weight, direction, theta,
                                    sourced):
-        # the residual of all steps in one block and one multi-column solve
-        # give bitwise the flux of one residual and one solve per step
+        # the residual of all steps in one block, on the boundary rows only,
+        # and one multi-column solve give bitwise the flux of one residual
+        # on every vertex and one solve per step (each CSR row sums alone)
         rng = np.random.default_rng(5)
         data = rng.normal(size=coarse_mesh.num_vertices)
         data[coarse_mesh.boundary_mask] = 0.0
@@ -464,7 +513,8 @@ class TestBoundaryFlux:
 
 
 def _flux_step_loop(sol):
-    """Flux recovery with one residual and one boundary solve per step."""
+    """Flux recovery with one residual on every vertex and one boundary
+    solve per step."""
     mesh, prob, dt, th = sol.mesh, sol.problem, sol.dt, sol.theta
     u = sol.forward_fields()
     bidx = np.flatnonzero(mesh.boundary_mask)

@@ -1,13 +1,11 @@
 """Weighted norm oracles and inequality-ratio properties."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cell_forms
+from conftest import cell_forms, traced_peak
 from degenlab import domain, spaces
 from degenlab.domain import PAIRS, GeometrySpec, Mesh, build_disk_mesh
 from degenlab.solver import cell_weight_integrals
@@ -159,7 +157,7 @@ class TestHardyPoincare:
         def peak(n):
             fields = rng.standard_normal((n, mesh.num_vertices))
             fields[:, mesh.boundary_mask] = 0.0
-            return _traced_peak(lambda: inequality_ratio_table(
+            return traced_peak(lambda: inequality_ratio_table(
                 mesh, fields, 1.0, eps=0.1)), fields.nbytes
         peak(1)                   # the mesh's pattern, cached
         small, _ = peak(5)
@@ -183,29 +181,14 @@ class TestHardyPoincare:
         assert _fresh_table_peak() <= 0.7 * 24.3 * 2**20
 
 
-def _traced_peak(run):
-    """tracemalloc peak of ``run()`` above the memory traced before it."""
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        run()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-
-
 def _fresh_table_peak():
     """Traced peak of the table on a fresh default disk at h = 0.12 (its
     pattern built inside), 20 fields, alpha = 1, eps = 0.1."""
     mesh = build_disk_mesh(GeometrySpec(), 0.12)
     fields = np.random.default_rng(0).standard_normal((20, mesh.num_vertices))
     fields[:, mesh.boundary_mask] = 0.0
-    return _traced_peak(lambda: inequality_ratio_table(mesh, fields, 1.0,
-                                                       eps=0.1))
+    return traced_peak(lambda: inequality_ratio_table(mesh, fields, 1.0,
+                                                      eps=0.1))
 
 
 @pytest.fixture(scope="module", params=["uniform", "graded"])
