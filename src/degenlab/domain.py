@@ -9,17 +9,18 @@ for quadratic integrands), with optional dyadic cell subdivision near the
 origin where singular weights live; the rule is defined once, as blocks of
 cells sharing a barycentric point set.
 Each quadrature carries the sparse P1 interpolation P onto its points.
-:meth:`Mesh.pair_forms` builds one weight's symmetric (n_cells, 6) pair
-form and per-cell sums on the rule blocks, a bounded chunk of cells at a
-time, with no point array of the whole rule.  As (n_cells, 3, 3) blocks,
-:meth:`Mesh.assemble` sums such forms into a CSR matrix on one cached P1
-pattern (the solver's matrices); :meth:`Mesh.quadratic_forms` sums them, as
-they arrive, onto the cached symmetric pattern of vertex pairs i <= j and
-evaluates u^T A u for several forms and a whole stack of fields in one
-blocked pass, with no matrix.  Everything built from the mesh
-(quadratures, operators, both patterns, the nodal weights of each region
-and weight, the mass matrix, the solver's step operators) is built once,
-cached on the Mesh and read-only.
+Every P1 matrix is a symmetric (n_cells, 6) pair form: entry (c, p)
+couples cell c's local vertices (i, j) = PAIRS[p], i <= j.
+:meth:`Mesh.pair_forms` builds one weight's mass pair form and per-cell
+sums on the rule blocks, a bounded chunk of cells at a time, with no point
+array of the whole rule.  Forms are summed onto the one cached P1 pattern
+of vertex pairs i <= j: :meth:`Mesh.assemble` gathers the sums into CSR
+(the solver's matrices) through one cached map, and
+:meth:`Mesh.quadratic_forms` evaluates u^T A u for several forms and a
+whole stack of fields in one blocked pass, with no matrix.  Everything
+built from the mesh (quadratures, operators, the pattern and its CSR map,
+the nodal weights of each region and weight, the mass matrix, the solver's
+step operators) is built once, cached on the Mesh and read-only.
 """
 
 from __future__ import annotations
@@ -39,10 +40,8 @@ _MIDPOINT_BARY = np.array([
     [0.5, 0.0, 0.5],
 ])
 
-# the local vertex pairs (i, j), i <= j, of a symmetric per-cell form, and
-# the pair of each entry (i, j) of a 3 x 3 block
+# the local vertex pairs (i, j), i <= j, of a symmetric per-cell form
 PAIRS = np.array([[0, 0], [1, 1], [2, 2], [0, 1], [1, 2], [0, 2]])
-_PAIR_OF = np.array([[0, 3, 5], [3, 1, 4], [5, 4, 2]])
 
 # vertex pairs per block of Mesh.quadratic_forms: two (n_fields, block)
 # temporaries, 1 MB each at 60 fields
@@ -238,8 +237,8 @@ class Mesh:
         - sums[c] = sum_q a_q w(x_q), accumulated in point order, returned;
         - form[c, p] = sum_q a_q w(x_q) lambda_i(x_q) lambda_j(x_q) over cell
           c's points, for the local pair (i, j) = PAIRS[p]: the symmetric
-          (n_cells, 6) form that :meth:`quadratic_forms` reads, written into
-          the array ``form`` unless it is None.
+          (n_cells, 6) form that :meth:`assemble` and :meth:`quadratic_forms`
+          read, written into the array ``form`` unless it is None.
 
         ``weight`` is None (w = 1) or a callable on (n, 2) point arrays.  The
         cells go in chunks of at most ``_CHUNK_POINTS`` points: each chunk's
@@ -284,23 +283,19 @@ class Mesh:
         """(k, n_fields) array of u^T A u for every form A and row u.
 
         ``forms`` is an iterable of k (n_cells, 6) symmetric per-cell forms
-        in the layout of :meth:`pair_forms`; each is summed into the values
-        of the cached symmetric P1 pattern in one pass over the whole form,
-        the off-diagonal pairs doubled, as it arrives, so the iterable may
-        refill one buffer.  ``fields`` is an (n_fields, n_vertices) stack,
-        read in blocks of ``_PAIR_BLOCK`` pairs (i, j): each block gathers
-        F[:, i] * F[:, j] and makes one small product with the k columns of
-        values, so no temporary grows with both the mesh and the number of
-        fields.
+        in the layout of :meth:`pair_forms`; each is summed onto the cached
+        symmetric P1 pattern (:meth:`_pair_values`), the off-diagonal pairs
+        doubled, as it arrives, so the iterable may refill one buffer.
+        ``fields`` is an (n_fields, n_vertices) stack, read in blocks of
+        ``_PAIR_BLOCK`` pairs (i, j): each block gathers F[:, i] * F[:, j]
+        and makes one small product with the k columns of values, so no
+        temporary grows with both the mesh and the number of fields.
         """
-        I, J, slot = self.cached("p1_pairs", self._pair_pattern)
+        I, J, _ = self.cached("p1_pairs", self._pair_pattern)
         off = I != J
         values = []
         for f in forms:
-            # np.add.at adds in the order np.bincount does, without the
-            # copy np.bincount makes of a read-only slot map
-            v = np.zeros(len(I))
-            np.add.at(v, slot, np.asarray(f, dtype=float).ravel())
+            v = self._pair_values(f)
             np.multiply(v, 2.0, out=v, where=off)
             values.append(v)
         F = np.asarray(fields, dtype=float)
@@ -312,55 +307,43 @@ class Mesh:
             out += prod @ np.array([v[block] for v in values]).T
         return out.T
 
-    def assemble(self, local) -> sp.csr_matrix:
-        """The P1 matrix with the (n_cells, 3, 3) blocks ``local``, as CSR.
-
-        local[c, i, j] is added at (cells[c, i], cells[c, j]) by one
-        ``np.add.at`` into the zeroed values of the cached sparsity pattern,
-        whose columns are sorted in each row: the additions of
-        ``np.bincount``, in its order, without its copy of the read-only
-        slot map.
+    def assemble(self, form) -> sp.csr_matrix:
+        """The P1 matrix of the (n_cells, 6) pair form ``form`` as CSR, the
+        columns sorted in each row: form[c, p] is added at (cells[c, i],
+        cells[c, j]) and its mirror, (i, j) = PAIRS[p].  The form is summed
+        onto the pairs (:meth:`_pair_values`), then each CSR entry reads its
+        pair's sum through the cached map of :meth:`_csr_map`.
         """
-        indptr, indices, slot = self.cached("p1_pattern", self._p1_pattern)
-        data = np.zeros(len(indices))
-        np.add.at(data, slot, np.asarray(local, dtype=float).ravel())
-        return sp.csr_matrix((data, indices, indptr),
+        indptr, indices, pair = self.cached("p1_csr", self._csr_map)
+        return sp.csr_matrix((self._pair_values(form)[pair], indices, indptr),
                              shape=(self.num_vertices,) * 2)
 
-    def stiffness(self, cell_weights) -> sp.csr_matrix:
-        """The P1 matrix sum_c cell_weights[c] grad(phi_i) . grad(phi_j), the
-        gradients constant on each cell c, by :meth:`assemble`."""
-        # np.take keeps the blocks C-ordered (a fancy index puts the cells
-        # innermost), so assemble reads them without a copy
-        local = np.take(self.gradient_pairs(), _PAIR_OF, axis=1)
-        local *= np.asarray(cell_weights, dtype=float)[:, None, None]
-        return self.assemble(local)
+    def _pair_values(self, form) -> np.ndarray:
+        """The pair form summed onto the cached vertex pairs by ``np.add.at``:
+        ``np.bincount``'s additions in its order, without its copy of the
+        read-only slot map."""
+        I, _, slot = self.cached("p1_pairs", self._pair_pattern)
+        v = np.zeros(len(I))
+        np.add.at(v, slot, np.asarray(form, dtype=float).ravel())
+        return v
 
-    def _p1_pattern(self):
-        """``(indptr, indices, slot)``: the P1 pattern and, for each local
-        entry (c, i, j) in C order, its position in the CSR data.
-
-        The unique sorted keys row * n_vertices + col, found by one stable
-        sort with few temporaries: at h = 1/16, ``np.unique`` with
-        ``return_inverse`` peaked at 87 MB, eight times the slot map.
-        """
+    def _csr_map(self):
+        """``(indptr, indices, pair)``: the full P1 pattern as CSR and the
+        pair of each entry, merged by one stable sort from the pairs (i, j)
+        and their mirrors (j, i), each list sorted by (row, column).  int32,
+        as scipy keeps indices: the vertex cap bounds nnz near 7 * 400k."""
         nv = self.num_vertices
-        keys = np.repeat(self.cells, 3, axis=1) * nv
-        keys += np.tile(self.cells, 3)
-        order = np.argsort(keys, axis=None, kind="stable")
-        keys = keys.ravel()[order]
-        first = np.empty(len(keys), dtype=bool)
-        first[0] = True
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        keys = keys[first]
-        rank = np.cumsum(first)
-        rank -= 1
-        slot = np.empty_like(order)
-        slot[order] = rank
-        indptr = np.searchsorted(keys, np.arange(nv + 1) * nv)
-        # int32 indices, as scipy keeps them: the vertex cap bounds nnz
-        # near 7 * MAX_VERTICES
-        return indptr.astype(np.int32), (keys % nv).astype(np.int32), slot
+        I, J, _ = self.cached("p1_pairs", self._pair_pattern)
+        off = np.flatnonzero(I != J)
+        # I-sorted pairs sorted stably by J: the mirrors in (row, column)
+        lower = off[np.argsort(J[off], kind="stable")]
+        rows = np.concatenate([I, J[lower]])
+        cols = np.concatenate([J, I[lower]])
+        order = np.argsort(rows * nv + cols, kind="stable")
+        pair = np.concatenate([np.arange(len(I)), lower])[order]
+        indptr = np.searchsorted(rows[order], np.arange(nv + 1))
+        return (indptr.astype(np.int32), cols[order].astype(np.int32),
+                pair.astype(np.int32))
 
     def _pair_pattern(self):
         """``(I, J, slot)``: the vertex pairs I <= J of the symmetric P1

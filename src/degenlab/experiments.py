@@ -431,6 +431,10 @@ def run_approximation_study(config: ExperimentConfig) -> StudyReport:
 # ---------------------------------------------------------------------------
 
 def _observability_record(sol: DiscreteSolution, cfg: ExperimentConfig) -> dict:
+    """One sample's row.  ``lhs``, ``rhs`` and the ratios are lumped: nodal
+    u^2 against the weights of :meth:`Mesh.quadrature_weights`; the (5.2)
+    ``chain_*`` values use the consistent mass, where the chain is exact.
+    The two rules differ at O(h^2)."""
     mesh, times = sol.mesh, sol.times
     T, al, R = cfg.T, cfg.alpha, cfg.R
     window = (T / 4.0, 3.0 * T / 4.0)

@@ -5,14 +5,15 @@ data; backward problems are solved exclusively through the substitution
 u(t) = phi(T - t), never by integrating the ill-posed direction.  With a
 constant step the implicit matrix M + theta dt A is the same at every step, so
 it is factored once per (mesh, weight, dt, theta) by sparse LU and each step is
-one pair of triangular solves.  Every factor is :func:`_factor_spd`'s SuperLU
-call (minimum-degree ordering, diagonal pivots, unrelaxed one-column
-supernodes, which take a quarter to a third less time per factor than
-SuperLU's default blocking on these 2D P1 matrices, with the same fill).  Data that share a problem (weight, horizon,
-direction, source) are solved as one block: each step is one multi-column
-product and one multi-column triangular solve, which costs less per column
-than a solve per datum.  The boundary flux is recovered from the weak-form
-residual on the boundary rows alone.
+one pair of triangular solves.  Every factor is :func:`_factor_spd`'s
+SuperLU call (minimum-degree ordering, diagonal pivots, unrelaxed
+one-column supernodes, which take a quarter to a third less time per factor
+than SuperLU's default blocking on these 2D P1 matrices, with the same
+fill).  Data that share a problem (weight, horizon, direction, source) are
+solved as one block: each step is one multi-column product and one
+multi-column triangular solve, which costs less per column than a solve per
+datum.  The boundary flux is recovered from the weak-form residual on the
+boundary rows alone.
 """
 
 from __future__ import annotations
@@ -28,9 +29,8 @@ import scipy.sparse.linalg as spla
 from .domain import Mesh, time_weights
 from .weights import AbsPowerWeight, as_weight
 
-_MASS_LOCAL = np.array([[2.0, 1.0, 1.0],
-                        [1.0, 2.0, 1.0],
-                        [1.0, 1.0, 2.0]]) / 12.0
+# the P1 mass pair form of a unit-area cell
+_MASS_PAIRS = np.array([2.0, 2.0, 2.0, 1.0, 1.0, 1.0]) / 12.0
 
 
 class SolverError(RuntimeError):
@@ -48,7 +48,7 @@ class SolverError(RuntimeError):
 
 def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
     """Consistent P1 mass matrix (SPD; row sums partition the area)."""
-    return mesh.assemble(mesh.areas[:, None, None] * _MASS_LOCAL)
+    return mesh.assemble(mesh.areas[:, None] * _MASS_PAIRS)
 
 
 def cell_weight_integrals(mesh: Mesh, weight) -> np.ndarray:
@@ -73,8 +73,11 @@ def cell_weight_integrals(mesh: Mesh, weight) -> np.ndarray:
 
 
 def assemble_stiffness(mesh: Mesh, weight) -> sp.csr_matrix:
-    """Weighted stiffness A_ij = sum_cells (grad phi_i . grad phi_j) int_c w."""
-    return mesh.stiffness(cell_weight_integrals(mesh, weight))
+    """Weighted stiffness A_ij = sum_cells (grad phi_i . grad phi_j) int_c w,
+    the pair form scaled in place (one form in memory)."""
+    form = mesh.gradient_pairs()
+    form *= cell_weight_integrals(mesh, weight)[:, None]
+    return mesh.assemble(form)
 
 
 def load_vectors(mesh: Mesh, fn, times) -> np.ndarray:

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from degenlab.domain import _PAIR_OF, PAIRS, GeometrySpec, build_disk_mesh
+from degenlab.domain import PAIRS, GeometrySpec, build_disk_mesh
 from degenlab.experiments import ExperimentConfig
 
 
@@ -25,12 +25,12 @@ def p1_shape_values(mesh, qp):
 
 
 def cell_forms(mesh, weight, subdivide_radius=0.0, levels=2):
-    """``(local, sums)`` of one weight: the (n_cells, 3, 3) blocks of its
-    pair form (:meth:`Mesh.pair_forms`), which :meth:`Mesh.assemble` turns
-    into the weighted mass matrix P^T diag(a w) P, and its per-cell sums."""
+    """``(form, sums)`` of one weight: its (n_cells, 6) pair form
+    (:meth:`Mesh.pair_forms`), which :meth:`Mesh.assemble` turns into the
+    weighted mass matrix P^T diag(a w) P, and its per-cell sums."""
     form = np.empty((mesh.num_cells, len(PAIRS)))
     sums = mesh.pair_forms(weight, subdivide_radius, levels, form)
-    return form[:, _PAIR_OF], sums
+    return form, sums
 
 
 def p1_cell_gradient(mesh, u):

@@ -11,10 +11,11 @@ import scipy.sparse as sp
 
 from degenlab import domain, solver
 from degenlab.carleman import BalanceContext, CarlemanParams
-from degenlab.domain import (_PAIR_OF, MAX_VERTICES, GeometrySpec, Mesh,
-                             Region, build_disk_mesh, disk_vertex_bound,
+from degenlab.domain import (MAX_VERTICES, GeometrySpec, Mesh, Region,
+                             build_disk_mesh, disk_vertex_bound,
                              integrate_space, integrate_spacetime,
                              time_weights)
+from degenlab.spaces import inequality_ratio_table
 from degenlab.weights import AbsPowerWeight, RegularizedWeight
 
 from conftest import (cell_forms, p1_cell_gradient, p1_shape_values,
@@ -302,6 +303,14 @@ class TestInterpolation:
         assert coarse_mesh.quadrature(1.2) is not fine
 
 
+# test-local 3 x 3 oracles of the pair layout: the pair of each entry (i, j)
+# of a cell's block, and the P1 mass block of a unit-area cell
+_PAIR_OF = np.array([[0, 3, 5], [3, 1, 4], [5, 4, 2]])
+_MASS_LOCAL = np.array([[2.0, 1.0, 1.0],
+                        [1.0, 2.0, 1.0],
+                        [1.0, 1.0, 2.0]]) / 12.0
+
+
 def _coo_assemble(mesh, local):
     """The blocks as COO triplets, summed by ``tocsr``: an assembly that
     shares nothing with :meth:`Mesh.assemble`."""
@@ -315,7 +324,7 @@ class TestCellForms:
     def test_assemble_matches_mass_matrix(self, coarse_mesh):
         got = solver.assemble_mass(coarse_mesh)
         ref = _coo_assemble(coarse_mesh, coarse_mesh.areas[:, None, None]
-                            * solver._MASS_LOCAL)
+                            * _MASS_LOCAL)
         ref.sort_indices()
         assert np.array_equal(got.indptr, ref.indptr)
         assert np.array_equal(got.indices, ref.indices)
@@ -335,32 +344,60 @@ class TestCellForms:
         scale = _coo_assemble(coarse_mesh, np.abs(local))
         scale.sort_indices()
         assert np.max(np.abs(stiff.data - ref.data) / scale.data) <= 1e-15
+        # any pair form: each pair's sum at both of its mirrored entries
+        form = np.random.default_rng(0).standard_normal(
+            (coarse_mesh.num_cells, 6))
+        again = coarse_mesh.assemble(form)
+        ref = _coo_assemble(coarse_mesh, form[:, _PAIR_OF])
+        ref.sort_indices()
+        scale = _coo_assemble(coarse_mesh, np.abs(form[:, _PAIR_OF]))
+        scale.sort_indices()
+        assert np.array_equal(again.indices, ref.indices)
+        assert np.max(np.abs(again.data - ref.data) / scale.data) <= 1e-15
         # the pattern is built once and shared read-only
-        again = coarse_mesh.assemble(np.ones((coarse_mesh.num_cells, 3, 3)))
         assert np.shares_memory(again.indices, got.indices)
         assert np.shares_memory(again.indptr, got.indptr)
         assert np.shares_memory(stiff.indices, got.indices)
         assert not got.indices.flags.writeable
 
     def test_assemble_is_bincount_without_slot_copy(self, geometry):
-        # np.add.at adds in np.bincount's order, so the values are bitwise
-        # those of np.bincount; unlike np.bincount it does not copy the
-        # read-only slot map, and C-ordered blocks are read in place
+        # np.add.at adds in np.bincount's order, so the pair values are
+        # bitwise those of np.bincount, gathered into CSR order; unlike
+        # np.bincount it does not copy the read-only slot map
         mesh = build_disk_mesh(geometry, 0.12)
-        wint = solver.cell_weight_integrals(
-            mesh, RegularizedWeight(epsilon=0.25, alpha=1.0))
-        mass = mesh.areas[:, None, None] * solver._MASS_LOCAL
-        stiff = wint[:, None, None] * mesh.gradient_pairs()[:, _PAIR_OF]
-        got = (mesh.assemble(mass), mesh.stiffness(wint))
-        _, indices, slot = mesh._cache["p1_pattern"]
-        for matrix, local in zip(got, (mass, stiff)):
-            ref = np.bincount(slot, weights=local.ravel(),
-                              minlength=len(indices))
-            assert np.array_equal(matrix.data, ref)
-        # the assembly holds its CSR data alone; the stiffness adds its
-        # (n_cells, 6) pair form and (n_cells, 3, 3) blocks, no copy of them
+        weight = RegularizedWeight(epsilon=0.25, alpha=1.0)
+        wint = solver.cell_weight_integrals(mesh, weight)
+        mass = mesh.areas[:, None] * solver._MASS_PAIRS
+        stiff = mesh.gradient_pairs() * wint[:, None]
+        got = (mesh.assemble(mass), solver.assemble_stiffness(mesh, weight))
+        I, _, slot = mesh._cache["p1_pairs"]
+        _, _, pair = mesh._cache["p1_csr"]
+        for matrix, form in zip(got, (mass, stiff)):
+            ref = np.bincount(slot, weights=form.ravel(), minlength=len(I))
+            assert np.array_equal(matrix.data, ref[pair])
+        # the assembly holds its pair values and CSR data alone; the
+        # stiffness adds its one (n_cells, 6) pair form, scaled in place
         assert traced_peak(lambda: mesh.assemble(mass)) < slot.nbytes
-        assert traced_peak(lambda: mesh.stiffness(wint)) < 2 * slot.nbytes
+        assert traced_peak(lambda: solver.assemble_stiffness(
+            mesh, weight)) < 2 * slot.nbytes
+
+    def test_one_p1_pattern(self):
+        # the solver's matrices and the inequality table share one pattern:
+        # the symmetric vertex pairs and Mesh.assemble's CSR map onto them
+        mesh = build_disk_mesh(GeometrySpec(R=0.12, L=1.0), 0.1)
+        u = np.where(mesh.boundary_mask, 0.0, 1.0)[None]
+        solver.assemble_mass(mesh)
+        solver.assemble_stiffness(mesh, RegularizedWeight(0.1, 1.0))
+        inequality_ratio_table(mesh, u, 1.0, eps=0.1)
+        assert {key for key in mesh._cache if isinstance(key, str)} == {
+            "p1_pairs", "p1_csr"}
+        # and the source keeps no second layout: no 3 x 3 blocks
+        hits = [f"{path.name}:{i}"
+                for path in sorted(pathlib.Path(domain.__file__).parent
+                                   .glob("*.py"))
+                for i, line in enumerate(path.read_text().splitlines(), 1)
+                if re.search(r"_PAIR_OF|_p1_pattern|, 3, 3\)", line)]
+        assert not hits, hits
 
     @pytest.mark.parametrize("weight, levels", itertools.product(
         [None, AbsPowerWeight(1.0)], [2, 3]))
@@ -376,8 +413,8 @@ class TestCellForms:
                            np.arange(0, shape.size + 1, 3)),
                           shape=(len(wq), coarse_mesh.num_vertices))
         ref = (P.T @ sp.diags(wq) @ P).toarray()
-        local, sums = cell_forms(coarse_mesh, weight, sub, levels)
-        got = coarse_mesh.assemble(local).toarray()
+        form, sums = cell_forms(coarse_mesh, weight, sub, levels)
+        got = coarse_mesh.assemble(form).toarray()
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
         ref_sums = np.zeros(coarse_mesh.num_cells)
         np.add.at(ref_sums, qp.cell, wq)

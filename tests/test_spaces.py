@@ -131,8 +131,8 @@ class TestHardyPoincare:
         inequality_ratio_table(mesh, _bump_field(mesh)[None], 1.0, eps=0.1)
         assert not [key for key in mesh._cache if isinstance(key, tuple)
                     and key[0] == "quadrature"]
-        # nor the full P1 pattern of Mesh.assemble
-        assert "p1_pattern" not in mesh._cache
+        # nor a matrix: Mesh.assemble's CSR map is never built
+        assert "p1_csr" not in mesh._cache
 
     @pytest.mark.parametrize("where", ["interior", "boundary"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -213,7 +213,8 @@ class TestQuadraticForms:
         refs = [mesh.assemble(cell_forms(mesh, w, sub, levels)[0])
                 for w, levels in ((AbsPowerWeight(alpha - 2.0), 3),
                                   (None, 2), (exact, 2), (reg, 2))]
-        refs += [mesh.stiffness(cell_forms(mesh, w, sub)[1])
+        refs += [mesh.assemble(mesh.gradient_pairs()
+                               * cell_forms(mesh, w, sub)[1][:, None])
                  for w in (exact, reg)]
         got = mesh.quadratic_forms(spaces._table_forms(mesh, alpha, eps), U)
         assert got.shape == (6, n_fields)
