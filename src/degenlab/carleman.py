@@ -7,17 +7,17 @@ inequality for a discrete solution.
 Each of the seven variants is data: an exponent profile e (none, 2 s
 eta_0(|x|), 2 s eta_0(psi_eps) or -2 s sigma_bar / Theta) and a list of
 terms, each naming its side, coefficient, field, region, cutoff, column
-factor, time factor and window.  A BalanceContext caches the
-parameter-free factors of each term, each quadrature point built the first
-time a term reads it, so a parameter point costs one exp per live column
-and one multiply-reduce per term.  The
-exponential factors span thousands of orders of magnitude, so every balance
-subtracts a single exponent shift, the max of Theta_t e_q over the union of
-its terms' supports, before exponentiating; the shift multiplies both sides
-identically and leaves the implied constant unchanged.  After the shift
-most columns underflow: a column is live when its largest exponent lies
-above EXP_FLOOR, and the others, where exp returns exactly 0.0 on every
-active row, are neither exponentiated nor reduced.
+factor, time factor and window.  The parameter-free geometry is cached on
+the mesh for all its contexts; a BalanceContext caches its trajectory's
+fields, each quadrature point built the first time a term reads it, so a
+parameter point costs one exp per live column and one multiply-reduce per
+term.  The exponential factors span thousands of orders of magnitude, so
+each support region's growth exp(Theta_t e_q) subtracts one shift, the max
+of Theta_t e_q over the union of the balance's supports; it multiplies both
+sides identically and leaves the implied constant unchanged.  After the
+shift most columns underflow: a column is live when its largest exponent
+lies above EXP_FLOOR, and the others, where exp returns exactly 0.0 on
+every active row, are neither exponentiated nor reduced.
 """
 
 from __future__ import annotations
@@ -145,7 +145,7 @@ def fursikov_eta_bar(R: float, L: float, exponent: int = 8) -> EtaBar:
 # ---------------------------------------------------------------------------
 
 class BalanceContext:
-    """Parameter-free factors shared by every balance of one trajectory.
+    """Trajectory data shared by every balance of one trajectory.
 
     A balance term is coef * sum_t tau_t a_t sum_q G_qt c_q exp(Theta_t e_q
     - shift) over the active time rows (0 < Theta <= THETA_CAP) and the
@@ -166,6 +166,9 @@ class BalanceContext:
         th = np.zeros(len(t))
         th[1:-1] = theta(t[1:-1], params.T)
         active = (th > 0.0) & (th <= THETA_CAP)
+        if not active.any():
+            raise ValueError(f"no time node of T={params.T} has Theta <= "
+                             f"THETA_CAP={THETA_CAP:g}: Theta(T/2) = 256/T^8")
         self.excluded = int(np.sum(~active))
         self.rows = np.flatnonzero(active)
         self.theta_t = th[active]
@@ -175,25 +178,23 @@ class BalanceContext:
         self._cache: dict = {}
 
     def cached(self, key, build):
-        """``build()``, once per key; the key names what it reads beyond T, alpha, R, m."""
+        """``build()``, once per key: the nodal rows, fields and balances."""
         if key not in self._cache:
             self._cache[key] = build()
         return self._cache[key]
 
     def columns(self, region: Region):
-        """Indices of the quadrature points whose cell lies in ``region``,
-        cached on the mesh: every context of the mesh shares them."""
+        """Indices of the quadrature points whose cell lies in ``region``."""
         return self.mesh.cached(("quadrature_columns", region),
                                 lambda: np.flatnonzero(
                                     self.mesh.cell_mask(region)[self.qp.cell]))
 
     def radius(self, region: Region, power: float = 1.0):
-        """|x|^power on the columns of ``region``; |x| is taken once per
-        mesh."""
+        """|x|^power on the columns of ``region``, from |x| taken once."""
         r = self.mesh.cached("quadrature_radii", lambda: np.linalg.norm(
             self.qp.points, axis=1))
-        return self.cached(("radius", region, power),
-                           lambda: r[self.columns(region)] ** power)
+        return self.mesh.cached(("quadrature_radius", region, power),
+                                lambda: r[self.columns(region)] ** power)
 
     def field(self, kind: str, q, cutoff: CutoffFunction | None = None):
         """G on (quadrature points q, active rows), each point built once.
@@ -204,11 +205,9 @@ class BalanceContext:
         One array per (kind, cutoff) holds every point built so far; its
         pages are touched only where a term has read it.
         """
-        key = ("field", kind, cutoff)
-        if key not in self._cache:
-            self._cache[key] = (np.empty((len(self.qp.weights), len(self.rows))),
-                                np.zeros(len(self.qp.weights), dtype=bool))
-        G, built = self._cache[key]
+        nq = len(self.qp.weights)
+        G, built = self.cached(("field", kind, cutoff), lambda: (
+            np.empty((nq, len(self.rows))), np.zeros(nq, dtype=bool)))
         new = q[~built[q]]
         if len(new):
             G[new] = self._build(kind, new, cutoff)
@@ -327,12 +326,15 @@ def _thm41(ctx, p: CarlemanParams, weight: RegularizedWeight, eta_bar):
     def psi_factors():
         r = ctx.radius(whole)
         psi, dpsi = weight.psi(r), np.abs(weight.psi_prime(r))
-        return (psi ** (2.0 - al), psi ** al * dpsi ** 2,
-                psi ** (2.0 - al) * dpsi ** 4)
+        return psi ** al * dpsi ** 2, psi ** (2.0 - al) * dpsi ** 4
 
-    radial, grad_col, func_col = ctx.cached(("psi", weight), psi_factors)
-    # the terms include the whole disk, the only region the profile is asked on
-    return (lambda reg: 2.0 * s * _eta0(p, radial)), [
+    def profile(reg):
+        radial = ctx.mesh.cached(("psi_radial", weight, al, reg), lambda:
+                                 weight.psi(ctx.radius(reg)) ** (2.0 - al))
+        return 2.0 * s * _eta0(p, radial)
+
+    grad_col, func_col = ctx.mesh.cached(("psi", weight, al), psi_factors)
+    return profile, [
         Term("lhs", "grad", s, "grad2", whole, col=grad_col, time=th),
         Term("lhs", "func", s ** 3, "u2", whole, col=func_col, time=th ** 3),
         Term("rhs", "boundary", s, "boundary"),
@@ -398,8 +400,8 @@ def _thm61(ctx, p: CarlemanParams, weight, eta_bar: EtaBar | None):
     kappa, outer, band = cutoff_kappa(R), Region.complement(R), _band(p)
     xi = {}                                  # xi_bar / Theta
     for reg in (outer, band):
-        ebar = ctx.cached(("eta_bar", eta_bar, reg),
-                          lambda: eta_bar.value_radial(ctx.radius(reg)))
+        ebar = ctx.mesh.cached(("eta_bar", eta_bar, reg),
+                               lambda: eta_bar.value_radial(ctx.radius(reg)))
         xi[reg] = np.exp(lam * (8.0 + ebar))
     c3 = s ** 3 * lam ** 4
     # e = -2 s sigma_bar / Theta, sigma_bar = Theta e^(10 lambda) - xi_bar
@@ -476,23 +478,10 @@ def _evaluate(ctx, params, variant, weight, flux, eta_bar):
     shift, growth = 0.0, supports
     if profile is not None:
         # one shift, the max over the union of the supports (a global max
-        # would sit near the outer circle and flush the inner terms to zero);
-        # a whole-disk support holds every other, whose growth is then the
-        # whole disk's on the live columns that lie in it
-        whole = Region.whole()
-        regions = [whole] if whole in supports else supports
-        e = {reg: profile(reg) for reg in regions}
+        # would sit near the outer circle and flush the inner terms to zero)
+        e = {reg: profile(reg) for reg in supports}
         shift = _shift(ctx.theta_t, *e.values())
-        growth = {reg: ctx.growth(e[reg], shift) for reg in e}
-        if whole in growth:
-            live, values = growth[whole]
-            on_disk = ctx.columns(whole)[live]
-            for reg in supports:
-                if reg != whole:
-                    _, pos, sel = np.intersect1d(
-                        ctx.columns(reg), on_disk, assume_unique=True,
-                        return_indices=True)
-                    growth[reg] = pos, values[sel]
+        growth = {reg: ctx.growth(e[reg], shift) for reg in supports}
     sides = {"lhs": {}, "rhs": {}}
     for t in terms:
         if t.kind == "boundary":
@@ -520,14 +509,12 @@ def _boundary_term(ctx, p: CarlemanParams, flux, shift):
     E, lengths = ctx.mesh.boundary_edge_average()
 
     def edges():
-        mesh = ctx.mesh
-        e = mesh.boundary_edges
-        mids = 0.5 * (mesh.vertices[e[:, 0]] + mesh.vertices[e[:, 1]])
+        mids = ctx.mesh.vertices[ctx.mesh.boundary_edges].mean(axis=1)
         # the normal is radial, so x . nu = |x| at each edge midpoint
         rb = np.linalg.norm(mids, axis=1)
         return rb ** (2.0 - p.alpha), rb ** p.alpha * rb * lengths
 
-    radial, col = ctx.cached(("boundary",), edges)
+    radial, col = ctx.mesh.cached(("boundary_radii", p.alpha), edges)
     live, values = ctx.growth(2.0 * p.s * _eta0(p, radial), shift)
     fl = E[live] @ flux[ctx.rows].T   # flux on (live edges, active rows)
     return ctx.integral(fl * fl, col[live], ctx.theta_t, values)

@@ -24,7 +24,7 @@ from .domain import (MAX_VERTICES, GeometrySpec, Mesh, Region,
                      integrate_spacetime, time_weights)
 from .solver import (DiscreteSolution, ParabolicProblem, SolverError,
                      boundary_flux, solve)
-from .weights import AbsPowerWeight, RegularizedWeight
+from .weights import AbsPowerWeight, RegularizedWeight, check_epsilon
 
 log = logging.getLogger(__name__)
 
@@ -99,7 +99,7 @@ class ExperimentConfig:
                     raise ValueError(f"{f.name} must be finite, got {val!r}")
         if not 0.0 < self.alpha < 2.0:
             raise ValueError(f"alpha must lie in (0, 2), got {self.alpha}")
-        for key in ("R", "dt_factor", "carleman_epsilon"):
+        for key in ("R", "dt_factor"):
             if not getattr(self, key) > 0.0:
                 raise ValueError(f"{key} must be positive, got {getattr(self, key)!r}")
         for key in ("carleman_s", "carleman_gamma", "carleman_lambda"):
@@ -111,8 +111,9 @@ class ExperimentConfig:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)!r}")
         if self.L <= 8.0 * self.R:
             raise ValueError("need L > 8R")
-        if self.T <= 0:
-            raise ValueError("T must be positive")
+        if not self.T >= (256.0 / cl.THETA_CAP) ** 0.125:
+            raise ValueError(f"T must be at least (256/THETA_CAP)^(1/8) = 0.02"
+                             f" so that Theta(T/2) <= THETA_CAP, got {self.T!r}")
         if not 0.5 <= self.theta <= 1.0:
             raise ValueError(f"theta must lie in [1/2, 1], got {self.theta}")
         if not self.k_levels:
@@ -123,6 +124,9 @@ class ExperimentConfig:
                or k < 1 for k in self.k_levels):
             raise ValueError(f"k_levels must be integers >= 1 (eps = 1/k), "
                              f"got {list(self.k_levels)}")
+        check_epsilon(self.carleman_epsilon, "carleman_epsilon")
+        # int / int: a k past float range gives 0.0, not OverflowError
+        check_epsilon(1 / self.k_levels[-1], "k_levels: eps = 1/k")
         hs = list(self.mesh_levels)
         if not hs:
             raise ValueError("mesh_levels must not be empty")

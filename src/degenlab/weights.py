@@ -40,8 +40,7 @@ class RegularizedWeight:
     alpha: float
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        check_epsilon(self.epsilon)
         _check_alpha(self.alpha)
 
     @property
@@ -113,6 +112,13 @@ class AbsPowerWeight:
         x = np.asarray(points, dtype=float)
         r = np.maximum(np.linalg.norm(x, axis=-1), 1e-300)
         return (self.p * r ** (self.p - 2.0))[..., None] * x
+
+
+def check_epsilon(epsilon, name="epsilon"):
+    """psi_eps divides by eps^3, so its cube must be a normal float."""
+    if not epsilon >= np.finfo(float).tiny ** (1.0 / 3.0):
+        raise ValueError(f"{name} must be at least finfo.tiny^(1/3) = "
+                         f"2.813e-103, got {epsilon!r}")
 
 
 def _check_alpha(alpha):

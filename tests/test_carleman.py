@@ -1,6 +1,7 @@
 """Closed-form oracles for the Carleman weight family and balance evaluators."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -117,6 +118,11 @@ class TestEtaBar:
         with pytest.raises(ValueError):
             fursikov_eta_bar(1.0, 9.0, exponent=1)
 
+    @pytest.mark.parametrize("L", [4.0, 3.0])
+    def test_outer_radius_beyond_4R(self, L):
+        with pytest.raises(ValueError, match="4R < L"):
+            fursikov_eta_bar(1.0, L)
+
     def test_gradient_direction(self):
         # decreasing past the critical radius: the gradient d1 x/|x| points
         # inward there, outward inside it
@@ -222,8 +228,10 @@ class TestBalances:
                 assert np.array_equal(ctx.radius(region, power), ref)
 
     def test_contexts_share_mesh_geometry(self, sample_solution):
-        # |x_q| and each region's columns are taken once per mesh and read,
-        # read-only, by every context of it
+        # |x_q|, each region's columns and radius powers, the psi_eps and
+        # eta_bar factors and the boundary radii are taken once per mesh and
+        # read, read-only, by every context of it; a context caches only its
+        # trajectory's nodal rows, fields and balances
         first = BalanceContext(sample_solution, CarlemanParams())
         second = BalanceContext(sample_solution, CarlemanParams(s=8.0))
         band = Region.annulus(3.0, 6.0)
@@ -234,6 +242,74 @@ class TestBalances:
         assert np.array_equal(r, np.linalg.norm(first.qp.points, axis=1))
         for arr in (r, first.columns(band), cache["centroid_radii"]):
             assert not arr.flags.writeable
+        reg = RegularizedWeight(epsilon=0.25, alpha=1.0)
+        eb = fursikov_eta_bar(1.0, 9.0)
+        flux = boundary_flux(sample_solution)
+
+        def all_variants(ctx):
+            for variant in VARIANTS:
+                carleman_balance(sample_solution, ctx.params, variant,
+                                 weight=reg, flux=flux, eta_bar=eb, context=ctx)
+
+        all_variants(first)
+        geometry = dict(cache)
+        all_variants(second)
+        assert set(cache) == set(geometry)
+        assert all(cache[key] is value for key, value in geometry.items())
+        whole, outer = Region.whole(), Region.complement(1.0)
+        shared = [geometry[("quadrature_radius", band, 1.0)],
+                  geometry[("quadrature_radius", outer, 1.0)],
+                  *geometry[("psi", reg, 1.0)],
+                  geometry[("psi_radial", reg, 1.0, whole)],
+                  geometry[("psi_radial", reg, 1.0, Region.ball(0.25))],
+                  geometry[("eta_bar", eb, outer)], geometry[("eta_bar", eb, band)],
+                  *geometry[("boundary_radii", 1.0)]]
+        for arr in shared:
+            assert isinstance(arr, np.ndarray) and not arr.flags.writeable
+        for ctx in (first, second):
+            assert {key[0] for key in ctx._cache} == {"nodal", "field", "balance"}
+
+    @pytest.mark.parametrize("variant", ["thm41", "thm42"])
+    def test_growth_per_region_matches_whole_disk_remap(self, sample_solution,
+                                                        variant):
+        # each support region's own growth against one growth on the whole
+        # disk remapped onto the other support: the same shift, and every
+        # term bitwise equal; alpha near 2 keeps part of B_eps and of the
+        # outer region above the floor
+        reg = RegularizedWeight(epsilon=0.25, alpha=1.0)
+        flux = boundary_flux(sample_solution)
+        other = 0
+        for s, g, al in itertools.product((1.0, 4.0, 16.0), (1.0, 8.0),
+                                          (1.0, 1.9)):
+            params = CarlemanParams(s=s, gamma=g, alpha=al)
+            got = carleman_balance(sample_solution, params, variant,
+                                   weight=reg, flux=flux)
+            sides, shift = _whole_disk_growth_evaluate(
+                BalanceContext(sample_solution, params), params, variant, reg,
+                flux)
+            assert got["exponent_shift"] == shift
+            assert got["lhs_terms"] == sides["lhs"], (s, g, al)
+            assert got["rhs_terms"] == sides["rhs"], (s, g, al)
+            other += sum(value != 0.0 for name, value in
+                         {**sides["lhs"], **sides["rhs"]}.items()
+                         if name in ("grad_outer", "remainder_theta3",
+                                     "remainder_eps"))
+        assert other > 0
+
+    def test_no_active_row_names_T_and_cap(self, study_mesh):
+        # T/2 is a time node whose Theta, 256/T^8, is the least: below
+        # T = 0.02 it lies above THETA_CAP, and no row is active
+        data = np.zeros(study_mesh.num_vertices)
+        data[study_mesh.interior] = 1.0
+
+        def context(T):
+            sol = solve(ParabolicProblem(weight=1.0, T=T, data=data,
+                                         direction="backward"), study_mesh, 12)
+            return BalanceContext(sol, CarlemanParams(T=T))
+
+        with pytest.raises(ValueError, match="T=0.018.*THETA_CAP"):
+            context(0.018)
+        assert 6 in context(0.021).rows
 
     def test_balances_leave_context_params(self, sample_solution):
         params = CarlemanParams()
@@ -507,6 +583,32 @@ class TestLiveColumns:
                 else:
                     assert abs(row[key] - want[key]) <= 1e-14 * abs(want[key]), (row, key)
         assert 0 < zeros < len(rows)
+
+
+def _whole_disk_growth_evaluate(ctx, p, variant, weight, flux):
+    """thm41 or thm42 with one growth on the whole disk, remapped by
+    np.intersect1d onto the live columns of every other support; returns
+    (sides, shift)."""
+    profile, terms = carleman_module._TABLE[variant][1](ctx, p, weight, None)
+    whole = Region.whole()
+    e = profile(whole)
+    shift = carleman_module._shift(ctx.theta_t, e)
+    live, values = ctx.growth(e, shift)
+    on_disk = ctx.columns(whole)[live]
+    sides = {"lhs": {}, "rhs": {}}
+    for t in terms:
+        if t.kind == "boundary":
+            value = carleman_module._boundary_term(ctx, p, flux, shift)
+        else:
+            _, pos, sel = np.intersect1d(ctx.columns(t.region), on_disk,
+                                         assume_unique=True,
+                                         return_indices=True)
+            col = None if t.col is None else t.col[pos]
+            value = ctx.integral(
+                ctx.field(t.kind, ctx.columns(t.region)[pos], t.cutoff), col,
+                t.time, values[sel], t.window)
+        sides[t.side][t.name] = t.coef * value
+    return sides, shift
 
 
 def _full_array_evaluate(ctx, p, variant, weight, flux, eta_bar):

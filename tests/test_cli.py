@@ -76,7 +76,13 @@ class TestParsing:
         "k_levels=[-4,8]", "L=Infinity", "T=NaN", "carleman_epsilon=Infinity",
         "k_levels=[8.5,16]", "mesh_levels=[0.0001]", "mesh_levels=[1e-160]",
         "mesh_levels=[1e-200]", "dt_factor=1e-9", "seed=1.5", "seed=-10",
-        "out_dir=5"])
+        "out_dir=5",
+        # psi_eps divides by eps^3, which underflows below eps = 2.81e-103
+        "carleman_epsilon=1e-120", "carleman_epsilon=1e-300",
+        # eps = 1/k for a 114-digit k and for a k past float range
+        "k_levels=[8,1" + "0" * 113 + "]", "k_levels=[8,1" + "0" * 400 + "]",
+        # Theta(T/2) = 256/T^8 passes THETA_CAP below T = 0.02
+        "T=0.018"])
     def test_degenerate_value_exits_before_any_study(self, override,
                                                      monkeypatch, capsys):
         def study(config, *args, **kwargs):
@@ -87,6 +93,18 @@ class TestParsing:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and override.split("=")[0] in err
+
+    @pytest.mark.parametrize("override", [
+        "carleman_epsilon=1e-100", "T=0.021", "T=0.02"])
+    def test_value_at_the_edge_passes_the_config(self, override):
+        cfg = cli.parse_config(None, cli._parse_overrides([override]))
+        key, value = override.split("=")
+        assert getattr(cfg, key) == float(value)
+
+    def test_non_json_value_kept_as_text(self):
+        overrides = cli._parse_overrides(["out_dir=plainword"])
+        assert overrides == {"out_dir": "plainword"}
+        assert cli.parse_config(None, overrides).out_dir == "plainword"
 
     def test_negative_cli_seed_is_config_error(self, tmp_path, capsys):
         rc = main(["verify-weights", "--seed", "-3", "--out", str(tmp_path)])

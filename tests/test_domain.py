@@ -30,6 +30,10 @@ class TestGeometry:
         with pytest.raises(ValueError):
             GeometrySpec(R=1.0, L=7.0)
 
+    def test_radius_positive(self):
+        with pytest.raises(ValueError, match="R must be positive"):
+            GeometrySpec(R=0.0)
+
 
 class TestRegion:
     def test_partition(self, coarse_mesh):
@@ -240,6 +244,10 @@ class TestVertexBound:
             with pytest.raises(ValueError, match="cap"):
                 build_disk_mesh(geometry, h)
 
+    def test_negative_local_h_rejected(self, geometry):
+        with pytest.raises(ValueError, match="local_h must not be negative"):
+            disk_vertex_bound(geometry, 0.3, local_h=-1.0)
+
 
 class TestQuadrature:
     def test_exact_for_quadratics(self, unit_square_mesh):
@@ -359,6 +367,23 @@ class TestCellForms:
         assert np.shares_memory(again.indptr, got.indptr)
         assert np.shares_memory(stiff.indices, got.indices)
         assert not got.indices.flags.writeable
+
+    def test_assemble_past_int32_keys(self):
+        # vertex ids on both sides of 2^31 / 50,000 = 42,950, where the CSR
+        # map's sort key row * n_vertices + column leaves int32
+        vertices = np.zeros((50_000, 2))
+        ids = np.array([10, 45_000, 49_999, 20])
+        vertices[ids] = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+        mesh = Mesh(vertices, ids[[[0, 1, 2], [0, 2, 3]]],
+                    ids[[[0, 1], [1, 2], [2, 3], [3, 0]]], 1.0)
+        form = np.random.default_rng(1).standard_normal((2, 6))
+        got = mesh.assemble(form)
+        ref = _coo_assemble(mesh, form[:, _PAIR_OF])
+        ref.sort_indices()
+        assert np.array_equal(got.indptr, ref.indptr)
+        assert np.array_equal(got.indices, ref.indices)
+        # each entry sums at most two terms: exact in any order
+        assert np.array_equal(got.data, ref.data)
 
     def test_assemble_is_bincount_without_slot_copy(self, geometry):
         # np.add.at adds in np.bincount's order, so the pair values are

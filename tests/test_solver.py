@@ -89,6 +89,13 @@ class TestAssembly:
                                                   else w(qp.points)))
             assert np.array_equal(cell_weight_integrals(mesh, weight), ref)
 
+    def test_cell_weight_integrals_reject_overflow(self):
+        # |x|^1000 overflows beyond |x| = 1.995 on the default disk (L = 9)
+        mesh = build_disk_mesh(GeometrySpec(), 0.6)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="nonnegative and finite"):
+                cell_weight_integrals(mesh, AbsPowerWeight(1000.0))
+
     def test_boundary_mass_total_is_perimeter(self, small_mesh):
         B = boundary_mass_matrix(small_mesh)
         ones = np.ones(small_mesh.num_vertices)

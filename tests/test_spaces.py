@@ -91,6 +91,11 @@ class TestHardyPoincare:
         u = _bump_field(unit_disk_mesh)
         with pytest.raises(ValueError):
             hardy_ratio(unit_disk_mesh, u, 2.5)
+        for alpha in (0.0, 2.0):
+            with pytest.raises(ValueError, match=r"alpha must lie in \(0, 2\)"):
+                poincare_ratios(unit_disk_mesh, u, alpha, eps=0.1)
+            with pytest.raises(ValueError, match=r"alpha must lie in \(0, 2\)"):
+                inequality_ratio_table(unit_disk_mesh, u[None, :], alpha, eps=0.1)
 
     def test_batch_matches_single(self, unit_disk_mesh):
         rng = np.random.default_rng(8)
@@ -266,6 +271,8 @@ class TestQuadraticForms:
                                    + np.maximum(a, b)).ravel(),
                                   return_inverse=True)
         I, J, slot = mesh._pair_pattern()
+        # int32 vertex ids; the slot map stays the index np.add.at reads fastest
+        assert I.dtype == J.dtype == np.int32 and slot.dtype == np.intp
         assert np.array_equal(I, keys // nv)
         assert np.array_equal(J, keys % nv)
         assert np.array_equal(slot, inverse.ravel())

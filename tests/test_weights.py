@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from degenlab.domain import GeometrySpec, build_disk_mesh
 from degenlab.weights import (AbsPowerWeight, CubeFamily, CutoffFunction,
-                              RegularizedWeight, ap_constant_estimate,
+                              QuadratureError, RegularizedWeight,
+                              ap_constant_estimate,
                               as_weight, cutoff_kappa, cutoff_rho,
                               cutoff_zeta, identity_residuals)
 
@@ -61,6 +62,13 @@ class TestProfile:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             RegularizedWeight(epsilon=-1.0, alpha=1.0)
+        # psi_eps divides by eps^3, a normal float from eps = tiny^(1/3) on
+        for eps in (1e-120, 1e-300, 2.81e-103, float("nan")):
+            with pytest.raises(ValueError, match="epsilon must be at least"):
+                RegularizedWeight(epsilon=eps, alpha=1.0)
+        assert RegularizedWeight(epsilon=2.82e-103, alpha=1.0).psi(0.0) > 0.0
+        with pytest.raises(ValueError, match="radius must be nonnegative"):
+            RegularizedWeight(epsilon=0.1, alpha=1.0).psi(np.array([0.5, -0.1]))
         with pytest.raises(ValueError):
             RegularizedWeight(epsilon=0.1, alpha=2.0)
         with pytest.raises(ValueError):
@@ -246,6 +254,13 @@ class TestMuckenhoupt:
         cubes = CubeFamily(half=1.0, levels=1, random_per_level=4, seed=0)
         with pytest.raises(ValueError):
             ap_constant_estimate(lambda x: np.ones(len(x)), 1.0, cubes)
+
+    def test_zero_weight_is_quadrature_error(self):
+        # the w^(-1/(p-1)) average of a zero weight is infinite
+        cubes = CubeFamily(half=1.0, levels=1, random_per_level=4, seed=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(QuadratureError, match="non-finite cube average"):
+                ap_constant_estimate(lambda x: np.zeros(len(x)), 2.0, cubes)
 
 
 # ---------------------------------------------------------------------------
