@@ -11,16 +11,20 @@ cells sharing a barycentric point set.
 Each quadrature carries the sparse P1 interpolation P onto its points.
 Every P1 matrix is a symmetric (n_cells, 6) pair form: entry (c, p)
 couples cell c's local vertices (i, j) = PAIRS[p], i <= j.
-:meth:`Mesh.pair_forms` builds one weight's mass pair form and per-cell
-sums on the rule blocks, a bounded chunk of cells at a time, with no point
-array of the whole rule.  Forms are summed onto the one cached P1 pattern
-of vertex pairs i <= j: :meth:`Mesh.assemble` gathers the sums into CSR
-(the solver's matrices) through one cached map, and
-:meth:`Mesh.quadratic_forms` evaluates u^T A u for several forms and a
-whole stack of fields in one blocked pass, with no matrix.  Everything
-built from the mesh (quadratures, operators, the pattern and its CSR map,
-the nodal weights of each region and weight, the mass matrix, the solver's
-step operators) is built once, cached on the Mesh and read-only.
+Forms are summed onto the one cached P1 pattern of vertex pairs i <= j:
+:meth:`Mesh.assemble` gathers the sums into CSR (the solver's matrices)
+through one cached map.  :meth:`Mesh.pair_forms` is the one pass over the
+rule: for several weights on one refinement radius it returns their
+per-cell sums and adds their masses straight into rows of pair sums, a
+bounded chunk of cells at a time, each chunk's points built once for every
+weight, with no point array of the whole rule and no form.
+:meth:`Mesh.add_stiffness` adds stiffnesses the same way, and
+:meth:`Mesh.quadratic_forms` evaluates u^T A u for several rows of pair
+sums and a whole stack of fields in one blocked pass, with no matrix.
+Everything built from the mesh (quadratures, operators, the pattern and
+its CSR map, the nodal weights of each region and weight, the mass matrix,
+the solver's step operators) is built once, cached on the Mesh and
+read-only.
 """
 
 from __future__ import annotations
@@ -44,9 +48,12 @@ _MIDPOINT_BARY = np.array([
 PAIRS = np.array([[0, 0], [1, 1], [2, 2], [0, 1], [1, 2], [0, 2]])
 
 # vertex pairs per block of Mesh.quadratic_forms: two (n_fields, block)
-# temporaries, 1 MB each at 60 fields
-_PAIR_BLOCK = 2048
-# rule points per cell chunk of Mesh.pair_forms (256 KB of coordinates)
+# temporaries, 0.5 MB each at 60 fields.  At h = 1/16 (299,860 pairs) and
+# 60 fields the product loop took 64 / 74 / 99 ms (median of 9) at 1024 /
+# 2048 / 4096 pairs, numpy 2.4.6 on one BLAS thread of a 2-core x86-64 box
+_PAIR_BLOCK = 1024
+# rule points per cell chunk of Mesh.pair_forms (256 KB of coordinates),
+# and cells per chunk of Mesh.add_stiffness
 _CHUNK_POINTS = 16384
 
 
@@ -227,105 +234,133 @@ class Mesh:
             return qp.interpolation.T @ w
         return self.cached(("weights", region, weight), build)
 
-    def pair_forms(self, weight, subdivide_radius: float = 0.0,
-                   levels: int = 2, form=None) -> np.ndarray:
-        """The per-cell sums of one weight on the rule of
-        ``quadrature(subdivide_radius, levels)``, and its pair form.
+    def pair_forms(self, rules, subdivide_radius: float = 0.0,
+                   pair_sums=None) -> np.ndarray:
+        """(k, n_cells) per-cell sums of k rules ``(weight, levels)`` in one
+        pass, and their mass pair sums.
 
-        With a_q the rule's weights and w the weight at its points:
+        Rule ``(w, levels)`` is ``quadrature(subdivide_radius, levels)``
+        with its weights a_q times w (None: w = 1, else a callable on (n, 2)
+        point arrays) at its points:
 
-        - sums[c] = sum_q a_q w(x_q), accumulated in point order, returned;
-        - form[c, p] = sum_q a_q w(x_q) lambda_i(x_q) lambda_j(x_q) over cell
-          c's points, for the local pair (i, j) = PAIRS[p]: the symmetric
-          (n_cells, 6) form that :meth:`assemble` and :meth:`quadratic_forms`
-          read, written into the array ``form`` unless it is None.
+        - sums[r, c] = sum_q a_q w(x_q) over cell c's points, accumulated in
+          point order;
+        - with ``pair_sums`` a (k, n_pairs) array, row r gets the mass
+          sum_q a_q w(x_q) lambda_i(x_q) lambda_j(x_q) of each cell's local
+          pair (i, j) = PAIRS[p] added at its vertex pair, in the layout of
+          :meth:`quadratic_forms`.
 
-        ``weight`` is None (w = 1) or a callable on (n, 2) point arrays.  The
-        cells go in chunks of at most ``_CHUNK_POINTS`` points: each chunk's
-        points are built and the weight called on them, and no quadrature,
-        interpolation or per-point array of the whole rule is made.
+        The rule blocks are built once: the midpoint cells, shared by every
+        rule, and the refined cells once per distinct level.  Each block goes
+        in chunks of at most ``_CHUNK_POINTS`` points: a chunk's points are
+        built once, every weight of the block is called on them, and its
+        pair sums are added through the slot map, so no quadrature,
+        per-point array of the whole rule or (n_cells, 6) form is made.
         """
-        sums = np.empty(self.num_cells)
-        for ids, bary, a in _rule_blocks(self, subdivide_radius, levels):
+        weights, levels = zip(*rules)
+        sums = np.empty((len(weights), self.num_cells))
+        if pair_sums is not None:
+            slot = self.cached("p1_pairs", self._pair_pattern)[2].reshape(
+                -1, len(PAIRS))
+        # the refined blocks first: the ring mesher numbers cells from the
+        # centre out, so each pair's terms are added in cell order and the
+        # sums are the bits :meth:`assemble` gives a form
+        blocks = _rule_blocks(self, subdivide_radius, levels)
+        for ids, bary, a, members in blocks[::-1]:
             nq = len(bary)
             # a cell's row of wv @ products keeps its bits whatever the chunk
             # bounds with products C-contiguous (transposed, BLAS switches
             # kernels for short chunks) and no chunk of one cell (a GEMV)
             products = np.ascontiguousarray(bary[:, PAIRS[:, 0]]
                                             * bary[:, PAIRS[:, 1]])
+            weighted = any(weights[r] is not None for r in members)
             step = max(2, _CHUNK_POINTS // nq)
             stops = [*range(step, len(ids) - 1, step), len(ids)]
             for s, e in zip([0, *stops], stops):
                 chunk = ids[s:e]
-                wv = np.repeat(a[s:e, None], nq, axis=1)
-                if weight is not None:
+                area = np.repeat(a[s:e, None], nq, axis=1)
+                if weighted:
                     points = _block_points(self, chunk, bary).reshape(-1, 2)
-                    wv *= np.asarray(weight(points),
-                                     dtype=float).reshape(wv.shape)
-                if form is not None:
-                    form[chunk] = wv @ products
-                sums[chunk] = np.bincount(
-                    np.repeat(np.arange(len(chunk)), nq), weights=wv.ravel(),
-                    minlength=len(chunk))
+                cell = np.repeat(np.arange(len(chunk)), nq)
+                if pair_sums is not None:
+                    pairs = slot[chunk].ravel()
+                for r in members:
+                    wv = area
+                    if weights[r] is not None:
+                        wv = area * np.asarray(weights[r](points),
+                                               dtype=float).reshape(area.shape)
+                    if pair_sums is not None:
+                        np.add.at(pair_sums[r], pairs, (wv @ products).ravel())
+                    sums[r, chunk] = np.bincount(cell, weights=wv.ravel(),
+                                                 minlength=len(chunk))
         return sums
 
     def gradient_pairs(self) -> np.ndarray:
         """(n_cells, 6) grad(lambda_i) . grad(lambda_j) on each cell, for the
         local pairs (i, j) = PAIRS: the stiffness pair form of a unit cell
         weight."""
-        gx, gy = self.grads[..., 0], self.grads[..., 1]
-        out = np.empty((self.num_cells, len(PAIRS)))
-        for p, (i, j) in enumerate(PAIRS):
-            out[:, p] = gx[:, i] * gx[:, j] + gy[:, i] * gy[:, j]
-        return out
+        return _gradient_pairs(self.grads)
 
-    def quadratic_forms(self, forms, fields) -> np.ndarray:
-        """(k, n_fields) array of u^T A u for every form A and row u.
+    def quadratic_forms(self, pair_sums, fields) -> np.ndarray:
+        """(k, n_fields) array of u^T A u for every matrix A and row u.
 
-        ``forms`` is an iterable of k (n_cells, 6) symmetric per-cell forms
-        in the layout of :meth:`pair_forms`; each is summed onto the cached
-        symmetric P1 pattern (:meth:`_pair_values`), the off-diagonal pairs
-        doubled, as it arrives, so the iterable may refill one buffer.
-        ``fields`` is an (n_fields, n_vertices) stack, read in blocks of
+        ``pair_sums`` is a (k, n_pairs) array: row r holds matrix r's sum on
+        each vertex pair i <= j of the cached symmetric P1 pattern, as
+        :meth:`pair_forms` and :meth:`add_stiffness` add them.  ``fields``
+        is an (n_fields, n_vertices) stack, read in blocks of
         ``_PAIR_BLOCK`` pairs (i, j): each block gathers F[:, i] * F[:, j]
-        and makes one small product with the k columns of values, so no
-        temporary grows with both the mesh and the number of fields.
+        and makes one small product with the block's k rows, the
+        off-diagonal pairs doubled, so no temporary grows with both the mesh
+        and the number of fields.
         """
         I, J, _ = self.cached("p1_pairs", self._pair_pattern)
         off = I != J
-        values = []
-        for f in forms:
-            v = self._pair_values(f)
-            np.multiply(v, 2.0, out=v, where=off)
-            values.append(v)
         F = np.asarray(fields, dtype=float)
-        out = np.zeros((len(F), len(values)))
+        out = np.zeros((len(F), len(pair_sums)))
         for s in range(0, len(I), _PAIR_BLOCK):
             block = slice(s, s + _PAIR_BLOCK)
             prod = F[:, I[block]]
             prod *= F[:, J[block]]
-            out += prod @ np.array([v[block] for v in values]).T
+            out += prod @ (np.where(off[block], 2.0, 1.0)
+                           * pair_sums[:, block]).T
         return out.T
+
+    @property
+    def num_pairs(self) -> int:
+        """Vertex pairs i <= j of the cached symmetric P1 pattern."""
+        return len(self.cached("p1_pairs", self._pair_pattern)[0])
+
+    def add_stiffness(self, pair_sums, cell_sums):
+        """Add to each row of the (k, n_pairs) ``pair_sums`` the stiffness
+        sum_c cell_sums[r, c] grad(lambda_i) . grad(lambda_j) of a row of
+        the (k, n_cells) ``cell_sums``: :meth:`gradient_pairs` times the
+        sums, made and added a chunk of cells at a time through the slot
+        map, in cell order as :meth:`assemble` adds a form, with no
+        (n_cells, 6) array."""
+        slot = self.cached("p1_pairs", self._pair_pattern)[2]
+        n = len(PAIRS)
+        for s in range(0, self.num_cells, _CHUNK_POINTS):
+            cells = slice(s, s + _CHUNK_POINTS)
+            geometric = _gradient_pairs(self.grads[cells])
+            for row, sums in zip(pair_sums, cell_sums):
+                np.add.at(row, slot[n * s:n * (s + _CHUNK_POINTS)],
+                          (geometric * sums[cells, None]).ravel())
 
     def assemble(self, form) -> sp.csr_matrix:
         """The P1 matrix of the (n_cells, 6) pair form ``form`` as CSR, the
         columns sorted in each row: form[c, p] is added at (cells[c, i],
         cells[c, j]) and its mirror, (i, j) = PAIRS[p].  The form is summed
-        onto the pairs (:meth:`_pair_values`), then each CSR entry reads its
-        pair's sum through the cached map of :meth:`_csr_map`.
+        onto the cached vertex pairs by ``np.add.at`` (``np.bincount``'s
+        additions in its order, without its copy of the read-only slot
+        map), then each CSR entry reads its pair's sum through the cached
+        map of :meth:`_csr_map`.
         """
+        _, _, slot = self.cached("p1_pairs", self._pair_pattern)
         indptr, indices, pair = self.cached("p1_csr", self._csr_map)
-        return sp.csr_matrix((self._pair_values(form)[pair], indices, indptr),
+        values = np.zeros(self.num_pairs)
+        np.add.at(values, slot, np.asarray(form, dtype=float).ravel())
+        return sp.csr_matrix((values[pair], indices, indptr),
                              shape=(self.num_vertices,) * 2)
-
-    def _pair_values(self, form) -> np.ndarray:
-        """The pair form summed onto the cached vertex pairs by ``np.add.at``:
-        ``np.bincount``'s additions in its order, without its copy of the
-        read-only slot map."""
-        I, _, slot = self.cached("p1_pairs", self._pair_pattern)
-        v = np.zeros(len(I))
-        np.add.at(v, slot, np.asarray(form, dtype=float).ravel())
-        return v
 
     def _csr_map(self):
         """``(indptr, indices, pair)``: the full P1 pattern as CSR and the
@@ -350,15 +385,23 @@ class Mesh:
         """``(I, J, slot)``: the int32 vertex pairs I <= J of the symmetric
         P1 pattern, sorted, and for each cell's local pair (c, p) in C order
         its intp position in I and J (``np.add.at``'s fastest index).  Built
-        from 6 keys per cell, min * n_vertices + max, by one sort."""
-        nv = self.num_vertices
-        a, b = self.cells[:, PAIRS[:, 0]], self.cells[:, PAIRS[:, 1]]
-        keys = np.minimum(a, b)
-        keys *= nv
-        keys += np.maximum(a, b, out=a)
-        del a, b
-        order = np.argsort(keys, axis=None)
-        keys = keys.ravel()[order]
+        by one sort of a key min * n_vertices + max per vertex of a cell,
+        taken once (i * (n_vertices + 1)), and per cell edge."""
+        nv, nc = self.num_vertices, self.num_cells
+        used = np.zeros(nv, dtype=bool)
+        used[self.cells] = True
+        used = np.flatnonzero(used)
+        n_used = len(used)
+        keys = np.empty(n_used + 3 * nc, dtype=np.int64)
+        np.multiply(used, nv + 1, out=keys[:n_used])
+        edges = keys[n_used:].reshape(nc, 3)
+        a, b = self.cells[:, PAIRS[3:, 0]], self.cells[:, PAIRS[3:, 1]]
+        np.minimum(a, b, out=edges)
+        edges *= nv
+        edges += np.maximum(a, b, out=a)
+        del a, b, edges
+        order = np.argsort(keys)
+        keys = keys[order]
         first = np.empty(len(keys), dtype=bool)
         first[0] = True
         np.not_equal(keys[1:], keys[:-1], out=first[1:])
@@ -366,13 +409,21 @@ class Mesh:
         del keys
         rank = np.cumsum(first)
         rank -= 1
-        slot = np.empty_like(order)
-        slot[order] = rank
-        return I.astype(np.int32), J.astype(np.int32), slot
+        position = np.empty_like(order)
+        position[order] = rank
+        del order, rank
+        # PAIRS lists the three diagonal pairs, then the three edges
+        vertex = np.zeros(nv, dtype=np.intp)
+        vertex[used] = position[:n_used]
+        slot = np.empty((nc, len(PAIRS)), dtype=np.intp)
+        slot[:, :3] = vertex[self.cells]
+        slot[:, 3:] = position[n_used:].reshape(nc, 3)
+        return I.astype(np.int32), J.astype(np.int32), slot.ravel()
 
     def _build_quadrature(self, subdivide_radius, levels):
         pts, w, cell, data, cols, row_nnz = [], [], [], [], [], []
-        for ids, bary, a in _rule_blocks(self, subdivide_radius, levels):
+        for ids, bary, a, _ in _rule_blocks(self, subdivide_radius,
+                                            [levels]):
             nq = len(bary)
             pts.append(_block_points(self, ids, bary).reshape(-1, 2))
             w.append(np.repeat(a, nq))
@@ -412,25 +463,32 @@ def _quadrature_key(subdivide_radius, levels):
 
 
 def _rule_blocks(mesh, subdivide_radius, levels):
-    """The quadrature rule as blocks ``(cell ids, bary, a)``.
+    """The quadrature rules of the refinement ``levels`` (one per rule) as
+    blocks ``(cell ids, bary, a, members)``, ``members`` the positions in
+    ``levels`` of the rules the block belongs to.
 
     Each point of cell ``ids[k]`` is ``bary[q] @ vertices`` with weight
     ``a[k]`` = area / (points per cell).  Cells with a vertex within
-    ``subdivide_radius`` of the origin take the midpoint rule refined
-    ``levels`` times (4^levels subtriangles); the others, listed first in
-    one block, the midpoint rule.
+    ``subdivide_radius`` of the origin take the midpoint rule refined l
+    times (4^l subtriangles) in a rule of level l, one block per distinct
+    level; the others, listed first in one block every rule shares, the
+    midpoint rule.
     """
     if subdivide_radius > 0.0:
         near = np.linalg.norm(mesh.vertices, axis=1) <= subdivide_radius
         fine = near[mesh.cells].any(axis=1)
     else:
         fine = np.zeros(mesh.num_cells, dtype=bool)
-    bary = _MIDPOINT_BARY
-    for _ in range(levels):
-        bary = _refine_bary(bary)
-    blocks = [(np.flatnonzero(~fine), _MIDPOINT_BARY),
-              (np.flatnonzero(fine), bary)]
-    return [(ids, b, mesh.areas[ids] / len(b)) for ids, b in blocks if len(ids)]
+    blocks = [(np.flatnonzero(~fine), _MIDPOINT_BARY, range(len(levels)))]
+    ids = np.flatnonzero(fine)
+    for lv in dict.fromkeys(levels):
+        bary = _MIDPOINT_BARY
+        for _ in range(lv):
+            bary = _refine_bary(bary)
+        blocks.append((ids, bary, [r for r, x in enumerate(levels)
+                                   if x == lv]))
+    return [(ids, b, mesh.areas[ids] / len(b), members)
+            for ids, b, members in blocks if len(ids)]
 
 
 def _block_points(mesh, ids, bary):
@@ -446,6 +504,16 @@ def _block_points(mesh, ids, bary):
         x = mesh.vertices[:, d][corners]
         out[..., d] = ((bary[:, :1] * x[0] + bary[:, 1:2] * x[1])
                        + bary[:, 2:] * x[2]).T
+    return out
+
+
+def _gradient_pairs(grads):
+    """(cells, 6) grad(lambda_i) . grad(lambda_j) of (cells, 3, 2) shape
+    gradients, for the local pairs (i, j) = PAIRS."""
+    gx, gy = grads[..., 0], grads[..., 1]
+    out = np.empty((len(grads), len(PAIRS)))
+    for p, (i, j) in enumerate(PAIRS):
+        out[:, p] = gx[:, i] * gx[:, j] + gy[:, i] * gy[:, j]
     return out
 
 

@@ -55,7 +55,7 @@ def cell_weight_integrals(mesh: Mesh, weight) -> np.ndarray:
     """Per-cell quadrature of the spatial weight (1 for unweighted).
 
     Each cell's points are summed in order (:meth:`Mesh.pair_forms`, no
-    form) on the rule refined within the weight's ``quadrature_radius``.
+    pair sums) on the rule refined within the weight's ``quadrature_radius``.
     Cached on the mesh per weight (:func:`~degenlab.weights.as_weight`) and
     read-only.
     """
@@ -68,8 +68,8 @@ def cell_weight_integrals(mesh: Mesh, weight) -> np.ndarray:
                              "quadrature point")
         return wq
     return mesh.cached(("cell_weights", w), lambda: mesh.pair_forms(
-        None if w is None else checked,
-        0.0 if w is None else w.quadrature_radius))
+        [(None if w is None else checked, 2)],
+        0.0 if w is None else w.quadrature_radius)[0])
 
 
 def assemble_stiffness(mesh: Mesh, weight) -> sp.csr_matrix:

@@ -6,17 +6,18 @@ P1 cell gradients for seminorms.  The inequality checkers return the ratio
 LHS / RHS with the explicit constants, so a verified inequality reads
 ``ratio <= 1 + quadrature budget``.  The single-field functions sample the
 field on the quadrature; the batched table reads each squared norm of a
-stack of fields as a quadratic form u^T A u, makes the six per-cell forms
-one at a time in one reused buffer and evaluates all of them in one pass
-(:meth:`~degenlab.domain.Mesh.quadratic_forms`).  Every field must be
-finite and vanish on the boundary.
+stack of fields as a quadratic form u^T A u, with the six matrices held as
+sums on the mesh's vertex pairs, the four masses from one pass over the
+rule (:meth:`~degenlab.domain.Mesh.pair_forms`), and evaluates all of them
+in one pass (:meth:`~degenlab.domain.Mesh.quadratic_forms`).  Every field
+must be finite and vanish on the boundary.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .domain import PAIRS, Mesh
+from .domain import Mesh
 from .weights import AbsPowerWeight, RegularizedWeight
 
 
@@ -121,10 +122,10 @@ def inequality_ratio_table(mesh: Mesh, fields, alpha: float,
     ``fields`` has shape (n_fields, n_vertices).  Returns arrays keyed
     "hardy", "r_22", "r_23", "r_36", "r_37" that match the single-field
     functions to round-off.  Each squared norm is a quadratic form u^T A u
-    of a symmetric per-cell form (:func:`_table_forms`), and all six are
-    evaluated for the whole stack in one blocked pass over the mesh's
-    symmetric P1 pattern (:meth:`Mesh.quadratic_forms`): no quadrature,
-    sparse matrix or transposed copy of the stack is built.
+    of A's sums on the mesh's vertex pairs (:func:`_table_pair_sums`), and
+    all six are evaluated for the whole stack in one blocked pass over the
+    mesh's symmetric P1 pattern (:meth:`Mesh.quadratic_forms`): no
+    quadrature, sparse matrix or transposed copy of the stack is built.
     """
     if not 0.0 < alpha < 2.0:
         raise ValueError("alpha must lie in (0, 2)")
@@ -136,7 +137,7 @@ def inequality_ratio_table(mesh: Mesh, fields, alpha: float,
     N = 2
     c = N - 2 + alpha
     hardy_num, l2, l2_w, l2_we, h1_w, h1_we = np.sqrt(np.maximum(
-        0.0, mesh.quadratic_forms(_table_forms(mesh, alpha, eps), F)))
+        0.0, mesh.quadratic_forms(_table_pair_sums(mesh, alpha, eps), F)))
     k_w = c / (2.0 * m)                        # r_22, r_36
     k_1 = c / (2.0 * m ** (1.0 - 0.5 * alpha))  # r_23, r_37
     nz = peak > 0.0
@@ -148,23 +149,18 @@ def inequality_ratio_table(mesh: Mesh, fields, alpha: float,
                 "r_37": np.where(nz, k_1 * l2 / h1_we, 0.0)}
 
 
-def _table_forms(mesh: Mesh, alpha: float, eps: float):
-    """The table's six per-cell pair forms, one at a time in one reused
-    (n_cells, 6) buffer: the Hardy mass of |x|^(alpha-2) on the level-3
-    rule; the unweighted, |x|^alpha and psi_eps^alpha masses on the level-2
-    rule (:meth:`Mesh.pair_forms`), all refined within 4h of the origin as
-    the single-field functions are; and the |x|^alpha and psi_eps^alpha
-    stiffnesses, the one geometric block :meth:`Mesh.gradient_pairs` times
-    each weight's per-cell sums."""
-    exact = AbsPowerWeight(alpha)
-    reg = RegularizedWeight(epsilon=eps, alpha=alpha)
-    form = np.empty((mesh.num_cells, len(PAIRS)))
-    sums = []
-    for weight, levels in ((AbsPowerWeight(alpha - 2.0), 3), (None, 2),
-                           (exact, 2), (reg, 2)):
-        sums.append(mesh.pair_forms(weight, 4.0 * mesh.h, levels, form))
-        yield form
-    del sums[:2]            # the stiffnesses read the last two weights' sums
-    geometric = mesh.gradient_pairs()
-    for cell_sums in sums:
-        yield np.multiply(cell_sums[:, None], geometric, out=form)
+def _table_pair_sums(mesh: Mesh, alpha: float, eps: float) -> np.ndarray:
+    """The table's six matrices as (6, n_pairs) sums on the mesh's vertex
+    pairs: the Hardy mass of |x|^(alpha-2) on the level-3 rule and the
+    unweighted, |x|^alpha and psi_eps^alpha masses on the level-2 rule, all
+    refined within 4h of the origin as the single-field functions are, from
+    one :meth:`Mesh.pair_forms` pass; then the |x|^alpha and psi_eps^alpha
+    stiffnesses from the last two weights' per-cell sums
+    (:meth:`Mesh.add_stiffness`)."""
+    values = np.zeros((6, mesh.num_pairs))
+    rules = [(AbsPowerWeight(alpha - 2.0), 3), (None, 2),
+             (AbsPowerWeight(alpha), 2),
+             (RegularizedWeight(epsilon=eps, alpha=alpha), 2)]
+    sums = mesh.pair_forms(rules, 4.0 * mesh.h, values[:4])
+    mesh.add_stiffness(values[4:], sums[2:])
+    return values

@@ -56,27 +56,36 @@ class RegularizedWeight:
         if np.any(r < 0):
             raise ValueError("radius must be nonnegative")
         e = self.epsilon
-        inner = 3.0 * e / 8.0 + 3.0 * r**2 / (4.0 * e) - r**4 / (8.0 * e**3)
-        return np.where(r <= e, inner, r)
+        return self._inside(r, r, lambda q: 3.0 * e / 8.0
+                            + 3.0 * q**2 / (4.0 * e) - q**4 / (8.0 * e**3))
 
     def psi_prime(self, r):
         r = np.asarray(r, dtype=float)
         e = self.epsilon
-        inner = 3.0 * r / (2.0 * e) - r**3 / (2.0 * e**3)
-        return np.where(r <= e, inner, 1.0)
+        return self._inside(r, 1.0, lambda q: 3.0 * q / (2.0 * e)
+                            - q**3 / (2.0 * e**3))
 
     def psi_second(self, r):
         r = np.asarray(r, dtype=float)
         e = self.epsilon
-        inner = 3.0 / (2.0 * e) - 3.0 * r**2 / (2.0 * e**3)
-        return np.where(r <= e, inner, 0.0)
+        return self._inside(r, 0.0, lambda q: 3.0 / (2.0 * e)
+                            - 3.0 * q**2 / (2.0 * e**3))
+
+    def _inside(self, r, outer, inner):
+        """``np.where(r <= epsilon, inner(r), outer)``, the polynomial
+        ``inner`` evaluated only at the radii where it is taken."""
+        inside = r <= self.epsilon
+        out = np.where(inside, 0.0, outer)
+        out[inside] = inner(r[inside])
+        return out
 
     # -- the weight itself --------------------------------------------------
 
     def __call__(self, x):
         """w_eps(x) = psi_eps(|x|)^alpha; accepts (..., dim) arrays."""
         x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x, axis=-1)
+        # |x| as np.linalg.norm gives it, without its (..., dim) square
+        r = np.sqrt(np.einsum("...d,...d->...", x, x))
         return self.psi(r) ** self.alpha
 
     def gradient(self, x):

@@ -4,8 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from degenlab.domain import PAIRS, GeometrySpec, build_disk_mesh
+from degenlab.domain import GeometrySpec, build_disk_mesh
 from degenlab.experiments import ExperimentConfig
 
 
@@ -24,13 +25,20 @@ def p1_shape_values(mesh, qp):
     return nodes, shape
 
 
-def cell_forms(mesh, weight, subdivide_radius=0.0, levels=2):
-    """``(form, sums)`` of one weight: its (n_cells, 6) pair form
-    (:meth:`Mesh.pair_forms`), which :meth:`Mesh.assemble` turns into the
-    weighted mass matrix P^T diag(a w) P, and its per-cell sums."""
-    form = np.empty((mesh.num_cells, len(PAIRS)))
-    sums = mesh.pair_forms(weight, subdivide_radius, levels, form)
-    return form, sums
+def weighted_mass(mesh, weight, subdivide_radius=0.0, levels=2):
+    """``(A, sums)`` of one weight: the weighted mass matrix P^T diag(a w) P
+    as CSR, its pair sums (:meth:`Mesh.pair_forms`, one rule) mirrored onto
+    the full pattern by a COO sum rather than :meth:`Mesh.assemble`, and
+    its per-cell sums."""
+    values = np.zeros((1, mesh.num_pairs))
+    sums = mesh.pair_forms([(weight, levels)], subdivide_radius, values)
+    I, J, _ = mesh.cached("p1_pairs", mesh._pair_pattern)
+    off = I != J
+    A = sp.coo_matrix((np.concatenate([values[0], values[0, off]]),
+                       (np.concatenate([I, J[off]]),
+                        np.concatenate([J, I[off]]))),
+                      shape=(mesh.num_vertices,) * 2).tocsr()
+    return A, sums[0]
 
 
 def p1_cell_gradient(mesh, u):

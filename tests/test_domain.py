@@ -18,8 +18,8 @@ from degenlab.domain import (MAX_VERTICES, GeometrySpec, Mesh, Region,
 from degenlab.spaces import inequality_ratio_table
 from degenlab.weights import AbsPowerWeight, RegularizedWeight
 
-from conftest import (cell_forms, p1_cell_gradient, p1_shape_values,
-                      traced_peak)
+from conftest import (p1_cell_gradient, p1_shape_values, traced_peak,
+                      weighted_mass)
 
 
 class TestGeometry:
@@ -438,8 +438,8 @@ class TestCellForms:
                            np.arange(0, shape.size + 1, 3)),
                           shape=(len(wq), coarse_mesh.num_vertices))
         ref = (P.T @ sp.diags(wq) @ P).toarray()
-        form, sums = cell_forms(coarse_mesh, weight, sub, levels)
-        got = coarse_mesh.assemble(form).toarray()
+        A, sums = weighted_mass(coarse_mesh, weight, sub, levels)
+        got = A.toarray()
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
         ref_sums = np.zeros(coarse_mesh.num_cells)
         np.add.at(ref_sums, qp.cell, wq)

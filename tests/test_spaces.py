@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cell_forms, traced_peak
+from conftest import traced_peak, weighted_mass
 from degenlab import domain, spaces
 from degenlab.domain import PAIRS, GeometrySpec, Mesh, build_disk_mesh
 from degenlab.solver import cell_weight_integrals
@@ -177,6 +177,13 @@ class TestHardyPoincare:
         # is 0.4 of the former.
         assert _fresh_table_peak() <= 0.4 * 68.7 * 2**20
 
+    def test_one_pass_traced_peak(self):
+        # the same table with the four weights on one rule pass, their mass
+        # pair sums added in place and the stiffnesses made a chunk of cells
+        # at a time: 9.97 MB. A pass per weight into an (n_cells, 6) form
+        # buffer peaked at 10.8 MB, the bound.
+        assert _fresh_table_peak() <= 10.8 * 2**20
+
     def test_streamed_forms_traced_peak(self):
         # the same table, pattern build included: with every weight's mass
         # form held at once and the weights called on whole rules it peaked
@@ -215,13 +222,14 @@ class TestQuadraticForms:
         sub = 4.0 * mesh.h
         exact = AbsPowerWeight(alpha)
         reg = RegularizedWeight(epsilon=eps, alpha=alpha)
-        refs = [mesh.assemble(cell_forms(mesh, w, sub, levels)[0])
+        refs = [weighted_mass(mesh, w, sub, levels)[0]
                 for w, levels in ((AbsPowerWeight(alpha - 2.0), 3),
                                   (None, 2), (exact, 2), (reg, 2))]
         refs += [mesh.assemble(mesh.gradient_pairs()
-                               * cell_forms(mesh, w, sub)[1][:, None])
+                               * weighted_mass(mesh, w, sub)[1][:, None])
                  for w in (exact, reg)]
-        got = mesh.quadratic_forms(spaces._table_forms(mesh, alpha, eps), U)
+        got = mesh.quadratic_forms(spaces._table_pair_sums(mesh, alpha, eps),
+                                   U)
         assert got.shape == (6, n_fields)
         for A, row in zip(refs, got):
             want = np.einsum("fv,fv->f", U, (A @ U.T).T)
@@ -262,6 +270,29 @@ class TestQuadraticForms:
             assert np.array_equal(small_table[k], table[k])
         for a, b in zip(small_sums, sums):
             assert np.array_equal(a, b)
+
+    def test_one_rule_pass_per_table(self, form_mesh, monkeypatch):
+        # one table builds each chunk's points once, whatever the number of
+        # weights: the midpoint chunks once for all four, the refined chunks
+        # once per level (3 for the Hardy weight, 2 for the other three)
+        mesh = form_mesh
+        U = np.random.default_rng(2).standard_normal((3, mesh.num_vertices))
+        U[:, mesh.boundary_mask] = 0.0
+        qp = mesh.quadrature(4.0 * mesh.h)
+        midpoint = np.bincount(qp.cell, minlength=mesh.num_cells) == 3
+        calls = []
+        monkeypatch.setattr(domain, "_block_points", lambda m, ids, bary, f=(
+            domain._block_points): calls.append((len(bary), ids)) or f(
+                m, ids, bary))
+        monkeypatch.setattr(domain, "_CHUNK_POINTS", 256)
+        inequality_ratio_table(mesh, U, 1.0, eps=0.1)
+        for nq, cells in ((3, np.flatnonzero(midpoint)),
+                          (48, np.flatnonzero(~midpoint)),
+                          (192, np.flatnonzero(~midpoint))):
+            chunks = [ids for n, ids in calls if n == nq]
+            assert len(chunks) > 1
+            assert np.array_equal(np.concatenate(chunks), cells)
+        assert {n for n, _ in calls} == {3, 48, 192}
 
     def test_pair_pattern_is_unique_keys(self, form_mesh):
         mesh = form_mesh

@@ -74,6 +74,31 @@ class TestProfile:
         with pytest.raises(ValueError):
             RegularizedWeight(epsilon=0.1, alpha=0.0)
 
+    def test_quartic_only_inside_keeps_where_values(self):
+        # psi, psi' and psi'' evaluate the quartic only where r <= eps; the
+        # values, shapes and types are those of np.where on both branches
+        e = 0.1
+        w = RegularizedWeight(epsilon=e, alpha=1.3)
+        r = np.random.default_rng(0).uniform(0.0, 3.0 * e, 1000)
+        for radii in (r, r.reshape(40, 25), np.array([0.0, e, 0.0]),
+                      np.array(0.0), np.array(e), np.array(0.25), 0.0, e,
+                      0.25):
+            q = np.asarray(radii, dtype=float)
+            inside = q <= e
+            want = (np.where(inside, 3.0 * e / 8.0 + 3.0 * q**2 / (4.0 * e)
+                             - q**4 / (8.0 * e**3), q),
+                    np.where(inside, 3.0 * q / (2.0 * e)
+                             - q**3 / (2.0 * e**3), 1.0),
+                    np.where(inside, 3.0 / (2.0 * e)
+                             - 3.0 * q**2 / (2.0 * e**3), 0.0))
+            got = (w.psi(radii), w.psi_prime(radii), w.psi_second(radii))
+            for g, x in zip(got, want):
+                assert type(g) is type(x) and g.shape == q.shape
+                assert np.array_equal(g, x)
+        for radius in (-0.1, np.array(-1e-300), np.array([[0.5, -0.2]])):
+            with pytest.raises(ValueError, match="radius must be nonnegative"):
+                w.psi(radius)
+
 
 class TestDerivatives:
     # at alpha = 1, RegularizedWeight.gradient is grad psi_eps(|x|)
