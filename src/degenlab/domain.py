@@ -21,10 +21,13 @@ weight, with no point array of the whole rule and no form.
 :meth:`Mesh.add_stiffness` adds stiffnesses the same way, and
 :meth:`Mesh.quadratic_forms` evaluates u^T A u for several rows of pair
 sums and a whole stack of fields in one blocked pass, with no matrix.
+The unweighted nodal weights of a region are closed-form (sum |c| / 3
+over the cells round each vertex, bitwise P^T w of the midpoint rule) and
+build no quadrature.
 Everything built from the mesh (quadratures, operators, the pattern and
 its CSR map, the nodal weights of each region and weight, the mass matrix,
-the solver's step operators) is built once, cached on the Mesh and
-read-only.
+the solver's step operators and their interior entry map) is built once,
+cached on the Mesh and read-only.
 """
 
 from __future__ import annotations
@@ -155,8 +158,7 @@ class Mesh:
 
     def cell_mask(self, region: Region) -> np.ndarray:
         """Cells whose centroid lies in ``region`` (radii taken once)."""
-        r = self.cached("centroid_radii",
-                        lambda: np.linalg.norm(self.centroids, axis=1))
+        r = self.cached("centroid_radii", lambda: _radii(self.centroids))
         return (r >= region.r_inner) & (r < region.r_outer)
 
     def cached(self, key, build):
@@ -217,18 +219,30 @@ class Mesh:
 
         w holds the weights of ``quadrature(r)`` times ``weight`` at the
         points, zero outside ``region``, with r the weight's
-        ``quadrature_radius`` (0 unweighted).  ``weight`` is anything
+        ``quadrature_radius``.  ``weight`` is anything
         :func:`~degenlab.weights.as_weight` accepts; the cache key holds the
         weight value, so equal parameters share one entry.
+
+        Unweighted, c is taken in closed form with no quadrature built:
+        c_i = sum |c| / 3 over the region's cells c containing vertex i
+        (the rule is exact for P1).  Each of a cell's two edge midpoints
+        next to vertex i gives it half of |c| / 3, and one ``bincount``
+        adds these halves in the rule's point order, so c is bitwise P^T w.
         """
         weight = as_weight(weight)
 
         def build():
-            qp = self.quadrature(0.0 if weight is None
-                                 else weight.quadrature_radius)
-            w = qp.weights
-            if weight is not None:
-                w = w * np.asarray(weight(qp.points), dtype=float)
+            if weight is None:
+                third = self.areas / 3.0
+                if region is not None:
+                    third *= self.cell_mask(region)
+                # the midpoint of edge (i, j) = PAIRS[p], p >= 3, is the
+                # rule's point p - 3 of its cell
+                return np.bincount(self.cells[:, PAIRS[3:]].ravel(),
+                                   weights=np.repeat(0.5 * third, 6),
+                                   minlength=self.num_vertices)
+            qp = self.quadrature(weight.quadrature_radius)
+            w = qp.weights * np.asarray(weight(qp.points), dtype=float)
             if region is not None:
                 w = w * self.cell_mask(region)[qp.cell]
             return qp.interpolation.T @ w
@@ -475,8 +489,9 @@ def _rule_blocks(mesh, subdivide_radius, levels):
     midpoint rule.
     """
     if subdivide_radius > 0.0:
-        near = np.linalg.norm(mesh.vertices, axis=1) <= subdivide_radius
-        fine = near[mesh.cells].any(axis=1)
+        near = _radii(mesh.vertices) <= subdivide_radius
+        corners = mesh.cells.T
+        fine = near[corners[0]] | near[corners[1]] | near[corners[2]]
     else:
         fine = np.zeros(mesh.num_cells, dtype=bool)
     blocks = [(np.flatnonzero(~fine), _MIDPOINT_BARY, range(len(levels)))]
@@ -489,6 +504,13 @@ def _rule_blocks(mesh, subdivide_radius, levels):
                                    if x == lv]))
     return [(ids, b, mesh.areas[ids] / len(b), members)
             for ids, b, members in blocks if len(ids)]
+
+
+def _radii(points):
+    """|x| of each row of an (n, 2) array: ``sqrt(einsum)``, bitwise the
+    ``np.linalg.norm(points, axis=1)`` radii without its short-axis
+    reduction."""
+    return np.sqrt(np.einsum("nd,nd->n", points, points))
 
 
 def _block_points(mesh, ids, bary):

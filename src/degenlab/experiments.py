@@ -385,13 +385,13 @@ def _approximation_row(config: ExperimentConfig, k: int, fn) -> dict:
         mesh, sol_k.times, fields=sol_0.fields ** 2))
     l2q = np.sqrt(integrate_spacetime(mesh, sol_k.times, fields=diff ** 2))
     terminal = np.sqrt(integrate_space(mesh, diff[-1] ** 2))
-    region_k = Region.complement(2.0 * config.R)
-    nc = mesh.num_cells
-    gdiff = mesh.gradient_operator() @ diff.T        # (2 n_cells, n_times)
-    g2 = (gdiff[:nc] ** 2 + gdiff[nc:] ** 2).T
-    mask = mesh.cell_mask(region_k)
+    # |grad diff|^2 on the cells outside B_2R: the quadratic form of the
+    # stiffness of unit weight masked to those cells, per time node
+    stiff_k = np.zeros((1, mesh.num_pairs))
+    mesh.add_stiffness(stiff_k, (mesh.areas * mesh.cell_mask(
+        Region.complement(2.0 * config.R)))[None])
     tau = time_weights(sol_k.times)
-    grad_k = np.sqrt(tau @ (g2[:, mask] @ mesh.areas[mask]))
+    grad_k = np.sqrt(tau @ mesh.quadratic_forms(stiff_k, diff)[0])
     fdiff = boundary_flux(sol_k) - boundary_flux(sol_0)
     E, lengths = mesh.boundary_edge_average()
     fe = (E @ fdiff.T).T                               # flux gap on the edges

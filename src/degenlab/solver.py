@@ -5,15 +5,17 @@ data; backward problems are solved exclusively through the substitution
 u(t) = phi(T - t), never by integrating the ill-posed direction.  With a
 constant step the implicit matrix M + theta dt A is the same at every step, so
 it is factored once per (mesh, weight, dt, theta) by sparse LU and each step is
-one pair of triangular solves.  Every factor is :func:`_factor_spd`'s
-SuperLU call (minimum-degree ordering, diagonal pivots, unrelaxed
-one-column supernodes, which take a quarter to a third less time per factor
-than SuperLU's default blocking on these 2D P1 matrices, with the same
-fill).  Data that share a problem (weight, horizon, direction, source) are
-solved as one block: each step is one multi-column product and one
-multi-column triangular solve, which costs less per column than a solve per
-datum.  The boundary flux is recovered from the weak-form residual on the
-boundary rows alone.
+one pair of triangular solves.  The interior step matrices are gathered from
+the full mass and stiffness data through the mesh's one cached map of
+interior entries, so a step operator slices no matrix and makes no sparse
+sum.  Every factor is :func:`_factor_spd`'s SuperLU call (minimum-degree
+ordering, diagonal pivots, unrelaxed one-column supernodes, which take a
+quarter to a third less time per factor than SuperLU's default blocking on
+these 2D P1 matrices, with the same fill).  Data that share a problem
+(weight, horizon, direction, source) are solved as one block: each step is
+one multi-column product and one multi-column triangular solve, which costs
+less per column than a solve per datum.  The boundary flux is recovered from
+the weak-form residual on the boundary rows alone.
 """
 
 from __future__ import annotations
@@ -187,19 +189,38 @@ def step_operator(mesh: Mesh, weight, dt: float, theta: float) -> StepOperator:
     It is cached on the mesh (:meth:`Mesh.cached`), so it is built once for
     every solve that shares these values and is freed with the mesh.  Its
     matrices are shared by every solution built from it, and the mass matrix
-    by every step operator of the mesh; they are read-only.
+    by every step operator of the mesh; they are read-only.  The interior
+    sums are taken on data gathered by :func:`_interior_entries`, bitwise
+    the sliced matrices' sparse sums; M + theta dt A is symmetric, so its
+    CSR arrays are its CSC arrays and the factor reads them with no copy.
     """
     def build():
         mass = mesh.cached("mass", lambda: assemble_mass(mesh))
         stiff = assemble_stiffness(mesh, weight)
-        inter = mesh.interior
-        Mi = mass[inter][:, inter]
-        Ai = stiff[inter][:, inter]
-        return StepOperator(mass=mass, stiffness=stiff,
-                            explicit=(Mi - (1.0 - theta) * dt * Ai).tocsr(),
-                            lu=_factor_spd(Mi + theta * dt * Ai))
+        indptr, indices, entry = mesh.cached(
+            "p1_interior", lambda: _interior_entries(mesh, mass))
+        Mi, Ai = mass.data[entry], stiff.data[entry]
+        shape = (len(indptr) - 1,) * 2
+        explicit = sp.csr_matrix((Mi - (1.0 - theta) * dt * Ai, indices,
+                                  indptr), shape=shape)
+        K = sp.csc_matrix((Mi + theta * dt * Ai, indices, indptr),
+                          shape=shape)
+        return StepOperator(mass=mass, stiffness=stiff, explicit=explicit,
+                            lu=_factor_spd(K))
     return mesh.cached(("step", as_weight(weight), float(dt), float(theta)),
                        build)
+
+
+def _interior_entries(mesh: Mesh, mat: sp.csr_matrix):
+    """``(indptr, indices, entry)``: ``mat[I][:, I]`` on the interior
+    vertices I as CSR, and the position in ``mat.data`` of each of its
+    entries, for every matrix that shares ``mat``'s pattern (every matrix
+    :meth:`Mesh.assemble` makes).  Taken by slicing the pattern with each
+    entry's position + 1 as its value, so no entry is a zero."""
+    inter = mesh.interior
+    ids = sp.csr_matrix((np.arange(1.0, mat.nnz + 1), mat.indices,
+                         mat.indptr), shape=mat.shape)[inter][:, inter]
+    return ids.indptr, ids.indices, ids.data.astype(np.intp) - 1
 
 
 def solve(problem: ParabolicProblem, mesh: Mesh, M: int,

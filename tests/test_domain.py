@@ -66,6 +66,37 @@ class TestRegion:
         assert not mesh.cell_mask(Region.ball(5.0))[0]
 
 
+class TestRadii:
+    def test_radii_bitwise_norm(self, geometry):
+        # sqrt(einsum) radii are the bits of np.linalg.norm's, on vertices,
+        # centroids (cell_mask's cached radii) and random points at several
+        # scales
+        rng = np.random.default_rng(3)
+        mesh = build_disk_mesh(geometry, 0.3, local_h=0.01)
+        arrays = [mesh.vertices, mesh.centroids,
+                  *(scale * rng.standard_normal((20_000, 2))
+                    for scale in (1e-150, 1e-8, 1.0, 1e8, 1e150))]
+        for x in arrays:
+            assert np.array_equal(domain._radii(x), np.linalg.norm(x, axis=1))
+        mesh.cell_mask(Region.ball(3.0))
+        assert np.array_equal(mesh.cached("centroid_radii", None),
+                              np.linalg.norm(mesh.centroids, axis=1))
+
+    @pytest.mark.parametrize("radius", [0.0, 0.35, 1.2, 20.0])
+    def test_rule_blocks_fine_cells(self, geometry, radius):
+        # the refined cells are those with a vertex within the radius: the
+        # three column ORs select the cells near[cells].any(axis=1) does
+        mesh = build_disk_mesh(geometry, 0.3, local_h=0.02)
+        near = np.linalg.norm(mesh.vertices, axis=1) <= radius
+        fine = near[mesh.cells].any(axis=1) & (radius > 0.0)
+        expected = [ids for ids in (np.flatnonzero(~fine),
+                                    *[np.flatnonzero(fine)] * 2) if len(ids)]
+        blocks = domain._rule_blocks(mesh, radius, [2, 3])
+        assert len(blocks) == len(expected)
+        for (ids, *_), ref in zip(blocks, expected):
+            assert np.array_equal(ids, ref)
+
+
 class TestDiskMesh:
     def test_area(self, geometry, coarse_mesh):
         area = float(np.sum(coarse_mesh.areas))
@@ -463,6 +494,30 @@ class TestQuadratureWeights:
             ref = np.zeros(coarse_mesh.num_vertices)
             np.add.at(ref, nodes, fresh[:, None] * shape)
             assert np.max(np.abs(c - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("region", [None, Region.annulus(3.0, 6.0),
+                                        Region.complement(2.0)])
+    def test_unweighted_closed_form(self, geometry, region):
+        # sum |c| / 3 over the region's cells round each vertex, built with
+        # no quadrature: bitwise P^T w of the midpoint rule
+        mesh = build_disk_mesh(geometry, 0.3, local_h=0.02)
+        c = mesh.quadrature_weights(region)
+        assert not any(key[0] == "quadrature" for key in mesh._cache)
+        assert not c.flags.writeable
+        with pytest.raises(ValueError):
+            c[0] = 1.0
+        qp = mesh.quadrature()
+        w = qp.weights
+        if region is not None:
+            w = w * mesh.cell_mask(region)[qp.cell]
+        assert np.array_equal(c, qp.interpolation.T @ w)
+        mask = (np.ones(mesh.num_cells, dtype=bool) if region is None
+                else mesh.cell_mask(region))
+        ref = np.zeros(mesh.num_vertices)
+        for cell, area in zip(mesh.cells[mask], mesh.areas[mask]):
+            ref[cell] += area / 3.0
+        assert np.max(np.abs(c - ref)) <= 1e-14 * np.max(ref)
+        assert mesh.quadrature_weights(region) is c
 
     def test_regularized_integral_on_refined_rule(self, coarse_mesh):
         # integrate_space with psi_eps^alpha integrates on quadrature(2 eps),

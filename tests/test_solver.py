@@ -335,6 +335,34 @@ class TestFactor:
         x = lu.solve(b)
         assert np.linalg.norm(A @ x - b) <= 1e-12 * np.linalg.norm(b)
 
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    @pytest.mark.parametrize("weight", ["regularized", "exact"])
+    def test_step_matrices_equal_sliced_sums(self, monkeypatch, theta,
+                                             weight):
+        # the gathered interior matrices are the bits of the sliced matrices'
+        # sparse sums: M[I][:, I] + theta dt A[I][:, I] as the CSC the factor
+        # reads, and M[I][:, I] - (1 - theta) dt A[I][:, I] as CSR
+        mesh = build_disk_mesh(GeometrySpec(R=0.12, L=1.0), 0.1,
+                               local_h=0.005)
+        w = (RegularizedWeight(epsilon=0.05, alpha=1.0)
+             if weight == "regularized" else 1.0)
+        dt = 0.037
+        factored = []
+        monkeypatch.setattr(solver, "_factor_spd", lambda mat: (
+            factored.append(mat) or _factor_spd(mat)))
+        op = step_operator(mesh, w, dt, theta)
+        inter = mesh.interior
+        Mi = assemble_mass(mesh)[inter][:, inter]
+        Ai = assemble_stiffness(mesh, w)[inter][:, inter]
+        pairs = [(factored[0], (Mi + theta * dt * Ai).tocsc()),
+                 (op.explicit, (Mi - (1.0 - theta) * dt * Ai).tocsr())]
+        for got, ref in pairs:
+            assert got.format == ref.format and got.shape == ref.shape
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, name), getattr(ref, name))
+        # the factor reads the matrix without a CSC copy
+        assert factored[0].tocsc() is factored[0]
+
     def test_one_factor_path_in_src(self):
         # every sparse LU of the package is _factor_spd's: one splu call
         hits = [f"{path.name}:{i}"
