@@ -9,15 +9,16 @@ eta_0(|x|), 2 s eta_0(psi_eps) or -2 s sigma_bar / Theta) and a list of
 terms, each naming its side, coefficient, field, region, cutoff, column
 factor, time factor and window.  The parameter-free geometry is cached on
 the mesh for all its contexts; a BalanceContext caches its trajectory's
-fields, each quadrature point built the first time a term reads it, so a
-parameter point costs one exp per live column and one multiply-reduce per
-term.  The exponential factors span thousands of orders of magnitude, so
-each support region's growth exp(Theta_t e_q) subtracts one shift, the max
-of Theta_t e_q over the union of the balance's supports; it multiplies both
-sides identically and leaves the implied constant unchanged.  After the
-shift most columns underflow: a column is live when its largest exponent
-lies above EXP_FLOOR, and the others, where exp returns exactly 0.0 on
-every active row, are neither exponentiated nor reduced.
+fields on the implicit points of the unrefined midpoint rule, each point
+built the first time a term reads it, so a parameter point costs one exp
+per live column and one multiply-reduce per term.  The exponential factors
+span thousands of orders of magnitude, so each support region's growth
+exp(Theta_t e_q) subtracts one shift, the max of Theta_t e_q over the union
+of the balance's supports; it multiplies both sides identically and leaves
+the implied constant unchanged.  After the shift most columns underflow: a
+column is live when its largest exponent lies above EXP_FLOOR, and the
+others, where exp returns exactly 0.0 on every active row, are neither
+exponentiated nor reduced.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .domain import Mesh, Region, time_weights
+from .domain import (Mesh, Region, _at_midpoints, _cell_gradient, _radii,
+                     time_weights)
 from .solver import DiscreteSolution, boundary_flux
 from .weights import (AbsPowerWeight, CutoffFunction, RegularizedWeight,
                       cutoff_kappa, cutoff_zeta)
@@ -149,19 +151,19 @@ class BalanceContext:
 
     A balance term is coef * sum_t tau_t a_t sum_q G_qt c_q exp(Theta_t e_q
     - shift) over the active time rows (0 < Theta <= THETA_CAP) and the
-    term's support columns (the quadrature points of its region's cells):
-    the time weights tau of :func:`time_weights` (window folded in), a time
-    factor a, a field G with the quadrature weights folded in, a column
-    factor c and the exponent profile e, the only factor that reads s, gamma
-    or lambda.  G and the growth exp(Theta_t e_q - shift) are stored one
-    column per array row, so taking the live columns copies whole rows.
+    term's support columns (the midpoints q = 3c + k of its region's cells
+    c, of weight |c| / 3): the time weights tau of :func:`time_weights`
+    (window folded in), a time factor a, a field G with the point weights
+    folded in, a column factor c and the exponent profile e, the only factor
+    that reads s, gamma or lambda.  G and the growth exp(Theta_t e_q - shift)
+    are stored one column per array row, so taking the live columns copies
+    whole rows.
     """
 
     def __init__(self, sol: DiscreteSolution, params: CarlemanParams):
         self.sol = sol
         self.params = params
         self.mesh: Mesh = sol.mesh
-        self.qp = self.mesh.quadrature()
         t = sol.times
         th = np.zeros(len(t))
         th[1:-1] = theta(t[1:-1], params.T)
@@ -184,20 +186,20 @@ class BalanceContext:
         return self._cache[key]
 
     def columns(self, region: Region):
-        """Indices of the quadrature points whose cell lies in ``region``."""
-        return self.mesh.cached(("quadrature_columns", region),
-                                lambda: np.flatnonzero(
-                                    self.mesh.cell_mask(region)[self.qp.cell]))
+        """Indices q = 3c + k of the points of the cells c in ``region``."""
+        return self.mesh.cached(("quadrature_columns", region), lambda:
+                                np.flatnonzero(np.repeat(
+                                    self.mesh.cell_mask(region), 3)))
 
     def radius(self, region: Region, power: float = 1.0):
-        """|x|^power on the columns of ``region``, from |x| taken once."""
-        r = self.mesh.cached("quadrature_radii", lambda: np.linalg.norm(
-            self.qp.points, axis=1))
+        """|x|^power on the columns of ``region``."""
         return self.mesh.cached(("quadrature_radius", region, power),
-                                lambda: r[self.columns(region)] ** power)
+                                lambda: _radii(_at_midpoints(
+                                    self.mesh, self.mesh.vertices,
+                                    self.columns(region))) ** power)
 
     def field(self, kind: str, q, cutoff: CutoffFunction | None = None):
-        """G on (quadrature points q, active rows), each point built once.
+        """G on (points q, active rows), each point built once.
 
         "u2" and "grad2" are v^2 and |grad v|^2 for v = cutoff * u (v = u
         without a cutoff); "gsrc2" is g^2 for the commutator source
@@ -205,7 +207,7 @@ class BalanceContext:
         One array per (kind, cutoff) holds every point built so far; its
         pages are touched only where a term has read it.
         """
-        nq = len(self.qp.weights)
+        nq = 3 * self.mesh.num_cells
         G, built = self.cached(("field", kind, cutoff), lambda: (
             np.empty((nq, len(self.rows))), np.zeros(nq, dtype=bool)))
         new = q[~built[q]]
@@ -215,26 +217,27 @@ class BalanceContext:
         return G[q]
 
     def _build(self, kind, q, cutoff):
-        """The ``kind`` field on the quadrature points q, computed now."""
+        """The ``kind`` field on the points q, computed now."""
         f = self.cached(("nodal",), lambda: np.ascontiguousarray(
             self.sol.fields[self.rows].T))                # (nv, active rows)
         if cutoff is not None and kind != "gsrc2":
             f = cutoff.value(self.mesh.vertices)[:, None] * f
+        cells = q // 3
         if kind != "grad2":
-            u = self.qp.interpolation[q] @ f
+            u = _at_midpoints(self.mesh, f, q)
         if kind != "u2":
-            grad = self.mesh.gradient_operator()
-            cells = self.qp.cell[q]
-            gx = grad[cells] @ f
-            gy = grad[cells + self.mesh.num_cells] @ f
+            # the gradient is constant on a cell: taken once per cell of q
+            ids, at = np.unique(cells, return_inverse=True)
+            gx, gy = _cell_gradient(self.mesh, f, ids)
         if kind == "u2":
             g = u * u
         elif kind == "grad2":
-            g = gx * gx + gy * gy
+            g = (gx * gx + gy * gy)[at]
         else:
-            x = self.qp.points[q]
+            gx, gy = gx[at], gy[at]
+            x = _at_midpoints(self.mesh, self.mesh.vertices, q)
             weight = AbsPowerWeight(self.params.alpha)
-            r = np.linalg.norm(x, axis=1)
+            r = _radii(x)
             kg = cutoff.gradient(x)
             lap = (cutoff.d2_radial(r)
                    + cutoff.d1_radial(r) / np.maximum(r, 1e-300))
@@ -242,7 +245,7 @@ class BalanceContext:
             div_wk = np.einsum("qd,qd->q", weight.gradient(x), kg) + w * lap
             g = ((2.0 * w)[:, None] * (kg[:, :1] * gx + kg[:, 1:] * gy)
                  + u * div_wk[:, None]) ** 2
-        g *= self.qp.weights[q][:, None]
+        g *= (self.mesh.areas[cells] / 3.0)[:, None]
         return g
 
     def growth(self, e, shift):
@@ -511,7 +514,7 @@ def _boundary_term(ctx, p: CarlemanParams, flux, shift):
     def edges():
         mids = ctx.mesh.vertices[ctx.mesh.boundary_edges].mean(axis=1)
         # the normal is radial, so x . nu = |x| at each edge midpoint
-        rb = np.linalg.norm(mids, axis=1)
+        rb = _radii(mids)
         return rb ** (2.0 - p.alpha), rb ** p.alpha * rb * lengths
 
     radial, col = ctx.mesh.cached(("boundary_radii", p.alpha), edges)

@@ -6,9 +6,9 @@ of their angles, with array operations only, so boundary vertices sit
 exactly on the outer circle and the radial grading near the degeneracy at
 the origin is explicit.  All integrals use a per-cell midpoint rule (exact
 for quadratic integrands), with optional dyadic cell subdivision near the
-origin where singular weights live; the rule is defined once, as blocks of
-cells sharing a barycentric point set.
-Each quadrature carries the sparse P1 interpolation P onto its points.
+origin where singular weights live.  The rule is defined once, as blocks of
+cells sharing a barycentric point set (:meth:`Mesh.point_rule`), and every
+point sum of the package reads these blocks.
 Every P1 matrix is a symmetric (n_cells, 6) pair form: entry (c, p)
 couples cell c's local vertices (i, j) = PAIRS[p], i <= j.
 Forms are summed onto the one cached P1 pattern of vertex pairs i <= j:
@@ -21,11 +21,10 @@ weight, with no point array of the whole rule and no form.
 :meth:`Mesh.add_stiffness` adds stiffnesses the same way, and
 :meth:`Mesh.quadratic_forms` evaluates u^T A u for several rows of pair
 sums and a whole stack of fields in one blocked pass, with no matrix.
-The unweighted nodal weights of a region are closed-form (sum |c| / 3
-over the cells round each vertex, bitwise P^T w of the midpoint rule) and
-build no quadrature.
-Everything built from the mesh (quadratures, operators, the pattern and
-its CSR map, the nodal weights of each region and weight, the mass matrix,
+:meth:`Mesh.nodal_sums` (nodal weights, loads) is bitwise P^T w for the
+rule's interpolation P, with no P built.
+Everything built from the mesh (the pattern and its CSR map, the boundary
+edge average, the nodal weights of each region and weight, the mass matrix,
 the solver's step operators and their interior entry map) is built once,
 cached on the Mesh and read-only.
 """
@@ -100,19 +99,6 @@ class Region:
         return Region()
 
 
-@dataclass(frozen=True, eq=False)
-class SpaceQuadrature:
-    """Flat arrays of quadrature points over (possibly subdivided) cells, and
-    the sparse (nq, n_vertices) P1 interpolation P onto them: ``P @ u``
-    samples a nodal field u at the points, ``P.T @ w`` turns quadrature
-    weights w into nodal weights."""
-
-    points: np.ndarray   # (nq, 2)
-    weights: np.ndarray  # (nq,)
-    cell: np.ndarray     # (nq,) owning cell index
-    interpolation: sp.csr_matrix
-
-
 class Mesh:
     """Immutable P1 triangulation with cached geometry; its cells are
     counter-clockwise and its boundary edges lie on one outer circle round
@@ -172,20 +158,6 @@ class Mesh:
             self._cache[key] = _read_only(build())
         return self._cache[key]
 
-    def gradient_operator(self) -> sp.csr_matrix:
-        """Sparse (2 n_cells, n_vertices) P1 gradient G, cached.
-
-        ``G @ u`` is the piecewise-constant gradient of the nodal field u:
-        row c holds the x-derivative and row n_cells + c the y-derivative on
-        cell c, with the entries in local-vertex order.  This is the one P1
-        gradient of the package.
-        """
-        nc = self.num_cells
-        return self.cached("gradient", lambda: sp.csr_matrix(
-            (self.grads.transpose(2, 0, 1).ravel(),
-             np.tile(self.cells.ravel(), 2), np.arange(0, 6 * nc + 1, 3)),
-            shape=(2 * nc, self.num_vertices)))
-
     def boundary_edge_average(self) -> tuple[sp.csr_matrix, np.ndarray]:
         """``(E, lengths)`` of the boundary edges, cached.
 
@@ -207,53 +179,64 @@ class Mesh:
 
     # -- quadrature ------------------------------------------------------------
 
-    def quadrature(self, subdivide_radius: float = 0.0, levels: int = 2) -> SpaceQuadrature:
-        return self.cached(
-            ("quadrature", _quadrature_key(subdivide_radius, levels)),
-            lambda: self._build_quadrature(subdivide_radius, levels))
+    def point_rule(self, subdivide_radius: float = 0.0, levels: int = 2):
+        """The rule refined ``levels`` times within ``subdivide_radius`` as
+        blocks ``(ids, bary, a, points)``: cell ``ids[k]`` has the points
+        ``points[k]`` (bary @ its vertices), each of weight ``a[k]``."""
+        return [(ids, bary, a, _block_points(self, ids, bary))
+                for ids, bary, a, _ in _rule_blocks(self, subdivide_radius,
+                                                    [levels])]
 
     def quadrature_weights(self, region: Region | None = None,
                            weight=None) -> np.ndarray:
-        """Nodal weights c = P^T w, cached: the integral of a nodal field u
-        times ``weight`` over ``region`` is ``c @ u``.
+        """Nodal weights c, cached: the integral of a nodal field u times
+        ``weight`` over ``region`` is ``c @ u``.
 
-        w holds the weights of ``quadrature(r)`` times ``weight`` at the
-        points, zero outside ``region``, with r the weight's
-        ``quadrature_radius``.  ``weight`` is anything
-        :func:`~degenlab.weights.as_weight` accepts; the cache key holds the
-        weight value, so equal parameters share one entry.
-
-        Unweighted, c is taken in closed form with no quadrature built:
-        c_i = sum |c| / 3 over the region's cells c containing vertex i
-        (the rule is exact for P1).  Each of a cell's two edge midpoints
-        next to vertex i gives it half of |c| / 3, and one ``bincount``
-        adds these halves in the rule's point order, so c is bitwise P^T w.
+        c is :meth:`nodal_sums` of the weight over the region, on the rule
+        refined within the weight's ``quadrature_radius``.  ``weight`` is
+        anything :func:`~degenlab.weights.as_weight` accepts; the cache key
+        holds the weight value, so equal parameters share one entry.
         """
         weight = as_weight(weight)
+        return self.cached(("weights", region, weight), lambda: self.nodal_sums(
+            weight, 0.0 if weight is None else weight.quadrature_radius,
+            region))
 
-        def build():
-            if weight is None:
-                third = self.areas / 3.0
-                if region is not None:
-                    third *= self.cell_mask(region)
-                # the midpoint of edge (i, j) = PAIRS[p], p >= 3, is the
-                # rule's point p - 3 of its cell
-                return np.bincount(self.cells[:, PAIRS[3:]].ravel(),
-                                   weights=np.repeat(0.5 * third, 6),
-                                   minlength=self.num_vertices)
-            qp = self.quadrature(weight.quadrature_radius)
-            w = qp.weights * np.asarray(weight(qp.points), dtype=float)
-            if region is not None:
-                w = w * self.cell_mask(region)[qp.cell]
-            return qp.interpolation.T @ w
-        return self.cached(("weights", region, weight), build)
+    def nodal_sums(self, fn=None, subdivide_radius: float = 0.0,
+                   region: Region | None = None) -> np.ndarray:
+        """c_i = sum_q a_q fn(x_q) lambda_i(x_q) over the points of the
+        region's cells (all without one) on the level-2 rule refined within
+        ``subdivide_radius``, fn a callable on (n, 2) points (None: 1).
+
+        ``np.add.at`` adds each point's nonzero shape values times a_q fn(x_q)
+        in point order, a chunk of at most ``_CHUNK_POINTS`` points at a
+        time: bitwise P^T (a fn) for the rule's P1 interpolation P.
+        """
+        c = np.zeros(self.num_vertices)
+        keep = None if region is None else self.cell_mask(region)
+        for ids, bary, a, _ in _rule_blocks(self, subdivide_radius, [2]):
+            if keep is not None:
+                ids, a = ids[keep[ids]], a[keep[ids]]
+            # each point's nonzero shape values (an edge midpoint has a zero
+            # one), point by point
+            point, local = np.nonzero(bary)
+            step = _CHUNK_POINTS // len(bary)
+            for s in range(0, len(ids), step):
+                chunk = ids[s:s + step]
+                w = np.repeat(a[s:s + step, None], len(bary), axis=1)
+                if fn is not None:
+                    x = _block_points(self, chunk, bary).reshape(-1, 2)
+                    w *= np.asarray(fn(x), dtype=float).reshape(w.shape)
+                np.add.at(c, self.cells[chunk][:, local],
+                          w[:, point] * bary[point, local])
+        return c
 
     def pair_forms(self, rules, subdivide_radius: float = 0.0,
                    pair_sums=None) -> np.ndarray:
         """(k, n_cells) per-cell sums of k rules ``(weight, levels)`` in one
         pass, and their mass pair sums.
 
-        Rule ``(w, levels)`` is ``quadrature(subdivide_radius, levels)``
+        Rule ``(w, levels)`` is ``point_rule(subdivide_radius, levels)``
         with its weights a_q times w (None: w = 1, else a callable on (n, 2)
         point arrays) at its points:
 
@@ -268,8 +251,8 @@ class Mesh:
         rule, and the refined cells once per distinct level.  Each block goes
         in chunks of at most ``_CHUNK_POINTS`` points: a chunk's points are
         built once, every weight of the block is called on them, and its
-        pair sums are added through the slot map, so no quadrature,
-        per-point array of the whole rule or (n_cells, 6) form is made.
+        pair sums are added through the slot map, so no per-point array of
+        the whole rule and no (n_cells, 6) form is made.
         """
         weights, levels = zip(*rules)
         sums = np.empty((len(weights), self.num_cells))
@@ -434,26 +417,6 @@ class Mesh:
         slot[:, 3:] = position[n_used:].reshape(nc, 3)
         return I.astype(np.int32), J.astype(np.int32), slot.ravel()
 
-    def _build_quadrature(self, subdivide_radius, levels):
-        pts, w, cell, data, cols, row_nnz = [], [], [], [], [], []
-        for ids, bary, a, _ in _rule_blocks(self, subdivide_radius,
-                                            [levels]):
-            nq = len(bary)
-            pts.append(_block_points(self, ids, bary).reshape(-1, 2))
-            w.append(np.repeat(a, nq))
-            cell.append(np.repeat(ids, nq))
-            # P's entries: the nonzero shape values, point by point; edge
-            # midpoints carry one zero shape value
-            nz = bary != 0.0
-            data.append(np.tile(bary[nz], len(ids)))
-            cols.append(self.cells[ids][:, np.nonzero(nz)[1]].ravel())
-            row_nnz.append(np.tile(nz.sum(axis=1), len(ids)))
-        cell = np.concatenate(cell)
-        indptr = np.concatenate([[0], np.cumsum(np.concatenate(row_nnz))])
-        P = sp.csr_matrix((np.concatenate(data), np.concatenate(cols), indptr),
-                          shape=(len(cell), self.num_vertices))
-        return SpaceQuadrature(np.concatenate(pts), np.concatenate(w), cell, P)
-
     # -- plain-text export -----------------------------------------------------
 
     def save(self, path):
@@ -470,10 +433,6 @@ class Mesh:
         buf.write(f"# h {self.h!r}\n")
         with open(path, "w") as f:
             f.write(buf.getvalue())
-
-
-def _quadrature_key(subdivide_radius, levels):
-    return (round(float(subdivide_radius), 12), int(levels))
 
 
 def _rule_blocks(mesh, subdivide_radius, levels):
@@ -526,6 +485,30 @@ def _block_points(mesh, ids, bary):
         x = mesh.vertices[:, d][corners]
         out[..., d] = ((bary[:, :1] * x[0] + bary[:, 1:2] * x[1])
                        + bary[:, 2:] * x[2]).T
+    return out
+
+
+def _at_midpoints(mesh, values, q):
+    """Nodal ``values`` (rows per vertex) at point q = 3c + k of the
+    unrefined rule (``_MIDPOINT_BARY``), the midpoint of cell c's edge
+    (i, j) = PAIRS[3 + k]: 0.5 v_i + 0.5 v_j, bitwise its shape-value sum."""
+    c, k = np.divmod(q, 3)
+    i, j = mesh.cells[c[:, None], PAIRS[3 + k]].T
+    return 0.5 * values[i] + 0.5 * values[j]
+
+
+def _cell_gradient(mesh, f, cells):
+    """(d/dx, d/dy) of the nodal rows f on each of ``cells``, the one P1
+    cell gradient: (g_0 f_0 + g_1 f_1) + g_2 f_2 with the shape gradients
+    g_i, each corner's rows gathered once."""
+    g, corners = mesh.grads[cells], mesh.cells[cells]
+    rows = [f[corners[:, i]] for i in range(3)]
+    out = []
+    for d in range(2):
+        x = g[:, 0, d, None] * rows[0]
+        x += g[:, 1, d, None] * rows[1]
+        x += g[:, 2, d, None] * rows[2]
+        out.append(x)
     return out
 
 

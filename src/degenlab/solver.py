@@ -84,12 +84,10 @@ def assemble_stiffness(mesh: Mesh, weight) -> sp.csr_matrix:
 
 def load_vectors(mesh: Mesh, fn, times) -> np.ndarray:
     """Consistent loads (f(t), phi_i) for a callable f(points, t), one column
-    per time in ``times``: P^T (w f) on the quadrature's interpolation P, as
-    one sparse product for all times."""
-    qp = mesh.quadrature()
-    wf = np.array([qp.weights * np.asarray(fn(qp.points, t), dtype=float)
-                   for t in times])
-    return qp.interpolation.T @ wf.T
+    per time in ``times``: the nodal sums of f(., t) on the midpoint rule
+    (:meth:`Mesh.nodal_sums`)."""
+    return np.stack([mesh.nodal_sums(lambda x: fn(x, t)) for t in times],
+                    axis=1)
 
 
 @dataclass
@@ -362,17 +360,20 @@ def energy_report(sol: DiscreteSolution) -> dict:
 
 
 def _source_data_norms(sol: DiscreteSolution) -> float:
-    """||f||^2_{L2(Q; w^-1)} of the source by quadrature."""
+    """||f||^2_{L2(Q; w^-1)} of the source: per time, a point sum on the
+    level-3 rule (:meth:`Mesh.point_rule`, its blocks' points in order)
+    refined within max(the weight's ``quadrature_radius``, 4h)."""
     prob = sol.problem
     if prob.source is None:
         return 0.0
     w = prob.weight
     sub = max(0.0 if w is None else w.quadrature_radius, 4.0 * sol.mesh.h)
-    qp = sol.mesh.quadrature(sub, levels=3)
-    winv = 1.0 if w is None else 1.0 / w(qp.points)
+    blocks = sol.mesh.point_rule(sub, levels=3)
+    x = np.concatenate([points.reshape(-1, 2) for *_, points in blocks])
+    a = np.concatenate([np.repeat(a, len(bary)) for _, bary, a, _ in blocks])
+    winv = 1.0 if w is None else 1.0 / w(x)
     slices = np.array([
-        float(np.dot(qp.weights,
-                     np.asarray(prob.source(qp.points, t), dtype=float) ** 2
+        float(np.dot(a, np.asarray(prob.source(x, t), dtype=float) ** 2
                      * winv))
         for t in sol.times])
     return float(time_weights(sol.times) @ slices)

@@ -1,44 +1,59 @@
 """Weighted norms and verification ratios for the functional inequalities.
 
-All norms are computed with the midpoint-rule quadrature of :mod:`.domain`
-(with extra subdivision near the origin, where the weights degenerate), and
-P1 cell gradients for seminorms.  The inequality checkers return the ratio
+All norms are computed with the midpoint rule of :mod:`.domain` (with
+extra subdivision near the origin, where the weights degenerate), and P1
+cell gradients for seminorms.  The inequality checkers return the ratio
 LHS / RHS with the explicit constants, so a verified inequality reads
-``ratio <= 1 + quadrature budget``.  The single-field functions sample the
-field on the quadrature; the batched table reads each squared norm of a
-stack of fields as a quadratic form u^T A u, with the six matrices held as
-sums on the mesh's vertex pairs, the four masses from one pass over the
-rule (:meth:`~degenlab.domain.Mesh.pair_forms`), and evaluates all of them
-in one pass (:meth:`~degenlab.domain.Mesh.quadratic_forms`).  Every field
-must be finite and vanish on the boundary.
+``ratio <= 1 + quadrature budget``.  The single-field functions are point
+sums over :meth:`~degenlab.domain.Mesh.point_rule`; the batched table
+reads each squared norm of a stack of fields as a quadratic form u^T A u,
+with the six matrices held as sums on the mesh's vertex pairs, the four
+masses from one pass over the rule
+(:meth:`~degenlab.domain.Mesh.pair_forms`), and evaluates all of them in
+one pass (:meth:`~degenlab.domain.Mesh.quadratic_forms`).  Every field must
+be finite and vanish on the boundary.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .domain import Mesh
+from .domain import Mesh, _cell_gradient
 from .weights import AbsPowerWeight, RegularizedWeight
 
 
 def weighted_l2_norm(mesh: Mesh, field, weight=None,
                      subdivide_radius: float = 0.0) -> float:
-    """sqrt of the quadrature of u^2 * w over the mesh (w = 1 when ``weight``
-    is None)."""
-    qp = mesh.quadrature(subdivide_radius)
-    u = qp.interpolation @ np.asarray(field, dtype=float)
-    w = 1.0 if weight is None else weight(qp.points)
-    return float(np.sqrt(max(0.0, np.dot(qp.weights, u * u * w))))
+    """sqrt of the rule's sum of u^2 * w over the mesh (w = 1 when
+    ``weight`` is None)."""
+    u = np.asarray(field, dtype=float)
+    return float(np.sqrt(max(0.0, _rule_sum(mesh, u, None, weight,
+                                            subdivide_radius))))
 
 
 def weighted_h1_seminorm(mesh: Mesh, field, weight=None,
                          subdivide_radius: float = 0.0) -> float:
-    """sqrt of the quadrature of |grad u|^2 * w with the P1 cell gradient."""
-    qp = mesh.quadrature(subdivide_radius)
-    g = (mesh.gradient_operator() @ np.asarray(field, dtype=float)).reshape(2, -1)
-    g2 = (g[0] ** 2 + g[1] ** 2)[qp.cell]
-    w = 1.0 if weight is None else weight(qp.points)
-    return float(np.sqrt(max(0.0, np.dot(qp.weights, g2 * w))))
+    """sqrt of the rule's sum of |grad u|^2 * w with the P1 cell gradient."""
+    u = np.asarray(field, dtype=float)[:, None]
+    gx, gy = (g[:, 0] for g in _cell_gradient(mesh, u, slice(None)))
+    return float(np.sqrt(max(0.0, _rule_sum(
+        mesh, None, gx ** 2 + gy ** 2, weight, subdivide_radius))))
+
+
+def _rule_sum(mesh: Mesh, u, per_cell, weight, subdivide_radius, levels=2):
+    """sum_q a_q v_q w(x_q) over the points of :meth:`Mesh.point_rule`, a
+    block at a time: v is the square of the nodal field u interpolated at
+    the points, or (u None) the cell's ``per_cell`` value."""
+    total = 0.0
+    for ids, bary, a, points in mesh.point_rule(subdivide_radius, levels):
+        if u is None:
+            v = np.repeat(per_cell[ids, None], len(bary), axis=1)
+        else:
+            v = (u[mesh.cells[ids]] @ bary.T) ** 2
+        if weight is not None:
+            v *= weight(points.reshape(-1, 2)).reshape(v.shape)
+        total += float(a @ v.sum(axis=1))
+    return total
 
 
 def _require_h10(mesh: Mesh, fields):
@@ -71,12 +86,9 @@ def hardy_ratio(mesh: Mesh, field, alpha: float) -> float:
         return 0.0
     N = 2
     sub = 4.0 * mesh.h
-    qp = mesh.quadrature(sub, levels=3)
-    uq = qp.interpolation @ u
-    # |x|^(alpha-2) u^2; the rule never samples x = 0 (edge midpoints of
-    # nondegenerate cells), so the power is finite
-    lhs2 = float(np.dot(qp.weights,
-                        AbsPowerWeight(alpha - 2.0)(qp.points) * uq * uq))
+    # |x|^(alpha-2) u^2; the rule never samples x = 0 (its points are
+    # inside or on the edges of nondegenerate cells), so the power is finite
+    lhs2 = _rule_sum(mesh, u, None, AbsPowerWeight(alpha - 2.0), sub, 3)
     rhs = weighted_h1_seminorm(mesh, u, AbsPowerWeight(alpha), sub)
     return (N - 2 + alpha) * np.sqrt(max(0.0, lhs2)) / (2.0 * rhs)
 

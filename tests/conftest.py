@@ -1,13 +1,56 @@
 """Shared fixtures: meshes and configs reused across the test modules."""
 
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from degenlab.domain import GeometrySpec, build_disk_mesh
+from degenlab.domain import (GeometrySpec, _block_points, _rule_blocks,
+                             build_disk_mesh)
 from degenlab.experiments import ExperimentConfig
+
+
+class Quadrature(NamedTuple):
+    points: np.ndarray    # (nq, 2)
+    weights: np.ndarray   # (nq,)
+    cell: np.ndarray      # (nq,) owning cell
+    interpolation: sp.csr_matrix
+
+
+def quadrature(mesh, subdivide_radius=0.0, levels=2):
+    """The rule of :meth:`Mesh.point_rule` as flat arrays, in its point order
+    (block by block, cell by cell), with the sparse (nq, n_vertices) P1
+    interpolation P built from the blocks' barycentric points: row q holds
+    point q's nonzero shape values in local-vertex order.  ``P @ u``
+    samples a nodal field at the points and ``P.T @ w`` turns point weights
+    into nodal weights."""
+    pts, w, cell, data, cols, row_nnz = [], [], [], [], [], []
+    for ids, bary, a, _ in _rule_blocks(mesh, subdivide_radius, [levels]):
+        nq = len(bary)
+        pts.append(_block_points(mesh, ids, bary).reshape(-1, 2))
+        w.append(np.repeat(a, nq))
+        cell.append(np.repeat(ids, nq))
+        nz = bary != 0.0
+        data.append(np.tile(bary[nz], len(ids)))
+        cols.append(mesh.cells[ids][:, np.nonzero(nz)[1]].ravel())
+        row_nnz.append(np.tile(nz.sum(axis=1), len(ids)))
+    cell = np.concatenate(cell)
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(row_nnz))])
+    P = sp.csr_matrix((np.concatenate(data), np.concatenate(cols), indptr),
+                      shape=(len(cell), mesh.num_vertices))
+    return Quadrature(np.concatenate(pts), np.concatenate(w), cell, P)
+
+
+def gradient_operator(mesh):
+    """Sparse (2 n_cells, n_vertices) P1 gradient G: row c of ``G @ u`` is
+    the x-derivative and row n_cells + c the y-derivative on cell c, each
+    summed over the cell's vertices in local order."""
+    nc = mesh.num_cells
+    return sp.csr_matrix(
+        (mesh.grads.transpose(2, 0, 1).ravel(), np.tile(mesh.cells.ravel(), 2),
+         np.arange(0, 6 * nc + 1, 3)), shape=(2 * nc, mesh.num_vertices))
 
 
 def p1_shape_values(mesh, qp):

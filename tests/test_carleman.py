@@ -13,9 +13,10 @@ from degenlab.carleman import (THETA_CAP, BalanceContext, CarlemanParams,
 from degenlab.domain import GeometrySpec, Region, build_disk_mesh
 from degenlab.experiments import ExperimentConfig, run_carleman_sweep
 from degenlab.solver import ParabolicProblem, boundary_flux, solve
-from degenlab.weights import RegularizedWeight, cutoff_kappa, cutoff_zeta
+from degenlab.weights import (AbsPowerWeight, RegularizedWeight, cutoff_kappa,
+                              cutoff_zeta)
 
-from conftest import p1_shape_values
+from conftest import gradient_operator, p1_shape_values, quadrature
 
 
 @pytest.fixture(scope="module")
@@ -193,7 +194,8 @@ class TestBalances:
         # gradient einsum; a field read on part of the columns first is
         # bitwise the same array
         ctx = BalanceContext(sample_solution, CarlemanParams())
-        qp, mesh = ctx.qp, sample_solution.mesh
+        mesh = sample_solution.mesh
+        qp = quadrature(mesh)
         zeta = cutoff_zeta(1.0)
         f = sample_solution.fields
         fz = f * zeta.value(mesh.vertices)[None, :]
@@ -215,15 +217,55 @@ class TestBalances:
                 fresh = BalanceContext(sample_solution, CarlemanParams())
                 assert np.array_equal(fresh.field(kind, cols, cutoff), got)
 
-    def test_radius_bitwise_per_region(self, sample_solution):
-        # |x| is taken once over all points and sliced per region; the
-        # row-wise norm is elementwise, so each region's |x|^p is bitwise the
-        # norm of its own points raised to p
+    @pytest.mark.parametrize("kind, cutoff", [
+        ("u2", None), ("u2", cutoff_zeta(1.0)), ("grad2", None),
+        ("grad2", cutoff_zeta(1.0)), ("gsrc2", cutoff_kappa(1.0))])
+    def test_context_fields_bitwise_oracle_rows(self, sample_solution, kind,
+                                                cutoff):
+        # the fields on the implicit midpoint points (q = 3c + k) against
+        # rows of the oracle rule's P and of the sparse gradient G, the
+        # commutator source on the oracle's points: bitwise, on every
+        # column of a region and on a scattered subset
         ctx = BalanceContext(sample_solution, CarlemanParams())
+        mesh = sample_solution.mesh
+        qp, G, nc = quadrature(mesh), gradient_operator(mesh), mesh.num_cells
+        assert len(qp.weights) == 3 * nc
+        f = np.ascontiguousarray(sample_solution.fields[ctx.rows].T)
+        if cutoff is not None and kind != "gsrc2":
+            f = cutoff.value(mesh.vertices)[:, None] * f
+        for q in (ctx.columns(Region.complement(1.0)),
+                  np.random.default_rng(5).permutation(3 * nc)[:500]):
+            u = qp.interpolation[q] @ f
+            cells = qp.cell[q]
+            gx, gy = G[cells] @ f, G[cells + nc] @ f
+            if kind == "u2":
+                ref = u * u
+            elif kind == "grad2":
+                ref = gx * gx + gy * gy
+            else:
+                x = qp.points[q]
+                weight = AbsPowerWeight(1.0)
+                r = np.linalg.norm(x, axis=1)
+                kg = cutoff.gradient(x)
+                lap = (cutoff.d2_radial(r)
+                       + cutoff.d1_radial(r) / np.maximum(r, 1e-300))
+                div_wk = (np.einsum("qd,qd->q", weight.gradient(x), kg)
+                          + weight(x) * lap)
+                ref = ((2.0 * weight(x))[:, None]
+                       * (kg[:, :1] * gx + kg[:, 1:] * gy)
+                       + u * div_wk[:, None]) ** 2
+            ref *= qp.weights[q][:, None]
+            assert np.array_equal(ctx.field(kind, q, cutoff), ref)
+
+    def test_radius_bitwise_per_region(self, sample_solution):
+        # each region's |x| is taken on its own midpoints, 0.5 v_i + 0.5 v_j,
+        # by sqrt(einsum): bitwise the norm of the rule's points raised to p
+        ctx = BalanceContext(sample_solution, CarlemanParams())
+        qp = quadrature(sample_solution.mesh)
         for region in (Region.whole(), Region.ball(4.0),
                        Region.annulus(3.0, 6.0), Region.complement(5.0)):
             for power in (1.0, 0.5, 1.5):
-                ref = np.linalg.norm(ctx.qp.points[ctx.columns(region)],
+                ref = np.linalg.norm(qp.points[ctx.columns(region)],
                                      axis=1) ** power
                 assert np.array_equal(ctx.radius(region, power), ref)
 
@@ -236,10 +278,9 @@ class TestBalances:
         second = BalanceContext(sample_solution, CarlemanParams(s=8.0))
         band = Region.annulus(3.0, 6.0)
         assert second.columns(band) is first.columns(band)
-        first.radius(band)
+        r = first.radius(band)
+        assert second.radius(band) is r
         cache = sample_solution.mesh._cache
-        r = cache["quadrature_radii"]
-        assert np.array_equal(r, np.linalg.norm(first.qp.points, axis=1))
         for arr in (r, first.columns(band), cache["centroid_radii"]):
             assert not arr.flags.writeable
         reg = RegularizedWeight(epsilon=0.25, alpha=1.0)
@@ -663,7 +704,7 @@ def _dense_reference(sol, p, variant, weight, flux, eta_bar):
     levels, regions as 0/1 factors, one exponent shift, and a trapezoid of
     per-slice quadrature sums.  Returns (lhs_terms, rhs_terms, shift)."""
     mesh = sol.mesh
-    qp = mesh.quadrature()
+    qp = quadrature(mesh)
     r = np.linalg.norm(qp.points, axis=1)
     t = sol.times
     th = np.zeros(len(t))

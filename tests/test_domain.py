@@ -12,14 +12,15 @@ import scipy.sparse as sp
 from degenlab import domain, solver
 from degenlab.carleman import BalanceContext, CarlemanParams
 from degenlab.domain import (MAX_VERTICES, GeometrySpec, Mesh, Region,
-                             build_disk_mesh, disk_vertex_bound,
+                             _cell_gradient, build_disk_mesh,
+                             disk_vertex_bound,
                              integrate_space, integrate_spacetime,
                              time_weights)
 from degenlab.spaces import inequality_ratio_table
 from degenlab.weights import AbsPowerWeight, RegularizedWeight
 
-from conftest import (p1_cell_gradient, p1_shape_values, traced_peak,
-                      weighted_mass)
+from conftest import (gradient_operator, p1_cell_gradient, p1_shape_values,
+                      quadrature, traced_peak, weighted_mass)
 
 
 class TestGeometry:
@@ -283,7 +284,7 @@ class TestVertexBound:
 class TestQuadrature:
     def test_exact_for_quadratics(self, unit_square_mesh):
         # edge-midpoint rule integrates degree-2 polynomials exactly
-        qp = unit_square_mesh.quadrature()
+        qp = quadrature(unit_square_mesh)
         x, y = qp.points[:, 0], qp.points[:, 1]
         cases = [(np.ones_like(x), 1.0), (x, 0.5), (y, 0.5),
                  (x * x, 1.0 / 3.0), (x * y, 0.25), (y * y, 1.0 / 3.0)]
@@ -293,24 +294,36 @@ class TestQuadrature:
     def test_weighted_polar_integral(self, geometry):
         # int_{B_1} |x|^1 * |x|^2 dx = 2 pi / 5 (radial moment oracle)
         mesh = build_disk_mesh(GeometrySpec(R=0.12, L=1.0), 1.0 / 32.0)
-        qp = mesh.quadrature(0.125)
+        qp = quadrature(mesh, 0.125)
         val = float(np.dot(qp.weights * AbsPowerWeight(1.0)(qp.points),
                            np.einsum("nd,nd->n", qp.points, qp.points)))
         assert abs(val - 2.0 * np.pi / 5.0) < 0.01 * 2.0 * np.pi / 5.0
 
     def test_subdivision_refines_near_origin_only(self, coarse_mesh):
-        qp0 = coarse_mesh.quadrature()
-        qp1 = coarse_mesh.quadrature(0.5)
+        qp0 = quadrature(coarse_mesh)
+        qp1 = quadrature(coarse_mesh, 0.5)
         assert len(qp1.points) > len(qp0.points)
         assert np.isclose(np.sum(qp0.weights), np.sum(qp1.weights))
 
     def test_nodal_field_interpolation(self, unit_square_mesh):
         # P1 interpolation of a linear nodal field is exact
         u = unit_square_mesh.vertices @ np.array([2.0, -1.0]) + 0.5
-        qp = unit_square_mesh.quadrature()
+        qp = quadrature(unit_square_mesh)
         vals = qp.interpolation @ u
         expected = qp.points @ np.array([2.0, -1.0]) + 0.5
         assert np.allclose(vals, expected)
+
+
+    def test_one_point_rule_in_src(self):
+        # every point sum reads the rule blocks: no source file builds a
+        # quadrature object, an interpolation operator or a gradient operator
+        hits = [f"{path.relative_to(root)}:{i}"
+                for root in [pathlib.Path(domain.__file__).parents[1]]
+                for path in sorted(root.rglob("*.py"))
+                for i, line in enumerate(path.read_text().splitlines(), 1)
+                if re.search(r"SpaceQuadrature|\.quadrature\(|gradient_operator"
+                             r"|\.interpolation\b", line)]
+        assert not hits, hits
 
 
 class TestInterpolation:
@@ -318,7 +331,7 @@ class TestInterpolation:
 
     @pytest.mark.parametrize("sub, levels", KEYS)
     def test_rows_are_shape_values(self, coarse_mesh, sub, levels):
-        qp = coarse_mesh.quadrature(sub, levels)
+        qp = quadrature(coarse_mesh, sub, levels)
         P = qp.interpolation
         assert P.shape == (len(qp.weights), coarse_mesh.num_vertices)
         assert np.all(P.data != 0.0)     # edge midpoints' zeros eliminated
@@ -331,15 +344,6 @@ class TestInterpolation:
         # each point is its shape values times its cell's vertices, summed
         # in vertex order
         assert np.array_equal(qp.points, P @ coarse_mesh.vertices)
-
-    def test_cached_per_key(self, coarse_mesh):
-        qp = coarse_mesh.quadrature()
-        assert coarse_mesh.quadrature(0.0, 2) is qp
-        fine = coarse_mesh.quadrature(1.2, 3)
-        assert fine is not qp
-        assert fine.interpolation is not qp.interpolation
-        assert coarse_mesh.quadrature(1.2 + 1e-14, 3) is fine
-        assert coarse_mesh.quadrature(1.2) is not fine
 
 
 # test-local 3 x 3 oracles of the pair layout: the pair of each entry (i, j)
@@ -461,7 +465,7 @@ class TestCellForms:
                                                   levels):
         # against P^T diag(w) P and a scatter of w on the same rule
         sub = 1.2
-        qp = coarse_mesh.quadrature(sub, levels)
+        qp = quadrature(coarse_mesh, sub, levels)
         assert len(qp.weights) > 3 * coarse_mesh.num_cells   # cells refined
         wq = qp.weights * (1.0 if weight is None else weight(qp.points))
         nodes, shape = p1_shape_values(coarse_mesh, qp)
@@ -485,7 +489,7 @@ class TestQuadratureWeights:
         for weight in (AbsPowerWeight(1.0),
                        RegularizedWeight(epsilon=0.6, alpha=1.0)):
             c = coarse_mesh.quadrature_weights(region, weight)
-            qp = coarse_mesh.quadrature(weight.quadrature_radius)
+            qp = quadrature(coarse_mesh, weight.quadrature_radius)
             fresh = (qp.weights * weight(qp.points)
                      * coarse_mesh.cell_mask(region)[qp.cell])
             assert np.array_equal(c, qp.interpolation.T @ fresh)
@@ -498,15 +502,16 @@ class TestQuadratureWeights:
     @pytest.mark.parametrize("region", [None, Region.annulus(3.0, 6.0),
                                         Region.complement(2.0)])
     def test_unweighted_closed_form(self, geometry, region):
-        # sum |c| / 3 over the region's cells round each vertex, built with
-        # no quadrature: bitwise P^T w of the midpoint rule
+        # sum |c| / 3 over the region's cells round each vertex: bitwise
+        # P^T w of the midpoint rule, and no rule kept in the cache
         mesh = build_disk_mesh(geometry, 0.3, local_h=0.02)
         c = mesh.quadrature_weights(region)
-        assert not any(key[0] == "quadrature" for key in mesh._cache)
+        assert set(mesh._cache) <= {("weights", region, None),
+                                    "centroid_radii"}
         assert not c.flags.writeable
         with pytest.raises(ValueError):
             c[0] = 1.0
-        qp = mesh.quadrature()
+        qp = quadrature(mesh)
         w = qp.weights
         if region is not None:
             w = w * mesh.cell_mask(region)[qp.cell]
@@ -519,6 +524,41 @@ class TestQuadratureWeights:
         assert np.max(np.abs(c - ref)) <= 1e-14 * np.max(ref)
         assert mesh.quadrature_weights(region) is c
 
+    @pytest.mark.parametrize("chunk", [domain._CHUNK_POINTS, 96])
+    @pytest.mark.parametrize("weight", [
+        None, AbsPowerWeight(1.0), RegularizedWeight(epsilon=0.6, alpha=1.0),
+        RegularizedWeight(epsilon=0.05, alpha=1.5)])
+    @pytest.mark.parametrize("region", [None, Region.ball(4.0),
+                                        Region.annulus(3.0, 6.0),
+                                        Region.complement(5.0)])
+    def test_bitwise_rule_transpose(self, geometry, monkeypatch, chunk,
+                                    weight, region):
+        # one chunked np.add.at in point order over the region's cells is
+        # bitwise P^T w of the oracle rule, on the rule refined within the
+        # weight's radius (0, 1.2 or 0.1 on a core graded to 0.02), whatever
+        # the chunk size (96 points: two refined cells a chunk)
+        monkeypatch.setattr(domain, "_CHUNK_POINTS", chunk)
+        mesh = build_disk_mesh(geometry, 0.3, local_h=0.02)
+        c = mesh.quadrature_weights(region, weight)
+        qp = quadrature(mesh, 0.0 if weight is None
+                        else weight.quadrature_radius)
+        if weight is not None and weight.quadrature_radius > 0.0:
+            assert len(qp.weights) > 3 * mesh.num_cells   # cells refined
+        w = qp.weights if weight is None else qp.weights * weight(qp.points)
+        if region is not None:
+            w = w * mesh.cell_mask(region)[qp.cell]
+        assert np.array_equal(c, qp.interpolation.T @ w)
+
+    @pytest.mark.parametrize("region", [None, Region.annulus(3.0, 6.0)])
+    def test_unweighted_traced_peak(self, geometry, region):
+        # h = 1/16 (75,192 vertices, 149,477 cells): 3.7 MB unweighted, 5.7
+        # MB in the annulus (its cached centroid radii included), against
+        # 16.0 and 17.1 MB with a bincount over an (n_cells, 6) index (and
+        # 59 MB for a weight, which built the rule's points and P)
+        mesh = build_disk_mesh(geometry, 1.0 / 16.0)
+        assert traced_peak(lambda: mesh.quadrature_weights(region)) <= (
+            6.6 * 2**20)
+
     def test_regularized_integral_on_refined_rule(self, coarse_mesh):
         # integrate_space with psi_eps^alpha integrates on quadrature(2 eps),
         # as the weights times P u there
@@ -528,7 +568,7 @@ class TestQuadratureWeights:
         got = integrate_space(coarse_mesh, u, region, weight)
         vals, scale = {}, 0.0
         for radius in (0.0, 2.0 * eps):
-            qp = coarse_mesh.quadrature(radius)
+            qp = quadrature(coarse_mesh, radius)
             w = (qp.weights * weight(qp.points)
                  * coarse_mesh.cell_mask(region)[qp.cell])
             uq = qp.interpolation @ u
@@ -572,12 +612,8 @@ class TestQuadratureWeights:
     def test_cached_arrays_read_only(self, coarse_mesh):
         c = coarse_mesh.quadrature_weights(None, AbsPowerWeight(1.0))
         E, lengths = coarse_mesh.boundary_edge_average()
-        qp = coarse_mesh.quadrature()
-        P = qp.interpolation
         op = solver.step_operator(coarse_mesh, 1.0, 0.1, 1.0)
-        for arr in (c, lengths, E.data, coarse_mesh.gradient_operator().data,
-                    qp.points, qp.weights, qp.cell,
-                    P.data, P.indices, P.indptr,
+        for arr in (c, lengths, E.data,
                     op.stiffness.data, op.explicit.data, op.explicit.indices):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
@@ -586,17 +622,24 @@ class TestQuadratureWeights:
 
 class TestGradients:
     def test_p1_gradient_of_linear_field(self, coarse_mesh):
-        u = coarse_mesh.vertices @ np.array([3.0, -2.0])
-        G = coarse_mesh.gradient_operator()
-        assert G is coarse_mesh.gradient_operator()
-        assert G.shape == (2 * coarse_mesh.num_cells, coarse_mesh.num_vertices)
-        assert np.allclose((G @ u).reshape(2, -1).T, [3.0, -2.0])
-        # G stacks the two columns of the cell gradient, on any field
-        v = np.random.default_rng(2).standard_normal(coarse_mesh.num_vertices)
-        for w in (u, v):
-            ref = p1_cell_gradient(coarse_mesh, w)
-            got = (G @ w).reshape(2, -1).T
-            assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+        # the one P1 cell gradient (the Carleman fields, the seminorms),
+        # (g_0 f_0 + g_1 f_1) + g_2 f_2 added in place: exact on a linear
+        # field, within round-off of the einsum oracle, and bitwise the rows
+        # of the sparse G
+        mesh = coarse_mesh
+        u = mesh.vertices @ np.array([3.0, -2.0])
+        v = np.random.default_rng(2).standard_normal(mesh.num_vertices)
+        f = np.column_stack([u, v])
+        cells = np.random.default_rng(3).permutation(mesh.num_cells)[:200]
+        got = _cell_gradient(mesh, f, cells)
+        assert np.allclose(got[0][:, 0], 3.0) and np.allclose(got[1][:, 0], -2.0)
+        G = gradient_operator(mesh)
+        for d in (0, 1):
+            assert np.array_equal(got[d], G[cells + d * mesh.num_cells] @ f)
+        for k, w in enumerate((u, v)):
+            ref = p1_cell_gradient(mesh, w)[cells]
+            grad = np.column_stack([got[0][:, k], got[1][:, k]])
+            assert np.max(np.abs(grad - ref)) <= 1e-15 * np.max(np.abs(ref))
 
     def test_boundary_edge_average_of_linear_field(self, coarse_mesh):
         mesh = coarse_mesh
@@ -732,7 +775,7 @@ class TestTimeIntegration:
         fields = rng.standard_normal((9, coarse_mesh.num_vertices)) ** 2
         weights = ([None, AbsPowerWeight(1.0)] if radius == 0.0
                    else [RegularizedWeight(epsilon=radius / 2.0, alpha=1.0)])
-        qp = coarse_mesh.quadrature(radius)
+        qp = quadrature(coarse_mesh, radius)
         mask = (np.ones(coarse_mesh.num_cells, dtype=bool) if region is None
                 else coarse_mesh.cell_mask(region))
         for weight, window in itertools.product(weights,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from degenlab.domain import GeometrySpec, Region, build_disk_mesh
-from degenlab import domain, experiments
+from degenlab import experiments
 from degenlab.experiments import (MAX_TRAJECTORY_FLOATS, OBSERVABILITY_BLOCK,
                                   ExperimentConfig, StudyReport,
                                   _approximation_row, _block_size, _nodal,
@@ -194,32 +194,6 @@ class TestApproximationRow:
         assert row["flux"] > 0.0
         assert np.isclose(row["flux"], np.sqrt(np.trapezoid(f2, times)),
                           rtol=1e-12, atol=0.0)
-
-    def test_builds_no_quadrature_or_gradient_operator(self, monkeypatch):
-        # the row's nodal weights are closed-form and gradient_K is a
-        # quadratic form: no SpaceQuadrature and no gradient operator
-        built = {"quadrature": 0, "gradient": 0}
-        quadrature = domain.SpaceQuadrature
-        gradient = domain.Mesh.gradient_operator
-
-        def count(name, fn):
-            def counted(*args):
-                built[name] += 1
-                return fn(*args)
-            return counted
-        monkeypatch.setattr(domain, "SpaceQuadrature",
-                            count("quadrature", quadrature))
-        monkeypatch.setattr(domain.Mesh, "gradient_operator",
-                            count("gradient", gradient))
-        cfg = ExperimentConfig(mesh_levels=(0.5,), k_levels=(8,))
-        fn, _ = data_bump_a2r7r(np.random.default_rng(1), cfg)
-        _approximation_row(cfg, 8, fn)
-        assert built == {"quadrature": 0, "gradient": 0}
-        # the counters see a build
-        mesh = build_disk_mesh(cfg.geometry, 0.5)
-        mesh.quadrature()
-        mesh.gradient_operator()
-        assert built == {"quadrature": 1, "gradient": 1}
 
     def test_row_traced_peak(self):
         # tracemalloc peak of one row at h = 0.18, k = 8 (default config,

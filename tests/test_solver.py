@@ -19,7 +19,7 @@ from degenlab.solver import (ManufacturedField, ParabolicProblem, SolverError,
                              step_operator)
 from degenlab.weights import AbsPowerWeight, RegularizedWeight, as_weight
 
-from conftest import p1_shape_values
+from conftest import p1_shape_values, quadrature
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +81,7 @@ class TestAssembly:
                                local_h=1.0 / 64.0)
         for weight in (1.0, RegularizedWeight(epsilon=0.05, alpha=1.3), None):
             w = as_weight(weight)
-            qp = mesh.quadrature(0.0 if w is None else w.quadrature_radius)
+            qp = quadrature(mesh, 0.0 if w is None else w.quadrature_radius)
             if isinstance(weight, RegularizedWeight):    # refined cells
                 assert len(qp.weights) > 3 * mesh.num_cells
             ref = np.zeros(mesh.num_cells)
@@ -440,7 +440,7 @@ class TestBlockSolve:
 class TestLoads:
     def test_load_matches_scatter(self, small_mesh):
         # P^T (w f) against the per-point scatter over the cell's vertices
-        qp = small_mesh.quadrature()
+        qp = quadrature(small_mesh)
         wf = qp.weights * _source(qp.points, 0.3)
         nodes, shape = p1_shape_values(small_mesh, qp)
         ref = np.zeros(small_mesh.num_vertices)

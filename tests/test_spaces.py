@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import traced_peak, weighted_mass
+from conftest import quadrature, traced_peak, weighted_mass
 from degenlab import domain, spaces
 from degenlab.domain import PAIRS, GeometrySpec, Mesh, build_disk_mesh
 from degenlab.solver import cell_weight_integrals
@@ -278,7 +278,7 @@ class TestQuadraticForms:
         mesh = form_mesh
         U = np.random.default_rng(2).standard_normal((3, mesh.num_vertices))
         U[:, mesh.boundary_mask] = 0.0
-        qp = mesh.quadrature(4.0 * mesh.h)
+        qp = quadrature(mesh, 4.0 * mesh.h)
         midpoint = np.bincount(qp.cell, minlength=mesh.num_cells) == 3
         calls = []
         monkeypatch.setattr(domain, "_block_points", lambda m, ids, bary, f=(

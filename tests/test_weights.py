@@ -12,6 +12,8 @@ from degenlab.weights import (AbsPowerWeight, CubeFamily, CutoffFunction,
                               as_weight, cutoff_kappa, cutoff_rho,
                               cutoff_zeta, identity_residuals)
 
+from conftest import quadrature
+
 
 # ---------------------------------------------------------------------------
 # radial profile
@@ -201,7 +203,7 @@ class TestExactWeight:
         # quantity matches the norm-based formula bit for bit
         mesh = build_disk_mesh(GeometrySpec(R=0.12, L=1.0), 0.1,
                                local_h=1.0 / 64.0)
-        x = mesh.quadrature(0.25, levels=levels).points
+        x = quadrature(mesh, 0.25, levels=levels).points
         assert np.array_equal(AbsPowerWeight(1.0)(x),
                               np.linalg.norm(x, axis=-1))
 
