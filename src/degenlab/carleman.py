@@ -8,17 +8,12 @@ Each of the seven variants is data: an exponent profile e (none, 2 s
 eta_0(|x|), 2 s eta_0(psi_eps) or -2 s sigma_bar / Theta) and a list of
 terms, each naming its side, coefficient, field, region, cutoff, column
 factor, time factor and window.  The parameter-free geometry is cached on
-the mesh for all its contexts; a BalanceContext caches its trajectory's
-fields on the implicit points of the unrefined midpoint rule, each point
-built the first time a term reads it, so a parameter point costs one exp
-per live column and one multiply-reduce per term.  The exponential factors
-span thousands of orders of magnitude, so each support region's growth
-exp(Theta_t e_q) subtracts one shift, the max of Theta_t e_q over the union
-of the balance's supports; it multiplies both sides identically and leaves
-the implied constant unchanged.  After the shift most columns underflow: a
-column is live when its largest exponent lies above EXP_FLOOR, and the
-others, where exp returns exactly 0.0 on every active row, are neither
-exponentiated nor reduced.
+the mesh for all its contexts, and a BalanceContext caches balances, no
+field.  Unweighted terms are quadratic forms of the nodal rows.  Weighted
+ones span thousands of orders of magnitude, so each support region's growth
+exp(Theta_t e_q) subtracts one shift (the implied constant is unchanged),
+the max of Theta_t e_q over the union of the supports; then a term's field
+is built only on its live (row, column) block; off it exp is exactly 0.0.
 """
 
 from __future__ import annotations
@@ -152,12 +147,11 @@ class BalanceContext:
     A balance term is coef * sum_t tau_t a_t sum_q G_qt c_q exp(Theta_t e_q
     - shift) over the active time rows (0 < Theta <= THETA_CAP) and the
     term's support columns (the midpoints q = 3c + k of its region's cells
-    c, of weight |c| / 3): the time weights tau of :func:`time_weights`
-    (window folded in), a time factor a, a field G with the point weights
-    folded in, a column factor c and the exponent profile e, the only factor
-    that reads s, gamma or lambda.  G and the growth exp(Theta_t e_q - shift)
-    are stored one column per array row, so taking the live columns copies
-    whole rows.
+    c, of weight |c| / 3): the time weights tau (window folded in), a time
+    factor a, a field G with the point weights folded in, a column factor c
+    and the exponent profile e, the only factor reading s, gamma or lambda.
+    Only balances are cached: G is built per term, on :meth:`growth`'s live
+    block when weighted.
     """
 
     def __init__(self, sol: DiscreteSolution, params: CarlemanParams):
@@ -179,12 +173,6 @@ class BalanceContext:
             t, (params.T / 4.0, 3.0 * params.T / 4.0))[active]
         self._cache: dict = {}
 
-    def cached(self, key, build):
-        """``build()``, once per key: the nodal rows, fields and balances."""
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
-
     def columns(self, region: Region):
         """Indices q = 3c + k of the points of the cells c in ``region``."""
         return self.mesh.cached(("quadrature_columns", region), lambda:
@@ -198,78 +186,85 @@ class BalanceContext:
                                     self.mesh, self.mesh.vertices,
                                     self.columns(region))) ** power)
 
-    def field(self, kind: str, q, cutoff: CutoffFunction | None = None):
-        """G on (points q, active rows), each point built once.
-
-        "u2" and "grad2" are v^2 and |grad v|^2 for v = cutoff * u (v = u
-        without a cutoff); "gsrc2" is g^2 for the commutator source
-        g = 2 w grad(cutoff).grad(u) + u div(w grad cutoff), w = |x|^alpha.
-        One array per (kind, cutoff) holds every point built so far; its
-        pages are touched only where a term has read it.
-        """
-        nq = 3 * self.mesh.num_cells
-        G, built = self.cached(("field", kind, cutoff), lambda: (
-            np.empty((nq, len(self.rows))), np.zeros(nq, dtype=bool)))
-        new = q[~built[q]]
-        if len(new):
-            G[new] = self._build(kind, new, cutoff)
-            built[new] = True
-        return G[q]
-
-    def _build(self, kind, q, cutoff):
-        """The ``kind`` field on the points q, computed now."""
-        f = self.cached(("nodal",), lambda: np.ascontiguousarray(
-            self.sol.fields[self.rows].T))                # (nv, active rows)
-        if cutoff is not None and kind != "gsrc2":
-            f = cutoff.value(self.mesh.vertices)[:, None] * f
-        cells = q // 3
-        if kind != "grad2":
-            u = _at_midpoints(self.mesh, f, q)
-        if kind != "u2":
-            # the gradient is constant on a cell: taken once per cell of q
-            ids, at = np.unique(cells, return_inverse=True)
-            gx, gy = _cell_gradient(self.mesh, f, ids)
-        if kind == "u2":
-            g = u * u
-        elif kind == "grad2":
-            g = (gx * gx + gy * gy)[at]
-        else:
-            gx, gy = gx[at], gy[at]
-            x = _at_midpoints(self.mesh, self.mesh.vertices, q)
-            weight = AbsPowerWeight(self.params.alpha)
-            r = _radii(x)
-            kg = cutoff.gradient(x)
-            lap = (cutoff.d2_radial(r)
-                   + cutoff.d1_radial(r) / np.maximum(r, 1e-300))
-            w = weight(x)
-            div_wk = np.einsum("qd,qd->q", weight.gradient(x), kg) + w * lap
-            g = ((2.0 * w)[:, None] * (kg[:, :1] * gx + kg[:, 1:] * gy)
-                 + u * div_wk[:, None]) ** 2
-        g *= (self.mesh.areas[cells] / 3.0)[:, None]
-        return g
-
     def growth(self, e, shift):
-        """(live, exp(Theta_t e_q - shift) on the active rows and live columns).
-
-        Column q is live when max_t Theta_t e_q - shift > EXP_FLOOR.  Rounding
-        is monotone and Theta_t > 0, so that max sits at the smallest or
-        largest Theta_t, and on every other column exp is exactly 0.0.
-        """
+        """(live, rows, exp(Theta_t e_q - shift) on that block): column q is
+        live when max_t Theta_t e_q - shift > EXP_FLOOR, active row t when
+        Theta_t max_live e_q - shift is.  Rounding is monotone and Theta_t >
+        0, so a column's max sits at the smallest or largest Theta_t and a
+        row's at the largest live e_q: every dropped entry is exactly 0.0."""
         th = self.theta_t
         top = np.maximum(th.min() * e, th.max() * e) - shift
         live = np.flatnonzero(top > EXP_FLOOR)
-        X = np.multiply.outer(e[live], th)
-        X -= shift
-        return live, np.exp(X, out=X)
+        rows = np.flatnonzero(th * np.max(e[live], initial=-np.inf) - shift
+                              > EXP_FLOOR)
+        X = np.multiply.outer(e[live], th[rows]) - shift
+        return live, rows, np.exp(X, out=X)
 
-    def integral(self, field, col=None, time=None, growth=None, window=False):
-        """sum_t tau_t time_t sum_q field_qt growth_qt col_q; a factor left
-        out counts 1.  ``field`` is a fresh array and holds the product."""
-        if growth is not None:
-            field *= growth
-        tau = self.tau_window if window else self.tau
-        y = field @ (tau if time is None else tau * time)
+    def integral(self, field, rows, col=None, time=None, window=False):
+        """sum_t tau_t time_t sum_q field_qt col_q over the active ``rows``,
+        field on (columns, rows) or per row; a factor left out counts 1."""
+        tau = (self.tau_window if window else self.tau)[rows]
+        y = field @ (tau if time is None else tau * time[rows])
         return float(y.sum() if col is None else col @ y)
+
+
+def _block_field(ctx, kind, q, rows, cutoff):
+    """The ``kind`` field on the points q and active ``rows``, built now, the
+    point weights |c| / 3 folded in: "u2", "grad2" are v^2, |grad v|^2 for v
+    = cutoff * u (u without one); "gsrc2" is g^2 for the commutator source
+    g = 2 w grad(cutoff).grad(u) + u div(w grad cutoff), w = |x|^alpha."""
+    mesh, f = ctx.mesh, ctx.sol.fields[ctx.rows[rows]].T   # f on (nv, rows)
+    if cutoff is not None and kind != "gsrc2":
+        f = mesh.cached(("cutoff", cutoff), lambda: cutoff.value(
+            mesh.vertices))[:, None] * f
+    if kind == "u2":
+        g = _at_midpoints(mesh, f, q) ** 2
+    elif kind == "grad2":
+        gx, gy = _cell_gradient(mesh, f, q // 3)
+        g = gx * gx + gy * gy
+    else:
+        gx, gy = _cell_gradient(mesh, f, q // 3)
+        x, weight = _at_midpoints(mesh, mesh.vertices, q), AbsPowerWeight(
+            ctx.params.alpha)
+        r, kg, w = _radii(x), cutoff.gradient(x), weight(x)
+        lap = cutoff.d2_radial(r) + cutoff.d1_radial(r) / np.maximum(r, 1e-300)
+        div_wk = np.einsum("qd,qd->q", weight.gradient(x), kg) + w * lap
+        g = ((2.0 * w)[:, None] * (kg[:, :1] * gx + kg[:, 1:] * gy)
+             + _at_midpoints(mesh, f, q) * div_wk[:, None]) ** 2
+    g *= (mesh.areas[q // 3] / 3.0)[:, None]
+    return g
+
+
+def _quadratic_terms(ctx, terms):
+    """An unweighted variant's terms on v = cutoff * u, from one mesh-cached
+    :meth:`Mesh.pair_forms` pass: v^T A v for each "u2" term's mass A, in one
+    :meth:`Mesh.quadratic_forms` call, and sum_c s_c |grad v|^2 row by row for
+    a "grad2" term's cell sums s (a stiffness form cancels signed products)."""
+    mesh, mass = ctx.mesh, [t.kind == "u2" for t in terms]
+
+    def build():
+        A = np.zeros((len(terms), mesh.num_pairs))
+        sums = mesh.pair_forms([(t.col, 0) for t in terms], 0.0, A,
+                               [t.region for t in terms])
+        return A[mass], sums
+
+    A, sums = mesh.cached(("term_sums", *((t.kind, t.col, t.region)
+                                          for t in terms)), build)
+    V, cut = ctx.sol.fields[ctx.rows], terms[0].cutoff
+    if cut is not None:
+        V = V * mesh.cached(("cutoff", cut), lambda: cut.value(mesh.vertices))
+    forms, values = iter(mesh.quadratic_forms(A, V)), []
+    for t, s in zip(terms, sums):
+        if t.kind == "u2":
+            form = next(forms)
+        else:
+            cells = mesh.cell_mask(t.region)
+            form = np.empty(len(V))
+            for row, v in enumerate(V):
+                gx, gy = _cell_gradient(mesh, v[:, None], cells)
+                form[row] = s[cells] @ (gx * gx + gy * gy)[:, 0]
+        values.append(ctx.integral(form, slice(None), None, t.time, t.window))
+    return values
 
 
 def _shift(theta_t, *profiles):
@@ -286,10 +281,8 @@ def _eta0(p: CarlemanParams, radial):
 
 
 def _ratio(lhs, rhs):
-    if lhs == 0.0 and rhs == 0.0:
-        return 0.0
     if rhs == 0.0:
-        return float("inf")
+        return 0.0 if lhs == 0.0 else float("inf")
     return lhs / rhs
 
 
@@ -304,7 +297,7 @@ class Term(NamedTuple):
     kind: str                              # "u2", "grad2", "gsrc2", "boundary"
     region: Region | None = None
     cutoff: CutoffFunction | None = None
-    col: np.ndarray | None = None          # on the region's columns
+    col: np.ndarray | AbsPowerWeight | None = None  # or a point weight
     time: np.ndarray | None = None         # on the active rows
     window: bool = False                   # over (T/4, 3T/4) only
 
@@ -364,9 +357,9 @@ def _thm43(ctx, p: CarlemanParams, weight, eta_bar):
     ring, ball = Region.annulus(R, 4.0 * R), Region.ball(4.0 * R)
     return None, [
         Term("lhs", "grad_B4R_band", 1.0, "grad2", ring, zeta,
-             ctx.radius(ring, al), window=True),
+             AbsPowerWeight(al), window=True),
         Term("lhs", "func_B4R", 1.0, "u2", ball, zeta,
-             ctx.radius(ball, 2.0 - al), window=True),
+             AbsPowerWeight(2.0 - al), window=True),
         Term("rhs", "band_mass", 1.0, "u2", _band(p), zeta)]
 
 
@@ -388,9 +381,9 @@ def _thm51(ctx, p: CarlemanParams, weight, eta_bar):
     al, out = p.alpha, Region.complement(5.0 * p.R)
     return None, [
         Term("lhs", "grad_outer", 1.0, "grad2", out,
-             col=ctx.radius(out, al), window=True),
+             col=AbsPowerWeight(al), window=True),
         Term("lhs", "func_outer", 1.0, "u2", out,
-             col=ctx.radius(out, 2.0 - al), window=True),
+             col=AbsPowerWeight(2.0 - al), window=True),
         Term("rhs", "band_mass", 1.0, "u2", _band(p))]
 
 
@@ -424,9 +417,8 @@ def _caccioppoli(ctx, p: CarlemanParams, weight, eta_bar):
         Term("rhs", "band_mass", 1.0, "u2", _band(p), time=1.0 + th ** 1.25)]
 
 
-# variant -> (what its balance reads beyond the T, alpha, R and m its
-# context fixes, its term builder); a context evaluates one balance per
-# distinct tuple of what a variant reads
+# variant -> (what its balance reads beyond its context's T, alpha, R and
+# m, its term builder); a context evaluates one balance per tuple of those
 _TABLE = {
     "thm41": (("s", "gamma", "weight", "flux"), _thm41),
     "thm42": (("s", "gamma", "flux"), _thm42),
@@ -469,35 +461,37 @@ def carleman_balance(sol: DiscreteSolution, params: CarlemanParams,
     given = {**vars(params), "weight": weight, "eta_bar": eta_bar,
              "flux": None if flux is None else id(flux)}
     key = ("balance", variant, *(given[name] for name in _TABLE[variant][0]))
-    _, res = ctx.cached(key, lambda: (flux, _evaluate(
-        ctx, params, variant, weight, flux, eta_bar)))
+    if key not in ctx._cache:
+        ctx._cache[key] = flux, _evaluate(ctx, params, variant, weight, flux,
+                                          eta_bar)
+    _, res = ctx._cache[key]
     return {**res, "lhs_terms": dict(res["lhs_terms"]),
             "rhs_terms": dict(res["rhs_terms"])}
 
 
 def _evaluate(ctx, params, variant, weight, flux, eta_bar):
     profile, terms = _TABLE[variant][1](ctx, params, weight, eta_bar)
-    supports = dict.fromkeys(t.region for t in terms if t.kind != "boundary")
-    shift, growth = 0.0, supports
-    if profile is not None:
+    shift, values = 0.0, []
+    if profile is None:
+        values = _quadratic_terms(ctx, terms)
+    else:
         # one shift, the max over the union of the supports (a global max
         # would sit near the outer circle and flush the inner terms to zero)
-        e = {reg: profile(reg) for reg in supports}
+        e = {reg: profile(reg) for reg in dict.fromkeys(
+            t.region for t in terms if t.kind != "boundary")}
         shift = _shift(ctx.theta_t, *e.values())
-        growth = {reg: ctx.growth(e[reg], shift) for reg in supports}
+        growth = {reg: ctx.growth(e[reg], shift) for reg in e}
+        for t in terms:
+            if t.kind == "boundary":
+                values.append(_boundary_term(ctx, params, flux, shift))
+                continue
+            live, rows, g = growth[t.region]
+            g = g * _block_field(ctx, t.kind, ctx.columns(t.region)[live],
+                                 rows, t.cutoff)
+            values.append(ctx.integral(g, rows, None if t.col is None
+                                       else t.col[live], t.time, t.window))
     sides = {"lhs": {}, "rhs": {}}
-    for t in terms:
-        if t.kind == "boundary":
-            if flux is None:
-                flux = boundary_flux(ctx.sol)
-            value = _boundary_term(ctx, params, flux, shift)
-        else:
-            q, col, values = ctx.columns(t.region), t.col, None
-            if growth[t.region] is not None:
-                live, values = growth[t.region]
-                q, col = q[live], None if col is None else col[live]
-            value = ctx.integral(ctx.field(t.kind, q, t.cutoff), col, t.time,
-                                 values, t.window)
+    for t, value in zip(terms, values):
         sides[t.side][t.name] = t.coef * value
     lhs, rhs = (float(sum(sides[side].values())) for side in ("lhs", "rhs"))
     return {"variant": variant, "lhs_terms": sides["lhs"],
@@ -518,6 +512,8 @@ def _boundary_term(ctx, p: CarlemanParams, flux, shift):
         return rb ** (2.0 - p.alpha), rb ** p.alpha * rb * lengths
 
     radial, col = ctx.mesh.cached(("boundary_radii", p.alpha), edges)
-    live, values = ctx.growth(2.0 * p.s * _eta0(p, radial), shift)
-    fl = E[live] @ flux[ctx.rows].T   # flux on (live edges, active rows)
-    return ctx.integral(fl * fl, col[live], ctx.theta_t, values)
+    live, rows, values = ctx.growth(2.0 * p.s * _eta0(p, radial), shift)
+    if flux is None:
+        flux = boundary_flux(ctx.sol)
+    fl = E[live] @ flux[ctx.rows[rows]].T   # flux on the live block
+    return ctx.integral(fl * fl * values, rows, col[live], ctx.theta_t)

@@ -232,13 +232,13 @@ class Mesh:
         return c
 
     def pair_forms(self, rules, subdivide_radius: float = 0.0,
-                   pair_sums=None) -> np.ndarray:
+                   pair_sums=None, regions=None) -> np.ndarray:
         """(k, n_cells) per-cell sums of k rules ``(weight, levels)`` in one
         pass, and their mass pair sums.
 
         Rule ``(w, levels)`` is ``point_rule(subdivide_radius, levels)``
         with its weights a_q times w (None: w = 1, else a callable on (n, 2)
-        point arrays) at its points:
+        point arrays) at its points, on the cells of ``regions[r]`` if given:
 
         - sums[r, c] = sum_q a_q w(x_q) over cell c's points, accumulated in
           point order;
@@ -255,6 +255,8 @@ class Mesh:
         the whole rule and no (n_cells, 6) form is made.
         """
         weights, levels = zip(*rules)
+        keep = [None if reg is None else self.cell_mask(reg)[:, None]
+                for reg in regions or [None] * len(rules)]
         sums = np.empty((len(weights), self.num_cells))
         if pair_sums is not None:
             slot = self.cached("p1_pairs", self._pair_pattern)[2].reshape(
@@ -286,6 +288,8 @@ class Mesh:
                     if weights[r] is not None:
                         wv = area * np.asarray(weights[r](points),
                                                dtype=float).reshape(area.shape)
+                    if keep[r] is not None:
+                        wv = np.where(keep[r][chunk], wv, 0.0)
                     if pair_sums is not None:
                         np.add.at(pair_sums[r], pairs, (wv @ products).ravel())
                     sums[r, chunk] = np.bincount(cell, weights=wv.ravel(),

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from degenlab.domain import (GeometrySpec, _block_points, _rule_blocks,
+from degenlab.domain import (GeometrySpec, _at_midpoints, _block_points,
+                             _cell_gradient, _radii, _rule_blocks,
                              build_disk_mesh)
 from degenlab.experiments import ExperimentConfig
+from degenlab.weights import AbsPowerWeight
 
 
 class Quadrature(NamedTuple):
@@ -89,6 +91,42 @@ def p1_cell_gradient(mesh, u):
     the cell shape gradients: an oracle that reads no mesh operator."""
     return np.einsum("ci,cid->cd", np.asarray(u, dtype=float)[mesh.cells],
                      mesh.grads)
+
+
+def point_field(ctx, kind, q, cutoff=None):
+    """A Carleman field on the midpoints q = 3c + k and every active row of
+    the context ``ctx``, the point weights |c| / 3 folded in: the point
+    store's arithmetic, as an oracle for the live-block evaluation.
+
+    "u2" and "grad2" are v^2 and |grad v|^2 for v = cutoff * u (v = u
+    without a cutoff); "gsrc2" is g^2 for the commutator source
+    g = 2 w grad(cutoff).grad(u) + u div(w grad cutoff), w = |x|^alpha.
+    """
+    mesh = ctx.mesh
+    f = np.ascontiguousarray(ctx.sol.fields[ctx.rows].T)   # (nv, active rows)
+    if cutoff is not None and kind != "gsrc2":
+        f = cutoff.value(mesh.vertices)[:, None] * f
+    cells = q // 3
+    u = _at_midpoints(mesh, f, q)
+    ids, at = np.unique(cells, return_inverse=True)
+    gx, gy = (g[at] for g in _cell_gradient(mesh, f, ids))
+    if kind == "u2":
+        g = u * u
+    elif kind == "grad2":
+        g = gx * gx + gy * gy
+    else:
+        x = _at_midpoints(mesh, mesh.vertices, q)
+        weight = AbsPowerWeight(ctx.params.alpha)
+        r = _radii(x)
+        kg = cutoff.gradient(x)
+        lap = (cutoff.d2_radial(r)
+               + cutoff.d1_radial(r) / np.maximum(r, 1e-300))
+        w = weight(x)
+        div_wk = np.einsum("qd,qd->q", weight.gradient(x), kg) + w * lap
+        g = ((2.0 * w)[:, None] * (kg[:, :1] * gx + kg[:, 1:] * gy)
+             + u * div_wk[:, None]) ** 2
+    g *= (mesh.areas[cells] / 3.0)[:, None]
+    return g
 
 
 def traced_peak(run):

@@ -2,21 +2,25 @@
 
 import dataclasses
 import itertools
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
 from degenlab import carleman as carleman_module, experiments
-from degenlab.carleman import (THETA_CAP, BalanceContext, CarlemanParams,
-                               VARIANTS, carleman_balance, fursikov_eta_bar,
-                               theta, theta_bound_check)
-from degenlab.domain import GeometrySpec, Region, build_disk_mesh
+from degenlab.carleman import (EXP_FLOOR, THETA_CAP, BalanceContext,
+                               CarlemanParams, VARIANTS, _block_field,
+                               carleman_balance, fursikov_eta_bar, theta,
+                               theta_bound_check)
+from degenlab.domain import GeometrySpec, Region, _radii, build_disk_mesh
 from degenlab.experiments import ExperimentConfig, run_carleman_sweep
 from degenlab.solver import ParabolicProblem, boundary_flux, solve
 from degenlab.weights import (AbsPowerWeight, RegularizedWeight, cutoff_kappa,
                               cutoff_zeta)
 
-from conftest import gradient_operator, p1_shape_values, quadrature
+from conftest import (gradient_operator, p1_shape_values, point_field,
+                      quadrature, traced_peak)
 
 
 @pytest.fixture(scope="module")
@@ -189,11 +193,12 @@ class TestBalances:
             assert direct["rhs"] == cached["rhs"]
 
     def test_context_samples_match_einsum(self, sample_solution):
-        # the cached field arrays (region columns, active rows, quadrature
-        # weights folded in) against the per-point shape sum and the per-cell
-        # gradient einsum; a field read on part of the columns first is
-        # bitwise the same array
+        # the block fields (region columns, active rows, quadrature weights
+        # folded in) against the per-point shape sum and the per-cell
+        # gradient einsum; a block on part of the columns and rows is
+        # bitwise that part of the whole block
         ctx = BalanceContext(sample_solution, CarlemanParams())
+        rows = np.arange(len(ctx.rows))
         mesh = sample_solution.mesh
         qp = quadrature(mesh)
         zeta = cutoff_zeta(1.0)
@@ -209,24 +214,24 @@ class TestBalances:
             g2 = np.einsum("ncd,ncd->nc", g, g)[:, qp.cell]
             for kind, ref in (("u2", u * u), ("grad2", g2)):
                 ref = (ref[ctx.rows][:, cols] * qp.weights[cols]).T
-                part = ctx.field(kind, cols[::3], cutoff)
-                got = ctx.field(kind, cols, cutoff)
+                part = _block_field(ctx, kind, cols[::3], rows[1::2], cutoff)
+                got = _block_field(ctx, kind, cols, rows, cutoff)
                 assert got.flags.c_contiguous and got.shape == ref.shape
                 assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
-                assert np.array_equal(got[::3], part)
-                fresh = BalanceContext(sample_solution, CarlemanParams())
-                assert np.array_equal(fresh.field(kind, cols, cutoff), got)
+                assert np.array_equal(got[::3, 1::2], part)
 
     @pytest.mark.parametrize("kind, cutoff", [
         ("u2", None), ("u2", cutoff_zeta(1.0)), ("grad2", None),
         ("grad2", cutoff_zeta(1.0)), ("gsrc2", cutoff_kappa(1.0))])
     def test_context_fields_bitwise_oracle_rows(self, sample_solution, kind,
                                                 cutoff):
-        # the fields on the implicit midpoint points (q = 3c + k) against
-        # rows of the oracle rule's P and of the sparse gradient G, the
-        # commutator source on the oracle's points: bitwise, on every
-        # column of a region and on a scattered subset
+        # the block fields on the implicit midpoint points (q = 3c + k)
+        # against rows of the oracle rule's P and of the sparse gradient G,
+        # the commutator source on the oracle's points: bitwise, on every
+        # column of a region and on a scattered subset, and the same bits
+        # as the point store's arithmetic
         ctx = BalanceContext(sample_solution, CarlemanParams())
+        rows = np.arange(len(ctx.rows))
         mesh = sample_solution.mesh
         qp, G, nc = quadrature(mesh), gradient_operator(mesh), mesh.num_cells
         assert len(qp.weights) == 3 * nc
@@ -255,7 +260,9 @@ class TestBalances:
                        * (kg[:, :1] * gx + kg[:, 1:] * gy)
                        + u * div_wk[:, None]) ** 2
             ref *= qp.weights[q][:, None]
-            assert np.array_equal(ctx.field(kind, q, cutoff), ref)
+            got = _block_field(ctx, kind, q, rows, cutoff)
+            assert np.array_equal(got, ref)
+            assert np.array_equal(point_field(ctx, kind, q, cutoff), ref)
 
     def test_radius_bitwise_per_region(self, sample_solution):
         # each region's |x| is taken on its own midpoints, 0.5 v_i + 0.5 v_j,
@@ -272,8 +279,8 @@ class TestBalances:
     def test_contexts_share_mesh_geometry(self, sample_solution):
         # |x_q|, each region's columns and radius powers, the psi_eps and
         # eta_bar factors and the boundary radii are taken once per mesh and
-        # read, read-only, by every context of it; a context caches only its
-        # trajectory's nodal rows, fields and balances
+        # read, read-only, by every context of it, as are the unweighted
+        # terms' pair and per-cell sums; a context caches only its balances
         first = BalanceContext(sample_solution, CarlemanParams())
         second = BalanceContext(sample_solution, CarlemanParams(s=8.0))
         band = Region.annulus(3.0, 6.0)
@@ -307,8 +314,11 @@ class TestBalances:
                   *geometry[("boundary_radii", 1.0)]]
         for arr in shared:
             assert isinstance(arr, np.ndarray) and not arr.flags.writeable
+        sums = [a for k, v in geometry.items() if k[0] == "term_sums"
+                for a in v]
+        assert sums and not any(a.flags.writeable for a in sums)
         for ctx in (first, second):
-            assert {key[0] for key in ctx._cache} == {"nodal", "field", "balance"}
+            assert {key[0] for key in ctx._cache} == {"balance"}
 
     @pytest.mark.parametrize("variant", ["thm41", "thm42"])
     def test_growth_per_region_matches_whole_disk_remap(self, sample_solution,
@@ -566,8 +576,8 @@ class TestBalances:
 
 class TestLiveColumns:
     def test_growth_is_exp_on_live_columns(self, sample_solution):
-        # live columns carry exp(Theta_t e_q - shift) bitwise; on every other
-        # column that full expression is exactly 0.0 on all active rows.
+        # the live block carries exp(Theta_t e_q - shift) bitwise; outside
+        # it that full expression is exactly 0.0 on all active rows.
         # Crafted columns put the largest exponent just above and just below
         # the floor, at the smallest Theta (e < 0) and at the largest (e > 0)
         params = CarlemanParams()
@@ -583,9 +593,10 @@ class TestLiveColumns:
         for e, shift in ((np.concatenate([e0, (tops + shift0) / lo]), shift0),
                          (np.concatenate([e0, (tops + 1000.0) / hi]), 1000.0)):
             full = np.exp(np.multiply.outer(th, e) - shift)
-            live, values = ctx.growth(e, shift)
-            assert np.array_equal(values, full[:, live].T)
-            assert np.all(full[:, np.setdiff1d(np.arange(len(e)), live)] == 0.0)
+            live, rows, values = ctx.growth(e, shift)
+            assert np.array_equal(values, full[np.ix_(rows, live)].T)
+            full[np.ix_(rows, live)] = 0.0
+            assert np.all(full == 0.0)
             assert list(live[live >= n] - n) == [0, 2]
         live = ctx.growth(e0, shift0)[0]
         assert 0 < len(live) < n
@@ -626,15 +637,122 @@ class TestLiveColumns:
         assert 0 < zeros < len(rows)
 
 
+class TestLiveBlock:
+    WEIGHTED = [v for v in VARIANTS if v not in ("thm43", "thm51")]
+
+    def test_weighted_bitwise_point_store(self, sample_solution, monkeypatch):
+        # every weighted variant on its live (row, column) block against the
+        # point store's evaluation on every active row: each term, the
+        # shift and the implied constant bitwise; alpha near 2 keeps more
+        # than one row live
+        reg = RegularizedWeight(epsilon=0.25, alpha=1.0)
+        eb = fursikov_eta_bar(1.0, 9.0)
+        flux = boundary_flux(sample_solution)
+        live_rows = []
+        growth = BalanceContext.growth
+
+        def counting_growth(ctx, e, shift):
+            out = growth(ctx, e, shift)
+            live_rows.append(len(out[1]))
+            return out
+
+        monkeypatch.setattr(BalanceContext, "growth", counting_growth)
+        for s, al in ((1.0, 1.0), (4.0, 1.0), (1.0, 1.9)):
+            params = CarlemanParams(s=s, gamma=s, lam=s, alpha=al)
+            live_rows.clear()
+            for variant in self.WEIGHTED:
+                ctx = BalanceContext(sample_solution, params)
+                got = carleman_balance(sample_solution, params, variant,
+                                       weight=reg, flux=flux, eta_bar=eb,
+                                       context=ctx)
+                want = _point_store_evaluate(ctx, params, variant, reg, flux,
+                                             eb)
+                for key in ("lhs_terms", "rhs_terms", "lhs", "rhs",
+                            "implied_C", "exponent_shift"):
+                    assert got[key] == want[key], (variant, s, al, key)
+        assert max(live_rows) > 1
+
+    def test_unweighted_forms_match_point_rule(self, sample_solution):
+        # thm43 and thm51 as quadratic forms of the nodal rows against the
+        # point store's sums over the midpoints of their regions
+        for al in (1.0, 1.5, 1.9):
+            params = CarlemanParams(alpha=al)
+            for variant in ("thm43", "thm51"):
+                ctx = BalanceContext(sample_solution, params)
+                got = carleman_balance(sample_solution, params, variant,
+                                       context=ctx)
+                want = _point_store_evaluate(ctx, params, variant, None, None,
+                                             None)
+                for side in ("lhs_terms", "rhs_terms"):
+                    assert list(got[side]) == list(want[side])
+                    for name, value in want[side].items():
+                        assert value > 0.0
+                        assert abs(got[side][name] - value) <= 1e-14 * value, (
+                            variant, al, name)
+
+    def test_growth_drops_only_zero_rows(self, sample_solution):
+        # a row is dropped only when exp(Theta_t e_q - shift) is exactly 0.0
+        # on every column of it; profiles whose rows straddle the floor at
+        # the small (e < 0) and the large (e > 0) Theta end
+        ctx = BalanceContext(sample_solution, CarlemanParams())
+        th = ctx.theta_t
+        lo, mid, hi = np.quantile(th, [0.0, 0.5, 1.0])
+        e = np.linspace(0.5, 1.0, 50)
+        rise = 746.0 / (hi - mid) * e
+        for e, shift in ((-746.0 / mid * e, -746.0 * lo / mid),
+                         (rise, hi * rise.max())):
+            live, rows, values = ctx.growth(e, shift)
+            assert 0 < len(rows) < len(th)
+            full = np.exp(np.multiply.outer(th, e) - shift)
+            assert np.all(np.delete(full, rows, axis=0) == 0.0)
+            assert np.all(full[rows].max(axis=1) > 0.0)
+            assert np.array_equal(values, full[np.ix_(rows, live)].T)
+        # crafted: one row's largest exponent sits at -745.1, where exp is
+        # still the smallest subnormal; a row floor above it drops the row
+        for e, row in ((1000.0 / hi * e, np.argmax(th)),
+                       (-1000.0 / lo * e, np.argmin(th))):
+            shift = float(np.max(th[row] * e)) + 745.1
+            rows = ctx.growth(e, shift)[1]
+            assert row in rows and np.max(np.exp(th[row] * e - shift)) > 0.0
+
+    def test_no_point_store_in_src(self, sample_solution):
+        # a balance builds fields only on its live block, and caches none:
+        # no source file defines a context field store or caches a "field"
+        hits = [f"{path.name}:{i}"
+                for path in sorted(pathlib.Path(
+                    carleman_module.__file__).parent.glob("*.py"))
+                for i, line in enumerate(path.read_text().splitlines(), 1)
+                if re.search(r"def (field|_build)\(|[\"']field[\"']", line)]
+        assert not hits, hits
+        assert not hasattr(BalanceContext, "field")
+        assert not hasattr(BalanceContext, "_build")
+        ctx = BalanceContext(sample_solution, CarlemanParams())
+        for variant in VARIANTS:
+            carleman_balance(sample_solution, ctx.params, variant,
+                             weight=RegularizedWeight(epsilon=0.25, alpha=1.0),
+                             context=ctx)
+        assert {key[0] for key in ctx._cache} == {"balance"}
+
+    def test_sweep_traced_peak(self):
+        # tracemalloc peak of the sweep at the bench carleman size (h = 0.24,
+        # two families, one swept), mesh build and solves included: 11.4 to
+        # 11.5 MB over three calls; with a point store per (kind, cutoff) of
+        # every context it peaked at 40.9 MB
+        cfg = ExperimentConfig(mesh_levels=(0.24,), carleman_family_count=2,
+                               carleman_sweep_samples=1,
+                               carleman_s=(1.0, 4.0, 16.0))
+        assert traced_peak(lambda: run_carleman_sweep(cfg)) <= 13.0 * 2**20
+
+
 def _whole_disk_growth_evaluate(ctx, p, variant, weight, flux):
     """thm41 or thm42 with one growth on the whole disk, remapped by
-    np.intersect1d onto the live columns of every other support; returns
-    (sides, shift)."""
+    np.intersect1d onto the live columns of every other support, the fields
+    from the point-store oracle; returns (sides, shift)."""
     profile, terms = carleman_module._TABLE[variant][1](ctx, p, weight, None)
     whole = Region.whole()
     e = profile(whole)
     shift = carleman_module._shift(ctx.theta_t, e)
-    live, values = ctx.growth(e, shift)
+    live, rows, values = ctx.growth(e, shift)
     on_disk = ctx.columns(whole)[live]
     sides = {"lhs": {}, "rhs": {}}
     for t in terms:
@@ -645,11 +763,77 @@ def _whole_disk_growth_evaluate(ctx, p, variant, weight, flux):
                                          assume_unique=True,
                                          return_indices=True)
             col = None if t.col is None else t.col[pos]
-            value = ctx.integral(
-                ctx.field(t.kind, ctx.columns(t.region)[pos], t.cutoff), col,
-                t.time, values[sel], t.window)
+            field = point_field(ctx, t.kind, ctx.columns(t.region)[pos],
+                                t.cutoff)[:, rows]
+            value = ctx.integral(field * values[sel], rows, col, t.time,
+                                 t.window)
         sides[t.side][t.name] = t.coef * value
     return sides, shift
+
+
+def _point_col(ctx, t):
+    """A term's column factor on its region's columns; an unweighted
+    variant's |x|^p weight as the point store took it."""
+    if isinstance(t.col, AbsPowerWeight):
+        return ctx.radius(t.region, t.col.p)
+    return t.col
+
+
+def _result(ctx, variant, sides, shift):
+    lhs, rhs = (float(sum(sides[side].values())) for side in ("lhs", "rhs"))
+    return {"variant": variant, "lhs_terms": sides["lhs"],
+            "rhs_terms": sides["rhs"], "lhs": lhs, "rhs": rhs,
+            "implied_C": carleman_module._ratio(lhs, rhs),
+            "exponent_shift": shift, "excluded_time_nodes": ctx.excluded}
+
+
+def _point_store_evaluate(ctx, p, variant, weight, flux, eta_bar):
+    """A balance as the point store evaluated it: each support's growth on
+    every active row of the columns live on any of them, the oracle's fields
+    on (live columns, active rows), and the boundary flux on every active
+    row; unweighted variants as point sums over their whole regions."""
+    profile, terms = carleman_module._TABLE[variant][1](ctx, p, weight, eta_bar)
+    th = ctx.theta_t
+
+    def growth(e, shift):
+        top = np.maximum(th.min() * e, th.max() * e) - shift
+        live = np.flatnonzero(top > EXP_FLOOR)
+        return live, np.exp(np.multiply.outer(e[live], th) - shift)
+
+    def integral(field, col, time, window=False):
+        tau = ctx.tau_window if window else ctx.tau
+        y = field @ (tau if time is None else tau * time)
+        return float(y.sum() if col is None else col @ y)
+
+    shift, growths = 0.0, {}
+    if profile is not None:
+        e = {reg: profile(reg) for reg in dict.fromkeys(
+            t.region for t in terms if t.kind != "boundary")}
+        shift = carleman_module._shift(th, *e.values())
+        growths = {reg: growth(x, shift) for reg, x in e.items()}
+    sides = {"lhs": {}, "rhs": {}}
+    for t in terms:
+        if t.kind == "boundary":
+            E, lengths = ctx.mesh.boundary_edge_average()
+            rb = _radii(ctx.mesh.vertices[ctx.mesh.boundary_edges].mean(axis=1))
+            col = rb ** p.alpha * rb * lengths
+            live, values = growth(
+                2.0 * p.s * carleman_module._eta0(p, rb ** (2.0 - p.alpha)),
+                shift)
+            fl = E[live] @ (boundary_flux(ctx.sol) if flux is None
+                            else flux)[ctx.rows].T
+            value = integral(fl * fl * values, col[live], th)
+        else:
+            q, col = ctx.columns(t.region), _point_col(ctx, t)
+            field = None
+            if t.region in growths:
+                live, field = growths[t.region]
+                q, col = q[live], None if col is None else col[live]
+            field = (point_field(ctx, t.kind, q, t.cutoff) if field is None
+                     else point_field(ctx, t.kind, q, t.cutoff) * field)
+            value = integral(field, col, t.time, t.window)
+        sides[t.side][t.name] = t.coef * value
+    return _result(ctx, variant, sides, shift)
 
 
 def _full_array_evaluate(ctx, p, variant, weight, flux, eta_bar):
@@ -685,18 +869,15 @@ def _full_array_evaluate(ctx, p, variant, weight, flux, eta_bar):
             y = y @ (rb ** p.alpha * xnu * lengths)
             value = float((ctx.tau * th) @ y)
         else:
-            y = ctx.field(t.kind, ctx.columns(t.region), t.cutoff).T
+            y = point_field(ctx, t.kind, ctx.columns(t.region), t.cutoff).T
             if growth[t.region] is not None:
                 y = y * growth[t.region]
-            y = y.sum(axis=1) if t.col is None else y @ t.col
+            col = _point_col(ctx, t)
+            y = y.sum(axis=1) if col is None else y @ col
             tau = ctx.tau_window if t.window else ctx.tau
             value = float((tau if t.time is None else tau * t.time) @ y)
         sides[t.side][t.name] = t.coef * value
-    lhs, rhs = (float(sum(sides[side].values())) for side in ("lhs", "rhs"))
-    return {"variant": variant, "lhs_terms": sides["lhs"],
-            "rhs_terms": sides["rhs"], "lhs": lhs, "rhs": rhs,
-            "implied_C": carleman_module._ratio(lhs, rhs),
-            "exponent_shift": shift, "excluded_time_nodes": ctx.excluded}
+    return _result(ctx, variant, sides, shift)
 
 
 def _dense_reference(sol, p, variant, weight, flux, eta_bar):

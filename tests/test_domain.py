@@ -480,6 +480,32 @@ class TestCellForms:
         np.add.at(ref_sums, qp.cell, wq)
         assert np.array_equal(sums, ref_sums)
 
+    def test_pair_forms_regions(self, coarse_mesh):
+        # a rule with a region adds only its cells' points, in one pass with
+        # rules on other regions and levels: its per-cell sums bitwise the
+        # region's cells of its pass alone, its mass the masked rule's
+        sub, mesh = 1.2, coarse_mesh
+        rules = [(None, 2), (AbsPowerWeight(1.0), 3), (AbsPowerWeight(0.5), 2)]
+        regions = [None, Region.ball(4.0), Region.annulus(3.0, 6.0)]
+        values = np.zeros((3, mesh.num_pairs))
+        sums = mesh.pair_forms(rules, sub, values, regions)
+        for r, ((weight, levels), region) in enumerate(zip(rules, regions)):
+            alone = np.zeros((1, mesh.num_pairs))
+            whole = mesh.pair_forms([rules[r]], sub, alone)[0]
+            keep = (np.ones(mesh.num_cells, dtype=bool) if region is None
+                    else mesh.cell_mask(region))
+            assert np.array_equal(sums[r], np.where(keep, whole, 0.0))
+            if region is None:
+                assert np.array_equal(values[r], alone[0])
+            qp = quadrature(mesh, sub, levels)
+            wq = qp.weights * (1.0 if weight is None else weight(qp.points))
+            P = qp.interpolation
+            ref = P.T @ sp.diags(wq * keep[qp.cell]) @ P
+            u = np.random.default_rng(r).standard_normal(mesh.num_vertices)
+            got = mesh.quadratic_forms(values[r:r + 1], u[None])[0, 0]
+            scale = np.abs(u) @ (abs(ref) @ np.abs(u))
+            assert abs(got - u @ (ref @ u)) <= 1e-14 * scale
+
 
 class TestQuadratureWeights:
     def test_cached_equal_fresh(self, coarse_mesh):
