@@ -23,8 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .domain import (Mesh, Region, _at_midpoints, _cell_gradient, _radii,
-                     time_weights)
+from .domain import (_CHUNK_POINTS, Mesh, Region, _at_midpoints,
+                     _cell_gradient, _radii, time_weights)
 from .solver import DiscreteSolution, boundary_flux
 from .weights import (AbsPowerWeight, CutoffFunction, RegularizedWeight,
                       cutoff_kappa, cutoff_zeta)
@@ -237,16 +237,19 @@ def _block_field(ctx, kind, q, rows, cutoff):
 
 def _quadratic_terms(ctx, terms):
     """An unweighted variant's terms on v = cutoff * u, from one mesh-cached
-    :meth:`Mesh.pair_forms` pass: v^T A v for each "u2" term's mass A, in one
-    :meth:`Mesh.quadratic_forms` call, and sum_c s_c |grad v|^2 row by row for
-    a "grad2" term's cell sums s (a stiffness form cancels signed products)."""
+    :meth:`Mesh.pair_forms` pass: v^T A v for each "u2" term's mass A (the
+    "grad2" rules add none), in one :meth:`Mesh.quadratic_forms` call, and
+    sum_c s_c |grad v|^2 for a "grad2" term's cell sums s (a stiffness form
+    cancels signed products), by :func:`_gradient_sums`."""
     mesh, mass = ctx.mesh, [t.kind == "u2" for t in terms]
 
     def build():
-        A = np.zeros((len(terms), mesh.num_pairs))
-        sums = mesh.pair_forms([(t.col, 0) for t in terms], 0.0, A,
+        A = np.zeros((sum(mass), mesh.num_pairs))
+        rows = iter(A)
+        sums = mesh.pair_forms([(t.col, 0) for t in terms], 0.0,
+                               [next(rows) if m else None for m in mass],
                                [t.region for t in terms])
-        return A[mass], sums
+        return A, sums
 
     A, sums = mesh.cached(("term_sums", *((t.kind, t.col, t.region)
                                           for t in terms)), build)
@@ -255,16 +258,27 @@ def _quadratic_terms(ctx, terms):
         V = V * mesh.cached(("cutoff", cut), lambda: cut.value(mesh.vertices))
     forms, values = iter(mesh.quadratic_forms(A, V)), []
     for t, s in zip(terms, sums):
-        if t.kind == "u2":
-            form = next(forms)
-        else:
-            cells = mesh.cell_mask(t.region)
-            form = np.empty(len(V))
-            for row, v in enumerate(V):
-                gx, gy = _cell_gradient(mesh, v[:, None], cells)
-                form[row] = s[cells] @ (gx * gx + gy * gy)[:, 0]
+        form = (next(forms) if t.kind == "u2" else _gradient_sums(
+            mesh, V, s, np.flatnonzero(mesh.cell_mask(t.region))))
         values.append(ctx.integral(form, slice(None), None, t.time, t.window))
     return values
+
+
+def _gradient_sums(mesh, V, s, cells):
+    """sum_c s_c |grad v|^2 over ``cells`` for each row v of V.  The cell
+    gradients are taken a chunk of cells at a time over every row, into one
+    (rows, cells) array of |grad v|^2; each row's sum is then one dot product
+    of a contiguous row, the bits of a gradient taken row by row."""
+    sq = np.empty((len(V), len(cells)))
+    step = max(1, _CHUNK_POINTS // len(V))
+    for start in range(0, len(cells), step):
+        gx, gy = _cell_gradient(mesh, V.T, cells[start:start + step])
+        gx *= gx
+        gy *= gy
+        gx += gy
+        sq[:, start:start + step] = gx.T
+    sc = s[cells]
+    return np.array([sc @ row for row in sq])
 
 
 def _shift(theta_t, *profiles):

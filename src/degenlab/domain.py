@@ -242,10 +242,11 @@ class Mesh:
 
         - sums[r, c] = sum_q a_q w(x_q) over cell c's points, accumulated in
           point order;
-        - with ``pair_sums`` a (k, n_pairs) array, row r gets the mass
+        - with ``pair_sums`` one (n_pairs,) row or None per rule (a
+          (k, n_pairs) array gives a row to every rule), row r gets the mass
           sum_q a_q w(x_q) lambda_i(x_q) lambda_j(x_q) of each cell's local
           pair (i, j) = PAIRS[p] added at its vertex pair, in the layout of
-          :meth:`quadratic_forms`.
+          :meth:`quadratic_forms`; a rule without a row adds no pair sum.
 
         The rule blocks are built once: the midpoint cells, shared by every
         rule, and the refined cells once per distinct level.  Each block goes
@@ -258,7 +259,8 @@ class Mesh:
         keep = [None if reg is None else self.cell_mask(reg)[:, None]
                 for reg in regions or [None] * len(rules)]
         sums = np.empty((len(weights), self.num_cells))
-        if pair_sums is not None:
+        rows = [None] * len(rules) if pair_sums is None else list(pair_sums)
+        if any(row is not None for row in rows):
             slot = self.cached("p1_pairs", self._pair_pattern)[2].reshape(
                 -1, len(PAIRS))
         # the refined blocks first: the ring mesher numbers cells from the
@@ -273,6 +275,7 @@ class Mesh:
             products = np.ascontiguousarray(bary[:, PAIRS[:, 0]]
                                             * bary[:, PAIRS[:, 1]])
             weighted = any(weights[r] is not None for r in members)
+            paired = any(rows[r] is not None for r in members)
             step = max(2, _CHUNK_POINTS // nq)
             stops = [*range(step, len(ids) - 1, step), len(ids)]
             for s, e in zip([0, *stops], stops):
@@ -281,7 +284,7 @@ class Mesh:
                 if weighted:
                     points = _block_points(self, chunk, bary).reshape(-1, 2)
                 cell = np.repeat(np.arange(len(chunk)), nq)
-                if pair_sums is not None:
+                if paired:
                     pairs = slot[chunk].ravel()
                 for r in members:
                     wv = area
@@ -290,8 +293,8 @@ class Mesh:
                                                dtype=float).reshape(area.shape)
                     if keep[r] is not None:
                         wv = np.where(keep[r][chunk], wv, 0.0)
-                    if pair_sums is not None:
-                        np.add.at(pair_sums[r], pairs, (wv @ products).ravel())
+                    if rows[r] is not None:
+                        np.add.at(rows[r], pairs, (wv @ products).ravel())
                     sums[r, chunk] = np.bincount(cell, weights=wv.ravel(),
                                                  minlength=len(chunk))
         return sums

@@ -23,7 +23,7 @@ from .domain import (MAX_VERTICES, GeometrySpec, Mesh, Region,
                      build_disk_mesh, disk_vertex_bound, integrate_space,
                      integrate_spacetime, time_weights)
 from .solver import (DiscreteSolution, ParabolicProblem, SolverError,
-                     boundary_flux, solve)
+                     boundary_flux, solve, step_operator)
 from .weights import AbsPowerWeight, RegularizedWeight, check_epsilon
 
 log = logging.getLogger(__name__)
@@ -329,12 +329,12 @@ def data_bump_a2r7r(rng: np.random.Generator, cfg: ExperimentConfig):
 
 
 def _solve_named(problem: ParabolicProblem, mesh: Mesh, M: int, theta: float,
-                 where: str, names: list):
-    """``solve``, with a SolverError that names the study's ``where``, the
-    data that went non-finite (``names`` holds one name per datum) and the
-    weight."""
+                 where: str, names: list, operator=None):
+    """``solve`` (with the caller's step ``operator``, if any), with a
+    SolverError that names the study's ``where``, the data that went
+    non-finite (``names`` holds one name per datum) and the weight."""
     try:
-        return solve(problem, mesh, M, theta=theta)
+        return solve(problem, mesh, M, theta=theta, operator=operator)
     except SolverError as exc:
         bad = ", ".join(names[j] for j in exc.columns)
         raise SolverError(f"{where}: non-finite values in {bad} at time step "
@@ -366,8 +366,10 @@ def _finest_drift(config: ExperimentConfig, rows: list, key: str,
 def _approximation_row(config: ExperimentConfig, k: int, fn) -> dict:
     """Gaps between the eps = 1/k regularized solve and the limit solve.
 
-    The level's mesh and trajectories are freed when this returns, before the
-    next level is built.
+    Each solve factors its own step and frees it on return, so the eps
+    factor is gone before the limit factor is built.  The level's mesh and
+    trajectories are freed when this returns, before the next level is
+    built.
     """
     h = config.mesh_levels[-1]
     M = config.steps_for(h)
@@ -488,9 +490,9 @@ def _observability_level(config: ExperimentConfig, li: int, h: float) -> list:
     """Records of every sample on mesh level ``li``.
 
     Every datum is drawn first, in report order; the data are then solved
-    in blocks of ``_block_size`` columns.  The level's mesh, its factored
-    step and the trajectories are freed when this returns, before the next
-    level is built.
+    in blocks of ``_block_size`` columns with one step operator, factored
+    once.  The level's mesh, that factor and the trajectories are freed when
+    this returns, before the next level is built.
     """
     mesh = build_disk_mesh(config.geometry, h)
     M = config.steps_for(h)
@@ -499,23 +501,26 @@ def _observability_level(config: ExperimentConfig, li: int, h: float) -> list:
                for family in config.sampler_families
                for si in range(config.sample_count)]
     k = _block_size(M, mesh.num_vertices)
+    op = step_operator(mesh, config.alpha, config.T / M, config.theta)
     rows = []
     for start in range(0, len(samples), k):
-        rows += _observability_block(config, li, mesh, M,
+        rows += _observability_block(config, li, op, M,
                                      samples[start:start + k])
     return rows
 
 
-def _observability_block(config: ExperimentConfig, li: int, mesh: Mesh,
-                         M: int, block: list) -> list:
+def _observability_block(config: ExperimentConfig, li: int, op, M: int,
+                         block: list) -> list:
     """Records of the (family, sample, datum, descriptor) ``block``, solved
-    together; its trajectories are freed when this returns."""
+    together with the level's step operator ``op``; its trajectories are
+    freed when this returns."""
+    mesh = op.mesh
     data = np.array([_nodal(mesh, fn) for _, _, fn, _ in block])
     sols = _solve_named(
         ParabolicProblem(weight=config.alpha, T=config.T, data=data,
                          direction="backward"), mesh, M, config.theta,
         f"observability level {li} (h={mesh.h})",
-        [f"{family} sample {si}" for family, si, _, _ in block])
+        [f"{family} sample {si}" for family, si, _, _ in block], op)
     rows = []
     for (family, si, _, desc), sol in zip(block, sols):
         rec = _observability_record(sol, config)
@@ -591,13 +596,16 @@ def run_carleman_sweep(config: ExperimentConfig) -> StudyReport:
         mesh = build_disk_mesh(config.geometry, h,
                                local_h=min(h / 2.0, eps / 4.0))
         M = config.steps_for(h)
+        # the level's two steps, each factored once for every family
+        ops = [step_operator(mesh, w, config.T / M, config.theta)
+               for w in (config.alpha, reg)]
         for di, fn in enumerate(data_fns):
             data = _nodal(mesh, fn)
             sol0, solr = (_solve_named(
-                ParabolicProblem(weight=w, T=config.T, data=data,
+                ParabolicProblem(weight=op.weight, T=config.T, data=data,
                                  direction="backward"), mesh, M, config.theta,
-                f"carleman level {li} (h={mesh.h})", [f"interior sample {di}"])
-                for w in (config.alpha, reg))
+                f"carleman level {li} (h={mesh.h})", [f"interior sample {di}"],
+                op) for op in ops)
             flux0 = boundary_flux(sol0)
             fluxr = boundary_flux(solr)
             param_points = [(config.s_default, config.gamma_default,
@@ -634,6 +642,8 @@ def run_carleman_sweep(config: ExperimentConfig) -> StudyReport:
             scale_devs.append(abs(scaled["implied_C"] - base["implied_C"])
                               / max(base["implied_C"], 1e-300))
             log.info("carleman level=%d sample=%d", li, di)
+        # the level's factors go before the next level factors its own
+        del ops
     report.tables["sweep"] = rows
     report.tables["theta_checks"] = theta_rows
     default_rows = [r for r in rows

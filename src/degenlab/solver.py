@@ -4,11 +4,13 @@ Forward problems are d_t(phi) - div(w grad phi) = f with homogeneous Dirichlet
 data; backward problems are solved exclusively through the substitution
 u(t) = phi(T - t), never by integrating the ill-posed direction.  With a
 constant step the implicit matrix M + theta dt A is the same at every step, so
-it is factored once per (mesh, weight, dt, theta) by sparse LU and each step is
-one pair of triangular solves.  The interior step matrices are gathered from
-the full mass and stiffness data through the mesh's one cached map of
-interior entries, so a step operator slices no matrix and makes no sparse
-sum.  Every factor is :func:`_factor_spd`'s SuperLU call (minimum-degree
+it is factored once by sparse LU and each step is one pair of triangular
+solves.  The factor belongs to whoever holds the step operator: :func:`solve`
+builds its own and frees it on return, unless its caller passes one to share
+between solves and frees it by dropping it; the mesh keeps no factor of a
+step.  The interior step matrices are gathered from the full mass and
+stiffness data through the mesh's one cached map of interior entries, so a
+step operator slices no matrix and makes no sparse sum.  Every factor is :func:`_factor_spd`'s SuperLU call (minimum-degree
 ordering, diagonal pivots, unrelaxed one-column supernodes, which take a
 quarter to a third less time per factor than SuperLU's default blocking on
 these 2D P1 matrices, with the same fill).  Data that share a problem
@@ -28,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .domain import Mesh, time_weights
+from .domain import Mesh, _read_only, time_weights
 from .weights import AbsPowerWeight, as_weight
 
 # the P1 mass pair form of a unit-area cell
@@ -172,9 +174,14 @@ class StepOperator:
 
     One step solves (M + theta dt A) u_{n+1} = explicit @ u_n + dt f_theta
     with explicit = M - (1 - theta) dt A.  ``mass`` and ``stiffness`` are the
-    full-vertex matrices the step was built from.
+    full-vertex matrices the step was built from; ``mesh``, ``weight``,
+    ``dt`` and ``theta`` are the values it was built for.
     """
 
+    mesh: Mesh
+    weight: object
+    dt: float
+    theta: float
     mass: sp.csr_matrix
     stiffness: sp.csr_matrix
     explicit: sp.csr_matrix
@@ -182,31 +189,29 @@ class StepOperator:
 
 
 def step_operator(mesh: Mesh, weight, dt: float, theta: float) -> StepOperator:
-    """The step operator for (weight, dt, theta) on ``mesh``.
+    """A new step operator for (weight, dt, theta) on ``mesh``.
 
-    It is cached on the mesh (:meth:`Mesh.cached`), so it is built once for
-    every solve that shares these values and is freed with the mesh.  Its
-    matrices are shared by every solution built from it, and the mass matrix
-    by every step operator of the mesh; they are read-only.  The interior
-    sums are taken on data gathered by :func:`_interior_entries`, bitwise
-    the sliced matrices' sparse sums; M + theta dt A is symmetric, so its
-    CSR arrays are its CSC arrays and the factor reads them with no copy.
+    The operator is not cached: its factor lives as long as the caller
+    holds it, and it serves every solve the caller passes it to.  Its arrays are read-only; its mass matrix is the mesh's cached one,
+    shared by every step operator of the mesh, and its stiffness reads the
+    mesh's cached cell weight integrals.  The interior sums are taken on
+    data gathered by :func:`_interior_entries`, bitwise the sliced matrices'
+    sparse sums; M + theta dt A is symmetric, so its CSR arrays are its CSC
+    arrays and the factor reads them with no copy.
     """
-    def build():
-        mass = mesh.cached("mass", lambda: assemble_mass(mesh))
-        stiff = assemble_stiffness(mesh, weight)
-        indptr, indices, entry = mesh.cached(
-            "p1_interior", lambda: _interior_entries(mesh, mass))
-        Mi, Ai = mass.data[entry], stiff.data[entry]
-        shape = (len(indptr) - 1,) * 2
-        explicit = sp.csr_matrix((Mi - (1.0 - theta) * dt * Ai, indices,
-                                  indptr), shape=shape)
-        K = sp.csc_matrix((Mi + theta * dt * Ai, indices, indptr),
-                          shape=shape)
-        return StepOperator(mass=mass, stiffness=stiff, explicit=explicit,
-                            lu=_factor_spd(K))
-    return mesh.cached(("step", as_weight(weight), float(dt), float(theta)),
-                       build)
+    weight = as_weight(weight)
+    mass = mesh.cached("mass", lambda: assemble_mass(mesh))
+    stiff = assemble_stiffness(mesh, weight)
+    indptr, indices, entry = mesh.cached(
+        "p1_interior", lambda: _interior_entries(mesh, mass))
+    Mi, Ai = mass.data[entry], stiff.data[entry]
+    shape = (len(indptr) - 1,) * 2
+    explicit = sp.csr_matrix((Mi - (1.0 - theta) * dt * Ai, indices, indptr),
+                             shape=shape)
+    K = sp.csc_matrix((Mi + theta * dt * Ai, indices, indptr), shape=shape)
+    return _read_only(StepOperator(
+        mesh=mesh, weight=weight, dt=float(dt), theta=float(theta),
+        mass=mass, stiffness=stiff, explicit=explicit, lu=_factor_spd(K)))
 
 
 def _interior_entries(mesh: Mesh, mat: sp.csr_matrix):
@@ -222,7 +227,7 @@ def _interior_entries(mesh: Mesh, mat: sp.csr_matrix):
 
 
 def solve(problem: ParabolicProblem, mesh: Mesh, M: int,
-          theta: float = 1.0):
+          theta: float = 1.0, operator: StepOperator | None = None):
     """Integrate the problem on a uniform M-step grid with the theta scheme.
 
     ``problem.data`` is one nodal field, or a block of k fields stacked as
@@ -233,6 +238,12 @@ def solve(problem: ParabolicProblem, mesh: Mesh, M: int,
     whose ``fields`` are contiguous (M+1, n_vertices) views of one array.
     A column that goes non-finite raises SolverError naming the column(s)
     and the step.
+
+    Without ``operator`` the solve builds its own :func:`step_operator` and
+    its factor is freed on return.  A caller that solves several blocks
+    with one step passes the operator it built, for this mesh and for the
+    problem's weight, dt = T / M and ``theta`` (else ValueError); the
+    caller then owns the factor and frees it by dropping the operator.
     """
     if not 0.5 <= theta <= 1.0:
         raise ValueError("theta must lie in [1/2, 1] (implicit schemes only)")
@@ -246,7 +257,18 @@ def solve(problem: ParabolicProblem, mesh: Mesh, M: int,
                          "(k, n_vertices) block of them")
 
     dt = problem.T / M
-    op = step_operator(mesh, problem.weight, dt, theta)
+    op = operator
+    if op is None:
+        op = step_operator(mesh, problem.weight, dt, theta)
+    else:
+        # a Mesh compares by identity
+        wanted = {"mesh": mesh, "weight": problem.weight, "dt": dt,
+                  "theta": theta}
+        wrong = [name for name, value in wanted.items()
+                 if getattr(op, name) != value]
+        if wrong:
+            raise ValueError(f"step operator was built for another "
+                             f"{', '.join(wrong)} than this solve's")
     times = np.linspace(0.0, problem.T, M + 1)
     inter = mesh.interior
     backward = problem.direction == "backward"

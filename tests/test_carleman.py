@@ -13,7 +13,8 @@ from degenlab.carleman import (EXP_FLOOR, THETA_CAP, BalanceContext,
                                CarlemanParams, VARIANTS, _block_field,
                                carleman_balance, fursikov_eta_bar, theta,
                                theta_bound_check)
-from degenlab.domain import GeometrySpec, Region, _radii, build_disk_mesh
+from degenlab.domain import (GeometrySpec, Region, _cell_gradient, _radii,
+                             build_disk_mesh)
 from degenlab.experiments import ExperimentConfig, run_carleman_sweep
 from degenlab.solver import ParabolicProblem, boundary_flux, solve
 from degenlab.weights import (AbsPowerWeight, RegularizedWeight, cutoff_kappa,
@@ -689,6 +690,43 @@ class TestLiveBlock:
                         assert value > 0.0
                         assert abs(got[side][name] - value) <= 1e-14 * value, (
                             variant, al, name)
+
+    @pytest.mark.parametrize("chunk", ["default", "few cells"])
+    def test_unweighted_forms_bitwise_row_by_row(self, monkeypatch,
+                                                 sample_solution, chunk):
+        # thm43 and thm51 bitwise the pass that gave every rule a mass row
+        # and took the |grad v|^2 sums one time row at a time; with chunks
+        # of a few cells the gradient sums keep their bits
+        if chunk == "few cells":
+            monkeypatch.setattr(carleman_module, "_CHUNK_POINTS", 50)
+        mesh = sample_solution.mesh
+        for al in (1.0, 1.9):
+            params = CarlemanParams(alpha=al)
+            for variant in ("thm43", "thm51"):
+                ctx = BalanceContext(sample_solution, params)
+                got = carleman_balance(sample_solution, params, variant,
+                                       context=ctx)
+                terms = carleman_module._TABLE[variant][1](ctx, params, None,
+                                                           None)[1]
+                A = np.zeros((len(terms), mesh.num_pairs))
+                sums = mesh.pair_forms([(t.col, 0) for t in terms], 0.0, A,
+                                       [t.region for t in terms])
+                V = ctx.sol.fields[ctx.rows]
+                if terms[0].cutoff is not None:
+                    V = V * terms[0].cutoff.value(mesh.vertices)
+                mass = [t.kind == "u2" for t in terms]
+                forms = iter(mesh.quadratic_forms(A[mass], V))
+                for t, s in zip(terms, sums):
+                    form = next(forms) if t.kind == "u2" else np.empty(len(V))
+                    if t.kind == "grad2":
+                        cells = mesh.cell_mask(t.region)
+                        for row, v in enumerate(V):
+                            gx, gy = _cell_gradient(mesh, v[:, None], cells)
+                            form[row] = s[cells] @ (gx * gx + gy * gy)[:, 0]
+                    value = t.coef * ctx.integral(form, slice(None), None,
+                                                  t.time, t.window)
+                    side = got[f"{t.side}_terms"]
+                    assert side[t.name] == value, (variant, al, t.name)
 
     def test_growth_drops_only_zero_rows(self, sample_solution):
         # a row is dropped only when exp(Theta_t e_q - shift) is exactly 0.0

@@ -507,6 +507,24 @@ class TestCellForms:
             assert abs(got - u @ (ref @ u)) <= 1e-14 * scale
 
 
+    def test_pair_forms_rows_or_none(self, coarse_mesh):
+        # a rule given None adds no pair sum; the per-cell sums of every
+        # rule and the given rows are bitwise a pass with a row per rule
+        sub, mesh = 1.2, coarse_mesh
+        rules = [(None, 2), (AbsPowerWeight(1.0), 3), (AbsPowerWeight(0.5), 2)]
+        regions = [Region.ball(4.0), None, Region.annulus(3.0, 6.0)]
+        every = np.zeros((3, mesh.num_pairs))
+        whole = mesh.pair_forms(rules, sub, every, regions)
+        for given in ([0, 2], [1], []):
+            rows = [np.zeros(mesh.num_pairs) if r in given else None
+                    for r in range(3)]
+            sums = mesh.pair_forms(rules, sub, rows, regions)
+            assert np.array_equal(sums, whole)
+            for r in given:
+                assert np.array_equal(rows[r], every[r])
+        assert np.array_equal(mesh.pair_forms(rules, sub, None, regions),
+                              whole)
+
 class TestQuadratureWeights:
     def test_cached_equal_fresh(self, coarse_mesh):
         # the rule is refined within the weight's own radius: 0 for |x|^p,

@@ -1,12 +1,13 @@
 """Config round-trips, samplers, report persistence and study rows."""
 
 import json
+import weakref
 
 import numpy as np
 import pytest
 
 from degenlab.domain import GeometrySpec, Region, build_disk_mesh
-from degenlab import experiments
+from degenlab import experiments, solver
 from degenlab.experiments import (MAX_TRAJECTORY_FLOATS, OBSERVABILITY_BLOCK,
                                   ExperimentConfig, StudyReport,
                                   _approximation_row, _block_size, _nodal,
@@ -290,3 +291,57 @@ class TestNamedSolverErrors:
                 r"A\(2R,7R\) bump at time step 1 of 12 under weight "
                 r"RegularizedWeight\(epsilon=0.125, alpha=1.0\)$")):
             experiments.run_approximation_study(cfg)
+
+
+class TestFactorLifetimes:
+    """Every factor of a study, in order, as (what it factors, the step
+    operators alive when it is made): a study holds a step's factor as long
+    as one of its solves reads it, and no longer."""
+
+    @staticmethod
+    def _factors(monkeypatch):
+        log, ops = [], []
+        factor, build = solver._factor_spd, solver.step_operator
+
+        def counted(mat):
+            # the boundary mass is the only factored matrix with at most
+            # three entries per row
+            kind = "boundary" if mat.nnz <= 3 * mat.shape[0] else "step"
+            log.append((kind, sum(ref() is not None for ref in ops)))
+            return factor(mat)
+
+        def recorded(*args):
+            op = build(*args)
+            ops.append(weakref.ref(op))
+            return op
+
+        monkeypatch.setattr(solver, "_factor_spd", counted)
+        for module in (solver, experiments):
+            monkeypatch.setattr(module, "step_operator", recorded)
+        return log
+
+    def test_converge_frees_each_factor_after_its_solve(self, monkeypatch):
+        # per k: the eps step, the limit step once the eps factor is gone,
+        # and the boundary mass of the flux
+        log = self._factors(monkeypatch)
+        experiments.run_approximation_study(
+            ExperimentConfig(mesh_levels=(0.5,), k_levels=(8, 16)))
+        assert log == [("step", 0), ("step", 0), ("boundary", 0)] * 2
+
+    def test_observe_factors_once_per_level(self, monkeypatch):
+        # nine data in blocks of two: five solves per level, one factor
+        monkeypatch.setattr(experiments, "OBSERVABILITY_BLOCK", 2)
+        log = self._factors(monkeypatch)
+        experiments.run_observability_study(
+            ExperimentConfig(mesh_levels=(0.5, 0.4), sample_count=3))
+        assert log == [("step", 0)] * 2
+
+    @pytest.mark.parametrize("families", [1, 3])
+    def test_carleman_factors_twice_per_level(self, monkeypatch, families):
+        # both steps of a level are held for all its families' solves and
+        # fluxes, and freed before the next level's are built
+        log = self._factors(monkeypatch)
+        experiments.run_carleman_sweep(ExperimentConfig(
+            mesh_levels=(0.5, 0.4), carleman_family_count=families,
+            carleman_sweep_samples=0))
+        assert log == [("step", 0), ("step", 1), ("boundary", 2)] * 2

@@ -3,6 +3,7 @@
 import dataclasses
 import pathlib
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -127,12 +128,15 @@ class TestAssembly:
         assert cell_weight_integrals(mesh, 1.0) is not first
         n_all = len(calls)
         assert n_all > n_reg
-        # the float alpha and its weight object share one entry, and one
-        # step operator
+        # the float alpha and its weight object share one entry; a step
+        # operator is built anew for either, records the same weight and
+        # reads that entry
         assert cell_weight_integrals(mesh, AbsPowerWeight(1.0)) is (
             cell_weight_integrals(mesh, 1))
-        assert step_operator(mesh, 1, 0.1, 1.0) is step_operator(
-            mesh, AbsPowerWeight(1.0), 0.1, 1.0)
+        ops = [step_operator(mesh, w, 0.1, 1.0)
+               for w in (1, AbsPowerWeight(1.0))]
+        assert ops[0] is not ops[1]
+        assert ops[0].weight == ops[1].weight == AbsPowerWeight(1.0)
         assert calls == [reg] * n_reg + [AbsPowerWeight(1.0)] * (n_all - n_reg)
 
     def test_mass_assembled_once_per_mesh(self, monkeypatch):
@@ -269,28 +273,73 @@ class TestStepOperator:
         ref = ref[::-1]
         assert np.max(np.abs(sol.fields - ref)) <= 1e-10 * np.max(np.abs(ref))
 
-    def test_same_key_reuses_one_operator(self):
+    def test_same_key_reuses_one_operator(self, monkeypatch):
+        # an operator passed for the same (weight, dt, theta) serves every
+        # solve with no new factor, bitwise a solve that builds its own
         mesh = build_disk_mesh(GeometrySpec(R=0.12, L=1.0), 0.1)
         prob = ParabolicProblem(weight=1.0, T=0.5, data=self._data(mesh, 5),
                                 direction="backward")
-        first = solve(prob, mesh, 8)
-        second = solve(prob, mesh, 8)
-        steps = [key for key in mesh._cache
-                 if isinstance(key, tuple) and key[0] == "step"]
-        assert len(steps) == 1
-        assert step_operator(mesh, 1.0, 0.5 / 8, 1.0) is mesh._cache[steps[0]]
-        assert np.array_equal(first.fields, second.fields)
-        assert first.mass is second.mass
+        own = solve(prob, mesh, 8)
+        op = step_operator(mesh, 1.0, 0.5 / 8, 1.0)
+        factored = []
+        monkeypatch.setattr(solver, "_factor_spd", lambda mat: (
+            factored.append(mat) or _factor_spd(mat)))
+        first = solve(prob, mesh, 8, operator=op)
+        second = solve(prob, mesh, 8, operator=op)
+        assert factored == []
+        assert np.array_equal(first.fields, own.fields)
+        assert np.array_equal(second.fields, own.fields)
+        assert first.mass is second.mass is own.mass is op.mass
+        assert first.stiffness is second.stiffness is op.stiffness
+        assert not [key for key in mesh._cache
+                    if isinstance(key, tuple) and key[0] == "step"]
 
     def test_new_weight_dt_or_theta_gets_new_operator(self, small_mesh):
-        base = step_operator(small_mesh, 1.0, 0.1, 1.0)
+        # every build is a new operator (nothing is cached) that records
+        # the values it was built for
         reg = RegularizedWeight(epsilon=0.05, alpha=1.0)
-        others = [step_operator(small_mesh, 0.5, 0.1, 1.0),
-                  step_operator(small_mesh, reg, 0.1, 1.0),
-                  step_operator(small_mesh, 1.0, 0.05, 1.0),
-                  step_operator(small_mesh, 1.0, 0.1, 0.5)]
-        assert len({id(op) for op in [base] + others}) == 5
-        assert step_operator(small_mesh, reg, 0.1, 1.0) is others[1]
+        keys = [(1.0, 0.1, 1.0), (0.5, 0.1, 1.0), (reg, 0.1, 1.0),
+                (1.0, 0.05, 1.0), (1.0, 0.1, 0.5), (reg, 0.1, 1.0)]
+        ops = [step_operator(small_mesh, *key) for key in keys]
+        assert len({id(op) for op in ops}) == len(keys)
+        assert len({id(op.lu) for op in ops}) == len(keys)
+        for op, (w, dt, theta) in zip(ops, keys):
+            assert op.mesh is small_mesh and op.weight == as_weight(w)
+            assert (op.dt, op.theta) == (dt, theta)
+
+    def test_solve_frees_its_operator(self, monkeypatch):
+        # a solve with no operator drops the one it built on return, with
+        # no reference cycle, and leaves no step on the mesh
+        mesh = build_disk_mesh(GeometrySpec(R=0.12, L=1.0), 0.1)
+        built = []
+        monkeypatch.setattr(solver, "step_operator", lambda *args: (
+            built.append(step_operator(*args)) or built[-1]))
+        for direction in ("forward", "backward"):
+            sol = solve(ParabolicProblem(weight=1.0, T=0.5,
+                                         data=self._data(mesh, 8),
+                                         direction=direction), mesh, 8)
+            ref = weakref.ref(built.pop())
+            assert ref() is None
+            assert sol.mass is mesh._cache["mass"]
+        assert not [key for key in mesh._cache
+                    if isinstance(key, tuple) and key[0] == "step"]
+
+    @pytest.mark.parametrize("other", ["mesh", "weight", "dt", "theta"])
+    def test_operator_for_another_step_rejected(self, small_mesh, other):
+        reg = RegularizedWeight(epsilon=0.05, alpha=1.0)
+        T, M = 0.5, 10
+        key = {"mesh": small_mesh, "weight": reg, "dt": T / M, "theta": 1.0}
+        key[other] = (build_disk_mesh(GeometrySpec(R=0.12, L=1.0), 0.1)
+                      if other == "mesh" else
+                      {"weight": 1.0, "dt": T / (M + 1), "theta": 0.5}[other])
+        op = step_operator(**key)
+        prob = ParabolicProblem(weight=reg, T=T, data=self._data(small_mesh, 9))
+        with pytest.raises(ValueError, match=f"another {other} than"):
+            solve(prob, small_mesh, M, theta=1.0, operator=op)
+        # the operator built for the solve's own values is accepted
+        right = step_operator(small_mesh, reg, T / M, 1.0)
+        assert np.array_equal(solve(prob, small_mesh, M, operator=right).fields,
+                              solve(prob, small_mesh, M).fields)
 
     def test_nan_data_raises(self, small_mesh):
         data = self._data(small_mesh, 6)
