@@ -119,7 +119,10 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
         json.dump(sidecar, f, sort_keys=True, indent=1)
         f.write("\n")
     log.info("energy identity constant %.2e", rep["identity_constant"])
-    return 0 if rep["identity_constant"] <= 1.0 + 1e-8 else 1
+    # the identity holds both ways; a zero datum has no constant (0.0)
+    ok = (rep["data_sq"] == 0.0
+          or abs(rep["identity_constant"] - 1.0) <= 1e-8)
+    return 0 if ok else 1
 
 
 def _write_plot(path, header, rows):

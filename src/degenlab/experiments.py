@@ -51,6 +51,25 @@ MAX_TRAJECTORY_FLOATS = 16_000_000
 # h = 0.18 (one thread, M = 12).
 OBSERVABILITY_BLOCK = 8
 
+# Families per block solve in the Carleman sweep. A block's trajectories all
+# live through its balances, and the level's step factors through every
+# block but the last, so the cap trades solve time for memory. c8
+# (``run_carleman_sweep(ExperimentConfig(seed=7))``, 10 families, fresh
+# process, 5 rounds; the first row keeps both factors to the level's end)
+# read ru_maxrss / wall:
+#
+#   families per block          ru_maxrss (MB)   wall (s)
+#   1, factors to level's end    103.7-104.7      1.27
+#   1                             98.6-99.0       1.21
+#   2                            100.4-100.5      1.16
+#   3                            102.3-102.7      1.17
+#   all 10                       107.9-108.3      1.04
+#
+# Blocks of 1 are leanest at c8, but with two families (the benchmark's
+# sweep) they keep both factors through the first family's balances: 83.6 MB
+# peak against 78.6 MB in one block of 2.
+CARLEMAN_BLOCK = 2
+
 
 @dataclass
 class ExperimentConfig:
@@ -491,8 +510,10 @@ def _observability_level(config: ExperimentConfig, li: int, h: float) -> list:
 
     Every datum is drawn first, in report order; the data are then solved
     in blocks of ``_block_size`` columns with one step operator, factored
-    once.  The level's mesh, that factor and the trajectories are freed when
-    this returns, before the next level is built.
+    once and dropped once the last block is solved, before that block's
+    records.  Each block's trajectories are freed before the next block is
+    solved, and the level's mesh when this returns, before the next level
+    is built.
     """
     mesh = build_disk_mesh(config.geometry, h)
     M = config.steps_for(h)
@@ -504,23 +525,26 @@ def _observability_level(config: ExperimentConfig, li: int, h: float) -> list:
     op = step_operator(mesh, config.alpha, config.T / M, config.theta)
     rows = []
     for start in range(0, len(samples), k):
-        rows += _observability_block(config, li, op, M,
-                                     samples[start:start + k])
+        block = samples[start:start + k]
+        sols = _solve_named(
+            ParabolicProblem(weight=config.alpha, T=config.T,
+                             data=np.array([_nodal(mesh, fn)
+                                            for _, _, fn, _ in block]),
+                             direction="backward"), mesh, M, config.theta,
+            f"observability level {li} (h={mesh.h})",
+            [f"{family} sample {si}" for family, si, _, _ in block], op)
+        if start + k >= len(samples):
+            # no later block reads the factor
+            del op
+        rows += _observability_records(config, li, block, sols)
+        del sols
     return rows
 
 
-def _observability_block(config: ExperimentConfig, li: int, op, M: int,
-                         block: list) -> list:
-    """Records of the (family, sample, datum, descriptor) ``block``, solved
-    together with the level's step operator ``op``; its trajectories are
-    freed when this returns."""
-    mesh = op.mesh
-    data = np.array([_nodal(mesh, fn) for _, _, fn, _ in block])
-    sols = _solve_named(
-        ParabolicProblem(weight=config.alpha, T=config.T, data=data,
-                         direction="backward"), mesh, M, config.theta,
-        f"observability level {li} (h={mesh.h})",
-        [f"{family} sample {si}" for family, si, _, _ in block], op)
+def _observability_records(config: ExperimentConfig, li: int, block: list,
+                           sols: list) -> list:
+    """Records of the (family, sample, datum, descriptor) ``block`` from its
+    solutions ``sols``, which are scaled in place."""
     rows = []
     for (family, si, _, desc), sol in zip(block, sols):
         rec = _observability_record(sol, config)
@@ -531,7 +555,7 @@ def _observability_block(config: ExperimentConfig, li: int, op, M: int,
         rec_s = _observability_record(scaled, config)
         scale_dev = (abs(rec_s["ratio"] - rec["ratio"])
                      / max(rec["ratio"], 1e-300))
-        rec.update({"level": li, "h": float(mesh.h), "family": family,
+        rec.update({"level": li, "h": float(sol.mesh.h), "family": family,
                     "sample": si, "scale_invariance_dev": float(scale_dev)})
         rec.update(desc)
         rows.append(rec)
@@ -575,7 +599,16 @@ def run_observability_study(config: ExperimentConfig) -> StudyReport:
 # ---------------------------------------------------------------------------
 
 def run_carleman_sweep(config: ExperimentConfig) -> StudyReport:
-    """Tabulate implied constants over the s/gamma/lambda grids per mesh level."""
+    """Tabulate implied constants over the s/gamma/lambda grids per mesh level.
+
+    Per level, the two step operators (alpha and regularized) are factored
+    once; the families are then solved in blocks of at most
+    ``CARLEMAN_BLOCK``, one block solve per weight.  Both factors are
+    dropped once the level's last block is solved, before that block's
+    balances, and each family's trajectories, fluxes and contexts are freed
+    once its rows are written, so one block's trajectories are alive at a
+    time.
+    """
     report = StudyReport(name="carleman", config=config)
     eps = config.carleman_epsilon
     reg = RegularizedWeight(epsilon=eps, alpha=config.alpha)
@@ -596,54 +629,30 @@ def run_carleman_sweep(config: ExperimentConfig) -> StudyReport:
         mesh = build_disk_mesh(config.geometry, h,
                                local_h=min(h / 2.0, eps / 4.0))
         M = config.steps_for(h)
-        # the level's two steps, each factored once for every family
+        # the level's two steps, each factored once for every block
         ops = [step_operator(mesh, w, config.T / M, config.theta)
                for w in (config.alpha, reg)]
-        for di, fn in enumerate(data_fns):
-            data = _nodal(mesh, fn)
-            sol0, solr = (_solve_named(
+        for start in range(0, len(data_fns), CARLEMAN_BLOCK):
+            block = range(start, min(start + CARLEMAN_BLOCK, len(data_fns)))
+            data = np.array([_nodal(mesh, data_fns[di]) for di in block])
+            families = list(zip(block, *(_solve_named(
                 ParabolicProblem(weight=op.weight, T=config.T, data=data,
                                  direction="backward"), mesh, M, config.theta,
-                f"carleman level {li} (h={mesh.h})", [f"interior sample {di}"],
-                op) for op in ops)
-            flux0 = boundary_flux(sol0)
-            fluxr = boundary_flux(solr)
-            param_points = [(config.s_default, config.gamma_default,
-                             config.lambda_default)]
-            if di < config.carleman_sweep_samples:
-                param_points = [(s, g, config.lambda_default)
-                                for s in config.carleman_s
-                                for g in config.carleman_gamma]
-                param_points += [(s, config.gamma_default, lam)
-                                 for s in config.carleman_s
-                                 for lam in config.carleman_lambda]
-            ctx0 = cl.BalanceContext(sol0, base_params)
-            ctxr = cl.BalanceContext(solr, base_params)
-            for s, g, lam in dict.fromkeys(param_points):
-                params = dataclasses.replace(base_params, s=s, gamma=g, lam=lam)
-                for variant in cl.VARIANTS:
-                    # thm41 reads the regularized trajectory, the rest u_0
-                    sol, flux, ctx = ((solr, fluxr, ctxr) if variant == "thm41"
-                                      else (sol0, flux0, ctx0))
-                    res = cl.carleman_balance(sol, params, variant, weight=reg,
-                                              flux=flux, eta_bar=eta_bar,
-                                              context=ctx)
-                    rows.append({
-                        "level": li, "h": float(h), "sample": di,
-                        "variant": variant, "s": s, "gamma": g, "lambda": lam,
-                        "implied_C": res["implied_C"],
-                        "lhs": res["lhs"], "rhs": res["rhs"],
-                        "exponent_shift": res["exponent_shift"],
-                    })
-            # scale invariance at the default point
-            base = cl.carleman_balance(sol0, base_params, "thm43", context=ctx0)
-            scaled_sol = dataclasses.replace(sol0, fields=10.0 * sol0.fields)
-            scaled = cl.carleman_balance(scaled_sol, base_params, "thm43")
-            scale_devs.append(abs(scaled["implied_C"] - base["implied_C"])
-                              / max(base["implied_C"], 1e-300))
-            log.info("carleman level=%d sample=%d", li, di)
-        # the level's factors go before the next level factors its own
-        del ops
+                f"carleman level {li} (h={mesh.h})",
+                [f"interior sample {di}" for di in block], op)
+                for op in ops)))
+            if block.stop == len(data_fns):
+                # no later block reads the factors: none is alive through
+                # this block's balances, nor when the next level factors
+                del ops
+            # popped, so a family's solutions go once its rows are written
+            # (the block's trajectory array with the last of them)
+            while families:
+                family_rows, dev = _carleman_family(
+                    config, li, h, *families.pop(0), base_params, reg,
+                    eta_bar)
+                rows += family_rows
+                scale_devs.append(dev)
     report.tables["sweep"] = rows
     report.tables["theta_checks"] = theta_rows
     default_rows = [r for r in rows
@@ -664,3 +673,48 @@ def run_carleman_sweep(config: ExperimentConfig) -> StudyReport:
                      and report.summary["max_scale_invariance_dev"] <= 1e-10
                      and all(v < 0.5 for v in drift.values()))
     return report
+
+
+def _carleman_family(config: ExperimentConfig, li: int, h: float, di: int,
+                     sol0: DiscreteSolution, solr: DiscreteSolution,
+                     base_params, reg, eta_bar) -> tuple:
+    """Sweep rows of family ``di`` from its exact (``sol0``) and regularized
+    (``solr``) trajectories, and its scale-invariance deviation; its
+    fluxes, contexts and scaled copy are freed when this returns."""
+    flux0 = boundary_flux(sol0)
+    fluxr = boundary_flux(solr)
+    param_points = [(config.s_default, config.gamma_default,
+                     config.lambda_default)]
+    if di < config.carleman_sweep_samples:
+        param_points = [(s, g, config.lambda_default)
+                        for s in config.carleman_s
+                        for g in config.carleman_gamma]
+        param_points += [(s, config.gamma_default, lam)
+                         for s in config.carleman_s
+                         for lam in config.carleman_lambda]
+    ctx0 = cl.BalanceContext(sol0, base_params)
+    ctxr = cl.BalanceContext(solr, base_params)
+    rows = []
+    for s, g, lam in dict.fromkeys(param_points):
+        params = dataclasses.replace(base_params, s=s, gamma=g, lam=lam)
+        for variant in cl.VARIANTS:
+            # thm41 reads the regularized trajectory, the rest u_0
+            sol, flux, ctx = ((solr, fluxr, ctxr) if variant == "thm41"
+                              else (sol0, flux0, ctx0))
+            res = cl.carleman_balance(sol, params, variant, weight=reg,
+                                      flux=flux, eta_bar=eta_bar,
+                                      context=ctx)
+            rows.append({
+                "level": li, "h": float(h), "sample": di,
+                "variant": variant, "s": s, "gamma": g, "lambda": lam,
+                "implied_C": res["implied_C"],
+                "lhs": res["lhs"], "rhs": res["rhs"],
+                "exponent_shift": res["exponent_shift"],
+            })
+    # scale invariance at the default point
+    base = cl.carleman_balance(sol0, base_params, "thm43", context=ctx0)
+    scaled_sol = dataclasses.replace(sol0, fields=10.0 * sol0.fields)
+    scaled = cl.carleman_balance(scaled_sol, base_params, "thm43")
+    log.info("carleman level=%d sample=%d", li, di)
+    return rows, (abs(scaled["implied_C"] - base["implied_C"])
+                  / max(base["implied_C"], 1e-300))

@@ -530,6 +530,7 @@ class TestBalances:
         solutions, balances, evaluations = [], [], []
 
         def recording_solve(*args, **kwargs):
+            # a block solve: one solution per family, in sample order
             solutions.append(solve(*args, **kwargs))
             return solutions[-1]
 
@@ -555,8 +556,13 @@ class TestBalances:
         assert len(evaluations) == 2 + 4 * 4 + 6 + len(VARIANTS) + 2
         reg = RegularizedWeight(epsilon=cfg.carleman_epsilon, alpha=cfg.alpha)
         eb = fursikov_eta_bar(cfg.R, cfg.L)
+        by_weight = {}
+        for sols in solutions:
+            regularized = isinstance(sols[0].problem.weight, RegularizedWeight)
+            by_weight.setdefault(regularized, []).extend(sols)
+        assert [len(sols) for sols in by_weight.values()] == [2, 2]
         for row in rows:
-            sol0, solr = solutions[2 * row["sample"]: 2 * row["sample"] + 2]
+            sol0, solr = (by_weight[r][row["sample"]] for r in (False, True))
             params = CarlemanParams(s=row["s"], gamma=row["gamma"],
                                     lam=row["lambda"], T=cfg.T, m=cfg.m,
                                     alpha=cfg.alpha, R=cfg.R)

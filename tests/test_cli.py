@@ -154,6 +154,25 @@ class TestSolve:
         side = json.load(open(os.path.join(out, "solve_trajectory.json")))
         assert abs(side["energy"]["identity_constant"] - 1.0) <= 1e-8
 
+    @pytest.mark.parametrize("constant, data_sq, code", [
+        (0.5, 1.0, 1),             # the solve lost energy
+        (1.0 + 2e-8, 1.0, 1),      # gained it, past the tolerance
+        (1.0 - 5e-9, 1.0, 0),
+        (0.0, 0.0, 0),             # a zero datum has no constant
+        (0.0, 1.0, 1),
+    ])
+    def test_identity_gate_is_two_sided(self, tmp_path, monkeypatch,
+                                        constant, data_sq, code):
+        real = cli.energy_report
+
+        def reported(sol):
+            return {**real(sol), "identity_constant": constant,
+                    "data_sq": data_sq}
+
+        monkeypatch.setattr(cli, "energy_report", reported)
+        assert main(["solve", "--set", "mesh_levels=[0.5]",
+                     "--out", str(tmp_path / "res")]) == code
+
 
 class TestSolverError:
     def test_one_line_and_exit_1(self, monkeypatch, capsys):

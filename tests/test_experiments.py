@@ -8,11 +8,12 @@ import pytest
 
 from degenlab.domain import GeometrySpec, Region, build_disk_mesh
 from degenlab import experiments, solver
-from degenlab.experiments import (MAX_TRAJECTORY_FLOATS, OBSERVABILITY_BLOCK,
-                                  ExperimentConfig, StudyReport,
-                                  _approximation_row, _block_size, _nodal,
-                                  _observability_level, bump, data_bump_a2r7r,
-                                  persist_report, sample_field)
+from degenlab.experiments import (CARLEMAN_BLOCK, MAX_TRAJECTORY_FLOATS,
+                                  OBSERVABILITY_BLOCK, ExperimentConfig,
+                                  StudyReport, _approximation_row,
+                                  _block_size, _nodal, _observability_level,
+                                  bump, data_bump_a2r7r, persist_report,
+                                  sample_field)
 from degenlab.solver import (ParabolicProblem, SolverError, boundary_flux,
                              solve)
 from degenlab.weights import RegularizedWeight
@@ -338,10 +339,155 @@ class TestFactorLifetimes:
 
     @pytest.mark.parametrize("families", [1, 3])
     def test_carleman_factors_twice_per_level(self, monkeypatch, families):
-        # both steps of a level are held for all its families' solves and
-        # fluxes, and freed before the next level's are built
+        # both steps of a level are built before its first block and dropped
+        # once its last block is solved: one family is one block, whose flux
+        # factors the boundary mass with no step alive; of three families
+        # the first block of two makes its fluxes with both steps alive
         log = self._factors(monkeypatch)
         experiments.run_carleman_sweep(ExperimentConfig(
             mesh_levels=(0.5, 0.4), carleman_family_count=families,
             carleman_sweep_samples=0))
-        assert log == [("step", 0), ("step", 1), ("boundary", 2)] * 2
+        boundary = {1: 0, 3: 2}[families]
+        assert log == [("step", 0), ("step", 1), ("boundary", boundary)] * 2
+
+    @staticmethod
+    def _carleman_events(monkeypatch, cfg):
+        # the sweep's solves (the names of their data) and its balances
+        # (the live step operators and blocks of trajectories at each)
+        events, ops, blocks = [], [], []
+        build = experiments.step_operator
+        solve_named = experiments._solve_named
+        balance = experiments.cl.carleman_balance
+
+        def recorded(*args):
+            op = build(*args)
+            ops.append(weakref.ref(op))
+            return op
+
+        def live_blocks():
+            return {names for names, ref in blocks if ref() is not None}
+
+        def solved(problem, mesh, M, theta, where, names, operator=None):
+            events.append(("solve", tuple(names), live_blocks()))
+            sols = solve_named(problem, mesh, M, theta, where, names, operator)
+            # a block's fields are views of one trajectory array
+            blocks.append((tuple(names), weakref.ref(sols[0].fields.base)))
+            return sols
+
+        def balanced(*args, **kwargs):
+            events.append(("balance", sum(ref() is not None for ref in ops),
+                           len(live_blocks())))
+            return balance(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "step_operator", recorded)
+        monkeypatch.setattr(experiments, "_solve_named", solved)
+        monkeypatch.setattr(experiments.cl, "carleman_balance", balanced)
+        experiments.run_carleman_sweep(cfg)
+        return events
+
+    @pytest.mark.parametrize("families", [2, 3, 5])
+    def test_no_step_factor_alive_in_last_block_balances(self, monkeypatch,
+                                                         families):
+        # every balance after a level's last block solve runs with no step
+        # operator alive; earlier blocks' balances see both
+        events = self._carleman_events(monkeypatch, ExperimentConfig(
+            mesh_levels=(0.5, 0.4), carleman_family_count=families,
+            carleman_sweep_samples=0))
+        last = f"interior sample {families - 1}"
+        blocks = -(-families // CARLEMAN_BLOCK)
+        assert sum(e[0] == "solve" for e in events) == 2 * 2 * blocks
+        live = {True: set(), False: set()}
+        for event in events:
+            if event[0] == "solve":
+                in_last_block = event[1][-1] == last
+            else:
+                live[in_last_block].add(event[1])
+        assert live == {True: {0}, False: {2} if blocks > 1 else set()}
+
+    def test_one_block_of_trajectories_at_a_balance(self, monkeypatch):
+        # five families in blocks of at most two: a block's trajectories
+        # are freed before the next block is solved, so no balance sees a
+        # second block's arrays and no solve an earlier block's
+        events = self._carleman_events(monkeypatch, ExperimentConfig(
+            mesh_levels=(0.5,), carleman_family_count=5,
+            carleman_sweep_samples=1))
+        solves = [e[1:] for e in events if e[0] == "solve"]
+        assert [names for names, _ in solves] == [
+            names for names in (("interior sample 0", "interior sample 1"),
+                                ("interior sample 2", "interior sample 3"),
+                                ("interior sample 4",))
+            for _ in range(2)]
+        assert all(alive <= {names} for names, alive in solves)
+        assert {e[2] for e in events if e[0] == "balance"} == {1}
+
+    def test_observe_frees_factor_before_last_records(self, monkeypatch):
+        # nine data in blocks of two: the first four blocks' records see
+        # the level's step operator, the last block's see none, and no
+        # block is solved while an earlier block's trajectories are alive
+        monkeypatch.setattr(experiments, "OBSERVABILITY_BLOCK", 2)
+        live, ops, blocks, earlier = [], [], [], []
+        build, record = (experiments.step_operator,
+                         experiments._observability_record)
+        solve_named = experiments._solve_named
+
+        def recorded(*args):
+            op = build(*args)
+            ops.append(weakref.ref(op))
+            return op
+
+        def solved(*args):
+            earlier.append(sum(ref() is not None for ref in blocks))
+            sols = solve_named(*args)
+            blocks.append(weakref.ref(sols[0].fields.base))
+            return sols
+
+        def counted(sol, cfg):
+            live.append(sum(ref() is not None for ref in ops))
+            return record(sol, cfg)
+
+        monkeypatch.setattr(experiments, "step_operator", recorded)
+        monkeypatch.setattr(experiments, "_solve_named", solved)
+        monkeypatch.setattr(experiments, "_observability_record", counted)
+        experiments.run_observability_study(
+            ExperimentConfig(mesh_levels=(0.5, 0.4), sample_count=3))
+        # two records (the datum and its scaled copy) per sample
+        assert live == ([1] * 16 + [0] * 2) * 2
+        assert earlier == [0] * 10
+
+
+class TestCarlemanBlocks:
+    CFG = ExperimentConfig(mesh_levels=(0.5,), carleman_family_count=3,
+                           carleman_sweep_samples=1, carleman_s=(1.0, 4.0),
+                           seed=5)
+
+    def test_rows_equal_one_family_at_a_time(self, monkeypatch):
+        # three families in a block of two and a block of one give the rows
+        # and summary of three one-family solves, bitwise
+        blocked = experiments.run_carleman_sweep(self.CFG)
+        monkeypatch.setattr(experiments, "CARLEMAN_BLOCK", 1)
+        single = experiments.run_carleman_sweep(self.CFG)
+        assert CARLEMAN_BLOCK == 2
+        assert len(blocked.tables["sweep"]) > 3 * 7
+        assert blocked.tables["sweep"] == single.tables["sweep"]
+        assert blocked.summary == single.summary
+
+    def test_nan_in_second_family_of_a_block_named(self, monkeypatch):
+        # three families: the second datum of the first block (of two) is
+        # NaN; that block's solve names it alone, and the level
+        draw = experiments.sample_field
+        drawn = []
+
+        def poisoned(family, rng, cfg):
+            fn, desc = draw(family, rng, cfg)
+            drawn.append(family)
+            if len(drawn) == 2:
+                return (lambda x: np.full(len(x), np.nan)), desc
+            return fn, desc
+
+        monkeypatch.setattr(experiments, "sample_field", poisoned)
+        cfg = ExperimentConfig(mesh_levels=(0.5,), carleman_family_count=3,
+                               carleman_sweep_samples=0)
+        with pytest.raises(SolverError, match=(
+                r"^carleman level 0 \(h=0.5\): non-finite values in interior "
+                r"sample 1 at time step 1 of 12 under weight")):
+            experiments.run_carleman_sweep(cfg)
