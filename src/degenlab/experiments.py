@@ -23,7 +23,7 @@ from .domain import (MAX_VERTICES, GeometrySpec, Mesh, Region,
                      build_disk_mesh, disk_vertex_bound, integrate_space,
                      integrate_spacetime, time_weights)
 from .solver import (DiscreteSolution, ParabolicProblem, SolverError,
-                     boundary_flux, solve, step_operator)
+                     _theta_steps, boundary_flux, solve, step_operator)
 from .weights import AbsPowerWeight, RegularizedWeight, check_epsilon
 
 log = logging.getLogger(__name__)
@@ -34,21 +34,22 @@ log = logging.getLogger(__name__)
 # ---------------------------------------------------------------------------
 
 # A solve holds (M + 1) x vertices floats of trajectory per datum; the
-# observability study solves blocks of k data, k (M + 1) x vertices floats
-# within this cap. Peak memory grows by about 11 B per such float in its full
-# blocks of 8, 24 B one datum at a time, and 108 B in the approximation study
-# (measured at h = 0.24 and 0.12, M = 44 to 168), so at the cap the latter
-# needs about 1.7 GB, near the vertex cap's budget. It admits every mesh the
-# vertex cap admits at dt_factor = 1 (h = 1/36: 37 x 388,666). The Carleman
-# sweep's contexts take about 300 B per float (h = 0.24, where most
-# quadrature points underflow and are never built), so that study passes this
-# budget from about 6 M floats on.
+# approximation study and the Carleman sweep hold whole trajectories, the
+# observability study none (it reduces each time node as it is solved), so
+# the cap bounds the first two. Peak memory grows by about 108 B per such
+# float in the approximation study (measured at h = 0.24 and 0.12, M = 44 to
+# 168), so at the cap it needs about 1.7 GB, near the vertex cap's budget. It
+# admits every mesh the vertex cap admits at dt_factor = 1 (h = 1/36:
+# 37 x 388,666). The Carleman sweep's contexts take about 300 B per float
+# (h = 0.24, where most quadrature points underflow and are never built), so
+# that study passes this budget from about 6 M floats on.
 MAX_TRAJECTORY_FLOATS = 16_000_000
 
-# Data per block solve in the observability study. A block solve's time per
-# datum and step fell from k = 1 to 8 and was flat at 16: 0.44, 0.30, 0.27,
-# 0.25 ms at k = 1, 4, 8, 16 on h = 0.24 and 0.85, 0.65, 0.54, 0.57 ms on
-# h = 0.18 (one thread, M = 12).
+# Data per block in the observability study; a block holds the k data's
+# states at one time node, not k trajectories, so no mesh lowers it. A block
+# solve's time per datum and step fell from k = 1 to 8 and was flat at 16:
+# 0.44, 0.30, 0.27, 0.25 ms at k = 1, 4, 8, 16 on h = 0.24 and 0.85, 0.65,
+# 0.54, 0.57 ms on h = 0.18 (one thread, M = 12).
 OBSERVABILITY_BLOCK = 8
 
 # Families per block solve in the Carleman sweep. A block's trajectories all
@@ -347,18 +348,25 @@ def data_bump_a2r7r(rng: np.random.Generator, cfg: ExperimentConfig):
     return _bump_at(rng.uniform(2.0 * cfg.R + rho, 7.0 * cfg.R - rho), rng, rho)
 
 
+def _named_error(exc: SolverError, where: str, names: list, M: int,
+                 weight) -> SolverError:
+    """A block's SolverError ``exc`` reworded to name the study's ``where``,
+    the data that went non-finite (``names`` holds one name per datum), the
+    step of the ``M`` and the ``weight``."""
+    bad = ", ".join(names[j] for j in exc.columns)
+    return SolverError(f"{where}: non-finite values in {bad} at time step "
+                       f"{exc.step} of {M} under weight {weight!r}",
+                       step=exc.step)
+
+
 def _solve_named(problem: ParabolicProblem, mesh: Mesh, M: int, theta: float,
                  where: str, names: list, operator=None):
     """``solve`` (with the caller's step ``operator``, if any), with a
-    SolverError that names the study's ``where``, the data that went
-    non-finite (``names`` holds one name per datum) and the weight."""
+    SolverError named by :func:`_named_error`."""
     try:
         return solve(problem, mesh, M, theta=theta, operator=operator)
     except SolverError as exc:
-        bad = ", ".join(names[j] for j in exc.columns)
-        raise SolverError(f"{where}: non-finite values in {bad} at time step "
-                          f"{exc.step} of {M} under weight {problem.weight!r}",
-                          step=exc.step) from exc
+        raise _named_error(exc, where, names, M, problem.weight) from exc
 
 
 def _finest_drift(config: ExperimentConfig, rows: list, key: str,
@@ -455,65 +463,23 @@ def run_approximation_study(config: ExperimentConfig) -> StudyReport:
 # observability study
 # ---------------------------------------------------------------------------
 
-def _observability_record(sol: DiscreteSolution, cfg: ExperimentConfig) -> dict:
-    """One sample's row.  ``lhs``, ``rhs`` and the ratios are lumped: nodal
-    u^2 against the weights of :meth:`Mesh.quadrature_weights`; the (5.2)
-    ``chain_*`` values use the consistent mass, where the chain is exact.
-    The two rules differ at O(h^2)."""
-    mesh, times = sol.mesh, sol.times
-    T, al, R = cfg.T, cfg.alpha, cfg.R
-    window = (T / 4.0, 3.0 * T / 4.0)
-    # read before u2 exists: the norms' two trajectory-sized temporaries
-    # then never coexist with it
-    l2sq = sol.l2_norms ** 2
-    u2 = sol.fields ** 2
-    weight = AbsPowerWeight(2.0 - al)
-    lhs = integrate_spacetime(mesh, times, fields=u2, weight=weight,
-                              window=window)
-    rhs = integrate_spacetime(mesh, times, fields=u2,
-                              region=Region.annulus(3.0 * R, 6.0 * R))
-    lhs_b4r = integrate_spacetime(mesh, times, fields=u2,
-                                  region=Region.ball(4.0 * R),
-                                  weight=weight, window=window)
-    lhs_out5r = integrate_spacetime(mesh, times, fields=u2,
-                                    region=Region.complement(5.0 * R),
-                                    weight=weight, window=window)
-
-    # (5.2) chain in the discrete mass-matrix norms where it holds exactly
-    window_mass = float(time_weights(times, window) @ l2sq)
-    chain_lhs = float(l2sq[0])
-    chain_rhs = 2.0 / T * window_mass
-    chain_slack = ((chain_rhs - chain_lhs)
-                   / max(chain_rhs, chain_lhs, 1e-300))
-    violation = bool(rhs < 1e-30 and lhs > 1e-10)
-    return {
-        "lhs": float(lhs), "rhs": float(rhs),
-        "ratio": cl._ratio(lhs, rhs),
-        "ratio_b4r": cl._ratio(lhs_b4r, rhs),
-        "ratio_outer5r": cl._ratio(lhs_out5r, rhs),
-        "chain_lhs": chain_lhs, "chain_rhs": chain_rhs,
-        "chain_slack": float(chain_slack),
-        "ucp_violation": violation,
-    }
-
-
-def _block_size(M: int, n_vertices: int) -> int:
-    """Data per observability solve: at most ``OBSERVABILITY_BLOCK``, and few
-    enough that the block's k (M + 1) n_vertices trajectory values stay
-    within ``MAX_TRAJECTORY_FLOATS`` (k = 1 near the cap)."""
-    fit = MAX_TRAJECTORY_FLOATS // ((M + 1) * n_vertices)
-    return max(1, min(OBSERVABILITY_BLOCK, fit))
+# the per-time values of an observability block, per datum: the lumped sums
+# c u^2 of lhs, rhs, lhs_b4r and lhs_out5r, the mass norm u^T M u, and the
+# lhs and rhs sums of the datum's scaled copy 3u
+_LHS, _RHS, _B4R, _OUT5R, _MASS, _LHS3, _RHS3 = range(7)
 
 
 def _observability_level(config: ExperimentConfig, li: int, h: float) -> list:
     """Records of every sample on mesh level ``li``.
 
     Every datum is drawn first, in report order; the data are then solved
-    in blocks of ``_block_size`` columns with one step operator, factored
-    once and dropped once the last block is solved, before that block's
-    records.  Each block's trajectories are freed before the next block is
-    solved, and the level's mesh when this returns, before the next level
-    is built.
+    in blocks of ``OBSERVABILITY_BLOCK`` columns with one step operator,
+    factored once and dropped with the level's last step, before the last
+    block's records.  A record reads per-time values only, so a block keeps
+    the (interior x k) state the time loop yields and, per time node, the
+    values the records read (for u and 3u, ``_LHS`` to ``_RHS3``), and no
+    trajectory; the level's mesh is freed when this returns, before the next
+    level is built.
     """
     mesh = build_disk_mesh(config.geometry, h)
     M = config.steps_for(h)
@@ -521,42 +487,94 @@ def _observability_level(config: ExperimentConfig, li: int, h: float) -> list:
     samples = [(family, si, *sample_field(family, rng, config))
                for family in config.sampler_families
                for si in range(config.sample_count)]
-    k = _block_size(M, mesh.num_vertices)
+    R, weight = config.R, AbsPowerWeight(2.0 - config.alpha)
+    inter = mesh.interior
+    sums = ((None, weight), (Region.annulus(3.0 * R, 6.0 * R), None),
+            (Region.ball(4.0 * R), weight),
+            (Region.complement(5.0 * R), weight))
+    # every datum is zero on the boundary: its sums read the interior alone
+    lumped = np.array([mesh.quadrature_weights(region, w)[inter]
+                       for region, w in sums])
     op = step_operator(mesh, config.alpha, config.T / M, config.theta)
+    mass = op.mass[inter][:, inter]
+    k = OBSERVABILITY_BLOCK
     rows = []
     for start in range(0, len(samples), k):
         block = samples[start:start + k]
-        sols = _solve_named(
-            ParabolicProblem(weight=config.alpha, T=config.T,
-                             data=np.array([_nodal(mesh, fn)
-                                            for _, _, fn, _ in block]),
-                             direction="backward"), mesh, M, config.theta,
-            f"observability level {li} (h={mesh.h})",
-            [f"{family} sample {si}" for family, si, _, _ in block], op)
+        data = np.array([_nodal(mesh, fn) for _, _, fn, _ in block])
+        problem = ParabolicProblem(weight=config.alpha, T=config.T, data=data,
+                                   direction="backward")
+        steps = _theta_steps(problem, data, M, op)
         if start + k >= len(samples):
-            # no later block reads the factor
+            # the generator holds the last reference: the factor goes with
+            # the level's last step, before this block's records
             del op
-        rows += _observability_records(config, li, block, sols)
-        del sols
+        values = np.empty((7, len(block), M + 1))
+        try:
+            for row, ui in steps:
+                values[:, :, row] = _node_values(ui, lumped, mass)
+        except SolverError as exc:
+            raise _named_error(
+                exc, f"observability level {li} (h={mesh.h})",
+                [f"{family} sample {si}" for family, si, _, _ in block], M,
+                problem.weight) from exc
+        rows += _observability_rows(config, li, mesh.h, block, values)
     return rows
 
 
-def _observability_records(config: ExperimentConfig, li: int, block: list,
-                           sols: list) -> list:
+def _node_values(ui: np.ndarray, lumped: np.ndarray, mass) -> np.ndarray:
+    """The (7, k) values ``_LHS`` to ``_RHS3`` of one time node's
+    (interior x k) state ``ui``, from the interior rows of the nodal weights
+    ``lumped`` and of the mass.  Each datum is summed along one contiguous
+    row by numpy's own reductions (einsum without optimize), so its values
+    depend neither on the BLAS thread count nor on the block's width; the
+    temporaries go on return, before the next step is solved."""
+    u = np.ascontiguousarray(ui.T)
+    out = np.empty((7, len(u)))
+    out[:_MASS] = np.einsum("qv,kv->qk", lumped, u * u)
+    out[_MASS] = np.einsum("kv,kv->k", u, np.ascontiguousarray((mass @ ui).T))
+    u3 = 3.0 * u
+    out[_LHS3:] = np.einsum("qv,kv->qk", lumped[:2], u3 * u3)
+    return out
+
+
+def _observability_rows(config: ExperimentConfig, li: int, h: float,
+                        block: list, values: np.ndarray) -> list:
     """Records of the (family, sample, datum, descriptor) ``block`` from its
-    solutions ``sols``, which are scaled in place."""
+    ``values`` (7, k, M + 1), per time node in physical time.  ``lhs``, ``rhs``
+    and the ratios are lumped: nodal u^2 against the weights of
+    :meth:`Mesh.quadrature_weights`; the (5.2) ``chain_*`` values use the
+    consistent mass, where the chain is exact.  The two rules differ at
+    O(h^2)."""
+    T = config.T
+    times = np.linspace(0.0, T, values.shape[-1])
+    # tau @ y per value and datum, as [value][datum] lists of floats; lhs
+    # and its ratios and the chain's window mass are taken over
+    # (T/4, 3T/4), rhs over (0, T)
+    full, window = (np.einsum("n,qkn->qk", tau, values).tolist()
+                    for tau in (time_weights(times), time_weights(
+                        times, (T / 4.0, 3.0 * T / 4.0))))
     rows = []
-    for (family, si, _, desc), sol in zip(block, sols):
-        rec = _observability_record(sol, config)
-        # quadratic homogeneity: the ratio must be scale invariant; the
-        # trajectory is not read again, so it is scaled in place
-        sol.fields *= 3.0
-        scaled = dataclasses.replace(sol)
-        rec_s = _observability_record(scaled, config)
-        scale_dev = (abs(rec_s["ratio"] - rec["ratio"])
-                     / max(rec["ratio"], 1e-300))
-        rec.update({"level": li, "h": float(sol.mesh.h), "family": family,
-                    "sample": si, "scale_invariance_dev": float(scale_dev)})
+    for j, (family, si, _, desc) in enumerate(block):
+        lhs, rhs = window[_LHS][j], full[_RHS][j]
+        chain_lhs = float(values[_MASS, j, 0])
+        chain_rhs = 2.0 / T * window[_MASS][j]
+        chain_slack = ((chain_rhs - chain_lhs)
+                       / max(chain_rhs, chain_lhs, 1e-300))
+        ratio = cl._ratio(lhs, rhs)
+        # quadratic homogeneity: the ratio must be scale invariant
+        scale_dev = (abs(cl._ratio(window[_LHS3][j], full[_RHS3][j]) - ratio)
+                     / max(ratio, 1e-300))
+        rec = {
+            "lhs": lhs, "rhs": rhs, "ratio": ratio,
+            "ratio_b4r": cl._ratio(window[_B4R][j], rhs),
+            "ratio_outer5r": cl._ratio(window[_OUT5R][j], rhs),
+            "chain_lhs": chain_lhs, "chain_rhs": chain_rhs,
+            "chain_slack": chain_slack,
+            "ucp_violation": bool(rhs < 1e-30 and lhs > 1e-10),
+            "level": li, "h": float(h), "family": family, "sample": si,
+            "scale_invariance_dev": scale_dev,
+        }
         rec.update(desc)
         rows.append(rec)
         log.info("observe level=%d %s sample=%d", li, family, si)

@@ -16,8 +16,12 @@ quarter to a third less time per factor than SuperLU's default blocking on
 these 2D P1 matrices, with the same fill).  Data that share a problem
 (weight, horizon, direction, source) are solved as one block: each step is
 one multi-column product and one multi-column triangular solve, which costs
-less per column than a solve per datum.  The boundary flux is recovered from
-the weak-form residual on the boundary rows alone.
+less per column than a solve per datum.  The time loop is one generator,
+:func:`_theta_steps`, which yields each time node's state: :func:`solve`
+stores it as a trajectory, and a caller that reads per-time values only
+(the observability study) reduces it as it comes and stores none.  The
+boundary flux is recovered from the weak-form residual on the boundary rows
+alone.
 """
 
 from __future__ import annotations
@@ -226,6 +230,46 @@ def _interior_entries(mesh: Mesh, mat: sp.csr_matrix):
     return ids.indptr, ids.indices, ids.data.astype(np.intp) - 1
 
 
+def _theta_steps(problem: ParabolicProblem, block: np.ndarray, M: int,
+                 op: StepOperator):
+    """The time loop of :func:`solve`: yield ``(row, state)`` at each of the
+    M + 1 time nodes in integration order, from the datum's node on.
+
+    ``block`` holds k nodal data as (k, n_vertices), solved under
+    ``problem``'s horizon, direction and source with the step ``op``;
+    ``row`` is the node's row in physical time and ``state`` its new
+    (interior x k) values.  A column that goes non-finite raises
+    SolverError naming the column(s) and the step.  A caller that frees
+    ``op`` frees its factor once the generator is exhausted.
+    """
+    mesh, dt, theta = op.mesh, op.dt, op.theta
+    inter = mesh.interior
+    backward = problem.direction == "backward"
+    # backward problems are integrated in the reversed time variable, and
+    # step n is yielded with its physical-time row
+    rows = np.arange(M, -1, -1) if backward else np.arange(M + 1)
+    loads = None
+    if problem.source is not None:
+        times = np.linspace(0.0, problem.T, M + 1)
+        phys_t = problem.T - times if backward else times
+        loads = load_vectors(mesh, problem.source, phys_t)[inter]
+    ui = block[:, inter].T                 # (interior, k), Fortran-ordered
+    yield rows[0], ui
+    for n in range(M):
+        b = op.explicit @ ui
+        if loads is not None:
+            b += (dt * (theta * loads[:, n + 1]
+                        + (1.0 - theta) * loads[:, n]))[:, None]
+        ui = op.lu.solve(b)
+        del b                              # not held through the yield
+        finite = np.isfinite(ui).all(axis=0)
+        if not finite.all():
+            bad = np.flatnonzero(~finite).tolist()
+            raise SolverError(f"non-finite values in column(s) {bad} at time "
+                              f"step {n + 1} of {M}", bad, n + 1)
+        yield rows[n + 1], ui
+
+
 def solve(problem: ParabolicProblem, mesh: Mesh, M: int,
           theta: float = 1.0, operator: StepOperator | None = None):
     """Integrate the problem on a uniform M-step grid with the theta scheme.
@@ -234,7 +278,8 @@ def solve(problem: ParabolicProblem, mesh: Mesh, M: int,
     (k, n_vertices) that share the problem's weight, horizon, direction and
     source.  A block is integrated by one time loop: each step is one sparse
     product and one multi-column triangular solve on the (interior x k)
-    block.  One field gives one DiscreteSolution; a block gives a list of k,
+    block (:func:`_theta_steps`).  One field gives one DiscreteSolution; a
+    block gives a list of k,
     whose ``fields`` are contiguous (M+1, n_vertices) views of one array.
     A column that goes non-finite raises SolverError naming the column(s)
     and the step.
@@ -271,31 +316,9 @@ def solve(problem: ParabolicProblem, mesh: Mesh, M: int,
                              f"{', '.join(wrong)} than this solve's")
     times = np.linspace(0.0, problem.T, M + 1)
     inter = mesh.interior
-    backward = problem.direction == "backward"
-    # backward problems are integrated in the reversed time variable, and
-    # step n is written straight into its physical-time row
-    rows = np.arange(M, -1, -1) if backward else np.arange(M + 1)
-    loads = None
-    if problem.source is not None:
-        phys_t = problem.T - times if backward else times
-        loads = load_vectors(mesh, problem.source, phys_t)[inter]
-
     u = np.zeros((len(block), M + 1, mesh.num_vertices))
-    u[:, rows[0]] = block
-    u[:, rows[0], mesh.boundary_mask] = 0.0
-    ui = u[:, rows[0], inter].T            # (interior, k), Fortran-ordered
-    for n in range(M):
-        b = op.explicit @ ui
-        if loads is not None:
-            b += (dt * (theta * loads[:, n + 1]
-                        + (1.0 - theta) * loads[:, n]))[:, None]
-        ui = op.lu.solve(b)
-        finite = np.isfinite(ui).all(axis=0)
-        if not finite.all():
-            bad = np.flatnonzero(~finite).tolist()
-            raise SolverError(f"non-finite values in column(s) {bad} at time "
-                              f"step {n + 1} of {M}", bad, n + 1)
-        u[:, rows[n + 1], inter] = ui.T
+    for row, ui in _theta_steps(problem, block, M, op):
+        u[:, row, inter] = ui.T
     sols = [DiscreteSolution(
         mesh=mesh, theta=theta, times=times, fields=fields,
         problem=(problem if single

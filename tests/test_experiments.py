@@ -1,18 +1,21 @@
 """Config round-trips, samplers, report persistence and study rows."""
 
 import json
+import os
+import subprocess
+import sys
 import weakref
 
 import numpy as np
 import pytest
 
+import degenlab
 from degenlab.domain import GeometrySpec, Region, build_disk_mesh
 from degenlab import experiments, solver
-from degenlab.experiments import (CARLEMAN_BLOCK, MAX_TRAJECTORY_FLOATS,
-                                  OBSERVABILITY_BLOCK, ExperimentConfig,
-                                  StudyReport, _approximation_row,
-                                  _block_size, _nodal, _observability_level,
-                                  bump, data_bump_a2r7r, persist_report,
+from degenlab.experiments import (CARLEMAN_BLOCK, ExperimentConfig,
+                                  StudyReport, _approximation_row, _nodal,
+                                  _observability_level, bump,
+                                  data_bump_a2r7r, persist_report,
                                   sample_field)
 from degenlab.solver import (ParabolicProblem, SolverError, boundary_flux,
                              solve)
@@ -212,17 +215,6 @@ class TestApproximationRow:
 class TestObservabilityBlocks:
     CFG = ExperimentConfig(mesh_levels=(0.5,), sample_count=3, seed=4)
 
-    def test_block_size_rule(self):
-        # k (M + 1) n_vertices stays within the trajectory cap; one datum at
-        # a time near the cap, never none
-        assert _block_size(12, 9_000) == OBSERVABILITY_BLOCK
-        for k in (1, 3, 7):
-            nv = MAX_TRAJECTORY_FLOATS // (13 * k)
-            assert _block_size(12, nv) == k
-            assert k * 13 * nv <= MAX_TRAJECTORY_FLOATS
-            assert _block_size(12, nv + 1) == max(k - 1, 1)
-        assert _block_size(12, MAX_TRAJECTORY_FLOATS) == 1
-
     def test_partial_last_block_rows_unchanged(self, monkeypatch):
         # nine data in blocks of 8 (one full, one partial) give the rows of
         # nine one-column solves
@@ -256,6 +248,46 @@ class TestObservabilityBlocks:
                                               r"values in adversarial sample 0 "
                                               r"at time step 1 of 12"):
             _observability_level(cfg, 0, 0.5)
+
+    def test_level_traced_peak(self):
+        # tracemalloc peak of the h = 0.18 level at sample_count = 2 (9,308
+        # vertices, one block of six data), mesh build included: 9.50 MB.
+        # Holding each block's (k, M + 1, n_vertices) trajectory while the
+        # level's step operator was alive, it peaked at 14.5 MB.
+        cfg = ExperimentConfig(sample_count=2, seed=1)
+        assert traced_peak(lambda: _observability_level(cfg, 1, 0.18)) <= (
+            9.8 * 2**20)
+
+    def test_study_never_solves(self, monkeypatch):
+        # the study runs the time loop itself and keeps no trajectory
+        def refused(*args, **kwargs):
+            raise AssertionError("the observability study called solve")
+
+        monkeypatch.setattr(experiments, "solve", refused)
+        report = experiments.run_observability_study(self.CFG)
+        assert len(report.tables["samples"]) == 9
+
+    def test_report_independent_of_blas_threads(self, tmp_path):
+        # the per-step reductions are numpy's own, not BLAS products, so a
+        # report is the same at one and two BLAS threads
+        root = os.path.dirname(os.path.dirname(os.path.abspath(
+            degenlab.__file__)))
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           p for p in (root, os.environ.get("PYTHONPATH"))
+                           if p))
+            proc = subprocess.run(
+                [sys.executable, "-m", "degenlab.cli", "observe", "--out",
+                 str(out), "--set", "sample_count=8", "--set",
+                 "mesh_levels=[0.24]"],
+                env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            report = json.loads((out / "observability.json").read_text())
+            reports.append((report["tables"], report["summary"]))
+        assert reports[0] == reports[1]
 
 
 class TestNamedSolverErrors:
@@ -330,12 +362,20 @@ class TestFactorLifetimes:
         assert log == [("step", 0), ("step", 0), ("boundary", 0)] * 2
 
     def test_observe_factors_once_per_level(self, monkeypatch):
-        # nine data in blocks of two: five solves per level, one factor
+        # nine data in blocks of two: five time loops per level, one factor
         monkeypatch.setattr(experiments, "OBSERVABILITY_BLOCK", 2)
         log = self._factors(monkeypatch)
+        steps, blocks = experiments._theta_steps, []
+
+        def counted(problem, block, M, op):
+            blocks.append(len(block))
+            return steps(problem, block, M, op)
+
+        monkeypatch.setattr(experiments, "_theta_steps", counted)
         experiments.run_observability_study(
             ExperimentConfig(mesh_levels=(0.5, 0.4), sample_count=3))
         assert log == [("step", 0)] * 2
+        assert blocks == [2, 2, 2, 2, 1] * 2
 
     @pytest.mark.parametrize("families", [1, 3])
     def test_carleman_factors_twice_per_level(self, monkeypatch, families):
@@ -422,37 +462,26 @@ class TestFactorLifetimes:
 
     def test_observe_frees_factor_before_last_records(self, monkeypatch):
         # nine data in blocks of two: the first four blocks' records see
-        # the level's step operator, the last block's see none, and no
-        # block is solved while an earlier block's trajectories are alive
+        # the level's step operator, the last block's see none
         monkeypatch.setattr(experiments, "OBSERVABILITY_BLOCK", 2)
-        live, ops, blocks, earlier = [], [], [], []
-        build, record = (experiments.step_operator,
-                         experiments._observability_record)
-        solve_named = experiments._solve_named
+        live, ops = [], []
+        build, records = (experiments.step_operator,
+                          experiments._observability_rows)
 
         def recorded(*args):
             op = build(*args)
             ops.append(weakref.ref(op))
             return op
 
-        def solved(*args):
-            earlier.append(sum(ref() is not None for ref in blocks))
-            sols = solve_named(*args)
-            blocks.append(weakref.ref(sols[0].fields.base))
-            return sols
-
-        def counted(sol, cfg):
+        def counted(*args):
             live.append(sum(ref() is not None for ref in ops))
-            return record(sol, cfg)
+            return records(*args)
 
         monkeypatch.setattr(experiments, "step_operator", recorded)
-        monkeypatch.setattr(experiments, "_solve_named", solved)
-        monkeypatch.setattr(experiments, "_observability_record", counted)
+        monkeypatch.setattr(experiments, "_observability_rows", counted)
         experiments.run_observability_study(
             ExperimentConfig(mesh_levels=(0.5, 0.4), sample_count=3))
-        # two records (the datum and its scaled copy) per sample
-        assert live == ([1] * 16 + [0] * 2) * 2
-        assert earlier == [0] * 10
+        assert live == ([1] * 4 + [0]) * 2
 
 
 class TestCarlemanBlocks:
