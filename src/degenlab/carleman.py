@@ -202,10 +202,12 @@ class BalanceContext:
 
     def integral(self, field, rows, col=None, time=None, window=False):
         """sum_t tau_t time_t sum_q field_qt col_q over the active ``rows``,
-        field on (columns, rows) or per row; a factor left out counts 1."""
+        field on (columns, rows) or per row; a factor left out counts 1.
+        No BLAS product, so no thread count moves the sums."""
         tau = (self.tau_window if window else self.tau)[rows]
-        y = field @ (tau if time is None else tau * time[rows])
-        return float(y.sum() if col is None else col @ y)
+        y = np.einsum("...t,t->...", field,
+                      tau if time is None else tau * time[rows])
+        return float(y.sum() if col is None else np.einsum("q,q->", col, y))
 
 
 def _block_field(ctx, kind, q, rows, cutoff):
@@ -245,10 +247,10 @@ def _quadratic_terms(ctx, terms):
 
     def build():
         A = np.zeros((sum(mass), mesh.num_pairs))
-        rows = iter(A)
-        sums = mesh.pair_forms([(t.col, 0) for t in terms], 0.0,
-                               [next(rows) if m else None for m in mass],
-                               [t.region for t in terms])
+        sums, rows = np.zeros((len(terms), mesh.num_cells)), iter(A)
+        mesh.pair_forms([(t.col, 0) for t in terms],
+                        regions=[t.region for t in terms], cell_sums=sums,
+                        pair_sums=[next(rows) if m else None for m in mass])
         return A, sums
 
     A, sums = mesh.cached(("term_sums", *((t.kind, t.col, t.region)
@@ -267,8 +269,8 @@ def _quadratic_terms(ctx, terms):
 def _gradient_sums(mesh, V, s, cells):
     """sum_c s_c |grad v|^2 over ``cells`` for each row v of V.  The cell
     gradients are taken a chunk of cells at a time over every row, into one
-    (rows, cells) array of |grad v|^2; each row's sum is then one dot product
-    of a contiguous row, the bits of a gradient taken row by row."""
+    (rows, cells) array of |grad v|^2, each contiguous row then summed by
+    einsum, not a BLAS dot: the bits of a gradient taken row by row."""
     sq = np.empty((len(V), len(cells)))
     step = max(1, _CHUNK_POINTS // len(V))
     for start in range(0, len(cells), step):
@@ -277,8 +279,7 @@ def _gradient_sums(mesh, V, s, cells):
         gy *= gy
         gx += gy
         sq[:, start:start + step] = gx.T
-    sc = s[cells]
-    return np.array([sc @ row for row in sq])
+    return np.einsum("nc,c->n", sq, s[cells])
 
 
 def _shift(theta_t, *profiles):

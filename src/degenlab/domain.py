@@ -7,22 +7,22 @@ exactly on the outer circle and the radial grading near the degeneracy at
 the origin is explicit.  All integrals use a per-cell midpoint rule (exact
 for quadratic integrands), with optional dyadic cell subdivision near the
 origin where singular weights live.  The rule is defined once, as blocks of
-cells sharing a barycentric point set (:meth:`Mesh.point_rule`), and every
-point sum of the package reads these blocks.
+cells sharing a barycentric point set (:func:`_rule_blocks`), and
+:meth:`Mesh.pair_forms` is the package's one loop over it: for several
+weights on one refinement radius it adds their per-cell sums, their masses
+(rows of pair sums) and their nodal sums (bitwise P^T w for the rule's
+interpolation P, with no P built) into the caller's buffers, a bounded
+chunk of cells at a time, each chunk's points built once for every weight,
+with no point array of the whole rule and no form.  Nodal weights, loads,
+cell weight integrals and the source norm all go through it.
 Every P1 matrix is a symmetric (n_cells, 6) pair form: entry (c, p)
 couples cell c's local vertices (i, j) = PAIRS[p], i <= j.
 Forms are summed onto the one cached P1 pattern of vertex pairs i <= j:
 :meth:`Mesh.assemble` gathers the sums into CSR (the solver's matrices)
-through one cached map.  :meth:`Mesh.pair_forms` is the one pass over the
-rule: for several weights on one refinement radius it returns their
-per-cell sums and adds their masses straight into rows of pair sums, a
-bounded chunk of cells at a time, each chunk's points built once for every
-weight, with no point array of the whole rule and no form.
-:meth:`Mesh.add_stiffness` adds stiffnesses the same way, and
-:meth:`Mesh.quadratic_forms` evaluates u^T A u for several rows of pair
-sums and a whole stack of fields in one blocked pass, with no matrix.
-:meth:`Mesh.nodal_sums` (nodal weights, loads) is bitwise P^T w for the
-rule's interpolation P, with no P built.
+through one cached map.  :meth:`Mesh.add_stiffness` adds stiffnesses
+straight into pair sums, and :meth:`Mesh.quadratic_forms` evaluates
+u^T A u for several rows of pair sums and a whole stack of fields in one
+blocked pass, with no matrix.
 Everything built from the mesh (the pattern and its CSR map, the boundary
 edge average, the nodal weights of each region and weight, the mass matrix,
 the solver's step operators and their interior entry map) is built once,
@@ -179,103 +179,78 @@ class Mesh:
 
     # -- quadrature ------------------------------------------------------------
 
-    def point_rule(self, subdivide_radius: float = 0.0, levels: int = 2):
-        """The rule refined ``levels`` times within ``subdivide_radius`` as
-        blocks ``(ids, bary, a, points)``: cell ``ids[k]`` has the points
-        ``points[k]`` (bary @ its vertices), each of weight ``a[k]``."""
-        return [(ids, bary, a, _block_points(self, ids, bary))
-                for ids, bary, a, _ in _rule_blocks(self, subdivide_radius,
-                                                    [levels])]
-
     def quadrature_weights(self, region: Region | None = None,
                            weight=None) -> np.ndarray:
         """Nodal weights c, cached: the integral of a nodal field u times
         ``weight`` over ``region`` is ``c @ u``.
 
-        c is :meth:`nodal_sums` of the weight over the region, on the rule
+        c is the :meth:`pair_forms` nodal sum over the region, on the rule
         refined within the weight's ``quadrature_radius``.  ``weight`` is
         anything :func:`~degenlab.weights.as_weight` accepts; the cache key
         holds the weight value, so equal parameters share one entry.
         """
         weight = as_weight(weight)
-        return self.cached(("weights", region, weight), lambda: self.nodal_sums(
-            weight, 0.0 if weight is None else weight.quadrature_radius,
-            region))
 
-    def nodal_sums(self, fn=None, subdivide_radius: float = 0.0,
-                   region: Region | None = None) -> np.ndarray:
-        """c_i = sum_q a_q fn(x_q) lambda_i(x_q) over the points of the
-        region's cells (all without one) on the level-2 rule refined within
-        ``subdivide_radius``, fn a callable on (n, 2) points (None: 1).
+        def build():
+            c = np.zeros((1, self.num_vertices))
+            self.pair_forms([(weight, 2)], 0.0 if weight is None
+                            else weight.quadrature_radius, regions=[region],
+                            nodal_sums=c)
+            return c[0]
+        return self.cached(("weights", region, weight), build)
 
-        ``np.add.at`` adds each point's nonzero shape values times a_q fn(x_q)
-        in point order, a chunk of at most ``_CHUNK_POINTS`` points at a
-        time: bitwise P^T (a fn) for the rule's P1 interpolation P.
-        """
-        c = np.zeros(self.num_vertices)
-        keep = None if region is None else self.cell_mask(region)
-        for ids, bary, a, _ in _rule_blocks(self, subdivide_radius, [2]):
-            if keep is not None:
-                ids, a = ids[keep[ids]], a[keep[ids]]
-            # each point's nonzero shape values (an edge midpoint has a zero
-            # one), point by point
-            point, local = np.nonzero(bary)
-            step = _CHUNK_POINTS // len(bary)
-            for s in range(0, len(ids), step):
-                chunk = ids[s:s + step]
-                w = np.repeat(a[s:s + step, None], len(bary), axis=1)
-                if fn is not None:
-                    x = _block_points(self, chunk, bary).reshape(-1, 2)
-                    w *= np.asarray(fn(x), dtype=float).reshape(w.shape)
-                np.add.at(c, self.cells[chunk][:, local],
-                          w[:, point] * bary[point, local])
-        return c
+    def pair_forms(self, rules, subdivide_radius: float = 0.0, regions=None,
+                   cell_sums=None, pair_sums=None, nodal_sums=None):
+        """The one pass over the rule: rule r = ``rules[r]`` = ``(w,
+        levels)``, the midpoint rule refined ``levels`` times within
+        ``subdivide_radius`` with its weights a_q times w(x_q) (w None: 1,
+        else a callable on (n, 2) points), on the cells of ``regions[r]`` if
+        given, adds into row r of each buffer given (a (k, n) array, or k
+        rows with None for a rule that adds none):
 
-    def pair_forms(self, rules, subdivide_radius: float = 0.0,
-                   pair_sums=None, regions=None) -> np.ndarray:
-        """(k, n_cells) per-cell sums of k rules ``(weight, levels)`` in one
-        pass, and their mass pair sums.
+        - ``cell_sums``: sum_q a_q w(x_q) over each cell's points, in order;
+        - ``pair_sums``: the mass sum_q a_q w(x_q) lambda_i lambda_j of each
+          cell's local pair (i, j) = PAIRS[p] at its vertex pair, in the
+          layout of :meth:`quadratic_forms`;
+        - ``nodal_sums``: bitwise P^T (a w) for the rule's P1 interpolation
+          P, each point's nonzero shape values times a_q w(x_q) added by
+          ``np.add.at`` in point order.
 
-        Rule ``(w, levels)`` is ``point_rule(subdivide_radius, levels)``
-        with its weights a_q times w (None: w = 1, else a callable on (n, 2)
-        point arrays) at its points, on the cells of ``regions[r]`` if given:
-
-        - sums[r, c] = sum_q a_q w(x_q) over cell c's points, accumulated in
-          point order;
-        - with ``pair_sums`` one (n_pairs,) row or None per rule (a
-          (k, n_pairs) array gives a row to every rule), row r gets the mass
-          sum_q a_q w(x_q) lambda_i(x_q) lambda_j(x_q) of each cell's local
-          pair (i, j) = PAIRS[p] added at its vertex pair, in the layout of
-          :meth:`quadratic_forms`; a rule without a row adds no pair sum.
-
-        The rule blocks are built once: the midpoint cells, shared by every
-        rule, and the refined cells once per distinct level.  Each block goes
-        in chunks of at most ``_CHUNK_POINTS`` points: a chunk's points are
-        built once, every weight of the block is called on them, and its
-        pair sums are added through the slot map, so no per-point array of
-        the whole rule and no (n_cells, 6) form is made.
+        The blocks of :func:`_rule_blocks`, cut to the union of the regions
+        when every rule has one, go in chunks of at most ``_CHUNK_POINTS``
+        points, built once and passed as one array to every weight: no
+        array of the whole rule, no (n_cells, 6) form and no output the
+        caller did not ask for is made.
         """
         weights, levels = zip(*rules)
-        keep = [None if reg is None else self.cell_mask(reg)[:, None]
+        keep = [None if reg is None else self.cell_mask(reg)
                 for reg in regions or [None] * len(rules)]
-        sums = np.empty((len(weights), self.num_cells))
-        rows = [None] * len(rules) if pair_sums is None else list(pair_sums)
-        if any(row is not None for row in rows):
+        cut = (None if any(m is None for m in keep)
+               else np.logical_or.reduce(keep))
+        cells_out, pairs_out, nodes_out = (
+            [None] * len(rules) if out is None else list(out)
+            for out in (cell_sums, pair_sums, nodal_sums))
+        if any(row is not None for row in pairs_out):
             slot = self.cached("p1_pairs", self._pair_pattern)[2].reshape(
                 -1, len(PAIRS))
         # the refined blocks first: the ring mesher numbers cells from the
         # centre out, so each pair's terms are added in cell order and the
         # sums are the bits :meth:`assemble` gives a form
-        blocks = _rule_blocks(self, subdivide_radius, levels)
-        for ids, bary, a, members in blocks[::-1]:
+        for ids, bary, a, members in _rule_blocks(self, subdivide_radius,
+                                                  levels):
+            if cut is not None:
+                ids, a = ids[cut[ids]], a[cut[ids]]
             nq = len(bary)
             # a cell's row of wv @ products keeps its bits whatever the chunk
             # bounds with products C-contiguous (transposed, BLAS switches
             # kernels for short chunks) and no chunk of one cell (a GEMV)
             products = np.ascontiguousarray(bary[:, PAIRS[:, 0]]
                                             * bary[:, PAIRS[:, 1]])
+            # each point's nonzero shape values (an edge midpoint has a zero
+            # one), point by point
+            point, local = np.nonzero(bary)
             weighted = any(weights[r] is not None for r in members)
-            paired = any(rows[r] is not None for r in members)
+            paired = any(pairs_out[r] is not None for r in members)
             step = max(2, _CHUNK_POINTS // nq)
             stops = [*range(step, len(ids) - 1, step), len(ids)]
             for s, e in zip([0, *stops], stops):
@@ -284,6 +259,7 @@ class Mesh:
                 if weighted:
                     points = _block_points(self, chunk, bary).reshape(-1, 2)
                 cell = np.repeat(np.arange(len(chunk)), nq)
+                corners = self.cells[chunk][:, local]
                 if paired:
                     pairs = slot[chunk].ravel()
                 for r in members:
@@ -292,12 +268,15 @@ class Mesh:
                         wv = area * np.asarray(weights[r](points),
                                                dtype=float).reshape(area.shape)
                     if keep[r] is not None:
-                        wv = np.where(keep[r][chunk], wv, 0.0)
-                    if rows[r] is not None:
-                        np.add.at(rows[r], pairs, (wv @ products).ravel())
-                    sums[r, chunk] = np.bincount(cell, weights=wv.ravel(),
-                                                 minlength=len(chunk))
-        return sums
+                        wv = np.where(keep[r][chunk, None], wv, 0.0)
+                    if cells_out[r] is not None:
+                        cells_out[r][chunk] += np.bincount(
+                            cell, weights=wv.ravel(), minlength=len(chunk))
+                    if pairs_out[r] is not None:
+                        np.add.at(pairs_out[r], pairs, (wv @ products).ravel())
+                    if nodes_out[r] is not None:
+                        np.add.at(nodes_out[r], corners,
+                                  wv[:, point] * bary[point, local])
 
     def gradient_pairs(self) -> np.ndarray:
         """(n_cells, 6) grad(lambda_i) . grad(lambda_j) on each cell, for the
@@ -451,8 +430,8 @@ def _rule_blocks(mesh, subdivide_radius, levels):
     ``a[k]`` = area / (points per cell).  Cells with a vertex within
     ``subdivide_radius`` of the origin take the midpoint rule refined l
     times (4^l subtriangles) in a rule of level l, one block per distinct
-    level; the others, listed first in one block every rule shares, the
-    midpoint rule.
+    level, listed first; the others, in one last block every rule shares,
+    the midpoint rule.
     """
     if subdivide_radius > 0.0:
         near = _radii(mesh.vertices) <= subdivide_radius
@@ -460,14 +439,14 @@ def _rule_blocks(mesh, subdivide_radius, levels):
         fine = near[corners[0]] | near[corners[1]] | near[corners[2]]
     else:
         fine = np.zeros(mesh.num_cells, dtype=bool)
-    blocks = [(np.flatnonzero(~fine), _MIDPOINT_BARY, range(len(levels)))]
-    ids = np.flatnonzero(fine)
+    ids, blocks = np.flatnonzero(fine), []
     for lv in dict.fromkeys(levels):
         bary = _MIDPOINT_BARY
         for _ in range(lv):
             bary = _refine_bary(bary)
         blocks.append((ids, bary, [r for r, x in enumerate(levels)
                                    if x == lv]))
+    blocks.append((np.flatnonzero(~fine), _MIDPOINT_BARY, range(len(levels))))
     return [(ids, b, mesh.areas[ids] / len(b), members)
             for ids, b, members in blocks if len(ids)]
 

@@ -23,7 +23,8 @@ from .domain import (MAX_VERTICES, GeometrySpec, Mesh, Region,
                      build_disk_mesh, disk_vertex_bound, integrate_space,
                      integrate_spacetime, time_weights)
 from .solver import (DiscreteSolution, ParabolicProblem, SolverError,
-                     _theta_steps, boundary_flux, solve, step_operator)
+                     _quadratic_sums, _theta_steps, boundary_flux, solve,
+                     step_operator)
 from .weights import AbsPowerWeight, RegularizedWeight, check_epsilon
 
 log = logging.getLogger(__name__)
@@ -532,7 +533,7 @@ def _node_values(ui: np.ndarray, lumped: np.ndarray, mass) -> np.ndarray:
     u = np.ascontiguousarray(ui.T)
     out = np.empty((7, len(u)))
     out[:_MASS] = np.einsum("qv,kv->qk", lumped, u * u)
-    out[_MASS] = np.einsum("kv,kv->k", u, np.ascontiguousarray((mass @ ui).T))
+    out[_MASS] = _quadratic_sums(mass, u)
     u3 = 3.0 * u
     out[_LHS3:] = np.einsum("qv,kv->qk", lumped[:2], u3 * u3)
     return out

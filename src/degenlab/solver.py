@@ -62,10 +62,10 @@ def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
 def cell_weight_integrals(mesh: Mesh, weight) -> np.ndarray:
     """Per-cell quadrature of the spatial weight (1 for unweighted).
 
-    Each cell's points are summed in order (:meth:`Mesh.pair_forms`, no
-    pair sums) on the rule refined within the weight's ``quadrature_radius``.
-    Cached on the mesh per weight (:func:`~degenlab.weights.as_weight`) and
-    read-only.
+    Each cell's points are summed in order (the cell sums of
+    :meth:`Mesh.pair_forms`) on the rule refined within the weight's
+    ``quadrature_radius``.  Cached on the mesh per weight
+    (:func:`~degenlab.weights.as_weight`) and read-only.
     """
     w = as_weight(weight)
 
@@ -75,9 +75,14 @@ def cell_weight_integrals(mesh: Mesh, weight) -> np.ndarray:
             raise ValueError("weight must be nonnegative and finite at every "
                              "quadrature point")
         return wq
-    return mesh.cached(("cell_weights", w), lambda: mesh.pair_forms(
-        [(None if w is None else checked, 2)],
-        0.0 if w is None else w.quadrature_radius)[0])
+
+    def build():
+        sums = np.zeros((1, mesh.num_cells))
+        mesh.pair_forms([(None if w is None else checked, 2)],
+                        0.0 if w is None else w.quadrature_radius,
+                        cell_sums=sums)
+        return sums[0]
+    return mesh.cached(("cell_weights", w), build)
 
 
 def assemble_stiffness(mesh: Mesh, weight) -> sp.csr_matrix:
@@ -90,10 +95,12 @@ def assemble_stiffness(mesh: Mesh, weight) -> sp.csr_matrix:
 
 def load_vectors(mesh: Mesh, fn, times) -> np.ndarray:
     """Consistent loads (f(t), phi_i) for a callable f(points, t), one column
-    per time in ``times``: the nodal sums of f(., t) on the midpoint rule
-    (:meth:`Mesh.nodal_sums`)."""
-    return np.stack([mesh.nodal_sums(lambda x: fn(x, t)) for t in times],
-                    axis=1)
+    per time in ``times``: the nodal sums of f(., t) on the midpoint rule,
+    one rule per time in one :meth:`Mesh.pair_forms` pass."""
+    loads = np.zeros((len(times), mesh.num_vertices))
+    mesh.pair_forms([(lambda x, t=t: fn(x, t), 2) for t in times],
+                    nodal_sums=loads)
+    return loads.T
 
 
 @dataclass
@@ -140,8 +147,8 @@ class DiscreteSolution:
     @functools.cached_property
     def l2_norms(self) -> np.ndarray:
         """||u(t)|| in the mass-matrix norm, per time node."""
-        return np.sqrt(np.maximum(
-            0.0, np.einsum("nv,nv->n", self.fields, (self.mass @ self.fields.T).T)))
+        return np.sqrt(np.maximum(0.0, _quadratic_sums(self.mass,
+                                                        self.fields)))
 
     @property
     def dt(self) -> float:
@@ -152,6 +159,13 @@ class DiscreteSolution:
         if self.problem.direction == "backward":
             return self.fields[::-1]
         return self.fields
+
+
+def _quadratic_sums(A: sp.spmatrix, rows: np.ndarray) -> np.ndarray:
+    """u^T A u for each row u of the (k, n) ``rows``, summed along contiguous
+    rows by einsum: no BLAS thread count and no k moves a value."""
+    u = np.ascontiguousarray(rows)
+    return np.einsum("kv,kv->k", u, np.ascontiguousarray((A @ u.T).T))
 
 
 def _factor_spd(mat: sp.spmatrix) -> spla.SuperLU:
@@ -379,12 +393,10 @@ def energy_report(sol: DiscreteSolution) -> dict:
     u = sol.forward_fields()
     dt, th = sol.dt, sol.theta
     Mm, A = sol.mass, sol.stiffness
-    l2sq = np.einsum("nv,nv->n", u, (Mm @ u.T).T)
+    l2sq = _quadratic_sums(Mm, u)
     uth = th * u[1:] + (1.0 - th) * u[:-1]
-    asq = np.einsum("nv,nv->n", uth, (A @ uth.T).T)
-    grad_energy = float(dt * np.sum(asq))
-    jumps = np.diff(u, axis=0)
-    jumpsq = float(np.sum(np.einsum("nv,nv->n", jumps, (Mm @ jumps.T).T)))
+    grad_energy = float(dt * np.sum(_quadratic_sums(A, uth)))
+    jumpsq = float(np.sum(_quadratic_sums(Mm, np.diff(u, axis=0))))
     sup_l2_sq = float(np.max(l2sq))
     data_sq = float(l2sq[0])
 
@@ -405,23 +417,24 @@ def energy_report(sol: DiscreteSolution) -> dict:
 
 
 def _source_data_norms(sol: DiscreteSolution) -> float:
-    """||f||^2_{L2(Q; w^-1)} of the source: per time, a point sum on the
-    level-3 rule (:meth:`Mesh.point_rule`, its blocks' points in order)
-    refined within max(the weight's ``quadrature_radius``, 4h)."""
-    prob = sol.problem
+    """||f||^2_{L2(Q; w^-1)} of the source: per time, the cell sums of
+    f^2 (1/w) on the level-3 rule refined within max(the weight's
+    ``quadrature_radius``, 4h), all times in one :meth:`Mesh.pair_forms`."""
+    prob, mesh = sol.problem, sol.mesh
     if prob.source is None:
         return 0.0
-    w = prob.weight
-    sub = max(0.0 if w is None else w.quadrature_radius, 4.0 * sol.mesh.h)
-    blocks = sol.mesh.point_rule(sub, levels=3)
-    x = np.concatenate([points.reshape(-1, 2) for *_, points in blocks])
-    a = np.concatenate([np.repeat(a, len(bary)) for _, bary, a, _ in blocks])
-    winv = 1.0 if w is None else 1.0 / w(x)
-    slices = np.array([
-        float(np.dot(a, np.asarray(prob.source(x, t), dtype=float) ** 2
-                     * winv))
-        for t in sol.times])
-    return float(time_weights(sol.times) @ slices)
+    w, inv = prob.weight, {}
+    sub = max(0.0 if w is None else w.quadrature_radius, 4.0 * mesh.h)
+
+    def density(x, t):
+        # 1/w once per chunk: every time's rule is called on one points array
+        if inv.get("x") is not x:
+            inv.update(x=x, v=1.0 if w is None else 1.0 / w(x))
+        return np.asarray(prob.source(x, t), dtype=float) ** 2 * inv["v"]
+    sums = np.zeros((len(sol.times), mesh.num_cells))
+    mesh.pair_forms([(lambda x, t=t: density(x, t), 3) for t in sol.times],
+                    sub, cell_sums=sums)
+    return float(time_weights(sol.times) @ sums.sum(axis=1))
 
 
 def boundary_mass_matrix(mesh: Mesh) -> sp.csr_matrix:

@@ -5,7 +5,8 @@ extra subdivision near the origin, where the weights degenerate), and P1
 cell gradients for seminorms.  The inequality checkers return the ratio
 LHS / RHS with the explicit constants, so a verified inequality reads
 ``ratio <= 1 + quadrature budget``.  The single-field functions are point
-sums over :meth:`~degenlab.domain.Mesh.point_rule`; the batched table
+sums over the rule blocks, read here directly so that they stay an oracle
+independent of :meth:`~degenlab.domain.Mesh.pair_forms`; the batched table
 reads each squared norm of a stack of fields as a quadratic form u^T A u,
 with the six matrices held as sums on the mesh's vertex pairs, the four
 masses from one pass over the rule
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .domain import Mesh, _cell_gradient
+from .domain import Mesh, _block_points, _cell_gradient, _rule_blocks
 from .weights import AbsPowerWeight, RegularizedWeight
 
 
@@ -41,17 +42,19 @@ def weighted_h1_seminorm(mesh: Mesh, field, weight=None,
 
 
 def _rule_sum(mesh: Mesh, u, per_cell, weight, subdivide_radius, levels=2):
-    """sum_q a_q v_q w(x_q) over the points of :meth:`Mesh.point_rule`, a
-    block at a time: v is the square of the nodal field u interpolated at
-    the points, or (u None) the cell's ``per_cell`` value."""
+    """sum_q a_q v_q w(x_q) over the points of the rule refined ``levels``
+    times within ``subdivide_radius``, a block of :func:`_rule_blocks` at a
+    time: v is the square of the nodal field u interpolated at the points,
+    or (u None) the cell's ``per_cell`` value."""
     total = 0.0
-    for ids, bary, a, points in mesh.point_rule(subdivide_radius, levels):
+    for ids, bary, a, _ in _rule_blocks(mesh, subdivide_radius, [levels]):
         if u is None:
             v = np.repeat(per_cell[ids, None], len(bary), axis=1)
         else:
             v = (u[mesh.cells[ids]] @ bary.T) ** 2
         if weight is not None:
-            v *= weight(points.reshape(-1, 2)).reshape(v.shape)
+            v *= weight(_block_points(mesh, ids, bary).reshape(-1, 2)
+                        ).reshape(v.shape)
         total += float(a @ v.sum(axis=1))
     return total
 
@@ -170,9 +173,11 @@ def _table_pair_sums(mesh: Mesh, alpha: float, eps: float) -> np.ndarray:
     stiffnesses from the last two weights' per-cell sums
     (:meth:`Mesh.add_stiffness`)."""
     values = np.zeros((6, mesh.num_pairs))
+    sums = np.zeros((2, mesh.num_cells))
     rules = [(AbsPowerWeight(alpha - 2.0), 3), (None, 2),
              (AbsPowerWeight(alpha), 2),
              (RegularizedWeight(epsilon=eps, alpha=alpha), 2)]
-    sums = mesh.pair_forms(rules, 4.0 * mesh.h, values[:4])
-    mesh.add_stiffness(values[4:], sums[2:])
+    mesh.pair_forms(rules, 4.0 * mesh.h, cell_sums=[None, None, *sums],
+                    pair_sums=values[:4])
+    mesh.add_stiffness(values[4:], sums)
     return values

@@ -22,8 +22,10 @@ class Quadrature(NamedTuple):
 
 
 def quadrature(mesh, subdivide_radius=0.0, levels=2):
-    """The rule of :meth:`Mesh.point_rule` as flat arrays, in its point order
-    (block by block, cell by cell), with the sparse (nq, n_vertices) P1
+    """The rule of :func:`~degenlab.domain._rule_blocks` refined ``levels``
+    times within ``subdivide_radius`` as flat arrays, in the point order
+    every consumer reads (block by block in the blocks' order, the refined
+    cells first, cell by cell), with the sparse (nq, n_vertices) P1
     interpolation P built from the blocks' barycentric points: row q holds
     point q's nonzero shape values in local-vertex order.  ``P @ u``
     samples a nodal field at the points and ``P.T @ w`` turns point weights
@@ -76,7 +78,9 @@ def weighted_mass(mesh, weight, subdivide_radius=0.0, levels=2):
     the full pattern by a COO sum rather than :meth:`Mesh.assemble`, and
     its per-cell sums."""
     values = np.zeros((1, mesh.num_pairs))
-    sums = mesh.pair_forms([(weight, levels)], subdivide_radius, values)
+    sums = np.zeros((1, mesh.num_cells))
+    mesh.pair_forms([(weight, levels)], subdivide_radius, cell_sums=sums,
+                    pair_sums=values)
     I, J, _ = mesh.cached("p1_pairs", mesh._pair_pattern)
     off = I != J
     A = sp.coo_matrix((np.concatenate([values[0], values[0, off]]),

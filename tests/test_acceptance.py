@@ -265,18 +265,25 @@ def _tree_digest(root):
     return digest
 
 
+# the full pipeline with sample counts shrunk so the double run stays well
+# inside the suite budget; the code path per artifact is identical
+C9_CMD = [sys.executable, "-m", "degenlab.cli", "all", "--seed", "7",
+          "--set", "sample_count=4", "--set", "carleman_family_count=2",
+          "--set", "carleman_sweep_samples=1", "--set", "k_levels=[8,16]"]
+
+
+def _package_env():
+    """The environment with the import root of the package under test first
+    on PYTHONPATH: the children run in temporary directories, where a
+    relative PYTHONPATH no longer resolves."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(degenlab.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (root, os.environ.get("PYTHONPATH")) if p))
+
+
 def test_criterion_9_determinism(capsys, tmp_path):
     t0 = time.perf_counter()
-    # the full pipeline with sample counts shrunk so the double run stays
-    # well inside the suite budget; the code path per artifact is identical
-    cmd = [sys.executable, "-m", "degenlab.cli", "all", "--seed", "7",
-           "--set", "sample_count=4", "--set", "carleman_family_count=2",
-           "--set", "carleman_sweep_samples=1", "--set", "k_levels=[8,16]"]
-    # the children run in temporary directories, where a relative PYTHONPATH
-    # no longer resolves: hand them the import root of the package under test
-    root = os.path.dirname(os.path.dirname(os.path.abspath(degenlab.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (root, os.environ.get("PYTHONPATH")) if p))
+    cmd, env = C9_CMD, _package_env()
     probe = subprocess.run(
         [sys.executable, "-c", "import degenlab; print(degenlab.__file__)"],
         cwd=tmp_path, env=env, capture_output=True, text=True)
@@ -296,3 +303,23 @@ def test_criterion_9_determinism(capsys, tmp_path):
     _verdict(capsys, ok, 9,
              f"two seeded runs produced {len(digests[0])} files, "
              f"byte-identical: {identical}", time.perf_counter() - t0, 600.0)
+
+
+def test_criterion_9_blas_thread_count(tmp_path):
+    # beside criterion 9, never instead of it: every reduction that feeds a
+    # report runs in an order the code fixes (numpy's own reductions, not a
+    # BLAS dot that splits a long sum across threads), so the criterion-9
+    # run gives one result tree at one and at two BLAS threads
+    digests = []
+    for threads in ("1", "2"):
+        cwd = tmp_path / threads
+        cwd.mkdir()
+        proc = subprocess.run(
+            C9_CMD, cwd=cwd, capture_output=True, text=True,
+            env=dict(_package_env(), OPENBLAS_NUM_THREADS=threads))
+        assert proc.returncode == 0, proc.stderr
+        digests.append(_tree_digest(cwd / "results"))
+    assert len(digests[0]) > 0
+    differ = sorted(name for name in digests[0].keys() | digests[1].keys()
+                    if digests[0].get(name) != digests[1].get(name))
+    assert not differ, differ

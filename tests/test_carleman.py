@@ -715,8 +715,10 @@ class TestLiveBlock:
                 terms = carleman_module._TABLE[variant][1](ctx, params, None,
                                                            None)[1]
                 A = np.zeros((len(terms), mesh.num_pairs))
-                sums = mesh.pair_forms([(t.col, 0) for t in terms], 0.0, A,
-                                       [t.region for t in terms])
+                sums = np.zeros((len(terms), mesh.num_cells))
+                mesh.pair_forms([(t.col, 0) for t in terms],
+                                regions=[t.region for t in terms],
+                                cell_sums=sums, pair_sums=A)
                 V = ctx.sol.fields[ctx.rows]
                 if terms[0].cutoff is not None:
                     V = V * terms[0].cutoff.value(mesh.vertices)
@@ -728,7 +730,8 @@ class TestLiveBlock:
                         cells = mesh.cell_mask(t.region)
                         for row, v in enumerate(V):
                             gx, gy = _cell_gradient(mesh, v[:, None], cells)
-                            form[row] = s[cells] @ (gx * gx + gy * gy)[:, 0]
+                            form[row] = np.einsum(
+                                "c,c->", s[cells], (gx * gx + gy * gy)[:, 0])
                     value = t.coef * ctx.integral(form, slice(None), None,
                                                   t.time, t.window)
                     side = got[f"{t.side}_terms"]
@@ -846,8 +849,8 @@ def _point_store_evaluate(ctx, p, variant, weight, flux, eta_bar):
 
     def integral(field, col, time, window=False):
         tau = ctx.tau_window if window else ctx.tau
-        y = field @ (tau if time is None else tau * time)
-        return float(y.sum() if col is None else col @ y)
+        y = np.einsum("...t,t->...", field, tau if time is None else tau * time)
+        return float(y.sum() if col is None else np.einsum("q,q->", col, y))
 
     shift, growths = 0.0, {}
     if profile is not None:

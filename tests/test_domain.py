@@ -86,16 +86,22 @@ class TestRadii:
     @pytest.mark.parametrize("radius", [0.0, 0.35, 1.2, 20.0])
     def test_rule_blocks_fine_cells(self, geometry, radius):
         # the refined cells are those with a vertex within the radius: the
-        # three column ORs select the cells near[cells].any(axis=1) does
+        # three column ORs select the cells near[cells].any(axis=1) does.
+        # The refined blocks come first, one per level, then the midpoint
+        # block, which is cell order for the ring mesher
         mesh = build_disk_mesh(geometry, 0.3, local_h=0.02)
         near = np.linalg.norm(mesh.vertices, axis=1) <= radius
         fine = near[mesh.cells].any(axis=1) & (radius > 0.0)
-        expected = [ids for ids in (np.flatnonzero(~fine),
-                                    *[np.flatnonzero(fine)] * 2) if len(ids)]
+        expected = [(ids, nq) for ids, nq in (
+            (np.flatnonzero(fine), 48), (np.flatnonzero(fine), 192),
+            (np.flatnonzero(~fine), 3)) if len(ids)]
         blocks = domain._rule_blocks(mesh, radius, [2, 3])
         assert len(blocks) == len(expected)
-        for (ids, *_), ref in zip(blocks, expected):
-            assert np.array_equal(ids, ref)
+        for (ids, bary, *_), (ref, nq) in zip(blocks, expected):
+            assert np.array_equal(ids, ref) and len(bary) == nq
+        order = np.concatenate([blocks[0][0], blocks[-1][0]]
+                               if len(blocks) > 2 else [blocks[0][0]])
+        assert np.all(np.diff(order) > 0)
 
 
 class TestDiskMesh:
@@ -325,6 +331,34 @@ class TestQuadrature:
                              r"|\.interpolation\b", line)]
         assert not hits, hits
 
+    def test_one_loop_over_the_rule(self):
+        # Mesh.pair_forms is the package's one loop over the rule, and the
+        # single-field oracle (spaces._rule_sum) keeps its own: no source
+        # file names a nodal_sums method or a point_rule, and only those two
+        # call _rule_blocks
+        root = pathlib.Path(domain.__file__).parents[1]
+        named, callers = [], set()
+        for path in sorted(root.rglob("*.py")):
+            text = path.read_text()
+            named += [f"{path.name}:{i}"
+                      for i, line in enumerate(text.splitlines(), 1)
+                      if re.search(r"\.nodal_sums\b|def nodal_sums|point_rule",
+                                   line)]
+
+            def visit(node, scope):
+                for child in ast.iter_child_nodes(node):
+                    inner = scope
+                    if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                        inner = f"{scope}.{child.name}"
+                    if (isinstance(child, ast.Call)
+                            and getattr(child.func, "id", None)
+                            == "_rule_blocks"):
+                        callers.add(scope)
+                    visit(child, inner)
+            visit(ast.parse(text), path.stem)
+        assert not named, named
+        assert callers == {"domain.Mesh.pair_forms", "spaces._rule_sum"}
+
 
 class TestInterpolation:
     KEYS = [(0.0, 2), (1.2, 2), (1.2, 3)]
@@ -483,29 +517,42 @@ class TestCellForms:
     def test_pair_forms_regions(self, coarse_mesh):
         # a rule with a region adds only its cells' points, in one pass with
         # rules on other regions and levels: its per-cell sums bitwise the
-        # region's cells of its pass alone, its mass the masked rule's
+        # region's cells of its pass alone, its mass the masked rule's and
+        # its nodal sums bitwise P^T of the masked rule, whether a rule
+        # without a region keeps every cell or the blocks are cut to the
+        # union of the regions
         sub, mesh = 1.2, coarse_mesh
         rules = [(None, 2), (AbsPowerWeight(1.0), 3), (AbsPowerWeight(0.5), 2)]
-        regions = [None, Region.ball(4.0), Region.annulus(3.0, 6.0)]
-        values = np.zeros((3, mesh.num_pairs))
-        sums = mesh.pair_forms(rules, sub, values, regions)
-        for r, ((weight, levels), region) in enumerate(zip(rules, regions)):
-            alone = np.zeros((1, mesh.num_pairs))
-            whole = mesh.pair_forms([rules[r]], sub, alone)[0]
-            keep = (np.ones(mesh.num_cells, dtype=bool) if region is None
-                    else mesh.cell_mask(region))
-            assert np.array_equal(sums[r], np.where(keep, whole, 0.0))
-            if region is None:
-                assert np.array_equal(values[r], alone[0])
-            qp = quadrature(mesh, sub, levels)
-            wq = qp.weights * (1.0 if weight is None else weight(qp.points))
-            P = qp.interpolation
-            ref = P.T @ sp.diags(wq * keep[qp.cell]) @ P
-            u = np.random.default_rng(r).standard_normal(mesh.num_vertices)
-            got = mesh.quadratic_forms(values[r:r + 1], u[None])[0, 0]
-            scale = np.abs(u) @ (abs(ref) @ np.abs(u))
-            assert abs(got - u @ (ref @ u)) <= 1e-14 * scale
-
+        for regions in ([None, Region.ball(4.0), Region.annulus(3.0, 6.0)],
+                        [Region.complement(7.0), Region.ball(4.0),
+                         Region.annulus(3.0, 6.0)]):
+            values = np.zeros((3, mesh.num_pairs))
+            sums = np.zeros((3, mesh.num_cells))
+            nodal = np.zeros((3, mesh.num_vertices))
+            mesh.pair_forms(rules, sub, regions, cell_sums=sums,
+                            pair_sums=values, nodal_sums=nodal)
+            for r, ((weight, levels), region) in enumerate(zip(rules,
+                                                                regions)):
+                alone = np.zeros((1, mesh.num_pairs))
+                whole = np.zeros(mesh.num_cells)
+                mesh.pair_forms([rules[r]], sub, cell_sums=[whole],
+                                pair_sums=alone)
+                keep = (np.ones(mesh.num_cells, dtype=bool) if region is None
+                        else mesh.cell_mask(region))
+                assert np.array_equal(sums[r], np.where(keep, whole, 0.0))
+                if region is None:
+                    assert np.array_equal(values[r], alone[0])
+                qp = quadrature(mesh, sub, levels)
+                wq = qp.weights * (1.0 if weight is None
+                                   else weight(qp.points))
+                P = qp.interpolation
+                assert np.array_equal(nodal[r], P.T @ (wq * keep[qp.cell]))
+                ref = P.T @ sp.diags(wq * keep[qp.cell]) @ P
+                u = np.random.default_rng(r).standard_normal(
+                    mesh.num_vertices)
+                got = mesh.quadratic_forms(values[r:r + 1], u[None])[0, 0]
+                scale = np.abs(u) @ (abs(ref) @ np.abs(u))
+                assert abs(got - u @ (ref @ u)) <= 1e-14 * scale
 
     def test_pair_forms_rows_or_none(self, coarse_mesh):
         # a rule given None adds no pair sum; the per-cell sums of every
@@ -514,16 +561,20 @@ class TestCellForms:
         rules = [(None, 2), (AbsPowerWeight(1.0), 3), (AbsPowerWeight(0.5), 2)]
         regions = [Region.ball(4.0), None, Region.annulus(3.0, 6.0)]
         every = np.zeros((3, mesh.num_pairs))
-        whole = mesh.pair_forms(rules, sub, every, regions)
+        whole = np.zeros((3, mesh.num_cells))
+        mesh.pair_forms(rules, sub, regions, cell_sums=whole, pair_sums=every)
         for given in ([0, 2], [1], []):
             rows = [np.zeros(mesh.num_pairs) if r in given else None
                     for r in range(3)]
-            sums = mesh.pair_forms(rules, sub, rows, regions)
+            sums = np.zeros((3, mesh.num_cells))
+            mesh.pair_forms(rules, sub, regions, cell_sums=sums,
+                            pair_sums=rows)
             assert np.array_equal(sums, whole)
             for r in given:
                 assert np.array_equal(rows[r], every[r])
-        assert np.array_equal(mesh.pair_forms(rules, sub, None, regions),
-                              whole)
+        sums = np.zeros((3, mesh.num_cells))
+        mesh.pair_forms(rules, sub, regions, cell_sums=sums)
+        assert np.array_equal(sums, whole)
 
 class TestQuadratureWeights:
     def test_cached_equal_fresh(self, coarse_mesh):
@@ -595,7 +646,7 @@ class TestQuadratureWeights:
 
     @pytest.mark.parametrize("region", [None, Region.annulus(3.0, 6.0)])
     def test_unweighted_traced_peak(self, geometry, region):
-        # h = 1/16 (75,192 vertices, 149,477 cells): 3.7 MB unweighted, 5.7
+        # h = 1/16 (75,192 vertices, 149,477 cells): 3.9 MB unweighted, 6.1
         # MB in the annulus (its cached centroid radii included), against
         # 16.0 and 17.1 MB with a bincount over an (n_cells, 6) index (and
         # 59 MB for a weight, which built the rule's points and P)

@@ -1,6 +1,7 @@
 """Finite element assembly oracles and time-stepping properties."""
 
 import dataclasses
+import math
 import pathlib
 import re
 import weakref
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from degenlab import solver
+from degenlab import domain, solver
 from degenlab.domain import GeometrySpec, build_disk_mesh
 from degenlab.experiments import ExperimentConfig
 from degenlab.solver import (ManufacturedField, ParabolicProblem, SolverError,
@@ -236,8 +237,12 @@ class TestTimeStepping:
                     small_mesh, 4)
         assert "l2_norms" not in vars(sol)
         norms = sol.l2_norms
+        # each u^T M u is summed along contiguous rows of u and M u
+        Mu = np.ascontiguousarray((sol.mass @ sol.fields.T).T)
         assert np.array_equal(norms, np.sqrt(np.einsum(
-            "nv,nv->n", sol.fields, (sol.mass @ sol.fields.T).T)))
+            "nv,nv->n", sol.fields, Mu)))
+        exact = [math.fsum(u * mu) for u, mu in zip(sol.fields, Mu)]
+        assert np.allclose(norms ** 2, exact, rtol=1e-14, atol=0.0)
         assert sol.l2_norms is norms
         # a replaced trajectory reads its own fields, not the cached norms
         scaled = dataclasses.replace(sol, fields=3.0 * sol.fields)
@@ -496,6 +501,23 @@ class TestLoads:
         np.add.at(ref, nodes, wf[:, None] * shape)
         got = load_vectors(small_mesh, _source, [0.3])[:, 0]
         assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    def test_one_rule_pass_for_all_times(self, small_mesh, monkeypatch):
+        # 13 times build each chunk's points once, not once per time, and
+        # each column is bitwise P^T (a f(., t)) of the oracle rule
+        calls = []
+        monkeypatch.setattr(domain, "_block_points", lambda m, ids, bary, f=(
+            domain._block_points): calls.append(ids) or f(m, ids, bary))
+        monkeypatch.setattr(domain, "_CHUNK_POINTS", 96)
+        times = np.linspace(0.0, 0.5, 13)
+        loads = load_vectors(small_mesh, _source, times)
+        assert len(calls) > 1
+        assert np.array_equal(np.concatenate(calls),
+                              np.arange(small_mesh.num_cells))
+        qp = quadrature(small_mesh)
+        for n, t in enumerate(times):
+            assert np.array_equal(loads[:, n], qp.interpolation.T @ (
+                qp.weights * _source(qp.points, t)))
 
     def test_columns_are_single_time_loads(self, small_mesh):
         times = np.linspace(0.0, 0.5, 5)
